@@ -14,8 +14,6 @@ from .scalars import (
     Rational,
     WeilElement,
     parse_rational,
-    rat_arith,
-    weil_mul,
     weil_power_sum,
 )
 from .series import (
@@ -68,12 +66,10 @@ __all__ = [
     "poly_inv",
     "poly_log",
     "poly_mul",
-    "rat_arith",
     "run_suite",
     "scalar_extend",
     "series_compare",
     "tangent_of",
-    "weil_mul",
     "weil_power_sum",
     "zassenhaus_classical",
     "zassenhaus_paper",

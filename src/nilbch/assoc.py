@@ -10,7 +10,6 @@ a property of the algebra: operands must agree on it, mixing is an error.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .errors import (
     AlgebraMismatch,
@@ -19,7 +18,7 @@ from .errors import (
     NotNilpotent,
     NotUnipotent,
 )
-from .scalars import WeilElement
+from .scalars import WeilElement, accumulate, exp_series, geometric_series
 
 Word = tuple[int, ...]
 
@@ -110,14 +109,7 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         self._same_algebra(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            total = out.get(word)
-            total = coeff if total is None else total + coeff
-            if total:
-                out[word] = total
-            else:
-                out.pop(word, None)
+        out = accumulate(dict(self.terms), other.terms.items())
         return AssocPoly(self.alphabet, self.trunc, self.weil_k, out)
 
     def __sub__(self, other):
@@ -223,20 +215,9 @@ def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     """Concatenation product, truncated at the common bound."""
     a._same_algebra(b)
     out: dict[Word, object] = {}
-    trunc = a.trunc
     for w1, c1 in a.terms.items():
-        room = trunc - len(w1)
-        for w2, c2 in b.terms.items():
-            if len(w2) > room:
-                continue
-            word = w1 + w2
-            value = c1 * c2
-            total = out.get(word)
-            total = value if total is None else total + value
-            if total:
-                out[word] = total
-            else:
-                out.pop(word, None)
+        room = a.trunc - len(w1)
+        accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in b.terms.items() if len(w2) <= room))
     return AssocPoly(a.alphabet, a.trunc, a.weil_k, out)
 
 
@@ -244,14 +225,7 @@ def poly_exp(a: AssocPoly) -> AssocPoly:
     """sum_i a^i / i! for a in the augmentation ideal (no constant term)."""
     if a.constant_term():
         raise NotNilpotent("exp needs a zero constant term")
-    out = AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
-    power = out
-    for i in range(1, a.trunc + 1):
-        power = poly_mul(power, a)
-        if not power:
-            break
-        out = out + power.scale(Fraction(1, factorial(i)))
-    return out
+    return exp_series(a, AssocPoly.one(a.alphabet, a.trunc, a.weil_k), a.trunc)
 
 
 def poly_log(a: AssocPoly) -> AssocPoly:
@@ -259,9 +233,8 @@ def poly_log(a: AssocPoly) -> AssocPoly:
     if a.constant_term() != a._one():
         raise NotUnipotent("log needs constant term exactly 1")
     u = a - AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
-    out = AssocPoly.zero(a.alphabet, a.trunc, a.weil_k)
-    power = AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
-    for i in range(1, a.trunc + 1):
+    out, power = u, u
+    for i in range(2, a.trunc + 1):
         power = poly_mul(power, u)
         if not power:
             break
@@ -280,15 +253,8 @@ def poly_inv(a: AssocPoly) -> AssocPoly:
         if not c:
             raise NotInvertible("constant term is zero")
         c_inv = Fraction(1) / c
-    u = a.scale(c_inv) - AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
-    out = AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
-    power = out
-    for _ in range(a.trunc):
-        power = poly_mul(power, -u)
-        if not power:
-            break
-        out = out + power
-    return out.scale(c_inv)
+    one = AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
+    return geometric_series(one - a.scale(c_inv), one, a.trunc).scale(c_inv)
 
 
 def scalar_extend(a: AssocPoly, k: int) -> AssocPoly:

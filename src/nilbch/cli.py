@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import NilbchError
-from .freelie import default_names, hall_basis, mono_str
+from .freelie import default_names, hall_basis, lyndon_count, mono_str
 from .series import (
     bch_classical,
     bch_paper,
@@ -23,6 +23,9 @@ from .series import (
     zassenhaus_paper,
 )
 from .weilcheck import CheckParams, run_suite
+
+# Largest Hall layer ``hall`` generates: 10^5 monomials take 1-4 s.
+HALL_LAYER_CAP = 100_000
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -57,26 +60,25 @@ def _zassenhaus_series(source: str, order: int, form: str):
     raise NilbchError(f"unknown Zassenhaus source {source!r}")
 
 
-def _cmd_bch(args) -> int:
-    series = _bch_series(args.source, args.order)
+def _print_series(series, label: str, args) -> int:
     if args.format == "json":
         _emit(_json_dumps(series.to_json_obj()), args.output)
     else:
         lines = [
-            f"deg{n}: {series.component(n)}" for n in range(1, args.order + 1)
+            f"{label}{n}: {series.component(n)}"
+            for n in range(series.first_degree, series.order + 1)
         ]
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
+def _cmd_bch(args) -> int:
+    return _print_series(_bch_series(args.source, args.order), "deg", args)
+
+
 def _cmd_zassenhaus(args) -> int:
     series = _zassenhaus_series(args.source, args.order, args.form)
-    if args.format == "json":
-        _emit(_json_dumps(series.to_json_obj()), args.output)
-    else:
-        lines = [f"C{n}: {series.component(n)}" for n in range(2, args.order + 1)]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _print_series(series, "C", args)
 
 
 def _cmd_compare(args) -> int:
@@ -132,12 +134,22 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_hall(args) -> int:
-    names = default_names(args.gens)
-    basis = hall_basis(args.gens, args.degree)
+    # Refuse before generating.  A generator count or degree above the cap
+    # already means a layer above it whenever there are two generators or
+    # more; with one, the layer is empty, but Duval's generation would still
+    # build a word that long.  The exact count is only computed below both.
+    k, n = args.gens, args.degree
+    if max(k, n) > HALL_LAYER_CAP or lyndon_count(k, n) > HALL_LAYER_CAP:
+        raise NilbchError(
+            f"hall --gens {k} --degree {n} exceeds the limit of "
+            f"{HALL_LAYER_CAP} monomials per layer"
+        )
+    names = default_names(k)
+    basis = hall_basis(k, n)
     if args.format == "json":
         obj = {
-            "gens": args.gens,
-            "degree": args.degree,
+            "gens": k,
+            "degree": n,
             "monomials": [mono_str(m, names) for m in basis],
         }
         _emit(_json_dumps(obj), args.output)

@@ -20,6 +20,7 @@ from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
+from .scalars import accumulate
 
 Mono = Union[int, tuple]
 
@@ -116,6 +117,29 @@ def lyndon_words(k: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def lyndon_count(k: int, n: int) -> int:
+    """Witt's formula for the number of Lyndon words of length n over k letters.
+
+    (1/n) sum over d | n of mu(d) k^(n/d): the size of a Hall basis layer,
+    known without generating a single word.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 generators and degree n >= 1")
+    return sum(_mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
 @lru_cache(maxsize=None)
 def standard_bracketing(word: tuple[int, ...]) -> Mono:
     """Right standard factorization bracketing of a Lyndon word."""
@@ -151,20 +175,12 @@ def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, Fraction], ...]:
         return (((u, v), Fraction(1)),)
     u1, u2 = u
     out: dict[Mono, Fraction] = {}
-    for m, c in _bracket_basis(u1, v):
-        for m2, c2 in _bracket_basis(m, u2):
-            total = out.get(m2, Fraction(0)) + c * c2
-            if total:
-                out[m2] = total
-            else:
-                del out[m2]
-    for m, c in _bracket_basis(u2, v):
-        for m2, c2 in _bracket_basis(u1, m):
-            total = out.get(m2, Fraction(0)) + c * c2
-            if total:
-                out[m2] = total
-            else:
-                del out[m2]
+    accumulate(out, (
+        (m2, c * c2) for m, c in _bracket_basis(u1, v) for m2, c2 in _bracket_basis(m, u2)
+    ))
+    accumulate(out, (
+        (m2, c * c2) for m, c in _bracket_basis(u2, v) for m2, c2 in _bracket_basis(u1, m)
+    ))
     return tuple(sorted(out.items(), key=lambda item: mono_word(item[0])))
 
 
@@ -219,13 +235,7 @@ class LieElement:
         if not isinstance(other, LieElement):
             return NotImplemented
         self._compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = out.get(mono, Fraction(0)) + coeff
-            if total:
-                out[mono] = total
-            else:
-                out.pop(mono, None)
+        out = accumulate(dict(self.terms), other.terms.items())
         return LieElement(self.alphabet, self.max_degree, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -310,12 +320,7 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
             if d1 + mono_degree(m2) > a.max_degree:
                 continue
             factor = c1 * c2
-            for mono, coeff in _bracket_basis(m1, m2):
-                total = out.get(mono, Fraction(0)) + factor * coeff
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
+            accumulate(out, ((mono, factor * c) for mono, c in _bracket_basis(m1, m2)))
     return LieElement(a.alphabet, a.max_degree, out)
 
 
@@ -346,12 +351,8 @@ def _embed_mono(m: Mono) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     out: dict[tuple[int, ...], Fraction] = {}
     for w1, c1 in left:
         for w2, c2 in right:
-            for word, sign in ((w1 + w2, 1), (w2 + w1, -1)):
-                total = out.get(word, Fraction(0)) + sign * c1 * c2
-                if total:
-                    out[word] = total
-                else:
-                    del out[word]
+            c = c1 * c2
+            accumulate(out, ((w1 + w2, c), (w2 + w1, -c)))
     return tuple(sorted(out.items()))
 
 
@@ -359,12 +360,7 @@ def lie_embed(a: LieElement) -> "assoc.AssocPoly":
     """Realize brackets as associative commutators; generators become words."""
     terms: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in a.terms.items():
-        for word, c in _embed_mono(mono):
-            total = terms.get(word, Fraction(0)) + coeff * c
-            if total:
-                terms[word] = total
-            else:
-                del terms[word]
+        accumulate(terms, ((word, coeff * c) for word, c in _embed_mono(mono)))
     return assoc.AssocPoly(a.alphabet, a.max_degree, None, terms)
 
 
@@ -375,12 +371,7 @@ def _left_nested(word: tuple[int, ...]) -> tuple[tuple[Mono, Fraction], ...]:
         return ((word[0], Fraction(1)),)
     out: dict[Mono, Fraction] = {}
     for mono, coeff in _left_nested(word[1:]):
-        for m2, c2 in _bracket_basis(word[0], mono):
-            total = out.get(m2, Fraction(0)) + coeff * c2
-            if total:
-                out[m2] = total
-            else:
-                del out[m2]
+        accumulate(out, ((m2, coeff * c2) for m2, c2 in _bracket_basis(word[0], mono)))
     return tuple(sorted(out.items(), key=lambda item: mono_word(item[0])))
 
 
@@ -397,10 +388,5 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
     out: dict[Mono, Fraction] = {}
     for word, coeff in p.terms.items():
         factor = Fraction(coeff, len(word))
-        for mono, c in _left_nested(word):
-            total = out.get(mono, Fraction(0)) + factor * c
-            if total:
-                out[mono] = total
-            else:
-                del out[mono]
+        accumulate(out, ((mono, factor * c) for mono, c in _left_nested(word)))
     return LieElement(p.alphabet, p.trunc, out)

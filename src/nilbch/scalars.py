@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .errors import DivisionByZero, GeneratorCountMismatch
 
@@ -36,23 +37,46 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def rat_arith(op: str, a: Fraction, b: Fraction | None = None) -> Fraction:
-    """Exact rational arithmetic with an explicit division-by-zero error."""
-    a = Fraction(a)
-    if op == "neg":
-        return -a
-    b = Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational operation: {op!r}")
+def accumulate(out: dict, pairs) -> dict:
+    """Add each (key, value) pair into ``out``, dropping a key once its sum is zero.
+
+    A zero sum leaves at once rather than in a final sweep, so later pairs
+    never add onto a stored zero.
+    """
+    for key, value in pairs:
+        total = out.get(key)
+        total = value if total is None else total + value
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def exp_series(x, one, bound: int):
+    """sum_i x^i / i! for an x with x^(bound+1) = 0; ``one`` is the unit.
+
+    x may be any ring element with ``*`` and ``scale`` (a truncated polynomial,
+    a strictly upper triangular matrix); the sum stops early at a zero power.
+    """
+    out, power = one + x, x
+    for i in range(2, bound + 1):
+        power = power * x
+        if not power:
+            break
+        out = out + power.scale(Fraction(1, factorial(i)))
+    return out
+
+
+def geometric_series(x, one, bound: int):
+    """sum_i x^i = (one - x)^-1 for an x with x^(bound+1) = 0."""
+    out, power = one + x, x
+    for _ in range(1, bound):
+        power = power * x
+        if not power:
+            break
+        out = out + power
+    return out
 
 
 def _check_k(k: int) -> None:
@@ -125,14 +149,7 @@ class WeilElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for mask, value in other.coeffs.items():
-            total = out.get(mask, Fraction(0)) + value
-            if total:
-                out[mask] = total
-            else:
-                out.pop(mask, None)
-        return WeilElement(self.k, out)
+        return WeilElement(self.k, accumulate(dict(self.coeffs), other.coeffs.items()))
 
     __radd__ = __add__
 
@@ -165,17 +182,12 @@ class WeilElement:
             raise GeneratorCountMismatch(
                 f"mixed generator counts {self.k} and {other.k}"
             )
-        out: dict[int, Fraction] = {}
-        for m1, v1 in self.coeffs.items():
-            for m2, v2 in other.coeffs.items():
-                if m1 & m2:
-                    continue  # repeated generator: d_i^2 = 0
-                mask = m1 | m2
-                total = out.get(mask, Fraction(0)) + v1 * v2
-                if total:
-                    out[mask] = total
-                else:
-                    out.pop(mask, None)
+        out = accumulate({}, (
+            (m1 | m2, v1 * v2)
+            for m1, v1 in self.coeffs.items()
+            for m2, v2 in other.coeffs.items()
+            if not m1 & m2  # a repeated generator gives d_i^2 = 0
+        ))
         return WeilElement(self.k, out)
 
     __rmul__ = __mul__
@@ -218,15 +230,9 @@ class WeilElement:
         c = self.scalar_part()
         if not c:
             raise DivisionByZero("Weil element with zero scalar part has no inverse")
-        nil = (self - c) * (Fraction(-1) / c)
-        out = WeilElement.one(self.k)
-        power = WeilElement.one(self.k)
-        for _ in range(self.k):
-            power = power * nil
-            if not power:
-                break
-            out = out + power
-        return out * (Fraction(1) / c)
+        c_inv = Fraction(1) / c
+        nil = WeilElement(self.k, {m: -v * c_inv for m, v in self.coeffs.items() if m})
+        return geometric_series(nil, WeilElement.one(self.k), self.k) * c_inv
 
     # -- text format -------------------------------------------------------
 
@@ -253,13 +259,6 @@ class WeilElement:
 
     def __repr__(self) -> str:
         return f"WeilElement(k={self.k}, {self})"
-
-
-def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
-    """Product in the Weil algebra; the generator counts must agree."""
-    if not isinstance(a, WeilElement) or not isinstance(b, WeilElement):
-        raise TypeError("weil_mul expects two WeilElements")
-    return a * b
 
 
 def weil_sum(n: int) -> WeilElement:

@@ -18,6 +18,7 @@ observable.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -45,10 +46,10 @@ BCH_ALPHABET = ("X", "Y")
 # graded containers
 
 
-class GradedLieSeries:
-    """Per-degree homogeneous Lie components of a BCH-type exponent."""
+class _GradedSeries:
+    """Homogeneous Lie components by degree, from first_degree to order."""
 
-    kind = "bch"
+    form = None
 
     def __init__(self, alphabet, order: int, source: str, degrees: dict[int, LieElement]):
         self.alphabet = tuple(alphabet)
@@ -62,6 +63,24 @@ class GradedLieSeries:
             return LieElement.zero(self.alphabet, max(n, 1))
         return part
 
+    def to_json_obj(self) -> dict:
+        source = self.source if self.form is None else f"{self.source}-{self.form}"
+        return {
+            "kind": self.kind,
+            "source": source,
+            "degrees": [
+                {"n": n, "terms": self.component(n).to_json_terms()}
+                for n in range(self.first_degree, self.order + 1)
+            ],
+        }
+
+
+class GradedLieSeries(_GradedSeries):
+    """Per-degree homogeneous Lie components of a BCH-type exponent."""
+
+    kind = "bch"
+    first_degree = 1
+
     def as_element(self, max_degree: int | None = None) -> LieElement:
         """Sum of all components in a single truncated Lie element."""
         bound = max_degree if max_degree is not None else self.order
@@ -71,46 +90,17 @@ class GradedLieSeries:
             total = total + LieElement(self.alphabet, bound, part.terms)
         return total
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "source": self.source,
-            "degrees": [
-                {"n": n, "terms": self.component(n).to_json_terms()}
-                for n in range(1, self.order + 1)
-            ],
-        }
 
-
-class ZassenhausFactors:
+class ZassenhausFactors(_GradedSeries):
     """Factor exponents C[2..N] of exp(X+Y) = exp X . exp Y . prod exp C[n]."""
 
     kind = "zassenhaus"
+    first_degree = 2
 
     def __init__(self, alphabet, order: int, source: str,
                  factors: dict[int, LieElement], form: str | None = None):
-        self.alphabet = tuple(alphabet)
-        self.order = order
-        self.source = source
-        self.factors = dict(factors)
+        super().__init__(alphabet, order, source, factors)
         self.form = form
-
-    def component(self, n: int) -> LieElement:
-        part = self.factors.get(n)
-        if part is None:
-            return LieElement.zero(self.alphabet, max(n, 1))
-        return part
-
-    def to_json_obj(self) -> dict:
-        source = self.source if self.form is None else f"{self.source}-{self.form}"
-        return {
-            "kind": self.kind,
-            "source": source,
-            "degrees": [
-                {"n": n, "terms": self.component(n).to_json_terms()}
-                for n in range(2, self.order + 1)
-            ],
-        }
 
 
 SERIES_SCHEMA = {
@@ -194,71 +184,81 @@ def zassenhaus_classical(N: int) -> ZassenhausFactors:
 EM = "em"    # sum of all products of m distinct infinitesimals
 POW = "pow"  # (d1+...+dn)^m
 
-# bracket expression trees: ("g", i) generator, ("br", a, b) bracket,
-# ("lin", ((coeff, tree), ...)) linear combination
-
-
-def _g(i):
-    return ("g", i)
-
-
-def _br(a, b):
-    return ("br", a, b)
+# Bracket expression trees extend the Lie monomials of freelie: an int is a
+# generator, a pair (a, b) is the bracket [a, b], and (LIN, ((coeff, tree),
+# ...)) is a linear combination.  Every monomial is therefore a tree.
+LIN = "lin"
 
 
 def _lin(*pairs):
-    return ("lin", tuple((Fraction(c), t) for c, t in pairs))
+    return (LIN, tuple((Fraction(c), t) for c, t in pairs))
 
 
-def tree_degree(tree) -> int:
-    if tree[0] == "g":
-        return 1
-    if tree[0] == "br":
-        return tree_degree(tree[1]) + tree_degree(tree[2])
-    degrees = {tree_degree(t) for _, t in tree[1]}
+def fold_tree(tree, gen, bracket, lin):
+    """Evaluate a tree bottom-up.
+
+    A generator i becomes gen(i), a bracket becomes bracket(a, b) of its
+    evaluated arguments, and a linear combination lin([(coeff, value), ...]).
+    """
+
+    def walk(t):
+        if isinstance(t, int):
+            return gen(t)
+        if t[0] == LIN:
+            return lin([(coeff, walk(sub)) for coeff, sub in t[1]])
+        return bracket(walk(t[0]), walk(t[1]))
+
+    return walk(tree)
+
+
+def _homogeneous_degree(pairs) -> int:
+    degrees = {degree for _, degree in pairs}
     if len(degrees) != 1:
         raise ValueError("inhomogeneous linear combination in a table tree")
     return degrees.pop()
 
 
+def tree_degree(tree) -> int:
+    return fold_tree(tree, lambda _: 1, operator.add, _homogeneous_degree)
+
+
 def expand_tree(tree, alphabet, max_degree: int) -> LieElement:
     """Expand a table tree by bilinearity into a normalized Lie element."""
-    if tree[0] == "g":
-        return LieElement.generator(alphabet, tree[1], max_degree)
-    if tree[0] == "br":
-        return lie_bracket(
-            expand_tree(tree[1], alphabet, max_degree),
-            expand_tree(tree[2], alphabet, max_degree),
-        )
-    total = LieElement.zero(alphabet, max_degree)
-    for coeff, sub in tree[1]:
-        total = total + coeff * expand_tree(sub, alphabet, max_degree)
-    return total
+
+    def combine(pairs):
+        total = LieElement.zero(alphabet, max_degree)
+        for coeff, part in pairs:
+            total = total + coeff * part
+        return total
+
+    return fold_tree(
+        tree, lambda i: LieElement.generator(alphabet, i, max_degree), lie_bracket, combine
+    )
 
 
-_X, _Y = _g(0), _g(1)
+_X, _Y = 0, 1
 _XpY = _lin((1, _X), (1, _Y))
 _XmY = _lin((1, _X), (-1, _Y))
 _Xp2Y = _lin((1, _X), (2, _Y))
-_XY = _br(_X, _Y)
-_XmY_XY = _br(_XmY, _XY)
-_Xp2Y_XY = _br(_Xp2Y, _XY)
+_XY = (_X, _Y)
+_XmY_XY = (_XmY, _XY)
+_Xp2Y_XY = (_Xp2Y, _XY)
 
 # order-4 bracket combinations as displayed
 _Q_SEC7 = _lin(
-    (Fraction(1, 2), _br(_X, _br(_X, _XY))),
-    (Fraction(1, 2), _br(_Y, _br(_Y, _XY))),
-    (2, _br(_X, _br(_Y, _XY))),
+    (Fraction(1, 2), (_X, (_X, _XY))),
+    (Fraction(1, 2), (_Y, (_Y, _XY))),
+    (2, (_X, (_Y, _XY))),
 )
 _R_SEC8 = _lin(
-    (1, _br(_X, _br(_Y, _XY))),
-    (1, _br(_Y, _br(_X, _XY))),
-    (1, _br(_XpY, _br(_XpY, _XY))),
+    (1, (_X, (_Y, _XY))),
+    (1, (_Y, (_X, _XY))),
+    (1, (_XpY, (_XpY, _XY))),
 )
 _C4_SEC6 = _lin(
-    (-1, _br(_X, _br(_X, _XY))),
-    (-3, _br(_X, _br(_Y, _XY))),
-    (-3, _br(_Y, _br(_Y, _XY))),
+    (-1, (_X, (_X, _XY))),
+    (-3, (_X, (_Y, _XY))),
+    (-3, (_Y, (_Y, _XY))),
 )
 
 
@@ -375,33 +375,30 @@ def entry_t_coefficient(entry) -> tuple[int, Fraction]:
     return m, coeff
 
 
+def _graded_terms(entries):
+    """(t-degree, normalized Lie term) of each table entry, in table order."""
+    for entry in entries:
+        m, coeff = entry_t_coefficient(entry)
+        if tree_degree(entry[2]) != m:
+            raise ValueError("table entry mixes scalar and bracket degrees")
+        yield m, coeff * expand_tree(entry[2], BCH_ALPHABET, m)
+
+
 def bch_paper(order: int, variant: str) -> GradedLieSeries:
     """The tabulated BCH exponent, t-graded and normalized.
 
     Both displayed forms of an order grade to the same series, so the first
     one is used; the form distinction matters only to the identity checker.
     """
-    entries = paper_bch_table(order, variant, "a")
     degrees = {n: LieElement.zero(BCH_ALPHABET, max(n, 1)) for n in range(1, order + 1)}
-    for entry in entries:
-        m, coeff = entry_t_coefficient(entry)
-        tree = entry[2]
-        if tree_degree(tree) != m:
-            raise ValueError("table entry mixes scalar and bracket degrees")
-        degrees[m] = degrees[m] + coeff * expand_tree(tree, BCH_ALPHABET, max(m, 1))
+    for m, term in _graded_terms(paper_bch_table(order, variant, "a")):
+        degrees[m] = degrees[m] + term
     return GradedLieSeries(BCH_ALPHABET, order, f"paper-{variant}", degrees)
 
 
 def zassenhaus_paper(order: int, form: str) -> ZassenhausFactors:
     """The tabulated Zassenhaus factors, t-graded, forms kept distinct."""
-    entries = paper_zassenhaus_table(order, form)
-    factors: dict[int, LieElement] = {}
-    for entry in entries:
-        m, coeff = entry_t_coefficient(entry)
-        tree = entry[2]
-        if tree_degree(tree) != m:
-            raise ValueError("table entry mixes scalar and bracket degrees")
-        factors[m] = coeff * expand_tree(tree, BCH_ALPHABET, m)
+    factors = dict(_graded_terms(paper_zassenhaus_table(order, form)))
     return ZassenhausFactors(BCH_ALPHABET, order, "paper-sec6", factors, form=form)
 
 

@@ -16,20 +16,31 @@ implication rather than assuming it.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from math import factorial
 
 from .assoc import AssocPoly, poly_exp, poly_inv, scalar_extend
-from .errors import InsufficientModel, NotNilpotent, NotInvertible, UnknownIdentity
+from .errors import (
+    InsufficientModel,
+    NilbchError,
+    NotInvertible,
+    NotNilpotent,
+    UnknownIdentity,
+)
 from .freelie import LieElement, default_names
-from .scalars import WeilElement, weil_power_sum, weil_sum
+from .scalars import WeilElement, exp_series, geometric_series, weil_power_sum, weil_sum
 from .series import (
     EM,
+    LIN,
     bch_paper,
+    fold_tree,
     paper_bch_table,
     paper_zassenhaus_table,
     series_compare,
@@ -60,25 +71,14 @@ class NilMatrix:
         self.rows = tuple(tuple(row) for row in rows)
 
     @classmethod
-    def zero(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
-        z = cls._scalar_zero(weil_k)
-        return cls(dim, weil_k, [[z] * dim for _ in range(dim)])
-
-    @classmethod
     def identity(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
-        z = cls._scalar_zero(weil_k)
-        o = cls._scalar_one(weil_k)
+        if weil_k is None:
+            z, o = Fraction(0), Fraction(1)
+        else:
+            z, o = WeilElement.zero(weil_k), WeilElement.one(weil_k)
         return cls(
             dim, weil_k, [[o if i == j else z for j in range(dim)] for i in range(dim)]
         )
-
-    @staticmethod
-    def _scalar_zero(weil_k):
-        return Fraction(0) if weil_k is None else WeilElement.zero(weil_k)
-
-    @staticmethod
-    def _scalar_one(weil_k):
-        return Fraction(1) if weil_k is None else WeilElement.one(weil_k)
 
     def lift(self, k: int) -> "NilMatrix":
         """Base change of a rational matrix into the k-generator Weil ring."""
@@ -139,28 +139,15 @@ class NilMatrix:
         """exp of a strictly upper triangular (hence nilpotent) matrix."""
         if not self.is_strictly_upper():
             raise NotNilpotent("matrix exp needs a strictly upper triangular argument")
-        out = NilMatrix.identity(self.dim, self.weil_k)
-        power = out
-        for i in range(1, self.dim):
-            power = power * self
-            if not power:
-                break
-            out = out + power.scale(Fraction(1, factorial(i)))
-        return out
+        return exp_series(self, NilMatrix.identity(self.dim, self.weil_k), self.dim - 1)
 
     def inv(self) -> "NilMatrix":
         """Inverse of a unitriangular matrix by the finite geometric series."""
-        nil = self - NilMatrix.identity(self.dim, self.weil_k)
+        one = NilMatrix.identity(self.dim, self.weil_k)
+        nil = one - self
         if not nil.is_strictly_upper():
             raise NotInvertible("matrix inverse needs a unitriangular argument")
-        out = NilMatrix.identity(self.dim, self.weil_k)
-        power = out
-        for _ in range(1, self.dim):
-            power = power * (-nil)
-            if not power:
-                break
-            out = out + power
-        return out
+        return geometric_series(nil, one, self.dim - 1)
 
     def entries_str(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.rows]
@@ -196,23 +183,18 @@ def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:
 # evaluation contexts
 
 
-class _FreeContext:
-    model = "free"
+class _Context:
+    """What both models share: generator images, the unit and Weil scalars."""
 
-    def __init__(self, names: tuple[str, ...], k: int, trunc: int):
-        self.names = names
+    def __init__(self, k: int, gens: list, one):
         self.k = k
-        self.trunc = trunc
-        self._gens = [
-            scalar_extend(AssocPoly.generator(names, i, trunc), k)
-            for i in range(len(names))
-        ]
-        self._one = AssocPoly.one(names, trunc, k)
+        self._gens = gens
+        self._one = one
 
-    def gen_img(self, i: int) -> AssocPoly:
+    def gen_img(self, i: int):
         return self._gens[i]
 
-    def one(self) -> AssocPoly:
+    def one(self):
         return self._one
 
     def d(self, i: int) -> WeilElement:
@@ -223,6 +205,17 @@ class _FreeContext:
 
     def em(self, m: int) -> WeilElement:
         return weil_power_sum(self.k, m)
+
+
+class _FreeContext(_Context):
+    model = "free"
+
+    def __init__(self, names: tuple[str, ...], k: int, trunc: int):
+        gens = [
+            scalar_extend(AssocPoly.generator(names, i, trunc), k)
+            for i in range(len(names))
+        ]
+        super().__init__(k, gens, AssocPoly.one(names, trunc, k))
 
     def exp(self, element: AssocPoly) -> AssocPoly:
         return poly_exp(element)
@@ -242,30 +235,12 @@ class _FreeContext:
         }
 
 
-class _MatrixContext:
+class _MatrixContext(_Context):
     model = "matrix"
 
     def __init__(self, k: int, dim: int, seed: int, count: int):
-        self.k = k
-        self.dim = dim
-        self.seed = seed
-        self._gens = [m.lift(k) for m in gen_nilmatrix(dim, seed, count)]
-        self._one = NilMatrix.identity(dim, k)
-
-    def gen_img(self, i: int) -> NilMatrix:
-        return self._gens[i]
-
-    def one(self) -> NilMatrix:
-        return self._one
-
-    def d(self, i: int) -> WeilElement:
-        return WeilElement.generator(self.k, i)
-
-    def sd(self) -> WeilElement:
-        return weil_sum(self.k)
-
-    def em(self, m: int) -> WeilElement:
-        return weil_power_sum(self.k, m)
+        gens = [m.lift(k) for m in gen_nilmatrix(dim, seed, count)]
+        super().__init__(k, gens, NilMatrix.identity(dim, k))
 
     def exp(self, element: NilMatrix) -> NilMatrix:
         return element.exp()
@@ -289,17 +264,13 @@ def _commutator(a, b):
     return a * b - b * a
 
 
+def _linear_image(pairs):
+    return reduce(operator.add, [part.scale(coeff) for coeff, part in pairs])
+
+
 def _lie_image(ctx, tree):
     """Model image of a bracket-expression tree, brackets as commutators."""
-    if tree[0] == "g":
-        return ctx.gen_img(tree[1])
-    if tree[0] == "br":
-        return _commutator(_lie_image(ctx, tree[1]), _lie_image(ctx, tree[2]))
-    total = None
-    for coeff, sub in tree[1]:
-        part = _lie_image(ctx, sub).scale(coeff)
-        total = part if total is None else total + part
-    return total
+    return fold_tree(tree, ctx.gen_img, _commutator, _linear_image)
 
 
 def _entry_image(ctx, entry):
@@ -312,18 +283,11 @@ def _entry_image(ctx, entry):
     return _lie_image(ctx, tree).scale(weight)
 
 
-def _mono_image(ctx, mono):
-    if isinstance(mono, int):
-        return ctx.gen_img(mono)
-    return _commutator(_mono_image(ctx, mono[0]), _mono_image(ctx, mono[1]))
-
-
 def lie_element_image(ctx, element: LieElement):
     """Model image of a Lie element, brackets realized as commutators."""
-    total = ctx.one() - ctx.one()
-    for mono, coeff in element.sorted_terms():
-        total = total + _mono_image(ctx, mono).scale(coeff)
-    return total
+    if not element:
+        return ctx.one() - ctx.one()
+    return _lie_image(ctx, (LIN, tuple((c, m) for m, c in element.sorted_terms())))
 
 
 def tangent_of(X, d_index: int, ctx) -> object:
@@ -348,17 +312,8 @@ def tangent_of(X, d_index: int, ctx) -> object:
 
 
 def _pair_runner(build):
-    def run(ctx):
-        lhs, rhs = build(ctx)
-        diff = lhs - rhs
-        if not diff:
-            return True, None
-        return False, ctx.witness(diff)
+    """PASS when each consecutive pair of the built elements is equal."""
 
-    return run
-
-
-def _chain_runner(build):
     def run(ctx):
         elements = build(ctx)
         for left, right in zip(elements, elements[1:]):
@@ -484,31 +439,19 @@ def _bch_build(order: int, variant: str, form: str):
         x, y = ctx.gen_img(0), ctx.gen_img(1)
         sd = ctx.sd()
         lhs = ctx.exp(x.scale(sd)) * ctx.exp(y.scale(sd))
-        exponent = None
-        for entry in paper_bch_table(order, variant, form):
-            part = _entry_image(ctx, entry)
-            exponent = part if exponent is None else exponent + part
+        entries = paper_bch_table(order, variant, form)
+        exponent = reduce(operator.add, [_entry_image(ctx, entry) for entry in entries])
         return lhs, ctx.exp(exponent)
 
     return build
 
 
 def _b_cor_7_2_1(ctx):
-    k = MULTI_FACTOR_COUNT
+    gens = [ctx.gen_img(i) for i in range(MULTI_FACTOR_COUNT)]
     sd = ctx.sd()
-    d1d2 = ctx.d(1) * ctx.d(2)
-    lhs = None
-    total = None
-    brackets = None
-    for i in range(k):
-        xi = ctx.gen_img(i)
-        factor = ctx.exp(xi.scale(sd))
-        lhs = factor if lhs is None else lhs * factor
-        total = xi if total is None else total + xi
-        for j in range(i + 1, k):
-            part = _commutator(xi, ctx.gen_img(j))
-            brackets = part if brackets is None else brackets + part
-    rhs = ctx.exp(total.scale(sd) + brackets.scale(d1d2))
+    lhs = reduce(operator.mul, [ctx.exp(x.scale(sd)) for x in gens])
+    brackets = reduce(operator.add, [_commutator(a, b) for a, b in combinations(gens, 2)])
+    rhs = ctx.exp(reduce(operator.add, gens).scale(sd) + brackets.scale(ctx.d(1) * ctx.d(2)))
     return lhs, rhs
 
 
@@ -540,7 +483,7 @@ def _identity(id, n_d, order, run, gens=2):
 
 CATALOG: tuple[_Identity, ...] = (
     _identity("prop-2.1", 2, 2, _pair_runner(_b_prop_2_1)),
-    _identity("prop-2.2", 1, 2, _chain_runner(_b_prop_2_2)),
+    _identity("prop-2.2", 1, 2, _pair_runner(_b_prop_2_2)),
     _identity("thm-2.3", 2, 2, _pair_runner(_b_thm_2_3)),
     _identity("lemma-2.5", 0, 4, _pair_runner(_b_lemma_2_5)),
     _identity("prop-4.4", 0, 2, _pair_runner(_b_prop_4_4)),
@@ -694,8 +637,10 @@ def run_suite(
 ) -> tuple[list[CheckReport], list[tuple[str, str]]]:
     """Run all catalog identities matching the pattern, in catalog order.
 
-    Per-check errors are collected rather than aborting the rest; they come
-    back as (id, message) pairs alongside the reports.
+    Per-check input errors (any NilbchError, such as InsufficientModel) are
+    collected rather than aborting the rest; they come back as (id, message)
+    pairs alongside the reports.  Any other exception is a programming error
+    and propagates.
     """
     reports: list[CheckReport] = []
     errors: list[tuple[str, str]] = []
@@ -704,6 +649,6 @@ def run_suite(
             continue
         try:
             reports.append(check_identity(entry.id, model, params))
-        except Exception as exc:  # noqa: BLE001 - aggregate and keep going
+        except NilbchError as exc:
             errors.append((entry.id, f"{type(exc).__name__}: {exc}"))
     return reports, errors

@@ -19,7 +19,7 @@ from nilbch.freelie import (
     lie_bracket,
     lie_embed,
 )
-from nilbch.scalars import WeilElement, weil_mul, weil_power_sum, weil_sum
+from nilbch.scalars import WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
     ad_exp,
     bch_classical,
@@ -201,7 +201,7 @@ def test_criterion_8_property_suites():
     for n in range(1, 7):
         power = WeilElement.one(n)
         for m in range(1, n + 1):
-            power = weil_mul(power, weil_sum(n))
+            power = power * weil_sum(n)
             assert power == weil_power_sum(n, m) * factorial(m)
 
     # Witt dimensions at k=2

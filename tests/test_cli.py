@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nilbch import cli, freelie
 from nilbch.cli import dispatch
 from nilbch.series import SERIES_SCHEMA
 from nilbch.weilcheck import REPORT_SCHEMA
@@ -60,6 +61,23 @@ def test_hall_text(capsys):
     code, out, _ = run(capsys, "hall", "--gens", "2", "--degree", "4")
     assert code == 0
     assert out == "[X,[X,[X,Y]]]\n[X,[[X,Y],Y]]\n[[[X,Y],Y],Y]\n"
+
+
+def test_hall_rejects_large_layers_before_generating(capsys, monkeypatch):
+    def never(k, n):
+        raise AssertionError("a rejected layer must not be generated")
+
+    monkeypatch.setattr(freelie, "lyndon_words", never)
+    for gens, degree in (("16", "10"), ("6", "9"), ("1", "1000001"), ("100001", "1")):
+        code, out, err = run(capsys, "hall", "--gens", gens, "--degree", degree)
+        assert code == 2 and out == ""
+        assert "limit of 100000 monomials" in err
+
+
+def test_hall_limit_is_the_layer_size(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "HALL_LAYER_CAP", 6)
+    assert run(capsys, "hall", "--gens", "2", "--degree", "5")[0] == 0  # 6 monomials
+    assert run(capsys, "hall", "--gens", "2", "--degree", "6")[0] == 2  # 9 monomials
 
 
 def test_check_single_identity_passes(capsys):

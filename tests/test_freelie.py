@@ -15,6 +15,7 @@ from nilbch.freelie import (
     is_lyndon,
     lie_bracket,
     lie_embed,
+    lyndon_count,
     lyndon_words,
     mono_str,
     mono_word,
@@ -100,6 +101,17 @@ def test_basis_sizes_match_brute_force_and_witt(k):
         size = len(hall_basis(k, n))
         assert size == brute_force_lyndon_count(k, n)
         assert size == witt_number(k, n)
+
+
+def test_lyndon_count_is_witt_formula():
+    for k in range(1, 4):
+        for n in range(1, 7):
+            assert lyndon_count(k, n) == brute_force_lyndon_count(k, n)
+            assert lyndon_count(k, n) == len(lyndon_words(k, n))
+    assert lyndon_count(2, 21) == 99858
+    assert lyndon_count(16, 10) == (16**10 - 16**5 - 16**2 + 16) // 10
+    with pytest.raises(ValueError):
+        lyndon_count(0, 1)
 
 
 def test_lyndon_word_enumeration_sorted():

@@ -5,16 +5,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.scalars import (
     WeilElement,
     format_rational,
     parse_rational,
-    rat_arith,
-    weil_mul,
     weil_power_sum,
     weil_sum,
 )
@@ -37,31 +33,6 @@ def random_weil(rng, k, max_terms=4, coeff_range=6):
 # -- rationals ---------------------------------------------------------------
 
 
-def test_rat_add():
-    assert rat_arith("add", Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
-def test_rat_mul_canonical():
-    out = rat_arith("mul", Fraction(-1, 24), Fraction(2))
-    assert out == Fraction(-1, 12)
-    assert out.numerator == -1 and out.denominator == 12
-
-
-def test_rat_div_by_zero():
-    with pytest.raises(DivisionByZero):
-        rat_arith("div", Fraction(1, 12), Fraction(0))
-
-
-def test_rat_sub_neg():
-    assert rat_arith("sub", Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-    assert rat_arith("neg", Fraction(3, 4)) == Fraction(-3, 4)
-
-
-def test_rat_unknown_op():
-    with pytest.raises(ValueError):
-        rat_arith("pow", Fraction(1), Fraction(2))
-
-
 @pytest.mark.parametrize("text", ["1/2", "-1/2", "0", "17", "-24", "5/6"])
 def test_rational_text_round_trip(text):
     assert format_rational(parse_rational(text)) == text
@@ -71,11 +42,6 @@ def test_rational_text_round_trip(text):
 def test_rational_text_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
-
-
-@given(st.fractions(), st.fractions())
-def test_rat_add_commutes(a, b):
-    assert rat_arith("add", a, b) == rat_arith("add", b, a)
 
 
 # -- Weil elements -----------------------------------------------------------
@@ -99,7 +65,7 @@ def test_unit_plus_minus_infinitesimal():
 
 def test_mismatched_generator_counts():
     with pytest.raises(GeneratorCountMismatch):
-        weil_mul(d(2, 1), d(3, 1))
+        d(2, 1) * d(3, 1)
 
 
 def test_generator_count_bounds():
@@ -136,7 +102,7 @@ def test_divided_power_rule_exact():
         power = WeilElement.one(n)
         sd = weil_sum(n)
         for m in range(1, n + 1):
-            power = weil_mul(power, sd)
+            power = power * sd
             assert power == weil_power_sum(n, m) * factorial(m)
 
 

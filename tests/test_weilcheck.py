@@ -1,11 +1,14 @@
 """Identity checker: catalog, models, witnesses, reports."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from nilbch import weilcheck
 from nilbch.assoc import scalar_extend
+from nilbch.cli import dispatch
 from nilbch.errors import InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.scalars import WeilElement, weil_power_sum
@@ -203,6 +206,24 @@ def test_suite_aggregates_errors_without_aborting():
     assert [r.id for r in reports] == ["thm-6.1", "thm-6.2a", "thm-6.2b",
                                        "thm-6.3a", "thm-6.3b"]
     assert [e[0] for e in errors] == ["thm-6.4a", "thm-6.4b"]
+
+
+def test_suite_lets_programming_errors_propagate(monkeypatch):
+    def broken_runner(ctx):
+        raise TypeError("a bug in a runner")
+
+    entry = weilcheck._BY_ID["thm-7.1"]
+    monkeypatch.setitem(
+        weilcheck._BY_ID, "thm-7.1", dataclasses.replace(entry, run=broken_runner)
+    )
+    with pytest.raises(TypeError):
+        run_suite("thm-7.*", "free")
+    with pytest.raises(TypeError):  # a crash, not exit code 2
+        dispatch(["check", "--id", "thm-7.1"])
+    reports, errors = run_suite("thm-7.4*", "free", CheckParams(trunc=3))
+    assert not reports
+    assert [e[0] for e in errors] == ["thm-7.4a", "thm-7.4b"]
+    assert errors[0][1].startswith("InsufficientModel")
 
 
 def test_expected_pass_set_in_both_models():
