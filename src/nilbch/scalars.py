@@ -111,6 +111,18 @@ class WeilElement:
                     clean[mask] = value
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, k: int, coeffs: dict[int, Fraction]) -> "WeilElement":
+        """Wrap an already clean map: masks below 2^k, values nonzero Fractions.
+
+        The ring operations build such maps themselves, so their results skip
+        the public constructor's validation; outside input goes through it.
+        """
+        self = object.__new__(cls)
+        self.k = k
+        self.coeffs = coeffs
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -149,12 +161,14 @@ class WeilElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return WeilElement(self.k, accumulate(dict(self.coeffs), other.coeffs.items()))
+        return WeilElement._trusted(
+            self.k, accumulate(dict(self.coeffs), other.coeffs.items())
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeilElement(self.k, {m: -v for m, v in self.coeffs.items()})
+        return WeilElement._trusted(self.k, {m: -v for m, v in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -172,8 +186,8 @@ class WeilElement:
         if isinstance(other, (int, Fraction)):
             factor = Fraction(other)
             if not factor:
-                return WeilElement(self.k)
-            return WeilElement(
+                return WeilElement._trusted(self.k, {})
+            return WeilElement._trusted(
                 self.k, {m: v * factor for m, v in self.coeffs.items()}
             )
         if not isinstance(other, WeilElement):
@@ -188,7 +202,7 @@ class WeilElement:
             for m2, v2 in other.coeffs.items()
             if not m1 & m2  # a repeated generator gives d_i^2 = 0
         ))
-        return WeilElement(self.k, out)
+        return WeilElement._trusted(self.k, out)
 
     __rmul__ = __mul__
 
@@ -231,7 +245,9 @@ class WeilElement:
         if not c:
             raise DivisionByZero("Weil element with zero scalar part has no inverse")
         c_inv = Fraction(1) / c
-        nil = WeilElement(self.k, {m: -v * c_inv for m, v in self.coeffs.items() if m})
+        nil = WeilElement._trusted(
+            self.k, {m: -v * c_inv for m, v in self.coeffs.items() if m}
+        )
         return geometric_series(nil, WeilElement.one(self.k), self.k) * c_inv
 
     # -- text format -------------------------------------------------------

@@ -28,6 +28,7 @@ from math import factorial
 
 from .assoc import AssocPoly, poly_exp, poly_inv, scalar_extend
 from .errors import (
+    AlgebraMismatch,
     InsufficientModel,
     NilbchError,
     NotInvertible,
@@ -61,6 +62,9 @@ class NilMatrix:
 
     The Lie-algebra side uses strictly upper triangular matrices, the group
     side unitriangular ones; both make exp, log and inversion finite sums.
+    Operands must share dim and scalar ring.  The kernels skip zero entries,
+    which pass through as the ring's zero, so products cost only the pairs of
+    nonzero factors.
     """
 
     __slots__ = ("dim", "weil_k", "rows")
@@ -70,12 +74,14 @@ class NilMatrix:
         self.weil_k = weil_k
         self.rows = tuple(tuple(row) for row in rows)
 
+    @staticmethod
+    def _zero(weil_k: int | None):
+        return Fraction(0) if weil_k is None else WeilElement.zero(weil_k)
+
     @classmethod
     def identity(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
-        if weil_k is None:
-            z, o = Fraction(0), Fraction(1)
-        else:
-            z, o = WeilElement.zero(weil_k), WeilElement.one(weil_k)
+        z = cls._zero(weil_k)
+        o = Fraction(1) if weil_k is None else WeilElement.one(weil_k)
         return cls(
             dim, weil_k, [[o if i == j else z for j in range(dim)] for i in range(dim)]
         )
@@ -90,12 +96,22 @@ class NilMatrix:
             [[WeilElement.from_rational(k, e) for e in row] for row in self.rows],
         )
 
+    def _check_operand(self, other: "NilMatrix") -> None:
+        if other.dim != self.dim or other.weil_k != self.weil_k:
+            raise AlgebraMismatch(
+                f"matrices of dim {self.dim}, weil_k {self.weil_k} and "
+                f"dim {other.dim}, weil_k {other.weil_k}"
+            )
+
     def __add__(self, other: "NilMatrix") -> "NilMatrix":
+        if not isinstance(other, NilMatrix):
+            return NotImplemented
+        self._check_operand(other)
         return NilMatrix(
             self.dim,
             self.weil_k,
             [
-                [a + b for a, b in zip(r1, r2)]
+                [a + b if a and b else a or b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
         )
@@ -104,22 +120,38 @@ class NilMatrix:
         return self + (-other)
 
     def __neg__(self) -> "NilMatrix":
-        return NilMatrix(self.dim, self.weil_k, [[-e for e in row] for row in self.rows])
-
-    def __mul__(self, other: "NilMatrix") -> "NilMatrix":
-        if not isinstance(other, NilMatrix):
-            return NotImplemented
-        n = self.dim
-        cols = list(zip(*other.rows))
         return NilMatrix(
-            n,
-            self.weil_k,
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
+            self.dim, self.weil_k, [[-e if e else e for e in row] for row in self.rows]
         )
 
+    def __mul__(self, other: "NilMatrix") -> "NilMatrix":
+        """Product over the nonzero entries only: out[i][j] += a[i][l] * b[l][j]."""
+        if not isinstance(other, NilMatrix):
+            return NotImplemented
+        self._check_operand(other)
+        zero = self._zero(self.weil_k)
+        nonzero_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [zero] * self.dim
+            for a, terms in zip(row, nonzero_rows):
+                if not a:
+                    continue
+                for j, b in terms:
+                    product = a * b
+                    acc[j] = acc[j] + product if acc[j] else product
+            out.append(acc)
+        return NilMatrix(self.dim, self.weil_k, out)
+
     def scale(self, scalar) -> "NilMatrix":
+        if isinstance(scalar, WeilElement) and scalar.k != self.weil_k:
+            raise AlgebraMismatch(
+                f"Weil scalar with k {scalar.k} on a matrix with weil_k {self.weil_k}"
+            )
         return NilMatrix(
-            self.dim, self.weil_k, [[e * scalar for e in row] for row in self.rows]
+            self.dim,
+            self.weil_k,
+            [[e * scalar if e else e for e in row] for row in self.rows],
         )
 
     def __eq__(self, other):

@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_catalog_free_run_is_correct():
+def _assert_traced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "catalog-free",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "3", "--seconds", "0.2", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
@@ -25,3 +25,11 @@ def test_traced_catalog_free_run_is_correct():
     assert result["correct"], proc.stdout
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_catalog_free_run_is_correct():
+    _assert_traced_run_is_correct("catalog-free")
+
+
+def test_traced_catalog_matrix_run_is_correct():
+    _assert_traced_run_is_correct("catalog-matrix")

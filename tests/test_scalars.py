@@ -155,3 +155,31 @@ def test_zero_results_not_stored():
     d1 = d(2, 1)
     assert (d1 - d1).coeffs == {}
     assert (d1 * d1).coeffs == {}
+
+
+def test_operation_results_are_clean():
+    # +, -, negation, * and inverse build their results without revalidation;
+    # each must be exactly what the validating constructor makes of it.
+    rng = random.Random(1978)
+    k = 3
+    for _ in range(300):
+        a, b = random_weil(rng, k), random_weil(rng, k)
+        unit = a + Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        results = [
+            a + b, a - b, -a, a * b, a * 0, a * rng.randint(-3, 3), rng.randint(-3, 3) * a,
+            a * Fraction(rng.randint(-3, 3), rng.randint(1, 3)), a * Fraction(0),
+            unit.inverse(),
+        ]
+        for r in results:
+            assert r == WeilElement(r.k, dict(r.coeffs))
+            assert all(
+                type(v) is Fraction and v and 0 <= m < 1 << k for m, v in r.coeffs.items()
+            )
+
+
+def test_public_constructor_validates():
+    with pytest.raises(GeneratorCountMismatch):
+        WeilElement(2, {4: Fraction(1)})
+    a = WeilElement(2, {0: 0, 1: Fraction(0), 3: 2})
+    assert a.coeffs == {3: Fraction(2)}
+    assert type(a.coeffs[3]) is Fraction

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from nilbch import weilcheck
 from nilbch.assoc import scalar_extend
 from nilbch.cli import dispatch
-from nilbch.errors import InsufficientModel, UnknownIdentity
+from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.scalars import WeilElement, weil_power_sum
 from nilbch.series import (
@@ -132,6 +133,120 @@ def test_matrix_guards():
         x.inv()  # not unitriangular
     with pytest.raises(Exception):
         NilMatrix.identity(3, None).exp()  # not strictly upper
+
+
+def test_operands_of_different_dims_raise():
+    x5, x6 = gen_nilmatrix(5, 1, 1)[0], gen_nilmatrix(6, 1, 1)[0]
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(AlgebraMismatch):
+            combine(x5, x6)
+        with pytest.raises(AlgebraMismatch):
+            combine(x6, x5)
+
+
+def test_operands_over_different_scalar_rings_raise():
+    x, y = gen_nilmatrix(4, 1)
+    pairs = ((x, y.lift(2)), (x.lift(2), y), (x.lift(2), y.lift(3)))
+    for a, b in pairs:
+        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(AlgebraMismatch):
+                combine(a, b)
+    with pytest.raises(AlgebraMismatch):
+        x.scale(WeilElement.generator(2, 1))
+    with pytest.raises(AlgebraMismatch):
+        x.lift(2).scale(WeilElement.generator(3, 1))
+
+
+# A dense reference for the sparse kernels: every entry product, summed from 0.
+
+
+def _dense_mul(a, b):
+    cols = list(zip(*b.rows))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
+
+
+def _dense_add(a, b):
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.rows, b.rows)]
+
+
+def _random_scalar(rng, weil_k):
+    value = Fraction(rng.choice([0, rng.randint(-3, 3)]), rng.randint(1, 3))
+    if weil_k is None:
+        return value
+    coeffs = {rng.randrange(1 << weil_k): value for _ in range(rng.randint(0, 3))}
+    return WeilElement(weil_k, coeffs)
+
+
+def _random_matrix(rng, dim, weil_k, shape):
+    if weil_k is None:
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        zero, one = WeilElement.zero(weil_k), WeilElement.one(weil_k)
+    rows = [[_random_scalar(rng, weil_k) for _ in range(dim)] for _ in range(dim)]
+    if shape != "dense":
+        for i in range(dim):
+            for j in range(i + 1):
+                rows[i][j] = one if shape == "unitriangular" and i == j else zero
+    return NilMatrix(dim, weil_k, rows)
+
+
+def _assert_matches(result, dense):
+    scalar_type = Fraction if result.weil_k is None else WeilElement
+    assert all(type(e) is scalar_type for row in result.rows for e in row)
+    assert result.rows == tuple(tuple(row) for row in dense)
+
+
+@pytest.mark.parametrize("weil_k", [None, 2])
+@pytest.mark.parametrize("shape", ["dense", "strictly_upper", "unitriangular"])
+def test_sparse_kernels_match_dense_reference(shape, weil_k):
+    rng = random.Random(f"{shape}-{weil_k}")
+    for dim in range(2, 7):
+        for _ in range(12):
+            a, b = (_random_matrix(rng, dim, weil_k, shape) for _ in range(2))
+            scalar = _random_scalar(rng, weil_k)
+            _assert_matches(a * b, _dense_mul(a, b))
+            _assert_matches(a + b, _dense_add(a, b))
+            _assert_matches(a - b, [[x - y for x, y in zip(r1, r2)]
+                                    for r1, r2 in zip(a.rows, b.rows)])
+            _assert_matches(-a, [[-x for x in row] for row in a.rows])
+            _assert_matches(a.scale(scalar), [[x * scalar for x in row] for row in a.rows])
+            _assert_matches(a.scale(Fraction(0)), [[x * 0 for x in row] for row in a.rows])
+
+
+def _count_weil_ops(monkeypatch):
+    """Count WeilElement products and sums by every name the operators have."""
+    calls = {"mul": 0, "add": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    mul, add = WeilElement.__mul__, WeilElement.__add__
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(WeilElement, attr, counted("mul", mul))
+    for attr in ("__add__", "__radd__"):
+        monkeypatch.setattr(WeilElement, attr, counted("add", add))
+    return calls
+
+
+# Weil products and sums of one default-params run_suite per model.  A change
+# to the kernels moves these pins on purpose and records the old and new
+# numbers in CHANGES.md.
+WEIL_OP_PINS = {
+    "free": {"mul": 5862, "add": 750},
+    "matrix": {"mul": 5272, "add": 2767},
+}
+
+
+@pytest.mark.parametrize("model", sorted(WEIL_OP_PINS))
+def test_weil_op_counts_of_the_suite_are_pinned(model, monkeypatch):
+    calls = _count_weil_ops(monkeypatch)
+    reports, errors = run_suite(model=model)
+    assert len(reports) == len(CATALOG_IDS) and not errors
+    assert calls == WEIL_OP_PINS[model]
 
 
 # -- single checks ----------------------------------------------------------------
