@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -135,9 +136,12 @@ def test_matrix_guards():
         NilMatrix.identity(3, None).exp()  # not strictly upper
 
 
+MATRIX_OPERATORS = (operator.add, operator.sub, operator.mul)
+
+
 def test_operands_of_different_dims_raise():
     x5, x6 = gen_nilmatrix(5, 1, 1)[0], gen_nilmatrix(6, 1, 1)[0]
-    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+    for combine in MATRIX_OPERATORS:
         with pytest.raises(AlgebraMismatch):
             combine(x5, x6)
         with pytest.raises(AlgebraMismatch):
@@ -148,7 +152,7 @@ def test_operands_over_different_scalar_rings_raise():
     x, y = gen_nilmatrix(4, 1)
     pairs = ((x, y.lift(2)), (x.lift(2), y), (x.lift(2), y.lift(3)))
     for a, b in pairs:
-        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for combine in MATRIX_OPERATORS:
             with pytest.raises(AlgebraMismatch):
                 combine(a, b)
     with pytest.raises(AlgebraMismatch):
@@ -157,7 +161,8 @@ def test_operands_over_different_scalar_rings_raise():
         x.lift(2).scale(WeilElement.generator(3, 1))
 
 
-# A dense reference for the sparse kernels: every entry product, summed from 0.
+# A dense reference for the sparse kernels: every entry product, summed from 0,
+# and every entry of a sum, negation or scaling computed.
 
 
 def _dense_mul(a, b):
@@ -165,8 +170,8 @@ def _dense_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
 
 
-def _dense_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.rows, b.rows)]
+def _entrywise(fn, *matrices):
+    return [[fn(*xs) for xs in zip(*rows)] for rows in zip(*(m.rows for m in matrices))]
 
 
 def _random_scalar(rng, weil_k):
@@ -205,12 +210,11 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
             a, b = (_random_matrix(rng, dim, weil_k, shape) for _ in range(2))
             scalar = _random_scalar(rng, weil_k)
             _assert_matches(a * b, _dense_mul(a, b))
-            _assert_matches(a + b, _dense_add(a, b))
-            _assert_matches(a - b, [[x - y for x, y in zip(r1, r2)]
-                                    for r1, r2 in zip(a.rows, b.rows)])
-            _assert_matches(-a, [[-x for x in row] for row in a.rows])
-            _assert_matches(a.scale(scalar), [[x * scalar for x in row] for row in a.rows])
-            _assert_matches(a.scale(Fraction(0)), [[x * 0 for x in row] for row in a.rows])
+            _assert_matches(a + b, _entrywise(operator.add, a, b))
+            _assert_matches(a - b, _entrywise(operator.sub, a, b))
+            _assert_matches(-a, _entrywise(operator.neg, a))
+            _assert_matches(a.scale(scalar), _entrywise(lambda x: x * scalar, a))
+            _assert_matches(a.scale(Fraction(0)), _entrywise(lambda x: x * 0, a))
 
 
 def _count_weil_ops(monkeypatch):
