@@ -4,9 +4,9 @@ Two rings live here: arbitrary-precision rationals (the standard library
 ``fractions.Fraction``, which already keeps gcd-reduced canonical form with a
 positive denominator) and the Weil algebra Q[d1..dk]/(d1^2, ..., dk^2) of
 square-zero infinitesimals.  A Weil element is stored sparsely as a map from
-subsets of {1..k} (encoded as bitmasks) to nonzero rational coefficients; the
-empty subset holds the scalar part.  Multiplying two terms whose subsets
-overlap yields zero, which is the whole point of the ring.
+subsets of {1..k} (encoded as bitmasks) to nonzero integer numerators over one
+common denominator; the empty subset holds the scalar part.  Multiplying two
+terms whose subsets overlap yields zero, which is the whole point of the ring.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import DivisionByZero, GeneratorCountMismatch
 
@@ -89,15 +89,20 @@ def _check_k(k: int) -> None:
 class WeilElement:
     """Element of Q[d1..dk]/(di^2 = 0).
 
-    Immutable by convention: no method mutates ``coeffs`` after construction,
+    Stored as integer numerators over one common denominator: ``_nums`` maps
+    each mask to a nonzero int and ``_den`` is a positive int, kept canonical
+    so that gcd(_den, *_nums.values()) == 1.  Equal values thus have equal
+    fields, and the ring operations run on machine ints with one gcd per
+    result.  ``coeffs`` is the read-only view mask -> reduced Fraction.
+
+    Immutable by convention: no method mutates ``_nums`` after construction,
     so values can be shared freely across threads.
     """
 
-    __slots__ = ("k", "coeffs")
+    __slots__ = ("k", "_nums", "_den")
 
     def __init__(self, k: int, coeffs: dict[int, Fraction] | None = None):
         _check_k(k)
-        self.k = k
         clean: dict[int, Fraction] = {}
         if coeffs:
             limit = 1 << k
@@ -109,40 +114,61 @@ class WeilElement:
                 value = Fraction(value)
                 if value:
                     clean[mask] = value
-        self.coeffs = clean
+        # Over the lcm of reduced denominators the form is already canonical.
+        den = lcm(*(v.denominator for v in clean.values()))
+        self.k = k
+        self._nums = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
+        self._den = den
 
     @classmethod
-    def _trusted(cls, k: int, coeffs: dict[int, Fraction]) -> "WeilElement":
-        """Wrap an already clean map: masks below 2^k, values nonzero Fractions.
+    def _trusted(cls, k: int, nums: dict[int, int], den: int) -> "WeilElement":
+        """Wrap nonzero int numerators over a positive den, reducing by one gcd.
 
         The ring operations build such maps themselves, so their results skip
         the public constructor's validation; outside input goes through it.
         """
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: n // g for m, n in nums.items()}
+            den //= g
         self = object.__new__(cls)
         self.k = k
-        self.coeffs = coeffs
+        self._nums = nums
+        self._den = den
         return self
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """A fresh map from mask to nonzero reduced Fraction."""
+        den = self._den
+        return {m: Fraction(n, den) for m, n in self._nums.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, k: int) -> "WeilElement":
-        return cls(k)
+        _check_k(k)
+        return cls._trusted(k, {}, 1)
 
     @classmethod
     def one(cls, k: int) -> "WeilElement":
-        return cls(k, {0: Fraction(1)})
+        _check_k(k)
+        return cls._trusted(k, {0: 1}, 1)
 
     @classmethod
     def from_rational(cls, k: int, value) -> "WeilElement":
-        return cls(k, {0: Fraction(value)})
+        _check_k(k)
+        value = Fraction(value)
+        nums = {0: value.numerator} if value else {}
+        return cls._trusted(k, nums, value.denominator)
 
     @classmethod
     def generator(cls, k: int, index: int) -> "WeilElement":
         """The infinitesimal d_index, with 1-based index as in d1..dk."""
+        _check_k(k)
         if not 1 <= index <= k:
             raise GeneratorCountMismatch(f"generator index {index} outside 1..{k}")
-        return cls(k, {1 << (index - 1): Fraction(1)})
+        return cls._trusted(k, {1 << (index - 1): 1}, 1)
 
     # -- ring structure ----------------------------------------------------
 
@@ -161,14 +187,24 @@ class WeilElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return WeilElement._trusted(
-            self.k, accumulate(dict(self.coeffs), other.coeffs.items())
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            nums = accumulate(dict(self._nums), other._nums.items())
+            return WeilElement._trusted(self.k, nums, d1)
+        den = lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        nums = accumulate(
+            {m: n * f1 for m, n in self._nums.items()},
+            ((m, n * f2) for m, n in other._nums.items()),
         )
+        return WeilElement._trusted(self.k, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeilElement._trusted(self.k, {m: -v for m, v in self.coeffs.items()})
+        return WeilElement._trusted(
+            self.k, {m: -n for m, n in self._nums.items()}, self._den
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -184,11 +220,11 @@ class WeilElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
-            if not factor:
-                return WeilElement._trusted(self.k, {})
+            num, den = other.numerator, other.denominator
+            if not num:
+                return WeilElement._trusted(self.k, {}, 1)
             return WeilElement._trusted(
-                self.k, {m: v * factor for m, v in self.coeffs.items()}
+                self.k, {m: n * num for m, n in self._nums.items()}, self._den * den
             )
         if not isinstance(other, WeilElement):
             return NotImplemented
@@ -196,13 +232,13 @@ class WeilElement:
             raise GeneratorCountMismatch(
                 f"mixed generator counts {self.k} and {other.k}"
             )
-        out = accumulate({}, (
-            (m1 | m2, v1 * v2)
-            for m1, v1 in self.coeffs.items()
-            for m2, v2 in other.coeffs.items()
+        nums = accumulate({}, (
+            (m1 | m2, n1 * n2)
+            for m1, n1 in self._nums.items()
+            for m2, n2 in other._nums.items()
             if not m1 & m2  # a repeated generator gives d_i^2 = 0
         ))
-        return WeilElement._trusted(self.k, out)
+        return WeilElement._trusted(self.k, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -219,35 +255,40 @@ class WeilElement:
             other = WeilElement.from_rational(self.k, other)
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return self.k == other.k and self.coeffs == other.coeffs
+        return (
+            self.k == other.k and self._den == other._den and self._nums == other._nums
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __hash__(self):
-        return hash((self.k, frozenset(self.coeffs.items())))
+        return hash((self.k, self._den, frozenset(self._nums.items())))
 
     # -- queries -----------------------------------------------------------
 
     def scalar_part(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def is_unit(self) -> bool:
-        return bool(self.scalar_part())
+        return 0 in self._nums
 
     def inverse(self) -> "WeilElement":
         """Exact inverse via the finite geometric series.
 
         Writing a = c + m with c the scalar part and m nilpotent,
-        a^-1 = (1/c) sum_i (-m/c)^i, and the sum stops at i = k.
+        a^-1 = (1/c) sum_i (-m/c)^i, and the sum stops at i = k.  Over the
+        common denominator, -m/c is -m's numerators over n0, the scalar
+        numerator, so the nilpotent part is built over |n0| directly.
         """
-        c = self.scalar_part()
-        if not c:
+        n0 = self._nums.get(0)
+        if not n0:
             raise DivisionByZero("Weil element with zero scalar part has no inverse")
-        c_inv = Fraction(1) / c
+        sign = -1 if n0 > 0 else 1
         nil = WeilElement._trusted(
-            self.k, {m: -v * c_inv for m, v in self.coeffs.items() if m}
+            self.k, {m: sign * n for m, n in self._nums.items() if m}, abs(n0)
         )
+        c_inv = Fraction(self._den, n0)
         return geometric_series(nil, WeilElement.one(self.k), self.k) * c_inv
 
     # -- text format -------------------------------------------------------
@@ -261,11 +302,11 @@ class WeilElement:
         return f"{format_rational(value)}*{gens}"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._nums:
             return "0"
         parts = []
-        for mask in sorted(self.coeffs):
-            value = self.coeffs[mask]
+        for mask in sorted(self._nums):
+            value = Fraction(self._nums[mask], self._den)
             body = self._term_str(mask, abs(value))
             if not parts:
                 parts.append(body if value > 0 else f"-{body}")

@@ -73,6 +73,10 @@ class NilMatrix:
         self.dim = dim
         self.weil_k = weil_k
         self.rows = tuple(tuple(row) for row in rows)
+        if len(self.rows) != dim or any(len(row) != dim for row in self.rows):
+            raise AlgebraMismatch(
+                f"dim {dim} matrix given rows of widths {[len(r) for r in self.rows]}"
+            )
 
     @staticmethod
     def _zero(weil_k: int | None):
@@ -157,7 +161,9 @@ class NilMatrix:
     def __eq__(self, other):
         if not isinstance(other, NilMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return (
+            self.dim == other.dim and self.weil_k == other.weil_k and self.rows == other.rows
+        )
 
     def __bool__(self) -> bool:
         return any(any(e for e in row) for row in self.rows)

@@ -33,3 +33,7 @@ def test_traced_catalog_free_run_is_correct():
 
 def test_traced_catalog_matrix_run_is_correct():
     _assert_traced_run_is_correct("catalog-matrix")
+
+
+def test_traced_oracle_classical_run_is_correct():
+    _assert_traced_run_is_correct("oracle-classical")

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -183,3 +183,85 @@ def test_public_constructor_validates():
     a = WeilElement(2, {0: 0, 1: Fraction(0), 3: 2})
     assert a.coeffs == {3: Fraction(2)}
     assert type(a.coeffs[3]) is Fraction
+
+
+# A reference for the int-numerator kernel: the Fraction-dict algorithm, one
+# reduced Fraction per mask, written out here on plain dicts.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, v in b.items():
+        total = out.get(m, 0) + v
+        if total:
+            out[m] = total
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, v1 in a.items():
+        for m2, v2 in b.items():
+            if not m1 & m2:
+                out = _ref_add(out, {m1 | m2: v1 * v2})
+    return out
+
+
+def _ref_scale(a, c):
+    return {m: v * c for m, v in a.items()} if c else {}
+
+
+def _ref_inverse(a, k):
+    c = a[0]
+    nil = {m: -v / c for m, v in a.items() if m}
+    out, power = _ref_add({0: Fraction(1)}, nil), nil
+    for _ in range(1, k):
+        power = _ref_mul(power, nil)
+        out = _ref_add(out, power)
+    return _ref_scale(out, 1 / c)
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    assert all(type(n) is int and n for n in x._nums.values())
+    assert gcd(x._den, *x._nums.values()) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_int_numerator_kernel_matches_fraction_reference(k):
+    rng = random.Random(f"weil-kernel-{k}")
+    for _ in range(200):
+        a, b, c = (random_weil(rng, k, max_terms=6, coeff_range=12) for _ in range(3))
+        unit = a - a.scalar_part() + Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        n = rng.randint(-6, 6)
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+        ra, rb = a.coeffs, b.coeffs
+        cases = [
+            (a + b, _ref_add(ra, rb)),
+            (a - b, _ref_add(ra, _ref_scale(rb, -1))),
+            (-a, _ref_scale(ra, -1)),
+            (a * b, _ref_mul(ra, rb)),
+            (a * n, _ref_scale(ra, n)),
+            (n * a, _ref_scale(ra, n)),
+            (a * q, _ref_scale(ra, q)),
+            (a * 0, {}),
+            (a * Fraction(0), {}),
+            (unit.inverse(), _ref_inverse(unit.coeffs, k)),
+        ]
+        for result, expected in cases:
+            assert result.coeffs == expected
+            assert (result == a) is (expected == ra)
+            _assert_canonical(result)
+        # equal values reached by different routes are equal and hash alike
+        routes = [
+            (a * (b + c), a * b + a * c),
+            ((a - b) + b, a),
+            (a * 2, a + a),
+            (unit * unit.inverse(), WeilElement.one(k)),
+            (a * q, WeilElement(k, _ref_scale(ra, q))),
+        ]
+        for x, y in routes:
+            assert x == y
+            assert hash(x) == hash(y)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilbch import weilcheck
+from nilbch import assoc, series, weilcheck
 from nilbch.assoc import scalar_extend
 from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
@@ -161,6 +161,18 @@ def test_operands_over_different_scalar_rings_raise():
         x.lift(2).scale(WeilElement.generator(3, 1))
 
 
+def test_rows_must_match_dim():
+    for rows in ([[1, 2, 3]], [[0, 1], [0, 0], [0, 0]], [[0, 1], [0]]):
+        with pytest.raises(AlgebraMismatch):
+            NilMatrix(2, None, rows)
+
+
+def test_equality_compares_scalar_rings():
+    x = gen_nilmatrix(3, 1, 1)[0]
+    assert x != x.lift(2)
+    assert x.lift(2) == x.lift(2)
+
+
 # A dense reference for the sparse kernels: every entry product, summed from 0,
 # and every entry of a sum, negation or scaling computed.
 
@@ -217,9 +229,10 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
             _assert_matches(a.scale(Fraction(0)), _entrywise(lambda x: x * 0, a))
 
 
-def _count_weil_ops(monkeypatch):
-    """Count WeilElement products and sums by every name the operators have."""
-    calls = {"mul": 0, "add": 0}
+def _count_kernel_ops(monkeypatch):
+    """Count Weil products and sums by every name the operators have, and
+    polynomial and matrix products by every name that calls reach them through."""
+    calls = {"mul": 0, "add": 0, "poly_mul": 0, "nilmatrix_mul": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -233,21 +246,26 @@ def _count_weil_ops(monkeypatch):
         monkeypatch.setattr(WeilElement, attr, counted("mul", mul))
     for attr in ("__add__", "__radd__"):
         monkeypatch.setattr(WeilElement, attr, counted("add", add))
+    poly_mul = counted("poly_mul", assoc.poly_mul)
+    for module in (assoc, series):
+        monkeypatch.setattr(module, "poly_mul", poly_mul)
+    monkeypatch.setattr(NilMatrix, "__mul__", counted("nilmatrix_mul", NilMatrix.__mul__))
     return calls
 
 
-# Weil products and sums of one default-params run_suite per model.  A change
-# to the kernels moves these pins on purpose and records the old and new
-# numbers in CHANGES.md.
+# Weil products and sums, polynomial products (assoc.poly_mul) and matrix
+# products (NilMatrix.__mul__) of one default-params run_suite per model.  A
+# change to the kernels moves these pins on purpose and records the old and
+# new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 5862, "add": 750},
-    "matrix": {"mul": 5272, "add": 2767},
+    "free": {"mul": 5862, "add": 750, "poly_mul": 447, "nilmatrix_mul": 0},
+    "matrix": {"mul": 5272, "add": 2767, "poly_mul": 0, "nilmatrix_mul": 418},
 }
 
 
 @pytest.mark.parametrize("model", sorted(WEIL_OP_PINS))
 def test_weil_op_counts_of_the_suite_are_pinned(model, monkeypatch):
-    calls = _count_weil_ops(monkeypatch)
+    calls = _count_kernel_ops(monkeypatch)
     reports, errors = run_suite(model=model)
     assert len(reports) == len(CATALOG_IDS) and not errors
     assert calls == WEIL_OP_PINS[model]
