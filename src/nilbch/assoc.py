@@ -190,7 +190,7 @@ class AssocPoly:
         parts = []
         for word, coeff in self.sorted_terms():
             coeff_str = str(coeff)
-            if self.weil_k is not None and len(coeff.coeffs) > 1:
+            if self.weil_k is not None and len(coeff) > 1:
                 coeff_str = f"({coeff_str})"
             if word:
                 parts.append(f"{coeff_str}*{self.word_str(word)}")

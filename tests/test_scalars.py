@@ -231,6 +231,8 @@ def _assert_canonical(x):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_int_numerator_kernel_matches_fraction_reference(k):
+    for x in (WeilElement.zero(k), WeilElement.one(k), WeilElement.generator(k, k)):
+        _assert_canonical(x)
     rng = random.Random(f"weil-kernel-{k}")
     for _ in range(200):
         a, b, c = (random_weil(rng, k, max_terms=6, coeff_range=12) for _ in range(3))
@@ -252,6 +254,7 @@ def test_int_numerator_kernel_matches_fraction_reference(k):
         ]
         for result, expected in cases:
             assert result.coeffs == expected
+            assert len(result) == len(expected)
             assert (result == a) is (expected == ra)
             _assert_canonical(result)
         # equal values reached by different routes are equal and hash alike
