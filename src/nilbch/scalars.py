@@ -185,6 +185,9 @@ class WeilElement:
         if other is None:
             return NotImplemented
         d1, d2 = self._den, other._den
+        if d1 == d2:  # nearly all sums in the checks: skip the rescaling
+            nums = accumulate(dict(self._nums), other._nums.items())
+            return WeilElement._trusted(self.k, nums, d1)
         den = lcm(d1, d2)
         f1, f2 = den // d1, den // d2
         nums = accumulate(
@@ -249,15 +252,12 @@ class WeilElement:
             other = WeilElement.from_rational(self.k, other)
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return (
-            self.k == other.k and self._den == other._den and self._nums == other._nums
-        )
+        return (self.k, self._den, self._nums) == (other.k, other._den, other._nums)
 
     def __bool__(self) -> bool:
         return bool(self._nums)
 
-    def __len__(self) -> int:
-        """The number of nonzero terms."""
+    def __len__(self) -> int:  # the number of nonzero terms
         return len(self._nums)
 
     def __hash__(self):
