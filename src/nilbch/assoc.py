@@ -42,13 +42,27 @@ class AssocPoly:
         self.weil_k = weil_k
         clean: dict[Word, object] = {}
         if terms:
+            letters = len(self.alphabet)
             for word, coeff in terms.items():
+                if not all(0 <= i < letters for i in word):
+                    raise AlgebraMismatch(f"word {word} has a letter outside the alphabet")
                 if len(word) > trunc:
                     continue
                 coeff = self._coerce(coeff)
                 if coeff:
                     clean[word] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, alphabet, trunc, weil_k, terms: dict) -> "AssocPoly":
+        """Wrap terms a ring operation built itself (words of length <= trunc,
+        nonzero ring coefficients); outside input goes through the constructor."""
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.trunc = trunc
+        self.weil_k = weil_k
+        self.terms = terms
+        return self
 
     # -- scalar plumbing ----------------------------------------------------
 
@@ -110,7 +124,7 @@ class AssocPoly:
             return NotImplemented
         self._same_algebra(other)
         out = accumulate(dict(self.terms), other.terms.items())
-        return AssocPoly(self.alphabet, self.trunc, self.weil_k, out)
+        return AssocPoly._trusted(self.alphabet, self.trunc, self.weil_k, out)
 
     def __sub__(self, other):
         if not isinstance(other, AssocPoly):
@@ -118,7 +132,7 @@ class AssocPoly:
         return self + (-other)
 
     def __neg__(self):
-        return AssocPoly(
+        return AssocPoly._trusted(
             self.alphabet,
             self.trunc,
             self.weil_k,
@@ -140,11 +154,12 @@ class AssocPoly:
         scalar = self._coerce(scalar)
         if not scalar:
             return AssocPoly(self.alphabet, self.trunc, self.weil_k)
-        return AssocPoly(
+        # Weil scalars have zero divisors (d1 * d1 = 0), so products can vanish.
+        return AssocPoly._trusted(
             self.alphabet,
             self.trunc,
             self.weil_k,
-            {w: c * scalar for w, c in self.terms.items()},
+            {w: p for w, c in self.terms.items() if (p := c * scalar)},
         )
 
     def __eq__(self, other):
@@ -169,7 +184,7 @@ class AssocPoly:
         return value
 
     def degree_part(self, n: int) -> "AssocPoly":
-        return AssocPoly(
+        return AssocPoly._trusted(
             self.alphabet,
             self.trunc,
             self.weil_k,
@@ -218,7 +233,7 @@ def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     for w1, c1 in a.terms.items():
         room = a.trunc - len(w1)
         accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in b.terms.items() if len(w2) <= room))
-    return AssocPoly(a.alphabet, a.trunc, a.weil_k, out)
+    return AssocPoly._trusted(a.alphabet, a.trunc, a.weil_k, out)
 
 
 def poly_exp(a: AssocPoly) -> AssocPoly:
@@ -261,7 +276,7 @@ def scalar_extend(a: AssocPoly, k: int) -> AssocPoly:
     """Base change from rational coefficients to the k-generator Weil algebra."""
     if a.weil_k is not None:
         raise AlgebraMismatch("polynomial already has Weil coefficients")
-    return AssocPoly(
+    return AssocPoly._trusted(
         a.alphabet,
         a.trunc,
         k,

@@ -205,11 +205,26 @@ class LieElement:
         self.max_degree = max_degree
         clean: dict[Mono, Fraction] = {}
         if terms:
+            letters = len(self.alphabet)
             for mono, coeff in terms.items():
+                if not all(0 <= i < letters for i in mono_word(mono)):
+                    raise AlphabetMismatch(f"{mono} has a leaf outside the alphabet")
+                if not is_standard(mono):
+                    raise ValueError(f"{mono} is not a standard (Lyndon) monomial")
                 coeff = Fraction(coeff)
                 if coeff and mono_degree(mono) <= max_degree:
                     clean[mono] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, alphabet, max_degree: int, terms: dict) -> "LieElement":
+        """Wrap terms a Lie operation built itself (standard monomials of degree
+        <= max_degree, nonzero Fractions); outside input goes through the constructor."""
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.max_degree = max_degree
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, alphabet, max_degree: int = DEFAULT_MAX_DEGREE) -> "LieElement":
@@ -236,7 +251,7 @@ class LieElement:
             return NotImplemented
         self._compatible(other)
         out = accumulate(dict(self.terms), other.terms.items())
-        return LieElement(self.alphabet, self.max_degree, out)
+        return LieElement._trusted(self.alphabet, self.max_degree, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         if not isinstance(other, LieElement):
@@ -244,7 +259,7 @@ class LieElement:
         return self + (-other)
 
     def __neg__(self) -> "LieElement":
-        return LieElement(
+        return LieElement._trusted(
             self.alphabet, self.max_degree, {m: -c for m, c in self.terms.items()}
         )
 
@@ -252,10 +267,10 @@ class LieElement:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         scalar = Fraction(scalar)
-        return LieElement(
+        return LieElement._trusted(
             self.alphabet,
             self.max_degree,
-            {m: c * scalar for m, c in self.terms.items()},
+            {m: c * scalar for m, c in self.terms.items()} if scalar else {},
         )
 
     __rmul__ = __mul__
@@ -272,7 +287,7 @@ class LieElement:
         return lie_bracket(self, other)
 
     def degree_part(self, n: int) -> "LieElement":
-        return LieElement(
+        return LieElement._trusted(
             self.alphabet,
             self.max_degree,
             {m: c for m, c in self.terms.items() if mono_degree(m) == n},
@@ -321,7 +336,7 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
                 continue
             factor = c1 * c2
             accumulate(out, ((mono, factor * c) for mono, c in _bracket_basis(m1, m2)))
-    return LieElement(a.alphabet, a.max_degree, out)
+    return LieElement._trusted(a.alphabet, a.max_degree, out)
 
 
 def apply_ad_series(coeffs, X: LieElement, V: LieElement) -> LieElement:
@@ -361,7 +376,7 @@ def lie_embed(a: LieElement) -> "assoc.AssocPoly":
     terms: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in a.terms.items():
         accumulate(terms, ((word, coeff * c) for word, c in _embed_mono(mono)))
-    return assoc.AssocPoly(a.alphabet, a.max_degree, None, terms)
+    return assoc.AssocPoly._trusted(a.alphabet, a.max_degree, None, terms)
 
 
 @lru_cache(maxsize=None)
@@ -385,8 +400,10 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
         raise NotAugmentation("projection is defined over rational coefficients")
     if () in p.terms:
         raise NotAugmentation("polynomial has a nonzero constant term")
+    if not 1 <= p.trunc <= HARD_DEGREE_CAP:
+        raise ValueError(f"max_degree {p.trunc} outside 1..{HARD_DEGREE_CAP}")
     out: dict[Mono, Fraction] = {}
     for word, coeff in p.terms.items():
         factor = Fraction(coeff, len(word))
         accumulate(out, ((mono, factor * c) for mono, c in _left_nested(word)))
-    return LieElement(p.alphabet, p.trunc, out)
+    return LieElement._trusted(p.alphabet, p.trunc, out)

@@ -2,8 +2,11 @@
 
 The *classical* series are computed from first principles in the truncated
 associative algebra: log(exp X . exp Y) projected onto the Lie algebra for
-BCH, and a peeling recursion for the Zassenhaus factors.  No classical
-coefficient is ever hard-coded.
+BCH, and a peeling recursion for the Zassenhaus factors.  The peel takes no
+logarithm: once the factors below degree n are divided off, the remainder is
+1 + u with u of lowest degree n, so its log agrees with u through degree
+2n - 1 and the degree-n factor is the projection of u's degree-n part.  No
+classical coefficient is ever hard-coded.
 
 The *tabulated* series come from formulas stated over sums d1+...+dn of
 square-zero infinitesimals.  Each table entry keeps the displayed scalar
@@ -162,7 +165,14 @@ def bch_classical(N: int) -> GradedLieSeries:
 
 
 def zassenhaus_classical(N: int) -> ZassenhausFactors:
-    """Factors C[2..N] by peeling exp(-C[n-1])...exp(-Y)exp(-X)exp(X+Y)."""
+    """Factors C[2..N] by peeling exp(-C[n-1])...exp(-Y)exp(-X)exp(X+Y).
+
+    At step n the remainder is exp(C[n]) exp(C[n+1]) ... = 1 + u, where u has
+    lowest degree n.  Then log(remainder) = u - u^2/2 + ... agrees with u
+    modulo degree 2n > n, and the Dynkin projection preserves degree, so
+    projecting the degree-n part of the remainder gives the same C[n] as
+    projecting the degree-n part of its logarithm, without computing the log.
+    """
     if not 2 <= N <= ORACLE_DEGREE_CAP:
         raise DegreeOutOfRange(
             f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}"
@@ -171,7 +181,7 @@ def zassenhaus_classical(N: int) -> ZassenhausFactors:
     remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
     factors: dict[int, LieElement] = {}
     for n in range(2, N + 1):
-        c_n = dynkin_project(poly_log(remainder)).degree_part(n)
+        c_n = dynkin_project(remainder.degree_part(n))
         factors[n] = c_n
         remainder = poly_mul(poly_exp(-lie_embed(c_n)), remainder)
     return ZassenhausFactors(BCH_ALPHABET, N, "classical", factors)

@@ -188,6 +188,56 @@ def test_scalar_extend_is_ring_homomorphism():
         )
 
 
+def random_weil_poly(rng, trunc=4, k=2):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, trunc)))
+        terms[word] = WeilElement(k, {
+            rng.randrange(1 << k): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(2)
+        })
+    return AssocPoly(XY, trunc, k, terms)
+
+
+def test_operation_results_are_clean():
+    # +, -, negation, scale, poly_mul, degree_part and scalar_extend build
+    # their results without revalidation; each must be exactly what the
+    # validating constructor makes of it.
+    rng = random.Random(1979)
+    d1, d2 = WeilElement.generator(2, 1), WeilElement.generator(2, 2)
+    # d1 * d1 = 0: the (0,) term must leave, not stay as a zero coefficient
+    killed = AssocPoly(XY, 4, 2, {(0,): d1, (1,): d1 + d2}).scale(d1)
+    assert killed.terms == {(1,): d1 * d2}
+    for _ in range(150):
+        a, b = random_poly(rng), random_poly(rng)
+        wa, wb = random_weil_poly(rng), random_weil_poly(rng)
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        w = WeilElement(2, {rng.randrange(4): rng.randint(-2, 2) for _ in range(2)})
+        n = rng.randint(0, 4)
+        results = [
+            killed, a + b, a - b, a - a, -a, a * rng.randint(-3, 3), 2 * a, a * q,
+            a.scale(0), a.scale(Fraction(0)), poly_mul(a, b), a * b, a.degree_part(n),
+            scalar_extend(a, 2),
+            wa + wb, wa - wb, wa - wa, -wa, wa * rng.randint(-3, 3), wa * q, wa.scale(0),
+            wa.scale(d1), wa.scale(d1 * d2), wa * w, w * wa, poly_mul(wa, wb),
+            wa.degree_part(n),
+        ]
+        for r in results:
+            assert r == AssocPoly(r.alphabet, r.trunc, r.weil_k, dict(r.terms))
+            ring = Fraction if r.weil_k is None else WeilElement
+            assert all(
+                type(c) is ring and c and len(word) <= r.trunc
+                for word, c in r.terms.items()
+            )
+
+
+def test_public_constructor_rejects_letters_outside_the_alphabet():
+    with pytest.raises(AlgebraMismatch):
+        AssocPoly(XY, 3, None, {(5,): 1})
+    with pytest.raises(AlgebraMismatch):
+        AssocPoly(XY, 3, 2, {(0, -1): 1})
+
+
 def test_weil_scalar_acts_on_extended_poly():
     d1 = WeilElement.generator(2, 1)
     assert scalar_extend(rational_gen(0), 2).scale(d1) == AssocPoly(

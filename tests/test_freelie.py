@@ -17,6 +17,7 @@ from nilbch.freelie import (
     lie_embed,
     lyndon_count,
     lyndon_words,
+    mono_degree,
     mono_str,
     mono_word,
     parse_monomial,
@@ -246,6 +247,63 @@ def test_projection_fixes_every_basis_monomial_up_to_degree_six():
         for mono in hall_basis(2, n):
             element = LieElement(XY, 6, {mono: Fraction(1)})
             assert dynkin_project(lie_embed(element)) == element
+
+
+def random_word_poly(rng, trunc=5):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        word = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, trunc)))
+        terms[word] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return AssocPoly(XY, trunc, None, terms)
+
+
+def test_operation_results_are_clean():
+    # +, -, negation, *, degree_part, lie_bracket, dynkin_project and lie_embed
+    # build their results without revalidation; each must be exactly what the
+    # validating constructor makes of it.
+    rng = random.Random(1980)
+    for _ in range(150):
+        a, b = random_lie(rng), random_lie(rng)
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        projected = dynkin_project(random_word_poly(rng))
+        lie_results = [
+            a + b, a - b, a - a, -a, a * rng.randint(-3, 3), 2 * b, a * q, a * 0,
+            a * Fraction(0), a.degree_part(rng.randint(1, 3)), lie_bracket(a, b),
+            lie_bracket(a, lie_bracket(a, b)), projected,
+        ]
+        for r in lie_results:
+            assert r == LieElement(r.alphabet, r.max_degree, dict(r.terms))
+            assert all(
+                type(c) is Fraction and c and mono_degree(m) <= r.max_degree
+                for m, c in r.terms.items()
+            )
+        for r in (lie_embed(a), lie_embed(lie_bracket(a, b)), lie_embed(projected)):
+            assert r == AssocPoly(r.alphabet, r.trunc, r.weil_k, dict(r.terms))
+            assert all(
+                type(c) is Fraction and c and len(word) <= r.trunc
+                for word, c in r.terms.items()
+            )
+    # the degree bound the public constructor used to enforce, checked per call
+    with pytest.raises(ValueError):
+        dynkin_project(AssocPoly(XY, 11, None, {(0, 1): 1}))
+
+
+def test_public_constructor_rejects_leaves_outside_the_alphabet():
+    with pytest.raises(AlphabetMismatch):
+        LieElement(XY, 2, {5: 1})
+    with pytest.raises(AlphabetMismatch):
+        LieElement(XY, 2, {(0, 2): 1})
+
+
+def test_public_constructor_rejects_nonstandard_monomials():
+    # [Y,X] is -[X,Y] in the basis; accepting it as a key of its own would
+    # make two equal elements compare unequal
+    with pytest.raises(ValueError):
+        LieElement(XY, 2, {(1, 0): 1})
+    # [[X,[X,Y]],Y] has the Lyndon word XXYY but not its standard bracketing
+    with pytest.raises(ValueError):
+        LieElement(XY, 4, {((0, (0, 1)), 1): 1})
+    assert lie_bracket(gen(1, 2), gen(0, 2)) == -LieElement(XY, 2, {(0, 1): 1})
 
 
 def test_projection_rejects_constant_term():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_mul
+from nilbch import series
+from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from nilbch.errors import DegreeOutOfRange, KindMismatch, NotTabulated
-from nilbch.freelie import LieElement, lie_bracket, lie_embed
+from nilbch.freelie import LieElement, dynkin_project, lie_bracket, lie_embed
 from nilbch.series import (
     ad_exp,
     bch_classical,
@@ -96,7 +97,7 @@ def test_zassenhaus_factor_four_frozen():
 
 
 def test_zassenhaus_reconstruction_contract():
-    for n in range(2, 5):
+    for n in range(2, 7):
         factors = zassenhaus_classical(n)
         x = AssocPoly.generator(XY, 0, n)
         y = AssocPoly.generator(XY, 1, n)
@@ -104,6 +105,32 @@ def test_zassenhaus_reconstruction_contract():
         for m in range(2, n + 1):
             product = poly_mul(product, poly_exp(lie_embed(factors.component(m))))
         assert product == poly_exp(x + y)
+
+
+def zassenhaus_by_log(N):
+    """The peel with a full logarithm at every step: C[n] is the degree-n
+    part of the Dynkin projection of log(remainder)."""
+    x = AssocPoly.generator(XY, 0, N)
+    y = AssocPoly.generator(XY, 1, N)
+    remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
+    factors = {}
+    for n in range(2, N + 1):
+        factors[n] = dynkin_project(poly_log(remainder)).degree_part(n)
+        remainder = poly_mul(poly_exp(-lie_embed(factors[n])), remainder)
+    return factors
+
+
+def test_log_free_peel_matches_log_reference(monkeypatch):
+    assert series.ORACLE_DEGREE_CAP == 6
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", 7)
+    for N in range(2, 8):
+        factors = zassenhaus_classical(N)
+        reference = zassenhaus_by_log(N)
+        assert sorted(factors.degrees) == sorted(reference)
+        for n, c_n in reference.items():
+            assert c_n, f"C[{n}] of the reference is zero"
+            assert factors.component(n) == c_n
+            assert factors.component(n).max_degree == c_n.max_degree == N
 
 
 def test_inverse_companion_duality():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilbch import assoc, series, weilcheck
+from nilbch import assoc, freelie, series, weilcheck
 from nilbch.assoc import scalar_extend
 from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
@@ -229,17 +229,21 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
             _assert_matches(a.scale(Fraction(0)), _entrywise(lambda x: x * 0, a))
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 def _count_kernel_ops(monkeypatch):
     """Count Weil products and sums by every name the operators have, and
     polynomial and matrix products by every name that calls reach them through."""
     calls = {"mul": 0, "add": 0, "poly_mul": 0, "nilmatrix_mul": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
+        return _counted(calls, name, fn)
 
     mul, add = WeilElement.__mul__, WeilElement.__add__
     for attr in ("__mul__", "__rmul__"):
@@ -269,6 +273,36 @@ def test_weil_op_counts_of_the_suite_are_pinned(model, monkeypatch):
     reports, errors = run_suite(model=model)
     assert len(reports) == len(CATALOG_IDS) and not errors
     assert calls == WEIL_OP_PINS[model]
+
+
+def _count_oracle_ops(monkeypatch):
+    """Count the classical oracles' kernels by every name calls reach them through."""
+    calls = {}
+    for name, home, modules in (
+        ("poly_mul", assoc, (assoc, series)),
+        ("poly_log", assoc, (assoc, series)),
+        ("poly_exp", assoc, (assoc, series)),
+        ("dynkin_project", freelie, (freelie, series)),
+    ):
+        calls[name] = 0
+        wrapper = _counted(calls, name, getattr(home, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# Kernel calls of one oracle-classical benchmark pass: bch_classical(1..6)
+# and zassenhaus_classical(2..6).  Pinned like WEIL_OP_PINS.
+ORACLE_OP_PINS = {"poly_mul": 141, "poly_log": 6, "poly_exp": 42, "dynkin_project": 21}
+
+
+def test_oracle_op_counts_are_pinned(monkeypatch):
+    calls = _count_oracle_ops(monkeypatch)
+    for n in range(1, series.ORACLE_DEGREE_CAP + 1):
+        bch_classical(n)
+    for n in range(2, series.ORACLE_DEGREE_CAP + 1):
+        zassenhaus_classical(n)
+    assert calls == ORACLE_OP_PINS
 
 
 # -- single checks ----------------------------------------------------------------
