@@ -49,6 +49,12 @@ GOLDEN = {
     },
     "compare-bch-4-paper7-classical": (
         0, ("compare", "--what", "bch", "--order", "4", "--a", "paper7", "--b", "classical")),
+    "hall-2-6": (0, ("hall", "--gens", "2", "--degree", "6")),
+    "hall-3-4": (0, ("hall", "--gens", "3", "--degree", "4")),
+    **{
+        f"logderiv-{side}-5": (0, ("logderiv", "--side", side, "--order", "5"))
+        for side in ("left", "right")
+    },
 }
 
 
