@@ -8,22 +8,13 @@ from .freelie import (
     hall_basis,
     lie_bracket,
     lie_embed,
-    parse_monomial,
 )
-from .scalars import (
-    Rational,
-    WeilElement,
-    parse_rational,
-    weil_power_sum,
-)
+from .scalars import WeilElement, weil_power_sum
 from .series import (
     GradedLieSeries,
     ZassenhausFactors,
-    ad_exp,
     bch_classical,
-    bch_multi_order2,
     bch_paper,
-    log_derivative,
     series_compare,
     zassenhaus_classical,
     zassenhaus_paper,
@@ -45,13 +36,10 @@ __all__ = [
     "GradedLieSeries",
     "LieElement",
     "NilMatrix",
-    "Rational",
     "WeilElement",
     "ZassenhausFactors",
-    "ad_exp",
     "apply_ad_series",
     "bch_classical",
-    "bch_multi_order2",
     "bch_paper",
     "check_identity",
     "dynkin_project",
@@ -59,9 +47,6 @@ __all__ = [
     "hall_basis",
     "lie_bracket",
     "lie_embed",
-    "log_derivative",
-    "parse_monomial",
-    "parse_rational",
     "poly_exp",
     "poly_inv",
     "poly_log",

@@ -100,10 +100,6 @@ class AssocPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, alphabet, trunc, weil_k=None) -> "AssocPoly":
-        return cls(alphabet, trunc, weil_k)
-
-    @classmethod
     def one(cls, alphabet, trunc, weil_k=None) -> "AssocPoly":
         out = cls(alphabet, trunc, weil_k)
         out.terms[()] = out._one()
@@ -216,15 +212,6 @@ class AssocPoly:
     def __repr__(self) -> str:
         return f"AssocPoly({self})"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "trunc": self.trunc,
-            "terms": [
-                {"word": self.word_str(w), "coeff": str(c)}
-                for w, c in self.sorted_terms()
-            ],
-        }
-
 
 def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     """Concatenation product, truncated at the common bound."""
@@ -282,7 +269,3 @@ def scalar_extend(a: AssocPoly, k: int) -> AssocPoly:
         k,
         {w: WeilElement.from_rational(k, c) for w, c in a.terms.items()},
     )
-
-
-def commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    return poly_mul(a, b) - poly_mul(b, a)

@@ -139,6 +139,8 @@ def _cmd_hall(args) -> int:
     # more; with one, the layer is empty, but Duval's generation would still
     # build a word that long.  The exact count is only computed below both.
     k, n = args.gens, args.degree
+    if min(k, n) < 1:
+        raise NilbchError(f"hall --gens {k} --degree {n}: both must be at least 1")
     if max(k, n) > HALL_LAYER_CAP or lyndon_count(k, n) > HALL_LAYER_CAP:
         raise NilbchError(
             f"hall --gens {k} --degree {n} exceeds the limit of "
@@ -249,10 +251,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NilbchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (NilbchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -61,35 +61,6 @@ def mono_str(m: Mono, names: tuple[str, ...]) -> str:
     return f"[{mono_str(m[0], names)},{mono_str(m[1], names)}]"
 
 
-def parse_monomial(text: str, names: tuple[str, ...]) -> Mono:
-    """Parse the grammar MONO := NAME | "[" MONO "," MONO "]"."""
-    index = {name: i for i, name in enumerate(names)}
-
-    def parse(pos: int) -> tuple[Mono, int]:
-        if pos >= len(text):
-            raise ValueError(f"unexpected end of monomial: {text!r}")
-        if text[pos] == "[":
-            left, pos = parse(pos + 1)
-            if pos >= len(text) or text[pos] != ",":
-                raise ValueError(f"expected ',' at {pos} in {text!r}")
-            right, pos = parse(pos + 1)
-            if pos >= len(text) or text[pos] != "]":
-                raise ValueError(f"expected ']' at {pos} in {text!r}")
-            return (left, right), pos + 1
-        end = pos
-        while end < len(text) and text[end] not in "[],":
-            end += 1
-        name = text[pos:end]
-        if name not in index:
-            raise ValueError(f"unknown generator {name!r} in {text!r}")
-        return index[name], end
-
-    mono, pos = parse(0)
-    if pos != len(text):
-        raise ValueError(f"trailing input at {pos} in {text!r}")
-    return mono
-
-
 def is_lyndon(word: tuple[int, ...]) -> bool:
     """A nonempty word strictly smaller than all of its proper suffixes."""
     if not word:
@@ -283,18 +254,12 @@ class LieElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def bracket(self, other: "LieElement") -> "LieElement":
-        return lie_bracket(self, other)
-
     def degree_part(self, n: int) -> "LieElement":
         return LieElement._trusted(
             self.alphabet,
             self.max_degree,
             {m: c for m, c in self.terms.items() if mono_degree(m) == n},
         )
-
-    def degrees(self) -> set[int]:
-        return {mono_degree(m) for m in self.terms}
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(

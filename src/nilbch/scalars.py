@@ -11,30 +11,13 @@ terms whose subsets overlap yields zero, which is the whole point of the ring.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
 from .errors import DivisionByZero, GeneratorCountMismatch
 
-Rational = Fraction
-
 MAX_GENERATORS = 16
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
-
-
-def format_rational(q: Fraction) -> str:
-    """Render a rational as ``p/q`` (or ``p`` when the denominator is 1)."""
-    return str(Fraction(q))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the ``-?[0-9]+(/[1-9][0-9]*)?`` text format."""
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
 
 
 def accumulate(out: dict, pairs) -> dict:
@@ -265,9 +248,6 @@ class WeilElement:
 
     # -- queries -----------------------------------------------------------
 
-    def scalar_part(self) -> Fraction:
-        return Fraction(self._nums.get(0, 0), self._den)
-
     def is_unit(self) -> bool:
         return 0 in self._nums
 
@@ -294,10 +274,10 @@ class WeilElement:
     def _term_str(self, mask: int, value: Fraction) -> str:
         gens = "".join(f"d{i + 1}" for i in range(self.k) if mask & (1 << i))
         if not gens:
-            return format_rational(value)
+            return str(value)
         if value == 1:
             return gens
-        return f"{format_rational(value)}*{gens}"
+        return f"{value}*{gens}"
 
     def __str__(self) -> str:
         if not self._nums:

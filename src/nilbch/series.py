@@ -32,13 +32,7 @@ from .errors import (
     KindMismatch,
     NotTabulated,
 )
-from .freelie import (
-    LieElement,
-    apply_ad_series,
-    dynkin_project,
-    lie_bracket,
-    lie_embed,
-)
+from .freelie import HARD_DEGREE_CAP, LieElement, dynkin_project, lie_bracket, lie_embed
 
 ORACLE_DEGREE_CAP = 6
 
@@ -418,42 +412,15 @@ def zassenhaus_paper(order: int, form: str) -> ZassenhausFactors:
 
 def log_derivative_coeffs(side: str, N: int) -> list[Fraction]:
     """Coefficients of (ad X)^p, p = 0..N, in the logarithmic derivative of exp."""
+    if not 0 <= N <= HARD_DEGREE_CAP:
+        raise DegreeOutOfRange(
+            f"logarithmic derivative order {N} outside 0..{HARD_DEGREE_CAP}"
+        )
     if side == "left":
         return [Fraction((-1) ** p, factorial(p + 1)) for p in range(N + 1)]
     if side == "right":
         return [Fraction(1, factorial(p + 1)) for p in range(N + 1)]
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def log_derivative(side: str, X: LieElement, V: LieElement, N: int) -> LieElement:
-    """Logarithmic derivative of exp at X applied to V, truncated at power N."""
-    return apply_ad_series(log_derivative_coeffs(side, N), X, V)
-
-
-def ad_exp(X: LieElement, V: LieElement, N: int) -> LieElement:
-    """Conjugation action of exp X: sum_p (ad X)^p (V) / p!, p = 0..N."""
-    coeffs = [Fraction(1, factorial(p)) for p in range(N + 1)]
-    return apply_ad_series(coeffs, X, V)
-
-
-def bch_multi_order2(k: int) -> GradedLieSeries:
-    """Order-2 expansion of a product of k exponentials."""
-    if k < 2:
-        raise DegreeOutOfRange(f"need at least 2 factors, got {k}")
-    alphabet = tuple(f"X{i + 1}" for i in range(k))
-    deg1 = LieElement.zero(alphabet, 2)
-    for i in range(k):
-        deg1 = deg1 + LieElement.generator(alphabet, i, 2)
-    deg2 = LieElement.zero(alphabet, 2)
-    for i in range(k):
-        for j in range(i + 1, k):
-            deg2 = deg2 + lie_bracket(
-                LieElement.generator(alphabet, i, 2),
-                LieElement.generator(alphabet, j, 2),
-            )
-    return GradedLieSeries(
-        alphabet, 2, "paper-sec7", {1: deg1, 2: Fraction(1, 2) * deg2}
-    )
 
 
 def series_compare(a, b, degree: int) -> LieElement:

@@ -35,11 +35,10 @@ from .errors import (
     NotNilpotent,
     UnknownIdentity,
 )
-from .freelie import LieElement, default_names
+from .freelie import default_names
 from .scalars import WeilElement, exp_series, geometric_series, weil_power_sum, weil_sum
 from .series import (
     EM,
-    LIN,
     bch_paper,
     fold_tree,
     paper_bch_table,
@@ -321,28 +320,9 @@ def _entry_image(ctx, entry):
     return _lie_image(ctx, tree).scale(weight)
 
 
-def lie_element_image(ctx, element: LieElement):
-    """Model image of a Lie element, brackets realized as commutators."""
-    if not element:
-        return ctx.one() - ctx.one()
-    return _lie_image(ctx, (LIN, tuple((c, m) for m, c in element.sorted_terms())))
-
-
-def tangent_of(X, d_index: int, ctx) -> object:
-    """Model of the tangent vector X at the infinitesimal d_index: 1 + d*x.
-
-    X may be a generator index, a LieElement, a rational NilMatrix, or an
-    element of the context's algebra; its image is taken in the context.
-    """
-    if isinstance(X, int):
-        image = ctx.gen_img(X)
-    elif isinstance(X, LieElement):
-        image = lie_element_image(ctx, X)
-    elif isinstance(X, NilMatrix) and X.weil_k is None:
-        image = X.lift(ctx.k)
-    else:
-        image = X
-    return ctx.one() + image.scale(ctx.d(d_index))
+def tangent_of(index: int, d_index: int, ctx):
+    """Model of the tangent vector of generator ``index`` at d_index: 1 + d*x."""
+    return ctx.one() + ctx.gen_img(index).scale(ctx.d(d_index))
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +485,8 @@ class _Identity:
     id: str
     n_d: int          # infinitesimals used
     order: int        # bracket order reached; bounds trunc and dim below
-    gens: int         # model generators required
     run: object = field(repr=False)
+    gens: int = 2     # model generators required
 
     def min_trunc(self) -> int:
         return self.order
@@ -515,40 +495,36 @@ class _Identity:
         return self.order + 1
 
 
-def _identity(id, n_d, order, run, gens=2):
-    return _Identity(id=id, n_d=n_d, order=order, gens=gens, run=run)
-
-
 CATALOG: tuple[_Identity, ...] = (
-    _identity("prop-2.1", 2, 2, _pair_runner(_b_prop_2_1)),
-    _identity("prop-2.2", 1, 2, _pair_runner(_b_prop_2_2)),
-    _identity("thm-2.3", 2, 2, _pair_runner(_b_thm_2_3)),
-    _identity("lemma-2.5", 0, 4, _pair_runner(_b_lemma_2_5)),
-    _identity("prop-4.4", 0, 2, _pair_runner(_b_prop_4_4)),
-    _identity("prop-4.5", 1, 1, _pair_runner(_b_prop_4_5)),
-    _identity("prop-5.3", 0, 2, _pair_runner(_b_prop_5_3)),
-    _identity("prop-5.4", 2, 2, _pair_runner(_b_prop_5_4)),
-    _identity("lemma-6.0", 4, 1, _run_lemma_6_0),
-    _identity("thm-6.1", 1, 1, _pair_runner(_b_thm_6_1)),
-    _identity("thm-6.2a", 2, 2, _pair_runner(_zassenhaus_build(2, "a"))),
-    _identity("thm-6.2b", 2, 2, _pair_runner(_zassenhaus_build(2, "b"))),
-    _identity("thm-6.3a", 3, 3, _pair_runner(_zassenhaus_build(3, "a"))),
-    _identity("thm-6.3b", 3, 3, _pair_runner(_zassenhaus_build(3, "b"))),
-    _identity("thm-6.4a", 4, 4, _pair_runner(_zassenhaus_build(4, "a"))),
-    _identity("thm-6.4b", 4, 4, _pair_runner(_zassenhaus_build(4, "b"))),
-    _identity("thm-7.1", 1, 1, _pair_runner(_bch_build(1, "sec7", "a"))),
-    _identity("thm-7.2a", 2, 2, _pair_runner(_bch_build(2, "sec7", "a"))),
-    _identity("thm-7.2b", 2, 2, _pair_runner(_bch_build(2, "sec7", "b"))),
-    _identity("cor-7.2.1", 2, 2, _pair_runner(_b_cor_7_2_1), gens=MULTI_FACTOR_COUNT),
-    _identity("thm-7.3a", 3, 3, _pair_runner(_bch_build(3, "sec7", "a"))),
-    _identity("thm-7.3b", 3, 3, _pair_runner(_bch_build(3, "sec7", "b"))),
-    _identity("thm-7.4a", 4, 4, _pair_runner(_bch_build(4, "sec7", "a"))),
-    _identity("thm-7.4b", 4, 4, _pair_runner(_bch_build(4, "sec7", "b"))),
-    _identity("thm-8.1", 1, 1, _pair_runner(_bch_build(1, "sec8", "a"))),
-    _identity("thm-8.2", 2, 2, _pair_runner(_bch_build(2, "sec8", "a"))),
-    _identity("thm-8.3", 3, 3, _pair_runner(_bch_build(3, "sec8", "a"))),
-    _identity("thm-8.4", 4, 4, _pair_runner(_bch_build(4, "sec8", "a"))),
-    _identity("consistency-7v8", 0, 1, _run_consistency_7v8),
+    _Identity("prop-2.1", 2, 2, _pair_runner(_b_prop_2_1)),
+    _Identity("prop-2.2", 1, 2, _pair_runner(_b_prop_2_2)),
+    _Identity("thm-2.3", 2, 2, _pair_runner(_b_thm_2_3)),
+    _Identity("lemma-2.5", 0, 4, _pair_runner(_b_lemma_2_5)),
+    _Identity("prop-4.4", 0, 2, _pair_runner(_b_prop_4_4)),
+    _Identity("prop-4.5", 1, 1, _pair_runner(_b_prop_4_5)),
+    _Identity("prop-5.3", 0, 2, _pair_runner(_b_prop_5_3)),
+    _Identity("prop-5.4", 2, 2, _pair_runner(_b_prop_5_4)),
+    _Identity("lemma-6.0", 4, 1, _run_lemma_6_0),
+    _Identity("thm-6.1", 1, 1, _pair_runner(_b_thm_6_1)),
+    _Identity("thm-6.2a", 2, 2, _pair_runner(_zassenhaus_build(2, "a"))),
+    _Identity("thm-6.2b", 2, 2, _pair_runner(_zassenhaus_build(2, "b"))),
+    _Identity("thm-6.3a", 3, 3, _pair_runner(_zassenhaus_build(3, "a"))),
+    _Identity("thm-6.3b", 3, 3, _pair_runner(_zassenhaus_build(3, "b"))),
+    _Identity("thm-6.4a", 4, 4, _pair_runner(_zassenhaus_build(4, "a"))),
+    _Identity("thm-6.4b", 4, 4, _pair_runner(_zassenhaus_build(4, "b"))),
+    _Identity("thm-7.1", 1, 1, _pair_runner(_bch_build(1, "sec7", "a"))),
+    _Identity("thm-7.2a", 2, 2, _pair_runner(_bch_build(2, "sec7", "a"))),
+    _Identity("thm-7.2b", 2, 2, _pair_runner(_bch_build(2, "sec7", "b"))),
+    _Identity("cor-7.2.1", 2, 2, _pair_runner(_b_cor_7_2_1), gens=MULTI_FACTOR_COUNT),
+    _Identity("thm-7.3a", 3, 3, _pair_runner(_bch_build(3, "sec7", "a"))),
+    _Identity("thm-7.3b", 3, 3, _pair_runner(_bch_build(3, "sec7", "b"))),
+    _Identity("thm-7.4a", 4, 4, _pair_runner(_bch_build(4, "sec7", "a"))),
+    _Identity("thm-7.4b", 4, 4, _pair_runner(_bch_build(4, "sec7", "b"))),
+    _Identity("thm-8.1", 1, 1, _pair_runner(_bch_build(1, "sec8", "a"))),
+    _Identity("thm-8.2", 2, 2, _pair_runner(_bch_build(2, "sec8", "a"))),
+    _Identity("thm-8.3", 3, 3, _pair_runner(_bch_build(3, "sec8", "a"))),
+    _Identity("thm-8.4", 4, 4, _pair_runner(_bch_build(4, "sec8", "a"))),
+    _Identity("consistency-7v8", 0, 1, _run_consistency_7v8),
 )
 
 CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in CATALOG)

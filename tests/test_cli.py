@@ -80,6 +80,29 @@ def test_hall_limit_is_the_layer_size(capsys, monkeypatch):
     assert run(capsys, "hall", "--gens", "2", "--degree", "6")[0] == 2  # 9 monomials
 
 
+@pytest.mark.parametrize("gens, degree", [("0", "3"), ("2", "0"), ("-1", "4"), ("2", "-5")])
+def test_hall_rejects_counts_below_one(capsys, gens, degree):
+    code, out, err = run(capsys, "hall", "--gens", gens, "--degree", degree)
+    assert code == 2 and out == ""
+    assert "at least 1" in err
+
+
+@pytest.mark.parametrize("order", ["-1", "11", "2000"])
+def test_logderiv_order_outside_range_is_an_input_error(capsys, order):
+    code, out, err = run(capsys, "logderiv", "--side", "right", "--order", order)
+    assert code == 2 and out == ""
+    assert "outside 0..10" in err
+
+
+def test_programming_error_propagates_out_of_dispatch(capsys, monkeypatch):
+    def broken(side, n):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "log_derivative_coeffs", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        dispatch(["logderiv", "--side", "left", "--order", "3"])
+
+
 def test_check_single_identity_passes(capsys):
     code, out, _ = run(capsys, "check", "--id", "thm-7.1")
     assert code == 0

@@ -1,19 +1,25 @@
 """Series sources: classical oracles, tabulated formulas, operator series."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
 
 from nilbch import series
 from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from nilbch.errors import DegreeOutOfRange, KindMismatch, NotTabulated
-from nilbch.freelie import LieElement, dynkin_project, lie_bracket, lie_embed
+from nilbch.freelie import (
+    HARD_DEGREE_CAP,
+    LieElement,
+    apply_ad_series,
+    dynkin_project,
+    lie_bracket,
+    lie_embed,
+)
 from nilbch.series import (
-    ad_exp,
     bch_classical,
-    bch_multi_order2,
     bch_paper,
-    log_derivative,
     log_derivative_coeffs,
     series_compare,
     zassenhaus_classical,
@@ -29,6 +35,11 @@ def gen(i, max_degree):
 
 def bracket_xy(max_degree):
     return lie_bracket(gen(0, max_degree), gen(1, max_degree))
+
+
+def exp_coeffs(n):
+    """1/p!, p = 0..n: Ad(exp X) = exp(ad X) as an (ad X)^p series."""
+    return [Fraction(1, factorial(p)) for p in range(n + 1)]
 
 
 # -- classical oracle ----------------------------------------------------------
@@ -273,30 +284,37 @@ def test_right_coefficients_through_p_five():
     ]
 
 
+@pytest.mark.parametrize("n", [-1, HARD_DEGREE_CAP + 1, 2000])
+def test_coefficient_order_outside_range_is_rejected(n):
+    with pytest.raises(DegreeOutOfRange):
+        log_derivative_coeffs("left", n)
+
+
 def test_left_derivative_at_zero_is_identity():
     zero = LieElement.zero(XY, 4)
     y = gen(1, 4)
-    assert log_derivative("left", zero, y, 3) == y
+    assert apply_ad_series(log_derivative_coeffs("left", 3), zero, y) == y
 
 
 def test_left_derivative_first_order():
     # the p <= 1 truncation: Y - 1/2 [X,Y]
     x, y = gen(0, 4), gen(1, 4)
-    assert log_derivative("left", x, y, 1) == y - Fraction(1, 2) * bracket_xy(4)
+    expected = y - Fraction(1, 2) * bracket_xy(4)
+    assert apply_ad_series(log_derivative_coeffs("left", 1), x, y) == expected
 
 
 def test_right_derivative_second_order():
     x, y = gen(0, 4), gen(1, 4)
     xy = bracket_xy(4)
     expected = y + Fraction(1, 2) * xy + Fraction(1, 6) * lie_bracket(x, xy)
-    assert log_derivative("right", x, y, 2) == expected
+    assert apply_ad_series(log_derivative_coeffs("right", 2), x, y) == expected
 
 
 def test_ad_exp_basics():
     x, y = gen(0, 4), gen(1, 4)
     zero = LieElement.zero(XY, 4)
-    assert ad_exp(zero, y, 3) == y
-    assert ad_exp(x, y, 1) == y + bracket_xy(4)
+    assert apply_ad_series(exp_coeffs(3), zero, y) == y
+    assert apply_ad_series(exp_coeffs(1), x, y) == y + bracket_xy(4)
 
 
 def test_ad_exp_matches_associative_conjugation():
@@ -305,7 +323,7 @@ def test_ad_exp_matches_associative_conjugation():
     x = AssocPoly.generator(XY, 0, trunc)
     y = AssocPoly.generator(XY, 1, trunc)
     conjugated = poly_mul(poly_mul(poly_exp(x), y), poly_exp(-x))
-    lie_side = ad_exp(gen(0, trunc), gen(1, trunc), 4)
+    lie_side = apply_ad_series(exp_coeffs(4), gen(0, trunc), gen(1, trunc))
     assert lie_embed(lie_side) == conjugated
 
 
@@ -313,44 +331,26 @@ def test_ad_exp_matches_associative_conjugation():
 def test_right_derivative_is_ad_exp_of_left(n):
     # delta_right = Ad(exp X) o delta_left, degree by degree
     x, y = gen(0, n + 1), gen(1, n + 1)
-    left = log_derivative("left", x, y, n)
-    right = log_derivative("right", x, y, n)
-    assert ad_exp(x, left, n) == right
+    left = apply_ad_series(log_derivative_coeffs("left", n), x, y)
+    right = apply_ad_series(log_derivative_coeffs("right", n), x, y)
+    assert apply_ad_series(exp_coeffs(n), x, left) == right
 
 
 # -- multi-factor order two ----------------------------------------------------------
 
 
-def test_multi_two_factors_reduces_to_pairwise():
-    series = bch_multi_order2(2)
-    names = series.alphabet
-    x1 = LieElement.generator(names, 0, 2)
-    x2 = LieElement.generator(names, 1, 2)
-    assert series.component(1) == x1 + x2
-    assert series.component(2) == Fraction(1, 2) * lie_bracket(x1, x2)
-
-
-def test_multi_three_factors_bracket_sum():
-    series = bch_multi_order2(3)
-    names = series.alphabet
-    gens = [LieElement.generator(names, i, 2) for i in range(3)]
-    expected = Fraction(1, 2) * (
-        lie_bracket(gens[0], gens[1])
-        + lie_bracket(gens[0], gens[2])
-        + lie_bracket(gens[1], gens[2])
-    )
-    assert series.component(2) == expected
-
-
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_multi_reconstruction_at_order_two(k):
-    series = bch_multi_order2(k)
-    names = series.alphabet
+    # exp X1 ... exp Xk = exp(sum Xi + 1/2 sum_{i<j} [Xi, Xj]) modulo degree 3
+    names = tuple(f"X{i + 1}" for i in range(k))
+    gens = [LieElement.generator(names, i, 2) for i in range(k)]
+    zero = LieElement.zero(names, 2)
+    brackets = sum((lie_bracket(a, b) for a, b in combinations(gens, 2)), zero)
+    exponent = sum(gens, zero) + Fraction(1, 2) * brackets
     product = AssocPoly.one(names, 2)
     for i in range(k):
         product = poly_mul(product, poly_exp(AssocPoly.generator(names, i, 2)))
-    exponent = lie_embed(series.component(1)) + lie_embed(series.component(2))
-    assert poly_exp(exponent) == product
+    assert poly_exp(lie_embed(exponent)) == product
 
 
 # -- serialization ----------------------------------------------------------------
