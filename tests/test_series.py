@@ -10,7 +10,6 @@ from nilbch import series
 from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from nilbch.errors import DegreeOutOfRange, KindMismatch, NotTabulated
 from nilbch.freelie import (
-    HARD_DEGREE_CAP,
     LieElement,
     apply_ad_series,
     dynkin_project,
@@ -282,12 +281,6 @@ def test_right_coefficients_through_p_five():
         Fraction(1, 120),
         Fraction(1, 720),
     ]
-
-
-@pytest.mark.parametrize("n", [-1, HARD_DEGREE_CAP + 1, 2000])
-def test_coefficient_order_outside_range_is_rejected(n):
-    with pytest.raises(DegreeOutOfRange):
-        log_derivative_coeffs("left", n)
 
 
 def test_left_derivative_at_zero_is_identity():
