@@ -9,6 +9,7 @@ stdout, diagnostics to stderr.  Exit codes: 0 success (all PASS for check),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,7 +181,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    ``parse_args`` returns a fresh namespace each call and every default is
+    immutable, so one parser serves any number of ``dispatch`` calls; an
+    in-process sweep then pays for its construction once.  A one-shot
+    ``nilbch`` process builds it once either way.  The ``_cmd_*`` handlers
+    are bound here, at construction.
+    """
     parser = argparse.ArgumentParser(
         prog="nilbch",
         description="Exact BCH and Zassenhaus series, with a mechanical identity checker.",

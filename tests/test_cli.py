@@ -200,3 +200,45 @@ def test_compare_zassenhaus_sources(capsys):
     )
     assert code == 0
     assert out == "-1/12*[X,[X,Y]] + 1/6*[[X,Y],Y]\n"
+
+
+# One parser serves every dispatch of a process; these calls must not leak
+# state from one to the next.
+
+def test_dispatch_builds_the_parser_once(capsys):
+    run(capsys, "bch", "--order", "1", "--source", "classical")
+    built = cli.build_parser.cache_info().misses
+    run(capsys, "logderiv", "--side", "left", "--order", "1")
+    run(capsys, "check", "--id", "thm-7.1")
+    assert cli.build_parser.cache_info().misses == built
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+def test_check_all_does_not_carry_over_to_a_bare_check(capsys):
+    assert run(capsys, "check", "--all")[0] == 1
+    code, out, err = run(capsys, "check")
+    assert code == 2 and out == ""
+    assert err == "check: provide --id PATTERN or --all\n"
+
+
+def test_usage_error_does_not_disturb_the_next_call(capsys):
+    code, out, err = run(capsys, "bch", "--order", "2", "--source", "wrong")
+    assert code == 2 and out == "" and "invalid choice" in err
+    code, out, err = run(capsys, "bch", "--order", "2", "--source", "classical")
+    assert code == 0 and err == ""
+    assert out == "deg1: X + Y\ndeg2: 1/2*[X,Y]\n"
+
+
+def test_json_format_does_not_carry_over(capsys):
+    assert run(capsys, "bch", "--order", "2", "--source", "classical",
+               "--format", "json")[1].startswith("{")
+    assert run(capsys, "bch", "--order", "2", "--source", "classical")[1] == (
+        "deg1: X + Y\ndeg2: 1/2*[X,Y]\n"
+    )
+
+
+def test_help_is_the_same_every_time(capsys):
+    first = run(capsys, "--help")
+    second = run(capsys, "--help")
+    assert first[0] == 0 and first[1].startswith("usage: nilbch")
+    assert first == second
