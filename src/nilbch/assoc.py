@@ -214,12 +214,21 @@ class AssocPoly:
 
 
 def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    """Concatenation product, truncated at the common bound."""
+    """Concatenation product, truncated at the common bound.
+
+    ``b``'s terms are grouped by word length once, so each term of ``a``
+    visits only the groups that fit beside it.
+    """
     a._same_algebra(b)
+    by_length: dict[int, list] = {}
+    for w2, c2 in b.terms.items():
+        by_length.setdefault(len(w2), []).append((w2, c2))
     out: dict[Word, object] = {}
     for w1, c1 in a.terms.items():
         room = a.trunc - len(w1)
-        accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in b.terms.items() if len(w2) <= room))
+        for length, group in by_length.items():
+            if length <= room:
+                accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in group))
     return AssocPoly._trusted(a.alphabet, a.trunc, a.weil_k, out)
 
 
