@@ -29,13 +29,14 @@ from math import factorial
 from .assoc import AssocPoly, poly_exp, poly_inv, scalar_extend
 from .errors import (
     AlgebraMismatch,
+    DegreeOutOfRange,
     InsufficientModel,
     NilbchError,
     NotInvertible,
     NotNilpotent,
     UnknownIdentity,
 )
-from .freelie import default_names
+from .freelie import HARD_DEGREE_CAP, default_names
 from .scalars import WeilElement, exp_series, geometric_series, weil_power_sum, weil_sum
 from .series import (
     EM,
@@ -552,6 +553,20 @@ class CheckParams:
     trunc: int | None = DEFAULT_TRUNC
     dim: int = DEFAULT_DIM
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        # Rejected before any identity runs.  Only trunc bounds the words of
+        # an identity without infinitesimals (prop-4.4 costs about trunc^3),
+        # and dim - 1 is the matrix model's nilpotency class.
+        if self.trunc is not None and self.trunc > HARD_DEGREE_CAP:
+            raise DegreeOutOfRange(
+                f"check truncation {self.trunc} above the limit of {HARD_DEGREE_CAP}"
+            )
+        if self.dim > HARD_DEGREE_CAP + 1:
+            raise DegreeOutOfRange(
+                f"check matrix dimension {self.dim} above the limit of "
+                f"{HARD_DEGREE_CAP + 1} (nilpotency class {HARD_DEGREE_CAP})"
+            )
 
     def to_json_obj(self) -> dict:
         return {"trunc": self.trunc, "dim": self.dim, "seed": self.seed}

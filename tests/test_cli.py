@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilbch import cli, freelie
+from nilbch import cli, freelie, weilcheck
 from nilbch.cli import dispatch
 from nilbch.series import SERIES_SCHEMA
 from nilbch.weilcheck import REPORT_SCHEMA
@@ -126,6 +126,32 @@ def test_check_exit_codes_for_input_errors(capsys):
 
     code, _, err = run(capsys, "check")
     assert code == 2 and "--id" in err
+
+
+def test_check_accepts_trunc_and_dim_at_their_caps(capsys):
+    code, out, err = run(capsys, "check", "--all", "--model", "free", "--trunc", "10")
+    assert code == 1 and err == "" and out.endswith("passed 24/29\n")
+    code, out, err = run(capsys, "check", "--all", "--model", "matrix", "--dim", "11")
+    assert code == 1 and err == "" and "passed" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, limit",
+    [
+        ("--trunc", "11", "10"),
+        ("--trunc", "1000", "10"),
+        ("--dim", "12", "11"),
+        ("--dim", "1000", "11"),
+    ],
+)
+def test_check_rejects_trunc_and_dim_above_their_caps(capsys, monkeypatch, flag, value, limit):
+    def never(*args):
+        raise AssertionError("a rejected input must not reach any identity")
+
+    monkeypatch.setattr(weilcheck, "check_identity", never)
+    code, out, err = run(capsys, "check", "--all", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"above the limit of {limit}" in err
 
 
 def test_usage_errors_exit_two(capsys):
