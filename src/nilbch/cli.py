@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import NilbchError
-from .freelie import default_names, hall_basis, lyndon_count, mono_str
+from .freelie import HARD_DEGREE_CAP, default_names, hall_basis, lyndon_count, mono_str
 from .series import (
     bch_classical,
     bch_paper,
@@ -183,13 +183,11 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
+    """The parser of this process, built on the first call and then shared.
 
     ``parse_args`` returns a fresh namespace each call and every default is
-    immutable, so one parser serves any number of ``dispatch`` calls; an
-    in-process sweep then pays for its construction once.  A one-shot
-    ``nilbch`` process builds it once either way.  The ``_cmd_*`` handlers
-    are bound here, at construction.
+    immutable, so nothing carries over from one ``dispatch`` to the next.
+    The ``_cmd_*`` handlers are bound here; callers must not modify it.
     """
     parser = argparse.ArgumentParser(
         prog="nilbch",
@@ -226,9 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--model", choices=("free", "matrix"), default="free")
     p_check.add_argument(
         "--trunc", type=int, default=None,
-        help="free-model truncation; defaults to the minimum each identity needs",
+        help=f"free-model truncation, at most {HARD_DEGREE_CAP}; "
+        "defaults to the minimum each identity needs",
     )
-    p_check.add_argument("--dim", type=int, default=CheckParams().dim)
+    p_check.add_argument(
+        "--dim", type=int, default=CheckParams().dim,
+        help=f"matrix dimension, at most {HARD_DEGREE_CAP + 1}",
+    )
     p_check.add_argument("--seed", type=int, default=CheckParams().seed)
     p_check.add_argument(
         "--timings", action="store_true", help="include elapsed_ms in JSON reports"
