@@ -18,15 +18,23 @@ from .errors import (
     NotNilpotent,
     NotUnipotent,
 )
-from .scalars import WeilElement, accumulate, exp_series, geometric_series
+from .scalars import (
+    TermMap,
+    WeilElement,
+    accumulate,
+    exp_series,
+    geometric_series,
+    power_series,
+)
 
 Word = tuple[int, ...]
 
 
-class AssocPoly:
+class AssocPoly(TermMap):
     """Noncommutative polynomial, truncated at word length ``trunc``."""
 
     __slots__ = ("alphabet", "trunc", "weil_k", "terms")
+    _key_degree = staticmethod(len)
 
     def __init__(
         self,
@@ -53,16 +61,13 @@ class AssocPoly:
                     clean[word] = coeff
         self.terms = clean
 
-    @classmethod
-    def _trusted(cls, alphabet, trunc, weil_k, terms: dict) -> "AssocPoly":
+    def _with(self, terms: dict) -> "AssocPoly":
         """Wrap terms a ring operation built itself (words of length <= trunc,
         nonzero ring coefficients); outside input goes through the constructor."""
-        self = object.__new__(cls)
-        self.alphabet = alphabet
-        self.trunc = trunc
-        self.weil_k = weil_k
-        self.terms = terms
-        return self
+        out = object.__new__(AssocPoly)
+        out.alphabet, out.trunc, out.weil_k = self.alphabet, self.trunc, self.weil_k
+        out.terms = terms
+        return out
 
     # -- scalar plumbing ----------------------------------------------------
 
@@ -85,7 +90,7 @@ class AssocPoly:
             return Fraction(1)
         return WeilElement.one(self.weil_k)
 
-    def _same_algebra(self, other: "AssocPoly") -> None:
+    def _check_operand(self, other: "AssocPoly") -> None:
         if (
             self.alphabet != other.alphabet
             or self.trunc != other.trunc
@@ -115,26 +120,6 @@ class AssocPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        self._same_algebra(other)
-        out = accumulate(dict(self.terms), other.terms.items())
-        return AssocPoly._trusted(self.alphabet, self.trunc, self.weil_k, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return AssocPoly._trusted(
-            self.alphabet,
-            self.trunc,
-            self.weil_k,
-            {w: -c for w, c in self.terms.items()},
-        )
-
     def __mul__(self, other):
         if isinstance(other, AssocPoly):
             return poly_mul(self, other)
@@ -149,14 +134,9 @@ class AssocPoly:
         """Multiply every coefficient by a central scalar."""
         scalar = self._coerce(scalar)
         if not scalar:
-            return AssocPoly(self.alphabet, self.trunc, self.weil_k)
+            return self._with({})
         # Weil scalars have zero divisors (d1 * d1 = 0), so products can vanish.
-        return AssocPoly._trusted(
-            self.alphabet,
-            self.trunc,
-            self.weil_k,
-            {w: p for w, c in self.terms.items() if (p := c * scalar)},
-        )
+        return self._with({w: p for w, c in self.terms.items() if (p := c * scalar)})
 
     def __eq__(self, other):
         if not isinstance(other, AssocPoly):
@@ -168,9 +148,6 @@ class AssocPoly:
             and self.terms == other.terms
         )
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- queries ------------------------------------------------------------
 
     def constant_term(self):
@@ -178,14 +155,6 @@ class AssocPoly:
         if value is None:
             return self._coerce(0)
         return value
-
-    def degree_part(self, n: int) -> "AssocPoly":
-        return AssocPoly._trusted(
-            self.alphabet,
-            self.trunc,
-            self.weil_k,
-            {w: c for w, c in self.terms.items() if len(w) == n},
-        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
@@ -219,7 +188,7 @@ def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     ``b``'s terms are grouped by word length once, so each term of ``a``
     visits only the groups that fit beside it.
     """
-    a._same_algebra(b)
+    a._check_operand(b)
     by_length: dict[int, list] = {}
     for w2, c2 in b.terms.items():
         by_length.setdefault(len(w2), []).append((w2, c2))
@@ -229,7 +198,7 @@ def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
         for length, group in by_length.items():
             if length <= room:
                 accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in group))
-    return AssocPoly._trusted(a.alphabet, a.trunc, a.weil_k, out)
+    return a._with(out)
 
 
 def poly_exp(a: AssocPoly) -> AssocPoly:
@@ -244,13 +213,8 @@ def poly_log(a: AssocPoly) -> AssocPoly:
     if a.constant_term() != a._one():
         raise NotUnipotent("log needs constant term exactly 1")
     u = a - AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
-    out, power = u, u
-    for i in range(2, a.trunc + 1):
-        power = poly_mul(power, u)
-        if not power:
-            break
-        out = out + power.scale(Fraction((-1) ** (i + 1), i))
-    return out
+    coeffs = (Fraction((-1) ** (i + 1), i) for i in range(1, a.trunc + 1))
+    return power_series(a._with({}), u, lambda p: poly_mul(p, u), coeffs)
 
 
 def poly_inv(a: AssocPoly) -> AssocPoly:
@@ -272,9 +236,5 @@ def scalar_extend(a: AssocPoly, k: int) -> AssocPoly:
     """Base change from rational coefficients to the k-generator Weil algebra."""
     if a.weil_k is not None:
         raise AlgebraMismatch("polynomial already has Weil coefficients")
-    return AssocPoly._trusted(
-        a.alphabet,
-        a.trunc,
-        k,
-        {w: WeilElement.from_rational(k, c) for w, c in a.terms.items()},
-    )
+    terms = {w: WeilElement.from_rational(k, c) for w, c in a.terms.items()}
+    return AssocPoly(a.alphabet, a.trunc, k)._with(terms)

@@ -29,16 +29,20 @@ from .weilcheck import CheckParams, run_suite
 HALL_LAYER_CAP = 100_000
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
+def _emit(args, obj, lines) -> None:
+    """Write ``obj`` as JSON or the text ``lines`` to stdout or ``--output``.
+
+    ``lines`` is only read for text output, so pass it as a generator.
+    """
+    if args.format == "json":
+        text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
 def _bch_series(source: str, order: int):
@@ -62,14 +66,11 @@ def _zassenhaus_series(source: str, order: int, form: str):
 
 
 def _print_series(series, label: str, args) -> int:
-    if args.format == "json":
-        _emit(_json_dumps(series.to_json_obj()), args.output)
-    else:
-        lines = [
-            f"{label}{n}: {series.component(n)}"
-            for n in range(series.first_degree, series.order + 1)
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = (
+        f"{label}{n}: {series.component(n)}"
+        for n in range(series.first_degree, series.order + 1)
+    )
+    _emit(args, series.to_json_obj(), lines)
     return 0
 
 
@@ -90,18 +91,25 @@ def _cmd_compare(args) -> int:
         left = _zassenhaus_series(args.a, args.order, "a")
         right = _zassenhaus_series(args.b, args.order, "a")
     diff = series_compare(left, right, args.order)
-    if args.format == "json":
-        obj = {
-            "what": args.what,
-            "order": args.order,
-            "a": args.a,
-            "b": args.b,
-            "difference": diff.to_json_terms(),
-        }
-        _emit(_json_dumps(obj), args.output)
-    else:
-        _emit(f"{diff}\n", args.output)
+    obj = {
+        "what": args.what,
+        "order": args.order,
+        "a": args.a,
+        "b": args.b,
+        "difference": diff.to_json_terms(),
+    }
+    _emit(args, obj, map(str, [diff]))
     return 0
+
+
+def _check_lines(reports):
+    for report in reports:
+        line = f"{report.id:<16} {report.model:<6} {report.verdict}"
+        if report.witness is not None and "lead" in report.witness:
+            line += f"  lead: {report.witness['lead']}"
+        yield line
+    passed = sum(1 for r in reports if r.verdict == "PASS")
+    yield f"passed {passed}/{len(reports)}"
 
 
 def _cmd_check(args) -> int:
@@ -116,19 +124,9 @@ def _cmd_check(args) -> int:
     if not reports and not errors:
         sys.stderr.write(f"check: no identity matches {pattern!r}\n")
         return 2
-    if args.format == "json":
+    if reports:  # a run whose every identity was an input error reports nothing
         payload = [r.to_json_obj(include_elapsed=args.timings) for r in reports]
-        _emit(_json_dumps(payload), args.output)
-    else:
-        lines = []
-        for report in reports:
-            line = f"{report.id:<16} {report.model:<6} {report.verdict}"
-            if report.witness is not None and "lead" in report.witness:
-                line += f"  lead: {report.witness['lead']}"
-            lines.append(line)
-        passed = sum(1 for r in reports if r.verdict == "PASS")
-        lines.append(f"passed {passed}/{len(reports)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(args, payload, _check_lines(reports))
     if errors:
         return 2
     return 0 if all(r.verdict == "PASS" for r in reports) else 1
@@ -148,31 +146,15 @@ def _cmd_hall(args) -> int:
             f"{HALL_LAYER_CAP} monomials per layer"
         )
     names = default_names(k)
-    basis = hall_basis(k, n)
-    if args.format == "json":
-        obj = {
-            "gens": k,
-            "degree": n,
-            "monomials": [mono_str(m, names) for m in basis],
-        }
-        _emit(_json_dumps(obj), args.output)
-    else:
-        _emit("\n".join(mono_str(m, names) for m in basis) + "\n", args.output)
+    monomials = [mono_str(m, names) for m in hall_basis(k, n)]
+    _emit(args, {"gens": k, "degree": n, "monomials": monomials}, monomials)
     return 0
 
 
 def _cmd_logderiv(args) -> int:
     coeffs = log_derivative_coeffs(args.side, args.order)
-    if args.format == "json":
-        obj = {
-            "side": args.side,
-            "order": args.order,
-            "coeffs": [str(c) for c in coeffs],
-        }
-        _emit(_json_dumps(obj), args.output)
-    else:
-        lines = [f"p={p}: {c}" for p, c in enumerate(coeffs)]
-        _emit("\n".join(lines) + "\n", args.output)
+    obj = {"side": args.side, "order": args.order, "coeffs": [str(c) for c in coeffs]}
+    _emit(args, obj, (f"p={p}: {c}" for p, c in enumerate(coeffs)))
     return 0
 
 

@@ -42,7 +42,7 @@ class DegreeOutOfRange(NilbchError, ValueError):
 
 
 class NotTabulated(NilbchError, ValueError):
-    """Requested order beyond the tabulated formulas (they stop at order 4)."""
+    """Requested order outside the tabulated formulas (orders 1..4, Zassenhaus 2..4)."""
 
 
 class KindMismatch(NilbchError, ValueError):

@@ -20,7 +20,7 @@ from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
-from .scalars import accumulate
+from .scalars import TermMap, accumulate, power_series, signed_join
 
 Mono = Union[int, tuple]
 
@@ -113,11 +113,13 @@ def lyndon_count(k: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def standard_bracketing(word: tuple[int, ...]) -> Mono:
-    """Right standard factorization bracketing of a Lyndon word."""
+    """Right standard factorization bracketing of a Lyndon word.
+
+    The word is not checked: every caller passes a Lyndon word, and the
+    factors of a standard factorization are Lyndon again.
+    """
     if len(word) == 1:
         return word[0]
-    if not is_lyndon(word):
-        raise ValueError(f"{word} is not a Lyndon word")
     split = min(range(1, len(word)), key=lambda i: word[i:])
     return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
 
@@ -159,10 +161,11 @@ def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, Fraction], ...]:
 # Lie elements
 
 
-class LieElement:
+class LieElement(TermMap):
     """Exact linear combination of standard bracket monomials, truncated."""
 
     __slots__ = ("alphabet", "max_degree", "terms")
+    _key_degree = staticmethod(mono_degree)
 
     def __init__(
         self,
@@ -187,15 +190,12 @@ class LieElement:
                     clean[mono] = coeff
         self.terms = clean
 
-    @classmethod
-    def _trusted(cls, alphabet, max_degree: int, terms: dict) -> "LieElement":
+    def _with(self, terms: dict) -> "LieElement":
         """Wrap terms a Lie operation built itself (standard monomials of degree
         <= max_degree, nonzero Fractions); outside input goes through the constructor."""
-        self = object.__new__(cls)
-        self.alphabet = alphabet
-        self.max_degree = max_degree
-        self.terms = terms
-        return self
+        out = object.__new__(LieElement)
+        out.alphabet, out.max_degree, out.terms = self.alphabet, self.max_degree, terms
+        return out
 
     @classmethod
     def zero(cls, alphabet, max_degree: int = DEFAULT_MAX_DEGREE) -> "LieElement":
@@ -209,7 +209,7 @@ class LieElement:
             raise AlphabetMismatch(f"generator index {index} outside alphabet")
         return cls(alphabet, max_degree, {index: Fraction(1)})
 
-    def _compatible(self, other: "LieElement") -> None:
+    def _check_operand(self, other: "LieElement") -> None:
         if self.alphabet != other.alphabet or self.max_degree != other.max_degree:
             raise AlphabetMismatch(
                 "Lie elements live in different algebras "
@@ -217,32 +217,14 @@ class LieElement:
                 f"{other.alphabet} deg {other.max_degree})"
             )
 
-    def __add__(self, other: "LieElement") -> "LieElement":
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self._compatible(other)
-        out = accumulate(dict(self.terms), other.terms.items())
-        return LieElement._trusted(self.alphabet, self.max_degree, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement._trusted(
-            self.alphabet, self.max_degree, {m: -c for m, c in self.terms.items()}
-        )
+    def scale(self, scalar) -> "LieElement":
+        scalar = Fraction(scalar)
+        return self._with({m: c * scalar for m, c in self.terms.items()} if scalar else {})
 
     def __mul__(self, scalar) -> "LieElement":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        scalar = Fraction(scalar)
-        return LieElement._trusted(
-            self.alphabet,
-            self.max_degree,
-            {m: c * scalar for m, c in self.terms.items()} if scalar else {},
-        )
+        return self.scale(scalar)
 
     __rmul__ = __mul__
 
@@ -251,34 +233,17 @@ class LieElement:
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree_part(self, n: int) -> "LieElement":
-        return LieElement._trusted(
-            self.alphabet,
-            self.max_degree,
-            {m: c for m, c in self.terms.items() if mono_degree(m) == n},
-        )
-
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(
             self.terms.items(), key=lambda item: (mono_degree(item[0]), mono_word(item[0]))
         )
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            body = mono_str(mono, self.alphabet)
-            if abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        def body(mono, coeff):
+            text = mono_str(mono, self.alphabet)
+            return text if abs(coeff) == 1 else f"{abs(coeff)}*{text}"
+
+        return signed_join((body(m, c), c) for m, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"LieElement({self})"
@@ -292,7 +257,7 @@ class LieElement:
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bilinear bracket, rewritten to the standard basis and truncated."""
-    a._compatible(b)
+    a._check_operand(b)
     out: dict[Mono, Fraction] = {}
     for m1, c1 in a.terms.items():
         d1 = mono_degree(m1)
@@ -301,21 +266,14 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
                 continue
             factor = c1 * c2
             accumulate(out, ((mono, factor * c) for mono, c in _bracket_basis(m1, m2)))
-    return LieElement._trusted(a.alphabet, a.max_degree, out)
+    return a._with(out)
 
 
 def apply_ad_series(coeffs, X: LieElement, V: LieElement) -> LieElement:
     """sum_p coeffs[p] * (ad X)^p (V), truncated; (ad X)^0 is the identity."""
-    X._compatible(V)
-    out = LieElement.zero(X.alphabet, X.max_degree)
-    power = V
-    for p, coeff in enumerate(coeffs):
-        if p > 0:
-            power = lie_bracket(X, power)
-        if not power:
-            break
-        out = out + Fraction(coeff) * power
-    return out
+    X._check_operand(V)
+    coeffs = (Fraction(c) for c in coeffs)
+    return power_series(X._with({}), V, lambda p: lie_bracket(X, p), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +299,7 @@ def lie_embed(a: LieElement) -> "assoc.AssocPoly":
     terms: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in a.terms.items():
         accumulate(terms, ((word, coeff * c) for word, c in _embed_mono(mono)))
-    return assoc.AssocPoly._trusted(a.alphabet, a.max_degree, None, terms)
+    return assoc.AssocPoly(a.alphabet, a.max_degree)._with(terms)
 
 
 @lru_cache(maxsize=None)
@@ -365,10 +323,9 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
         raise NotAugmentation("projection is defined over rational coefficients")
     if () in p.terms:
         raise NotAugmentation("polynomial has a nonzero constant term")
-    if not 1 <= p.trunc <= HARD_DEGREE_CAP:
-        raise ValueError(f"max_degree {p.trunc} outside 1..{HARD_DEGREE_CAP}")
+    zero = LieElement(p.alphabet, p.trunc)  # rejects trunc outside 1..HARD_DEGREE_CAP
     out: dict[Mono, Fraction] = {}
     for word, coeff in p.terms.items():
         factor = Fraction(coeff, len(word))
         accumulate(out, ((mono, factor * c) for mono, c in _left_nested(word)))
-    return LieElement._trusted(p.alphabet, p.trunc, out)
+    return zero._with(out)

@@ -12,7 +12,8 @@ terms whose subsets overlap yields zero, which is the whole point of the ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, repeat
 from math import factorial, gcd, lcm
 
 from .errors import DivisionByZero, GeneratorCountMismatch
@@ -36,30 +37,79 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
-def exp_series(x, one, bound: int):
-    """sum_i x^i / i! for an x with x^(bound+1) = 0; ``one`` is the unit.
+class TermMap:
+    """Ring arithmetic shared by sparse maps ``terms`` of keys to nonzero coefficients.
 
-    x may be any ring element with ``*`` and ``scale`` (a truncated polynomial,
-    a strictly upper triangular matrix); the sum stops early at a zero power.
+    A subclass supplies ``_check_operand`` (raise unless ``other`` lives in
+    the same algebra), ``_key_degree`` (the grading of a key) and
+    ``_with(terms)``, which wraps terms an operation built itself as a new
+    element of the same algebra.
     """
-    out, power = one + x, x
-    for i in range(2, bound + 1):
-        power = power * x
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_operand(other)
+        return self._with(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with({key: -c for key, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def degree_part(self, n: int):
+        degree = self._key_degree
+        return self._with({key: c for key, c in self.terms.items() if degree(key) == n})
+
+
+def power_series(out, first, step, coeffs):
+    """out + sum_i c_i p_i, where p_0 = first and p_(i+1) = step(p_i).
+
+    The powers may be any elements with ``+`` and ``scale``.  The sum stops at
+    the first zero power or when ``coeffs`` runs out, and ``step`` is never
+    called past either; ``coeffs`` is read one term at a time, so it may be an
+    endless generator.  A coefficient equal to 1 adds its power unscaled.
+    """
+    power = first
+    for i, coeff in enumerate(coeffs):
+        if i:
+            power = step(power)
         if not power:
             break
-        out = out + power.scale(Fraction(1, factorial(i)))
+        out = out + (power if coeff == 1 else power.scale(coeff))
     return out
+
+
+@cache
+def _inverse_factorial(i: int) -> Fraction:
+    return Fraction(1, factorial(i))
+
+
+def exp_series(x, one, bound: int):
+    """sum_i x^i / i! for an x with x^(bound+1) = 0; ``one`` is the unit."""
+    coeffs = map(_inverse_factorial, range(1, bound + 1))
+    return power_series(one, x, lambda p: p * x, coeffs)
 
 
 def geometric_series(x, one, bound: int):
     """sum_i x^i = (one - x)^-1 for an x with x^(bound+1) = 0."""
-    out, power = one + x, x
-    for _ in range(1, bound):
-        power = power * x
-        if not power:
-            break
-        out = out + power
-    return out
+    return power_series(one, x, lambda p: p * x, repeat(1, bound))
+
+
+def signed_join(terms) -> str:
+    """Render (body, value) pairs as "a - b + c", each body showing |value|."""
+    text = " ".join(f"{'+' if value > 0 else '-'} {body}" for body, value in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 def _check_k(k: int) -> None:
@@ -280,17 +330,10 @@ class WeilElement:
         return f"{value}*{gens}"
 
     def __str__(self) -> str:
-        if not self._nums:
-            return "0"
-        parts = []
-        for mask in sorted(self._nums):
-            value = Fraction(self._nums[mask], self._den)
-            body = self._term_str(mask, abs(value))
-            if not parts:
-                parts.append(body if value > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if value > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_join(
+            (self._term_str(m, Fraction(abs(n), self._den)), n)
+            for m, n in sorted(self._nums.items())
+        )
 
     def __repr__(self) -> str:
         return f"WeilElement(k={self.k}, {self})"

@@ -356,7 +356,7 @@ def paper_bch_table(order: int, variant: str, form: str = "a"):
     if variant not in ("sec7", "sec8"):
         raise ValueError(f"unknown variant {variant!r}")
     if not 1 <= order <= 4:
-        raise NotTabulated(f"BCH tables stop at order 4, got {order}")
+        raise NotTabulated(f"BCH tables cover orders 1..4, got {order}")
     forms = BCH_TABLES[(variant, order)]
     if form not in forms:
         raise ValueError(f"{variant} order {order} has no form {form!r}")
@@ -365,7 +365,7 @@ def paper_bch_table(order: int, variant: str, form: str = "a"):
 
 def paper_zassenhaus_table(order: int, form: str):
     if not 2 <= order <= 4:
-        raise NotTabulated(f"Zassenhaus tables stop at order 4, got {order}")
+        raise NotTabulated(f"Zassenhaus tables cover orders 2..4, got {order}")
     if form not in ("a", "b"):
         raise ValueError(f"form must be 'a' or 'b', got {form!r}")
     return ZASS_TABLES[order][form]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, count
 from math import factorial
 
 from .assoc import AssocPoly, poly_exp, poly_inv, scalar_extend
@@ -37,7 +37,14 @@ from .errors import (
     UnknownIdentity,
 )
 from .freelie import HARD_DEGREE_CAP, default_names
-from .scalars import WeilElement, exp_series, geometric_series, weil_power_sum, weil_sum
+from .scalars import (
+    WeilElement,
+    exp_series,
+    geometric_series,
+    power_series,
+    weil_power_sum,
+    weil_sum,
+)
 from .series import (
     EM,
     bch_paper,
@@ -222,12 +229,19 @@ def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:
 
 
 class _Context:
-    """What both models share: generator images, the unit and Weil scalars."""
+    """One model: generator images, the unit, exp, inverse and the FAIL witness.
 
-    def __init__(self, k: int, gens: list, one):
+    The Weil scalars d_i, their sum and its divided powers live in the
+    k-generator Weil algebra, whichever model the context is.
+    """
+
+    def __init__(self, k: int, gens: list, one, exp, inv, witness):
         self.k = k
         self._gens = gens
         self._one = one
+        self.exp = exp
+        self.inv = inv
+        self.witness = witness
 
     def gen_img(self, i: int):
         return self._gens[i]
@@ -245,57 +259,37 @@ class _Context:
         return weil_power_sum(self.k, m)
 
 
-class _FreeContext(_Context):
-    model = "free"
-
-    def __init__(self, names: tuple[str, ...], k: int, trunc: int):
-        gens = [
-            scalar_extend(AssocPoly.generator(names, i, trunc), k)
-            for i in range(len(names))
-        ]
-        super().__init__(k, gens, AssocPoly.one(names, trunc, k))
-
-    def exp(self, element: AssocPoly) -> AssocPoly:
-        return poly_exp(element)
-
-    def inv(self, element: AssocPoly) -> AssocPoly:
-        return poly_inv(element)
-
-    def witness(self, diff: AssocPoly) -> dict:
-        terms = diff.sorted_terms()
-        lead_word, lead_coeff = terms[0]
-        return {
-            "kind": "polynomial",
-            "lead": {"word": diff.word_str(lead_word), "coeff": str(lead_coeff)},
-            "terms": [
-                {"word": diff.word_str(w), "coeff": str(c)} for w, c in terms
-            ],
-        }
+def _poly_witness(diff: AssocPoly) -> dict:
+    terms = diff.sorted_terms()
+    lead_word, lead_coeff = terms[0]
+    return {
+        "kind": "polynomial",
+        "lead": {"word": diff.word_str(lead_word), "coeff": str(lead_coeff)},
+        "terms": [{"word": diff.word_str(w), "coeff": str(c)} for w, c in terms],
+    }
 
 
-class _MatrixContext(_Context):
-    model = "matrix"
+def _matrix_witness(diff: NilMatrix) -> dict:
+    lead = next(
+        {"row": i, "col": j, "coeff": str(e)}
+        for i, row in enumerate(diff.rows)
+        for j, e in enumerate(row)
+        if e
+    )
+    return {"kind": "matrix", "lead": lead, "entries": diff.entries_str()}
 
-    def __init__(self, k: int, dim: int, seed: int, count: int):
-        gens = [m.lift(k) for m in gen_nilmatrix(dim, seed, count)]
-        super().__init__(k, gens, NilMatrix.identity(dim, k))
 
-    def exp(self, element: NilMatrix) -> NilMatrix:
-        return element.exp()
+def _free_context(names: tuple[str, ...], k: int, trunc: int) -> _Context:
+    """The free model: the truncated free algebra over the k-generator Weil ring."""
+    gens = [scalar_extend(AssocPoly.generator(names, i, trunc), k) for i in range(len(names))]
+    return _Context(k, gens, AssocPoly.one(names, trunc, k), poly_exp, poly_inv, _poly_witness)
 
-    def inv(self, element: NilMatrix) -> NilMatrix:
-        return element.inv()
 
-    def witness(self, diff: NilMatrix) -> dict:
-        lead = None
-        for i, row in enumerate(diff.rows):
-            for j, e in enumerate(row):
-                if e:
-                    lead = {"row": i, "col": j, "coeff": str(e)}
-                    break
-            if lead:
-                break
-        return {"kind": "matrix", "lead": lead, "entries": diff.entries_str()}
+def _matrix_context(k: int, dim: int, seed: int, count: int) -> _Context:
+    """The matrix model: seeded dim x dim nilpotent matrices over the Weil ring."""
+    gens = [m.lift(k) for m in gen_nilmatrix(dim, seed, count)]
+    one = NilMatrix.identity(dim, k)
+    return _Context(k, gens, one, NilMatrix.exp, NilMatrix.inv, _matrix_witness)
 
 
 def _commutator(a, b):
@@ -382,15 +376,8 @@ def _b_prop_4_4(ctx):
     x, y = ctx.gen_img(0), ctx.gen_img(1)
     ex = ctx.exp(x)
     lhs = ex * y * ctx.inv(ex)
-    rhs = y
-    term = y
-    p = 1
-    while True:
-        term = _commutator(x, term)
-        if not term:
-            break
-        rhs = rhs + term.scale(Fraction(1, factorial(p)))
-        p += 1
+    coeffs = (Fraction(1, factorial(p)) for p in count(1))
+    rhs = power_series(y, _commutator(x, y), lambda t: _commutator(x, t), coeffs)
     return lhs, rhs
 
 
@@ -626,13 +613,13 @@ def _context_for(entry: _Identity, model: str, params: CheckParams):
             raise InsufficientModel(
                 f"{entry.id} needs truncation >= {entry.min_trunc()}, got {params.trunc}"
             )
-        return _FreeContext(default_names(entry.gens), k, params.trunc)
+        return _free_context(default_names(entry.gens), k, params.trunc)
     if model == "matrix":
         if params.dim < entry.min_dim():
             raise InsufficientModel(
                 f"{entry.id} needs matrix dimension >= {entry.min_dim()}, got {params.dim}"
             )
-        return _MatrixContext(k, params.dim, params.seed, entry.gens)
+        return _matrix_context(k, params.dim, params.seed, entry.gens)
     raise ValueError(f"unknown model {model!r}")
 
 

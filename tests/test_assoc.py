@@ -281,3 +281,12 @@ def test_truncation_mismatch_is_an_error():
         poly_mul(rational_gen(0, trunc=4), rational_gen(1, trunc=5))
     with pytest.raises(AlgebraMismatch):
         poly_mul(rational_gen(0), weil_gen(1))
+
+
+def test_assoc_and_lie_elements_neither_add_nor_subtract():
+    poly, lie = rational_gen(0), LieElement.generator(XY, 0, 4)
+    for a, b in ((poly, lie), (lie, poly)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b

@@ -124,8 +124,25 @@ def test_check_exit_codes_for_input_errors(capsys):
     code, _, err = run(capsys, "check", "--id", "thm-7.4a", "--trunc", "3")
     assert code == 2 and "InsufficientModel" in err
 
+    # Every matched identity an input error: no report, not an empty one.
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "check", "--id", "thm-7.4*", "--trunc", "3", "--format", fmt)
+        assert (code, out) == (2, "") and err.count("InsufficientModel") == 2
+
     code, _, err = run(capsys, "check")
     assert code == 2 and "--id" in err
+
+
+@pytest.mark.parametrize(
+    "command, source, cover",
+    [("bch", "paper7", "BCH tables cover orders 1..4"),
+     ("zassenhaus", "paper", "Zassenhaus tables cover orders 2..4")],
+)
+@pytest.mark.parametrize("order", ["0", "5"])
+def test_table_orders_outside_the_tables_exit_2(capsys, command, source, cover, order):
+    code, out, err = run(capsys, command, "--order", order, "--source", source)
+    assert (code, out) == (2, "")
+    assert err == f"error: {cover}, got {order}\n"
 
 
 def test_check_accepts_trunc_and_dim_at_their_caps(capsys):

@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import count
 from math import factorial, gcd
 
 import pytest
 
+from nilbch.assoc import AssocPoly
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
-from nilbch.scalars import WeilElement, weil_power_sum, weil_sum
+from nilbch.freelie import LieElement, lie_bracket
+from nilbch.scalars import WeilElement, power_series, weil_power_sum, weil_sum
+from nilbch.weilcheck import gen_nilmatrix
 
 
 def d(k, i):
@@ -247,3 +251,47 @@ def test_int_numerator_kernel_matches_fraction_reference(k):
         for x, y in routes:
             assert x == y
             assert hash(x) == hash(y)
+
+
+# -- power series --------------------------------------------------------------
+
+
+def _class_three(kind):
+    """(first, step) whose powers first, step(first), step^2(first) are nonzero
+    and step^3(first) is zero."""
+    if kind == "poly":
+        x = AssocPoly.generator(("X", "Y"), 0, 3)
+        return x, lambda p: p * x
+    if kind == "matrix":
+        m = gen_nilmatrix(4, 7, 1)[0]
+        return m, lambda p: p * m
+    x, y = (LieElement.generator(("X", "Y"), i, 3) for i in (0, 1))
+    return y, lambda p: lie_bracket(x, p)
+
+
+@pytest.mark.parametrize("kind", ["poly", "matrix", "lie"])
+def test_power_series_stops_stepping_at_the_first_zero_power(kind):
+    first, step = _class_three(kind)
+    steps = []
+
+    def counted(p):
+        steps.append(p)
+        return step(p)
+
+    endless = (Fraction(1, i) for i in count(1))
+    out = power_series(first - first, first, counted, endless)
+    p1 = step(first)
+    p2 = step(p1)
+    assert p1 and p2 and not step(p2)
+    assert len(steps) == 3
+    assert out == first + p1.scale(Fraction(1, 2)) + p2.scale(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("kind", ["poly", "matrix", "lie"])
+def test_power_series_of_a_zero_first_returns_out_unchanged(kind):
+    first, _ = _class_three(kind)
+
+    def never(p):
+        raise AssertionError("a zero first power has no successor to compute")
+
+    assert power_series(first, first - first, never, count(1)) is first
