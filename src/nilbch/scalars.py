@@ -38,7 +38,7 @@ def accumulate(out: dict, pairs) -> dict:
 
 
 class TermMap:
-    """Ring arithmetic shared by sparse maps ``terms`` of keys to nonzero coefficients.
+    """Linear arithmetic shared by sparse maps ``terms`` of keys to nonzero coefficients.
 
     A subclass supplies ``_check_operand`` (raise unless ``other`` lives in
     the same algebra), ``_key_degree`` (the grading of a key) and
