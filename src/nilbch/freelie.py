@@ -34,7 +34,7 @@ def default_names(k: int) -> tuple[str, ...]:
         return ("X",)
     if k == 2:
         return ("X", "Y")
-    return tuple(f"X{i + 1}" for i in range(k))
+    return tuple([f"X{i + 1}" for i in range(k)])
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,8 @@ class WeilElement:
     so that gcd(_den, *_nums.values()) == 1.  Equal values thus have equal
     fields, and the ring operations run on machine ints with one gcd per
     result.  ``coeffs`` is the read-only view mask -> reduced Fraction.
+    ``weilcheck.NilMatrix`` stores its entries in the same form and reads
+    these two fields directly.
 
     Immutable by convention: no method mutates ``_nums`` after construction,
     so values can be shared freely across threads.
@@ -148,7 +150,7 @@ class WeilElement:
                 if value:
                     clean[mask] = value
         # Over the lcm of reduced denominators the form is already canonical.
-        den = lcm(*(v.denominator for v in clean.values()))
+        den = lcm(*[v.denominator for v in clean.values()])
         self.k = k
         self._nums = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
         self._den = den

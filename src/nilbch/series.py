@@ -203,16 +203,15 @@ def fold_tree(tree, gen, bracket, lin):
 
     A generator i becomes gen(i), a bracket becomes bracket(a, b) of its
     evaluated arguments, and a linear combination lin([(coeff, value), ...]).
+    The three functions are passed down the recursion rather than closed
+    over by a nested walker, which would be a reference cycle that keeps
+    each call's values alive until the next garbage collection.
     """
-
-    def walk(t):
-        if isinstance(t, int):
-            return gen(t)
-        if t[0] == LIN:
-            return lin([(coeff, walk(sub)) for coeff, sub in t[1]])
-        return bracket(walk(t[0]), walk(t[1]))
-
-    return walk(tree)
+    if isinstance(tree, int):
+        return gen(tree)
+    if tree[0] == LIN:
+        return lin([(coeff, fold_tree(sub, gen, bracket, lin)) for coeff, sub in tree[1]])
+    return bracket(fold_tree(tree[0], gen, bracket, lin), fold_tree(tree[1], gen, bracket, lin))
 
 
 def _homogeneous_degree(pairs) -> int:

@@ -1,10 +1,12 @@
 """Identity checker: catalog, models, witnesses, reports."""
 
 import dataclasses
+import gc
 import json
 import operator
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
@@ -149,31 +151,50 @@ def test_rows_must_match_dim():
             NilMatrix(2, None, rows)
 
 
+def test_entries_must_lie_in_the_scalar_ring():
+    d1 = WeilElement.generator(2, 1)
+    for weil_k, entry in ((None, d1), (3, d1), (2, Fraction(1, 2)), (None, 0.5)):
+        with pytest.raises(AlgebraMismatch):
+            NilMatrix(2, weil_k, [[0, entry], [0, 0]])
+
+
 def test_equality_compares_scalar_rings():
     x = gen_nilmatrix(3, 1, 1)[0]
     assert x != x.lift(2)
     assert x.lift(2) == x.lift(2)
 
 
-# A dense reference for the sparse kernels: every entry product, summed from 0,
-# and every entry of a sum, negation or scaling computed.
+# An entry-by-entry reference for the matrix kernels, on Fraction and
+# WeilElement arithmetic: every entry product, summed from 0, and every entry
+# of a sum, negation, scaling, power series or base change computed.
 
 
 def _dense_mul(a, b):
-    cols = list(zip(*b.rows))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def _entrywise(fn, *matrices):
     return [[fn(*xs) for xs in zip(*rows)] for rows in zip(*(m.rows for m in matrices))]
 
 
+def _dense_series(x, one, coeffs):
+    """sum_i c_i x^i for dense rows x, from the dense unit ``one``."""
+    out, power = one, one
+    for coeff in coeffs:
+        power = _dense_mul(power, x)
+        out = [[o + p * coeff for o, p in zip(r1, r2)] for r1, r2 in zip(out, power)]
+    return out
+
+
 def _random_scalar(rng, weil_k):
-    value = Fraction(rng.choice([0, rng.randint(-3, 3)]), rng.randint(1, 3))
+    def value():
+        return Fraction(rng.choice([0, rng.randint(-3, 3)]), rng.choice([1, 2, 3, 4, 6]))
+
     if weil_k is None:
-        return value
-    coeffs = {rng.randrange(1 << weil_k): value for _ in range(rng.randint(0, 3))}
-    return WeilElement(weil_k, coeffs)
+        return value()
+    return WeilElement(weil_k, {rng.randrange(1 << weil_k): value()
+                                for _ in range(rng.randint(0, 3))})
 
 
 def _random_matrix(rng, dim, weil_k, shape):
@@ -189,26 +210,67 @@ def _random_matrix(rng, dim, weil_k, shape):
     return NilMatrix(dim, weil_k, rows)
 
 
+def _assert_canonical(m):
+    """One positive denominator, coprime to the nonzero numerators."""
+    nums = [n for row in m._rows for n in row.values()]
+    assert m._den > 0 and all(nums) and gcd(m._den, *nums) == 1
+
+
 def _assert_matches(result, dense):
     scalar_type = Fraction if result.weil_k is None else WeilElement
     assert all(type(e) is scalar_type for row in result.rows for e in row)
     assert result.rows == tuple(tuple(row) for row in dense)
+    _assert_canonical(result)
+    assert result == NilMatrix(result.dim, result.weil_k, dense)
 
 
-@pytest.mark.parametrize("weil_k", [None, 2])
+def _scalars(rng, weil_k):
+    """Rational scalars, zero among them, and for a Weil matrix Weil scalars:
+    d1, which kills the terms that already carry d1, the zero d1*d1, 1 + d1
+    and a random one."""
+    out = [3, -2, 0, Fraction(2, 3), Fraction(-5, 4), Fraction(0)]
+    if weil_k is not None:
+        d1 = WeilElement.generator(weil_k, 1)
+        out += [d1, d1 * d1, d1 + 1, _random_scalar(rng, weil_k)]
+    return out
+
+
+@pytest.mark.parametrize("weil_k", [None, 1, 2, 3, 4])
 @pytest.mark.parametrize("shape", ["dense", "strictly_upper", "unitriangular"])
 def test_sparse_kernels_match_dense_reference(shape, weil_k):
     rng = random.Random(f"{shape}-{weil_k}")
+    unit = Fraction(1) if weil_k is None else WeilElement.one(weil_k)
     for dim in range(2, 7):
-        for _ in range(12):
-            a, b = (_random_matrix(rng, dim, weil_k, shape) for _ in range(2))
-            scalar = _random_scalar(rng, weil_k)
-            _assert_matches(a * b, _dense_mul(a, b))
+        for _ in range(6):
+            a, b, c = (_random_matrix(rng, dim, weil_k, shape) for _ in range(3))
+            _assert_matches(a * b, _dense_mul(a.rows, b.rows))
             _assert_matches(a + b, _entrywise(operator.add, a, b))
             _assert_matches(a - b, _entrywise(operator.sub, a, b))
             _assert_matches(-a, _entrywise(operator.neg, a))
-            _assert_matches(a.scale(scalar), _entrywise(lambda x: x * scalar, a))
-            _assert_matches(a.scale(Fraction(0)), _entrywise(lambda x: x * 0, a))
+            for scalar in _scalars(rng, weil_k):
+                _assert_matches(a.scale(scalar), _entrywise(lambda x: x * scalar, a))
+            one = NilMatrix.identity(dim, weil_k)
+            dense_one = [[unit if i == j else unit * 0 for j in range(dim)] for i in range(dim)]
+            _assert_matches(one, dense_one)
+            if shape == "strictly_upper":
+                coeffs = [Fraction(1, factorial(i)) for i in range(1, dim)]
+                _assert_matches(a.exp(), _dense_series(a.rows, dense_one, coeffs))
+            if shape == "unitriangular":
+                nil = [[o - e for o, e in zip(r1, r2)] for r1, r2 in zip(dense_one, a.rows)]
+                _assert_matches(a.inv(), _dense_series(nil, dense_one, [1] * (dim - 1)))
+                assert a * a.inv() == one
+            if weil_k is None:
+                for k in (1, 4):
+                    _assert_matches(
+                        a.lift(k), _entrywise(lambda x: WeilElement.from_rational(k, x), a)
+                    )
+            # equal values reached by different routes
+            assert (a + b) - b == a
+            assert a * (b + c) == a * b + a * c
+            assert a.scale(2) == a + a
+            assert a.scale(Fraction(1, 3)).scale(3) == a
+            if a:
+                assert a != a.scale(2) and a != a.scale(Fraction(1, 2))
 
 
 def _counted(calls, name, fn):
@@ -245,7 +307,7 @@ def _count_kernel_ops(monkeypatch):
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
     "free": {"mul": 5858, "add": 747, "poly_mul": 447, "nilmatrix_mul": 0},
-    "matrix": {"mul": 5266, "add": 2767, "poly_mul": 0, "nilmatrix_mul": 418},
+    "matrix": {"mul": 123, "add": 5, "poly_mul": 0, "nilmatrix_mul": 418},
 }
 
 
@@ -285,6 +347,35 @@ def test_oracle_op_counts_are_pinned(monkeypatch):
     for n in range(2, series.ORACLE_DEGREE_CAP + 1):
         zassenhaus_classical(n)
     assert calls == ORACLE_OP_PINS
+
+
+def _free_suite():
+    return run_suite(model="free")
+
+
+def _matrix_suite():
+    return run_suite(model="matrix")
+
+
+def _classical_oracles():
+    return bch_classical(6), zassenhaus_classical(6)
+
+
+@pytest.mark.parametrize("run", [_free_suite, _matrix_suite, _classical_oracles])
+def test_runs_leave_no_reference_cycles(run):
+    """A run frees its values by reference counting alone.
+
+    Cyclic garbage waits for a full collection, and the kernels allocate too
+    few tracked objects to trigger one often, so it would pile up across ops.
+    """
+    run()  # fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- single checks ----------------------------------------------------------------
