@@ -9,6 +9,7 @@ from .freelie import (
     lie_bracket,
     lie_embed,
 )
+from .matrix import NilMatrix, gen_nilmatrix
 from .scalars import WeilElement, weil_power_sum
 from .series import (
     GradedLieSeries,
@@ -22,9 +23,7 @@ from .series import (
 from .weilcheck import (
     CheckParams,
     CheckReport,
-    NilMatrix,
     check_identity,
-    gen_nilmatrix,
     run_suite,
     tangent_of,
 )

@@ -127,7 +127,7 @@ class WeilElement:
     so that gcd(_den, *_nums.values()) == 1.  Equal values thus have equal
     fields, and the ring operations run on machine ints with one gcd per
     result.  ``coeffs`` is the read-only view mask -> reduced Fraction.
-    ``weilcheck.NilMatrix`` stores its entries in the same form and reads
+    ``matrix.NilMatrix`` stores its entries in the same form and reads
     these two fields directly.
 
     Immutable by convention: no method mutates ``_nums`` after construction,

@@ -10,8 +10,8 @@ import pytest
 from nilbch.assoc import AssocPoly
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.freelie import LieElement, lie_bracket
+from nilbch.matrix import gen_nilmatrix
 from nilbch.scalars import WeilElement, power_series, weil_power_sum, weil_sum
-from nilbch.weilcheck import gen_nilmatrix
 
 
 def d(k, i):

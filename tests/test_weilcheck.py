@@ -15,6 +15,7 @@ from nilbch.assoc import scalar_extend
 from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
+from nilbch.matrix import NilMatrix, gen_nilmatrix
 from nilbch.scalars import WeilElement, weil_power_sum
 from nilbch.series import (
     bch_classical,
@@ -28,10 +29,8 @@ from nilbch.weilcheck import (
     EXPECTED_PASS_IDS,
     REPORT_SCHEMA,
     CheckParams,
-    NilMatrix,
     _free_context,
     check_identity,
-    gen_nilmatrix,
     run_suite,
     tangent_of,
 )
