@@ -25,7 +25,6 @@ from .weilcheck import (
     CheckReport,
     check_identity,
     run_suite,
-    tangent_of,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "run_suite",
     "scalar_extend",
     "series_compare",
-    "tangent_of",
     "weil_power_sum",
     "zassenhaus_classical",
     "zassenhaus_paper",

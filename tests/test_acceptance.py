@@ -29,11 +29,9 @@ from nilbch.series import (
     zassenhaus_classical,
     zassenhaus_paper,
 )
-from nilbch.weilcheck import (
-    EXPECTED_PASS_IDS,
-    check_identity,
-    run_suite,
-)
+from nilbch.weilcheck import check_identity, run_suite
+
+from catalog_verdicts import EXPECTED_PASS_IDS
 
 XY = ("X", "Y")
 

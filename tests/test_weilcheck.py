@@ -16,8 +16,11 @@ from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import WeilElement, weil_power_sum
+from nilbch.scalars import WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
+    EM,
+    LIN,
+    POW,
     bch_classical,
     bch_paper,
     series_compare,
@@ -25,15 +28,24 @@ from nilbch.series import (
     zassenhaus_paper,
 )
 from nilbch.weilcheck import (
+    CATALOG,
     CATALOG_IDS,
-    EXPECTED_PASS_IDS,
+    CONJ,
+    EXP,
+    INV,
+    MUL,
+    ONE,
     REPORT_SCHEMA,
     CheckParams,
+    D,
+    _evaluate,
     _free_context,
+    _PairRunner,
     check_identity,
     run_suite,
-    tangent_of,
 )
+
+from catalog_verdicts import EXPECTED_PASS_IDS
 
 SPEC_CATALOG = (
     "prop-2.1", "prop-2.2", "thm-2.3", "lemma-2.5", "prop-4.4", "prop-4.5",
@@ -55,27 +67,115 @@ def free_ctx(k=2, trunc=4):
     return _free_context(("X", "Y"), k, trunc)
 
 
+def tangent(index, d_index):
+    """The tangent vector of generator ``index`` at d_index, 1 + d*x, as an expression."""
+    return (LIN, ((Fraction(1), (ONE,)), (Fraction(1), (Fraction(1), (D, (d_index,)), index))))
+
+
+def evaluate(ctx, expr):
+    return _evaluate(ctx, expr, {})
+
+
 def test_tangent_is_affine():
     ctx = free_ctx()
     d1 = WeilElement.generator(2, 1)
     x = ctx.gen_img(0)
-    assert tangent_of(0, 1, ctx) == ctx.one() + x.scale(d1)
+    assert evaluate(ctx, tangent(0, 1)) == ctx.one() + x.scale(d1)
 
 
 def test_tangent_product_models_sum_of_infinitesimals():
     # X_{d1} . X_{d2} = 1 + (d1+d2) X + d1d2 X^2 = exp((d1+d2) X)
     ctx = free_ctx()
-    product = tangent_of(0, 1, ctx) * tangent_of(0, 2, ctx)
-    assert product == ctx.exp(ctx.gen_img(0).scale(ctx.sd()))
+    product = evaluate(ctx, (MUL, tangent(0, 1), tangent(0, 2)))
+    assert product == ctx.exp(ctx.gen_img(0).scale(weil_sum(2)))
 
 
 def test_tangent_inverse():
     # (1 + d1 X)^-1 = 1 - d1 X, since d1^2 = 0
     ctx = free_ctx(k=1)
-    forward = tangent_of(0, 1, ctx)
+    forward = tangent(0, 1)
     backward = ctx.one() - ctx.gen_img(0).scale(ctx.d(1))
-    assert forward * backward == ctx.one()
-    assert ctx.inv(forward) == backward
+    assert evaluate(ctx, forward) * backward == ctx.one()
+    assert evaluate(ctx, (INV, forward)) == backward
+
+
+# -- catalog expressions ------------------------------------------------------
+
+# operand count of each tag; MUL takes two or more
+TAG_ARITY = {EXP: 1, INV: 1, ONE: 0, CONJ: 2, MUL: None}
+
+
+def assert_well_formed(expr, entry):
+    """Each node is a generator below entry.gens, a LIN, a known tag with its
+    arity, a weight of a known shape whose d indices are at most entry.n_d,
+    or a bracket pair."""
+    if isinstance(expr, int):
+        assert 0 <= expr < entry.gens, expr
+        return
+    assert isinstance(expr, tuple) and expr, expr
+    head = expr[0]
+    if head == LIN:
+        assert len(expr) == 2 and expr[1], expr
+        assert all(isinstance(coeff, Fraction) and coeff for coeff, _ in expr[1]), expr
+        operands = [sub for _, sub in expr[1]]
+    elif isinstance(head, str):
+        assert head in TAG_ARITY, f"unknown tag {head!r}"
+        operands = expr[1:]
+        arity = TAG_ARITY[head]
+        assert len(operands) >= 2 if arity is None else len(operands) == arity, expr
+    elif len(expr) == 3:
+        coeff, (shape, m), sub = expr
+        assert isinstance(coeff, Fraction) and coeff, expr
+        if shape == D:
+            assert m and all(1 <= i <= entry.n_d for i in m), expr
+        else:
+            assert shape in (EM, POW) and 1 <= m <= entry.n_d, expr
+        operands = [sub]
+    else:
+        assert len(expr) == 2, expr
+        operands = expr
+    for sub in operands:
+        assert_well_formed(sub, entry)
+
+
+def test_catalog_expressions_are_well_formed():
+    pairs = [entry for entry in CATALOG if isinstance(entry.run, _PairRunner)]
+    assert {entry.id for entry in CATALOG} - {entry.id for entry in pairs} == {
+        "lemma-6.0", "consistency-7v8"
+    }
+    for entry in pairs:
+        assert len(entry.run.sides) >= 2, entry.id
+        for side in entry.run.sides:
+            assert_well_formed(side, entry)
+
+
+_ONE_F = Fraction(1)
+MALFORMED = {
+    "mistyped tag": (MUL, (EXP, 0), ("expo", 1)),
+    "wrong arity": (EXP, 0, 1),
+    "one-factor product": (MUL, (EXP, 0)),
+    "generator outside gens": (EXP, 2),
+    "unknown weight shape": (_ONE_F, ("pow2", 1), 0),
+    "d index above n_d": (_ONE_F, (D, (3,)), 0),
+    "em above n_d": (_ONE_F, (EM, 3), 0),
+    "three-operand bracket": (0, 1, (0, 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_well_formedness_check_catches_malformed_data(name):
+    entry = weilcheck._BY_ID["prop-2.1"]  # two generators, two infinitesimals
+    with pytest.raises(AssertionError):
+        assert_well_formed(MALFORMED[name], entry)
+
+
+@pytest.mark.parametrize("expr, message", [
+    (("expo", 0), "unknown expression tag 'expo'"),
+    ((_ONE_F, ("pow2", 1), 0), "unknown weight shape 'pow2'"),
+])
+def test_evaluator_raises_on_unknown_tags_and_shapes(expr, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate(free_ctx(), expr)
 
 
 # -- matrices -------------------------------------------------------------------
@@ -305,8 +405,8 @@ def _count_kernel_ops(monkeypatch):
 # change to the kernels moves these pins on purpose and records the old and
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 5858, "add": 747, "poly_mul": 447, "nilmatrix_mul": 0},
-    "matrix": {"mul": 123, "add": 5, "poly_mul": 0, "nilmatrix_mul": 418},
+    "free": {"mul": 5681, "add": 747, "poly_mul": 388, "nilmatrix_mul": 0},
+    "matrix": {"mul": 71, "add": 5, "poly_mul": 0, "nilmatrix_mul": 361},
 }
 
 
