@@ -344,7 +344,7 @@ class WeilElement:
 def weil_sum(n: int) -> WeilElement:
     """d1 + ... + dn in the n-generator Weil algebra."""
     _check_k(n)
-    return WeilElement(n, {1 << i: Fraction(1) for i in range(n)})
+    return WeilElement._trusted(n, {1 << i: 1 for i in range(n)}, 1)
 
 
 def weil_power_sum(n: int, m: int) -> WeilElement:
