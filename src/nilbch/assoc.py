@@ -131,8 +131,10 @@ class AssocPoly(TermMap):
         return self.scale(other)
 
     def scale(self, scalar) -> "AssocPoly":
-        """Multiply every coefficient by a central scalar."""
-        scalar = self._coerce(scalar)
+        """Multiply every coefficient by a central scalar; a rational is not
+        lifted into the Weil ring, so Weil coefficients take their int path."""
+        if not isinstance(scalar, (int, Fraction)):
+            scalar = self._coerce(scalar)
         if not scalar:
             return self._with({})
         # Weil scalars have zero divisors (d1 * d1 = 0), so products can vanish.

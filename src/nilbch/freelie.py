@@ -231,7 +231,8 @@ class LieElement(TermMap):
     def __eq__(self, other):
         if not isinstance(other, LieElement):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
+        mine = (self.alphabet, self.max_degree, self.terms)
+        return mine == (other.alphabet, other.max_degree, other.terms)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(

@@ -244,12 +244,6 @@ class WeilElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             num, den = other.numerator, other.denominator
@@ -273,14 +267,6 @@ class WeilElement:
         return WeilElement._trusted(self.k, nums, self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("Weil powers take a nonnegative integer exponent")
-        out = WeilElement.one(self.k)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -9,20 +9,22 @@ logarithm: once the factors below degree n are divided off, the remainder is
 classical coefficient is ever hard-coded.
 
 The *tabulated* series come from formulas stated over sums d1+...+dn of
-square-zero infinitesimals.  Each table entry keeps the displayed scalar
-prefactor in its raw shape: ``em(m)`` is the elementary symmetric sum of all
-products of m distinct infinitesimals, ``pow(m)`` is a rational multiple of
-(d1+...+dn)^m.  The two shapes are identified through the divided-power rule
-(d1+...+dn)^m / m! = em(m), applied exactly once when a table is converted to
-a t-graded Lie series.  Where a theorem displays two forms whose prefactors
-disagree under that rule, both forms are kept so the discrepancy stays
-observable.
+square-zero infinitesimals, written in the expression language that the
+identity catalog of ``weilcheck`` shares; ``evaluate`` is its one evaluator.
+Each table entry keeps the displayed scalar prefactor in its raw shape,
+``em(m)`` or a rational multiple of (d1+...+dn)^m, and the two shapes are
+identified through the divided-power rule (d1+...+dn)^m / m! = em(m), applied
+once when a table is converted to a t-graded Lie series.  Where a theorem
+displays two forms whose prefactors disagree under that rule, both forms are
+kept so the discrepancy stays observable.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import count
 from math import factorial
 
 from .assoc import AssocPoly, poly_exp, poly_log, poly_mul
@@ -33,6 +35,7 @@ from .errors import (
     NotTabulated,
 )
 from .freelie import HARD_DEGREE_CAP, LieElement, dynkin_project, lie_bracket, lie_embed
+from .scalars import power_series
 
 ORACLE_DEGREE_CAP = 6
 
@@ -182,62 +185,100 @@ def zassenhaus_classical(N: int) -> ZassenhausFactors:
 
 
 # ---------------------------------------------------------------------------
-# the tabulated formulas, stored in displayed shape
+# the expression language of the tables and of the identity catalog
 
-# scalar prefactor shapes
+# An int i is generator i, a pair (a, b) the bracket [a, b] and
+# (LIN, ((c, a), ...)) the linear combination of the a's with rational c's,
+# so every Lie monomial of freelie is an expression.  The other nodes are
+#   (c, (shape, m), a)  a times c and the weight (shape, m); each table
+#                       entry is one
+#   (EXP, a)            exp a
+#   (INV, a)            the group inverse of a, computed, not exp(-...)
+#   (MUL, a, b, ...)    the product a b ..., from the left
+#   (ONE,)              the unit
+#   (CONJ, a, b)        e^a b e^-a, as the sum of (ad a)^p b / p!
+LIN, EXP, INV, MUL, ONE, CONJ = "lin", "exp", "inv", "mul", "one", "conj"
+
+# weight shapes
 EM = "em"    # sum of all products of m distinct infinitesimals
 POW = "pow"  # (d1+...+dn)^m
+D = "d"      # the product of the infinitesimals d_i listed in m
 
-# Bracket expression trees extend the Lie monomials of freelie: an int is a
-# generator, a pair (a, b) is the bracket [a, b], and (LIN, ((coeff, tree),
-# ...)) is a linear combination.  Every monomial is therefore a tree.
-LIN = "lin"
+
+def evaluate(ctx, expr, memo: dict):
+    """Image of an expression in ``ctx``; ``memo`` maps id(node) to its image.
+
+    The context gives the generator images ``gen_img(i)``, ``bracket(a, b)``
+    and the scalar ``weight(coeff, shape, m)``, and for the group nodes
+    ``exp``, ``inv`` and ``one()``.  Keying by identity hashes no
+    coefficient, and shared subexpressions are shared objects, so a node
+    that occurs twice is evaluated once.  The caller keeps every node alive
+    while ``memo`` lives.
+    """
+    if isinstance(expr, int):
+        return ctx.gen_img(expr)
+    value = memo.get(id(expr))
+    if value is not None:
+        return value
+    head = expr[0]
+    if isinstance(head, str):
+        if head == EXP:
+            value = ctx.exp(evaluate(ctx, expr[1], memo))
+        elif head == INV:
+            value = ctx.inv(evaluate(ctx, expr[1], memo))
+        elif head == MUL:
+            value = reduce(operator.mul, [evaluate(ctx, a, memo) for a in expr[1:]])
+        elif head == ONE:
+            value = ctx.one()
+        elif head == CONJ:
+            x, y = evaluate(ctx, expr[1], memo), evaluate(ctx, expr[2], memo)
+            coeffs = (Fraction(1, factorial(p)) for p in count(1))
+            value = power_series(y, ctx.bracket(x, y), lambda t: ctx.bracket(x, t), coeffs)
+        elif head == LIN:
+            parts = [(c, evaluate(ctx, a, memo)) for c, a in expr[1]]
+            value = reduce(operator.add, [v if c == 1 else v.scale(c) for c, v in parts])
+        else:
+            raise ValueError(f"unknown expression tag {head!r}")
+    elif len(expr) == 3:
+        coeff, (shape, m), sub = expr
+        value = evaluate(ctx, sub, memo).scale(ctx.weight(coeff, shape, m))
+    else:
+        left, right = expr
+        value = ctx.bracket(evaluate(ctx, left, memo), evaluate(ctx, right, memo))
+    memo[id(expr)] = value
+    return value
+
+
+class _TableContext:
+    """Table entries as Lie elements of one max_degree: the bracket is the Lie
+    bracket and each weight its lemma-6.0 t-coefficient, em(m) = sd^m / m!."""
+
+    def __init__(self, max_degree: int):
+        self.max_degree = max_degree
+
+    def gen_img(self, i: int) -> LieElement:
+        return LieElement.generator(BCH_ALPHABET, i, self.max_degree)
+
+    @staticmethod
+    def bracket(a: LieElement, b: LieElement) -> LieElement:
+        return lie_bracket(a, b)  # the module binding, so a wrapper installed later sees it
+
+    @staticmethod
+    def weight(coeff, shape, m) -> Fraction:
+        return coeff / factorial(m) if shape == EM else coeff
 
 
 def _lin(*pairs):
     return (LIN, tuple((Fraction(c), t) for c, t in pairs))
 
 
-def fold_tree(tree, gen, bracket, lin):
-    """Evaluate a tree bottom-up.
-
-    A generator i becomes gen(i), a bracket becomes bracket(a, b) of its
-    evaluated arguments, and a linear combination lin([(coeff, value), ...]).
-    The three functions are passed down the recursion rather than closed
-    over by a nested walker, which would be a reference cycle that keeps
-    each call's values alive until the next garbage collection.
-    """
-    if isinstance(tree, int):
-        return gen(tree)
-    if tree[0] == LIN:
-        return lin([(coeff, fold_tree(sub, gen, bracket, lin)) for coeff, sub in tree[1]])
-    return bracket(fold_tree(tree[0], gen, bracket, lin), fold_tree(tree[1], gen, bracket, lin))
+def _entry(coeff, shape, m, expr):
+    """The weight node: expr times coeff and the (shape, m) weight."""
+    return (Fraction(coeff), (shape, m), expr)
 
 
-def _homogeneous_degree(pairs) -> int:
-    degrees = {degree for _, degree in pairs}
-    if len(degrees) != 1:
-        raise ValueError("inhomogeneous linear combination in a table tree")
-    return degrees.pop()
-
-
-def tree_degree(tree) -> int:
-    return fold_tree(tree, lambda _: 1, operator.add, _homogeneous_degree)
-
-
-def expand_tree(tree, alphabet, max_degree: int) -> LieElement:
-    """Expand a table tree by bilinearity into a normalized Lie element."""
-
-    def combine(pairs):
-        total = LieElement.zero(alphabet, max_degree)
-        for coeff, part in pairs:
-            total = total + coeff * part
-        return total
-
-    return fold_tree(
-        tree, lambda i: LieElement.generator(alphabet, i, max_degree), lie_bracket, combine
-    )
-
+# ---------------------------------------------------------------------------
+# the tabulated formulas, stored in displayed shape
 
 _X, _Y = 0, 1
 _XpY = _lin((1, _X), (1, _Y))
@@ -263,10 +304,6 @@ _C4_SEC6 = _lin(
     (-3, (_X, (_Y, _XY))),
     (-3, (_Y, (_Y, _XY))),
 )
-
-
-def _entry(coeff, shape, m, tree):
-    return (Fraction(coeff), (shape, m), tree)
 
 
 # BCH exponents: the right-hand side of exp(sd*X).exp(sd*Y) = exp(<entries>)
@@ -370,21 +407,11 @@ def paper_zassenhaus_table(order: int, form: str):
     return ZASS_TABLES[order][form]
 
 
-def entry_t_coefficient(entry) -> tuple[int, Fraction]:
-    """Lemma-6.0 grading of a table entry: (t-degree, rational coefficient)."""
-    coeff, (shape, m), _tree = entry
-    if shape == EM:
-        return m, coeff / factorial(m)
-    return m, coeff
-
-
 def _graded_terms(entries):
-    """(t-degree, normalized Lie term) of each table entry, in table order."""
+    """(t-degree m, Lie image at max_degree m) of each table entry, in table order."""
     for entry in entries:
-        m, coeff = entry_t_coefficient(entry)
-        if tree_degree(entry[2]) != m:
-            raise ValueError("table entry mixes scalar and bracket degrees")
-        yield m, coeff * expand_tree(entry[2], BCH_ALPHABET, m)
+        m = entry[1][1]
+        yield m, evaluate(_TableContext(m), entry, {})
 
 
 def bch_paper(order: int, variant: str) -> GradedLieSeries:

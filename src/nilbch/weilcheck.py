@@ -1,11 +1,11 @@
 """Mechanical verification of the catalog identities in two exact models.
 
 Every catalog entry writes the sides of one numbered statement as data, in
-the expression language below, and one evaluator rebuilds them exactly as
-written: each exp of an infinitesimally weighted Lie expression becomes a
-truncated exponential of its associative (or matrix) image, group inverses are
-computed by actual inversion rather than by negating exponents, and the check
-subtracts the sides.  PASS means the difference is exactly zero.
+the expression language of ``series``, and its evaluator rebuilds them
+exactly as written: each exp of an infinitesimally weighted Lie expression
+becomes a truncated exponential of its associative (or matrix) image, group
+inverses are computed by actual inversion rather than by negating exponents,
+and the check subtracts the sides.  PASS means the difference is exactly zero.
 
 Two models are available.  The *free* model works in the truncated free
 associative algebra over the Weil ring and is the universal one: a PASS there
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import reduce
-from itertools import count
 from math import factorial
 
 from .assoc import AssocPoly, poly_exp, poly_inv, scalar_extend
@@ -35,12 +34,24 @@ from .errors import (
 )
 from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
-from .scalars import WeilElement, power_series, weil_power_sum, weil_sum
+from .scalars import WeilElement, weil_power_sum, weil_sum
 from .series import (
+    CONJ,
     EM,
-    LIN,
+    EXP,
+    INV,
+    MUL,
+    ONE,
     POW,
+    D,
+    _X,
+    _XY,
+    _Y,
+    _entry,
+    _lin,
+    _XpY,
     bch_paper,
+    evaluate,
     paper_bch_table,
     paper_zassenhaus_table,
     series_compare,
@@ -50,15 +61,14 @@ DEFAULT_TRUNC = 6
 DEFAULT_DIM = 5
 DEFAULT_SEED = 42
 
-D = "d"  # weight shape: the product of the listed infinitesimals d_i
-
 
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
 
 class _Context:
-    """One model: generator images, the unit, exp, inverse and the FAIL witness.
+    """One model: generator images, the unit, exp, inverse and the FAIL witness;
+    the bracket is the commutator.
 
     The Weil weights live in the k-generator Weil algebra, whichever model
     the context is.
@@ -78,6 +88,10 @@ class _Context:
 
     def one(self):
         return self._one
+
+    @staticmethod
+    def bracket(a, b):
+        return a * b - b * a
 
     def d(self, i: int) -> WeilElement:
         return WeilElement.generator(self.k, i)
@@ -130,94 +144,25 @@ def _matrix_context(k: int, dim: int, seed: int, count: int) -> _Context:
 
 
 # ---------------------------------------------------------------------------
-# expressions
+# catalog expressions, in the language of ``series``
 
-# A side of a catalog identity is an expression.  The bracket trees of
-# ``series`` are expressions: an int i is generator i, a pair (a, b) the
-# bracket [a, b], taken as the commutator ab - ba, and (LIN, ((c, a), ...))
-# the linear combination of the a's with rational c's.  Six nodes are added:
-#   (c, (shape, m), a)  a times the Weil weight ``_Context.weight`` gives;
-#                       each table entry of ``series`` is one
-#   (EXP, a)            exp a
-#   (INV, a)            the group inverse of a, computed, not exp(-...)
-#   (MUL, a, b, ...)    the product a b ..., from the left
-#   (ONE,)              the unit
-#   (CONJ, a, b)        e^a b e^-a, as the sum of (ad a)^p b / p!
-# A node object that occurs twice in one identity is evaluated once.
-EXP, INV, MUL, ONE, CONJ = "exp", "inv", "mul", "one", "conj"
-
-
-def _commutator(a, b):
-    return a * b - b * a
-
-
-def _evaluate(ctx, expr, memo: dict):
-    """Model image of an expression; ``memo`` maps id(node) to its image.
-
-    Keying by identity hashes no coefficient, and shared subexpressions are
-    shared objects.  The caller keeps every node alive while ``memo`` lives.
-    """
-    if isinstance(expr, int):
-        return ctx.gen_img(expr)
-    value = memo.get(id(expr))
-    if value is not None:
-        return value
-    head = expr[0]
-    if isinstance(head, str):
-        if head == EXP:
-            value = ctx.exp(_evaluate(ctx, expr[1], memo))
-        elif head == INV:
-            value = ctx.inv(_evaluate(ctx, expr[1], memo))
-        elif head == MUL:
-            value = reduce(operator.mul, [_evaluate(ctx, a, memo) for a in expr[1:]])
-        elif head == ONE:
-            value = ctx.one()
-        elif head == CONJ:
-            x, y = _evaluate(ctx, expr[1], memo), _evaluate(ctx, expr[2], memo)
-            coeffs = (Fraction(1, factorial(p)) for p in count(1))
-            value = power_series(y, _commutator(x, y), lambda t: _commutator(x, t), coeffs)
-        elif head == LIN:
-            parts = [(c, _evaluate(ctx, a, memo)) for c, a in expr[1]]
-            value = reduce(operator.add, [v if c == 1 else v.scale(c) for c, v in parts])
-        else:
-            raise ValueError(f"unknown expression tag {head!r}")
-    elif len(expr) == 3:
-        coeff, (shape, m), sub = expr
-        value = _evaluate(ctx, sub, memo).scale(ctx.weight(coeff, shape, m))
-    else:
-        left, right = expr
-        value = _commutator(_evaluate(ctx, left, memo), _evaluate(ctx, right, memo))
-    memo[id(expr)] = value
-    return value
-
-
-def _w(shape, m, expr, coeff=1):
-    """The weight node: expr times coeff and the (shape, m) weight."""
-    return (Fraction(coeff), (shape, m), expr)
-
-
-def _sum(*exprs):
-    return (LIN, tuple([(Fraction(1), a) for a in exprs]))
-
-
-_X, _Y = 0, 1
-_XY = (_X, _Y)
-_XpY = _sum(_X, _Y)
 _EXP_X = (EXP, _X)
-_D1_X = _w(D, (1,), _X)
-_EXP_D1_X, _EXP_D1_Y, _EXP_D2_Y = (EXP, _D1_X), (EXP, _w(D, (1,), _Y)), (EXP, _w(D, (2,), _Y))
-_EXP_SD_X, _EXP_SD_Y = (EXP, _w(POW, 1, _X)), (EXP, _w(POW, 1, _Y))
+_D1_X = _entry(1, D, (1,), _X)
+_EXP_D1_X, _EXP_D1_Y = (EXP, _D1_X), (EXP, _entry(1, D, (1,), _Y))
+_EXP_D2_Y = (EXP, _entry(1, D, (2,), _Y))
+_EXP_SD_X, _EXP_SD_Y = (EXP, _entry(1, POW, 1, _X)), (EXP, _entry(1, POW, 1, _Y))
 
 
 def _zassenhaus(order: int, form: str):
     """exp(sd(X+Y)) = exp(sd X) exp(sd Y) and one exp per table entry."""
     factors = [(EXP, entry) for entry in paper_zassenhaus_table(order, form)]
-    return (EXP, _w(POW, 1, _XpY)), (MUL, _EXP_SD_X, _EXP_SD_Y, *factors)
+    return (EXP, _entry(1, POW, 1, _XpY)), (MUL, _EXP_SD_X, _EXP_SD_Y, *factors)
 
 
 def _bch(order: int, variant: str, form: str = "a"):
     """exp(sd X) exp(sd Y) = exp of the sum of the table entries."""
-    return (MUL, _EXP_SD_X, _EXP_SD_Y), (EXP, _sum(*paper_bch_table(order, variant, form)))
+    terms = [(1, entry) for entry in paper_bch_table(order, variant, form)]
+    return (MUL, _EXP_SD_X, _EXP_SD_Y), (EXP, _lin(*terms))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +177,7 @@ class _PairRunner:
 
     def __call__(self, ctx):
         memo: dict = {}
-        values = [_evaluate(ctx, side, memo) for side in self.sides]
+        values = [evaluate(ctx, side, memo) for side in self.sides]
         for left, right in zip(values, values[1:]):
             diff = left - right
             if diff:
@@ -272,29 +217,32 @@ class _Identity:
 
 CATALOG: tuple[_Identity, ...] = (
     _Identity("prop-2.1", 2, 2, _PairRunner((
-        _EXP_SD_X, (MUL, _EXP_D1_X, (EXP, _w(D, (2,), _X))),
+        _EXP_SD_X, (MUL, _EXP_D1_X, (EXP, _entry(1, D, (2,), _X))),
     ))),
     _Identity("prop-2.2", 1, 2, _PairRunner((
-        (EXP, _w(D, (1,), _XpY)), (MUL, _EXP_D1_X, _EXP_D1_Y), (MUL, _EXP_D1_Y, _EXP_D1_X),
+        (EXP, _entry(1, D, (1,), _XpY)),
+        (MUL, _EXP_D1_X, _EXP_D1_Y), (MUL, _EXP_D1_Y, _EXP_D1_X),
     ))),
     _Identity("thm-2.3", 2, 2, _PairRunner((
         (MUL, _EXP_D1_X, _EXP_D2_Y, (INV, _EXP_D1_X), (INV, _EXP_D2_Y)),
-        (EXP, _w(D, (1, 2), _XY)),
+        (EXP, _entry(1, D, (1, 2), _XY)),
     ))),
     _Identity("lemma-2.5", 0, 4, _PairRunner(((_X, (_Y, _XY)), (_Y, (_X, _XY))))),
     _Identity("prop-4.4", 0, 2, _PairRunner((
         (MUL, _EXP_X, _Y, (INV, _EXP_X)), (CONJ, _X, _Y),
     ))),
-    _Identity("prop-4.5", 1, 1, _PairRunner((_EXP_D1_X, _sum((ONE,), _D1_X)))),
+    _Identity("prop-4.5", 1, 1, _PairRunner((_EXP_D1_X, _lin((1, (ONE,)), (1, _D1_X))))),
     # the commuting pair X and X
-    _Identity("prop-5.3", 0, 2, _PairRunner(((MUL, _EXP_X, _EXP_X), (EXP, _sum(_X, _X))))),
+    _Identity("prop-5.3", 0, 2, _PairRunner((
+        (MUL, _EXP_X, _EXP_X), (EXP, _lin((1, _X), (1, _X))),
+    ))),
     _Identity("prop-5.4", 2, 2, _PairRunner((
         (MUL, _EXP_D1_X, _EXP_D2_Y),
-        (MUL, _EXP_D2_Y, _EXP_D1_X, (EXP, _w(D, (1, 2), _XY))),
+        (MUL, _EXP_D2_Y, _EXP_D1_X, (EXP, _entry(1, D, (1, 2), _XY))),
     ))),
     _Identity("lemma-6.0", 4, 1, _run_lemma_6_0),
     _Identity("thm-6.1", 1, 1, _PairRunner((
-        (EXP, _w(D, (1,), _XpY)), (MUL, _EXP_D1_X, _EXP_D1_Y),
+        (EXP, _entry(1, D, (1,), _XpY)), (MUL, _EXP_D1_X, _EXP_D1_Y),
     ))),
     _Identity("thm-6.2a", 2, 2, _PairRunner(_zassenhaus(2, "a"))),
     _Identity("thm-6.2b", 2, 2, _PairRunner(_zassenhaus(2, "b"))),
@@ -306,8 +254,11 @@ CATALOG: tuple[_Identity, ...] = (
     _Identity("thm-7.2a", 2, 2, _PairRunner(_bch(2, "sec7"))),
     _Identity("thm-7.2b", 2, 2, _PairRunner(_bch(2, "sec7", "b"))),
     _Identity("cor-7.2.1", 2, 2, _PairRunner((
-        (MUL, _EXP_SD_X, _EXP_SD_Y, (EXP, _w(POW, 1, 2))),
-        (EXP, _sum(_w(POW, 1, _sum(0, 1, 2)), _w(D, (1, 2), _sum((0, 1), (0, 2), (1, 2))))),
+        (MUL, _EXP_SD_X, _EXP_SD_Y, (EXP, _entry(1, POW, 1, 2))),
+        (EXP, _lin(
+            (1, _entry(1, POW, 1, _lin((1, 0), (1, 1), (1, 2)))),
+            (1, _entry(1, D, (1, 2), _lin((1, (0, 1)), (1, (0, 2)), (1, (1, 2))))),
+        )),
     )), gens=3),
     _Identity("thm-7.3a", 3, 3, _PairRunner(_bch(3, "sec7"))),
     _Identity("thm-7.3b", 3, 3, _PairRunner(_bch(3, "sec7", "b"))),

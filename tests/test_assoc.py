@@ -244,6 +244,17 @@ def test_weil_scalar_acts_on_extended_poly():
     )
 
 
+@pytest.mark.parametrize("scalar", [0, 1, -3, Fraction(-2, 7)])
+def test_rational_scale_equals_scaling_by_the_lifted_rational(scalar):
+    d1, d2 = WeilElement.generator(2, 1), WeilElement.generator(2, 2)
+    x, y = weil_gen(0), weil_gen(1)
+    weil = x.scale(d1 + Fraction(1, 3)) + poly_mul(x, y).scale(d1 * d2) + y.scale(6)
+    assert weil.scale(scalar) == weil.scale(WeilElement.from_rational(2, scalar))
+    rational = rational_gen(0).scale(Fraction(1, 3)) + poly_mul(rational_gen(0), rational_gen(1))
+    assert rational.scale(scalar) == rational.scale(Fraction(scalar))
+    assert all(type(c) is Fraction for c in rational.scale(scalar).terms.values())
+
+
 def test_associativity_seeded():
     rng = random.Random(23)
     for _ in range(150):

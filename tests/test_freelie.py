@@ -162,6 +162,15 @@ def test_alphabet_mismatch():
         lie_bracket(gen(0, 6), gen(1, 5))
 
 
+def test_equality_compares_max_degree():
+    # elements of different truncations are not comparable, so never equal
+    x3, x4 = LieElement(XY, 3, {0: 1}), LieElement(XY, 4, {0: 1})
+    assert x3 != x4
+    assert x3 == LieElement(XY, 3, {0: Fraction(1)})
+    with pytest.raises(AlphabetMismatch):
+        x3 - x4
+
+
 def test_antisymmetry_and_jacobi_seeded():
     rng = random.Random(99)
     zero = LieElement.zero(XY, 5)

@@ -10,6 +10,7 @@ from nilbch import series
 from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from nilbch.errors import DegreeOutOfRange, KindMismatch, NotTabulated
 from nilbch.freelie import (
+    HARD_DEGREE_CAP,
     LieElement,
     apply_ad_series,
     dynkin_project,
@@ -46,7 +47,7 @@ def exp_coeffs(n):
 
 def test_classical_degree_two():
     z = bch_classical(2)
-    assert z.component(1) == gen(0, 1) + gen(1, 1)
+    assert z.component(1) == gen(0, 2) + gen(1, 2)
     assert z.component(2) == Fraction(1, 2) * bracket_xy(2)
 
 
@@ -187,6 +188,17 @@ def test_paper_order_four_degree_four_component():
         + 2 * lie_bracket(x, lie_bracket(y, xy))
     )
     assert series.component(4) == expected
+
+
+def test_table_entries_are_homogeneous_of_their_weight_degree():
+    # expanded with room to spare, each entry's bracket degree is its weight's m
+    ctx = series._TableContext(HARD_DEGREE_CAP)
+    for forms in (*series.BCH_TABLES.values(), *series.ZASS_TABLES.values()):
+        for entries in forms.values():
+            for entry in entries:
+                m = entry[1][1]
+                value = series.evaluate(ctx, entry, {})
+                assert value and value == value.degree_part(m), entry
 
 
 def test_paper_tables_stop_at_order_four():
