@@ -246,6 +246,8 @@ def test_weil_scalar_acts_on_extended_poly():
 
 @pytest.mark.parametrize("scalar", [0, 1, -3, Fraction(-2, 7)])
 def test_rational_scale_equals_scaling_by_the_lifted_rational(scalar):
+    # scale applies a rational to each coefficient directly; lifting it into
+    # the coefficient ring first must give the same polynomial
     d1, d2 = WeilElement.generator(2, 1), WeilElement.generator(2, 2)
     x, y = weil_gen(0), weil_gen(1)
     weil = x.scale(d1 + Fraction(1, 3)) + poly_mul(x, y).scale(d1 * d2) + y.scale(6)
