@@ -49,6 +49,11 @@ GOLDEN = {
     },
     "compare-bch-4-paper7-classical": (
         0, ("compare", "--what", "bch", "--order", "4", "--a", "paper7", "--b", "classical")),
+    **{
+        f"compare-zassenhaus-{n}-{a}-classical": (
+            0, ("compare", "--what", "zassenhaus", "--order", str(n), "--a", a, "--b", "classical"))
+        for n, a in ((3, "paper-b"), (4, "paper"))
+    },
     "hall-2-6": (0, ("hall", "--gens", "2", "--degree", "6")),
     "hall-3-4": (0, ("hall", "--gens", "3", "--degree", "4")),
     **{
