@@ -12,8 +12,7 @@ from .freelie import (
 from .matrix import NilMatrix, gen_nilmatrix
 from .scalars import WeilElement, weil_power_sum
 from .series import (
-    GradedLieSeries,
-    ZassenhausFactors,
+    GradedSeries,
     bch_classical,
     bch_paper,
     series_compare,
@@ -31,11 +30,10 @@ __all__ = [
     "AssocPoly",
     "CheckParams",
     "CheckReport",
-    "GradedLieSeries",
+    "GradedSeries",
     "LieElement",
     "NilMatrix",
     "WeilElement",
-    "ZassenhausFactors",
     "apply_ad_series",
     "bch_classical",
     "bch_paper",

@@ -46,7 +46,7 @@ class NotTabulated(NilbchError, ValueError):
 
 
 class KindMismatch(NilbchError, ValueError):
-    """Comparison of series of different kinds."""
+    """Comparison of series of different kinds or orders."""
 
 
 class InsufficientModel(NilbchError, ValueError):

@@ -344,10 +344,10 @@ def weil_power_sum(n: int, m: int) -> WeilElement:
         raise ValueError(f"exponent must be at least 1, got {m}")
     if m > n:
         return WeilElement.zero(n)
-    coeffs: dict[int, Fraction] = {}
+    nums: dict[int, int] = {}
     for subset in combinations(range(n), m):
         mask = 0
         for i in subset:
             mask |= 1 << i
-        coeffs[mask] = Fraction(1)
-    return WeilElement(n, coeffs)
+        nums[mask] = 1
+    return WeilElement._trusted(n, nums, 1)

@@ -28,12 +28,7 @@ from itertools import count
 from math import factorial
 
 from .assoc import AssocPoly, poly_exp, poly_log, poly_mul
-from .errors import (
-    AlphabetMismatch,
-    DegreeOutOfRange,
-    KindMismatch,
-    NotTabulated,
-)
+from .errors import DegreeOutOfRange, KindMismatch, NotTabulated
 from .freelie import HARD_DEGREE_CAP, LieElement, dynkin_project, lie_bracket, lie_embed
 from .scalars import power_series
 
@@ -43,64 +38,44 @@ BCH_ALPHABET = ("X", "Y")
 
 
 # ---------------------------------------------------------------------------
-# graded containers
+# the graded container
+
+_FIRST_DEGREE = {"bch": 1, "zassenhaus": 2}
 
 
-class _GradedSeries:
-    """Homogeneous Lie components by degree, from first_degree to order."""
+class GradedSeries:
+    """Homogeneous Lie components in X, Y by degree, first_degree..order, each
+    at max_degree order: the BCH exponent (kind "bch", from degree 1) or the
+    Zassenhaus factor exponents C[2..order] of exp(X+Y) = exp X . exp Y .
+    prod exp C[n] (kind "zassenhaus")."""
 
-    form = None
-
-    def __init__(self, alphabet, order: int, source: str, degrees: dict[int, LieElement]):
-        self.alphabet = tuple(alphabet)
+    def __init__(self, kind: str, order: int, source: str, degrees: dict[int, LieElement]):
+        self.kind = kind
+        self.first_degree = _FIRST_DEGREE[kind]
         self.order = order
         self.source = source
-        self.degrees = dict(degrees)
+        self.degrees = degrees
 
     def component(self, n: int) -> LieElement:
-        part = self.degrees.get(n)
-        if part is None:
-            return LieElement.zero(self.alphabet, max(n, 1))
-        return part
+        if not self.first_degree <= n <= self.order:
+            raise DegreeOutOfRange(
+                f"{self.kind} series of order {self.order} has no degree {n}"
+            )
+        return self.degrees[n]
+
+    def as_element(self) -> LieElement:
+        """Sum of all components in a single truncated Lie element."""
+        return sum(self.degrees.values(), LieElement.zero(BCH_ALPHABET, self.order))
 
     def to_json_obj(self) -> dict:
-        source = self.source if self.form is None else f"{self.source}-{self.form}"
         return {
             "kind": self.kind,
-            "source": source,
+            "source": self.source,
             "degrees": [
                 {"n": n, "terms": self.component(n).to_json_terms()}
                 for n in range(self.first_degree, self.order + 1)
             ],
         }
-
-
-class GradedLieSeries(_GradedSeries):
-    """Per-degree homogeneous Lie components of a BCH-type exponent."""
-
-    kind = "bch"
-    first_degree = 1
-
-    def as_element(self, max_degree: int | None = None) -> LieElement:
-        """Sum of all components in a single truncated Lie element."""
-        bound = max_degree if max_degree is not None else self.order
-        total = LieElement.zero(self.alphabet, bound)
-        for n in sorted(self.degrees):
-            part = self.degrees[n]
-            total = total + LieElement(self.alphabet, bound, part.terms)
-        return total
-
-
-class ZassenhausFactors(_GradedSeries):
-    """Factor exponents C[2..N] of exp(X+Y) = exp X . exp Y . prod exp C[n]."""
-
-    kind = "zassenhaus"
-    first_degree = 2
-
-    def __init__(self, alphabet, order: int, source: str,
-                 factors: dict[int, LieElement], form: str | None = None):
-        super().__init__(alphabet, order, source, factors)
-        self.form = form
 
 
 SERIES_SCHEMA = {
@@ -147,21 +122,16 @@ def _xy_polys(trunc: int) -> tuple[AssocPoly, AssocPoly]:
     return x, y
 
 
-def bch_classical(N: int) -> GradedLieSeries:
+def bch_classical(N: int) -> GradedSeries:
     """log(exp X . exp Y) through degree N, computed in the truncated algebra."""
     if not 1 <= N <= ORACLE_DEGREE_CAP:
         raise DegreeOutOfRange(f"classical BCH degree {N} outside 1..{ORACLE_DEGREE_CAP}")
     x, y = _xy_polys(N)
     z = dynkin_project(poly_log(poly_mul(poly_exp(x), poly_exp(y))))
-    return GradedLieSeries(
-        BCH_ALPHABET,
-        N,
-        "classical",
-        {n: z.degree_part(n) for n in range(1, N + 1)},
-    )
+    return GradedSeries("bch", N, "classical", {n: z.degree_part(n) for n in range(1, N + 1)})
 
 
-def zassenhaus_classical(N: int) -> ZassenhausFactors:
+def zassenhaus_classical(N: int) -> GradedSeries:
     """Factors C[2..N] by peeling exp(-C[n-1])...exp(-Y)exp(-X)exp(X+Y).
 
     At step n the remainder is exp(C[n]) exp(C[n+1]) ... = 1 + u, where u has
@@ -181,7 +151,7 @@ def zassenhaus_classical(N: int) -> ZassenhausFactors:
         c_n = dynkin_project(remainder.degree_part(n))
         factors[n] = c_n
         remainder = poly_mul(poly_exp(-lie_embed(c_n)), remainder)
-    return ZassenhausFactors(BCH_ALPHABET, N, "classical", factors)
+    return GradedSeries("zassenhaus", N, "classical", factors)
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +377,34 @@ def paper_zassenhaus_table(order: int, form: str):
     return ZASS_TABLES[order][form]
 
 
-def _graded_terms(entries):
-    """(t-degree m, Lie image at max_degree m) of each table entry, in table order."""
+def _table_series(kind: str, order: int, source: str, entries) -> GradedSeries:
+    """The t-graded series of a table: each entry is expanded at max_degree
+    ``order`` and summed into the component of its weight's m.  One context
+    and one memo serve the whole table, so a node shared between entries,
+    such as [X,Y], is bracketed once."""
+    ctx, memo = _TableContext(order), {}
+    zero = LieElement.zero(BCH_ALPHABET, order)
+    degrees = {n: zero for n in range(_FIRST_DEGREE[kind], order + 1)}
     for entry in entries:
         m = entry[1][1]
-        yield m, evaluate(_TableContext(m), entry, {})
+        degrees[m] = degrees[m] + evaluate(ctx, entry, memo)
+    return GradedSeries(kind, order, source, degrees)
 
 
-def bch_paper(order: int, variant: str) -> GradedLieSeries:
+def bch_paper(order: int, variant: str) -> GradedSeries:
     """The tabulated BCH exponent, t-graded and normalized.
 
     Both displayed forms of an order grade to the same series, so the first
     one is used; the form distinction matters only to the identity checker.
     """
-    degrees = {n: LieElement.zero(BCH_ALPHABET, max(n, 1)) for n in range(1, order + 1)}
-    for m, term in _graded_terms(paper_bch_table(order, variant, "a")):
-        degrees[m] = degrees[m] + term
-    return GradedLieSeries(BCH_ALPHABET, order, f"paper-{variant}", degrees)
+    entries = paper_bch_table(order, variant, "a")
+    return _table_series("bch", order, f"paper-{variant}", entries)
 
 
-def zassenhaus_paper(order: int, form: str) -> ZassenhausFactors:
+def zassenhaus_paper(order: int, form: str) -> GradedSeries:
     """The tabulated Zassenhaus factors, t-graded, forms kept distinct."""
-    factors = dict(_graded_terms(paper_zassenhaus_table(order, form)))
-    return ZassenhausFactors(BCH_ALPHABET, order, "paper-sec6", factors, form=form)
+    entries = paper_zassenhaus_table(order, form)
+    return _table_series("zassenhaus", order, f"paper-sec6-{form}", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +424,10 @@ def log_derivative_coeffs(side: str, N: int) -> list[Fraction]:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def series_compare(a, b, degree: int) -> LieElement:
+def series_compare(a: GradedSeries, b: GradedSeries, degree: int) -> LieElement:
     """Normalized difference of the degree-n components; zero means agreement."""
-    if a.kind != b.kind or type(a) is not type(b):
-        raise KindMismatch(f"cannot compare {a.kind} with {b.kind}")
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch("series over different alphabets")
-    bound = max(degree, 1)
-    left = LieElement(a.alphabet, bound, a.component(degree).terms)
-    right = LieElement(b.alphabet, bound, b.component(degree).terms)
-    return left - right
+    if a.kind != b.kind or a.order != b.order:
+        raise KindMismatch(
+            f"cannot compare {a.kind} of order {a.order} with {b.kind} of order {b.order}"
+        )
+    return a.component(degree) - b.component(degree)

@@ -260,14 +260,52 @@ def test_zassenhaus_form_b_third_factor_differs():
     table = zassenhaus_paper(4, "b")
     assert not series_compare(table, classical, 2)
     diff = series_compare(table, classical, 3)
-    x, y = gen(0, 3), gen(1, 3)
-    assert diff == Fraction(-1, 12) * lie_bracket(x + 2 * y, bracket_xy(3))
+    x, y = gen(0, 4), gen(1, 4)
+    assert diff == Fraction(-1, 12) * lie_bracket(x + 2 * y, bracket_xy(4))
     assert not series_compare(table, classical, 4)
 
 
 def test_compare_rejects_kind_mixing():
     with pytest.raises(KindMismatch):
         series_compare(bch_classical(2), zassenhaus_classical(2), 2)
+
+
+def test_compare_rejects_order_mixing():
+    with pytest.raises(KindMismatch):
+        series_compare(bch_paper(3, "sec7"), bch_classical(4), 3)
+    with pytest.raises(KindMismatch):
+        series_compare(zassenhaus_paper(3, "a"), zassenhaus_classical(4), 3)
+
+
+def test_degrees_outside_the_series_raise():
+    # a degree where neither series has a term must not read as agreement
+    for first, s in ((1, bch_paper(3, "sec7")), (2, zassenhaus_classical(3))):
+        for n in (first - 1, 4):
+            with pytest.raises(DegreeOutOfRange):
+                s.component(n)
+    with pytest.raises(DegreeOutOfRange):
+        series_compare(bch_paper(3, "sec7"), bch_classical(3), 5)
+    with pytest.raises(DegreeOutOfRange):
+        series_compare(zassenhaus_paper(3, "a"), zassenhaus_classical(3), 1)
+
+
+def _every_series():
+    yield from (bch_classical(n) for n in range(1, 7))
+    yield from (zassenhaus_classical(n) for n in range(2, 7))
+    yield from (bch_paper(order, variant) for variant, order in series.BCH_TABLES)
+    for order, forms in series.ZASS_TABLES.items():
+        yield from (zassenhaus_paper(order, form) for form in forms)
+
+
+def test_every_component_lives_at_the_series_order():
+    for s in _every_series():
+        for n in range(s.first_degree, s.order + 1):
+            assert s.component(n).max_degree == s.order, (s.source, s.order, n)
+
+
+def test_equal_components_compare_equal_across_sources():
+    assert bch_classical(2).component(1) == bch_paper(2, "sec7").component(1)
+    assert zassenhaus_classical(4).component(2) == zassenhaus_paper(4, "a").component(2)
 
 
 # -- operator series ---------------------------------------------------------------

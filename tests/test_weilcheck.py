@@ -447,6 +447,24 @@ def test_oracle_op_counts_are_pinned(monkeypatch):
     assert calls == ORACLE_OP_PINS
 
 
+# series.lie_bracket calls that expand every paper table: bch_paper at
+# orders 1-4 in both variants and zassenhaus_paper at orders 2-4 in both
+# forms.  Each table is expanded with one memo, so a node shared between its
+# entries is bracketed once.
+TABLE_BRACKET_PIN = 44
+
+
+def test_table_bracket_count_is_pinned(monkeypatch):
+    calls = {"lie_bracket": 0}
+    monkeypatch.setattr(series, "lie_bracket", _counted(calls, "lie_bracket", lie_bracket))
+    for variant, order in series.BCH_TABLES:
+        bch_paper(order, variant)
+    for order, forms in series.ZASS_TABLES.items():
+        for form in forms:
+            zassenhaus_paper(order, form)
+    assert calls["lie_bracket"] == TABLE_BRACKET_PIN
+
+
 def _free_suite():
     return run_suite(model="free")
 
