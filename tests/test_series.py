@@ -266,9 +266,12 @@ def test_zassenhaus_form_b_third_factor_differs():
 
 
 def test_compare_rejects_kind_mixing():
-    # series of one kind but different orders do not compare either
+    with pytest.raises(KindMismatch):
+        series_compare(bch_classical(2), zassenhaus_classical(2), 2)
+
+
+def test_compare_rejects_order_mixing():
     for a, b in (
-        (bch_classical(2), zassenhaus_classical(2)),
         (bch_paper(3, "sec7"), bch_classical(4)),
         (zassenhaus_paper(3, "a"), zassenhaus_classical(4)),
     ):
