@@ -1,6 +1,6 @@
 """Exact BCH and Zassenhaus expansions over nilpotent infinitesimals."""
 
-from .assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul, scalar_extend
+from .assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from .freelie import (
     LieElement,
     apply_ad_series,
@@ -48,7 +48,6 @@ __all__ = [
     "poly_log",
     "poly_mul",
     "run_suite",
-    "scalar_extend",
     "series_compare",
     "weil_power_sum",
     "zassenhaus_classical",

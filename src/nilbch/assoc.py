@@ -233,10 +233,3 @@ def poly_inv(a: AssocPoly) -> AssocPoly:
     one = AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
     return geometric_series(one - a.scale(c_inv), one, a.trunc).scale(c_inv)
 
-
-def scalar_extend(a: AssocPoly, k: int) -> AssocPoly:
-    """Base change from rational coefficients to the k-generator Weil algebra."""
-    if a.weil_k is not None:
-        raise AlgebraMismatch("polynomial already has Weil coefficients")
-    terms = {w: WeilElement.from_rational(k, c) for w, c in a.terms.items()}
-    return AssocPoly(a.alphabet, a.trunc, k)._with(terms)

@@ -282,6 +282,9 @@ class WeilElement:
         return len(self._nums)
 
     def __hash__(self):
+        # A rational value equals its Fraction, so it must hash as one.
+        if not any(self._nums):
+            return hash(Fraction(self._nums.get(0, 0), self._den))
         return hash((self.k, self._den, frozenset(self._nums.items())))
 
     # -- queries -----------------------------------------------------------

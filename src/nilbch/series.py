@@ -63,10 +63,6 @@ class GradedSeries:
             )
         return self.degrees[n]
 
-    def as_element(self) -> LieElement:
-        """Sum of all components in a single truncated Lie element."""
-        return sum(self.degrees.values(), LieElement.zero(BCH_ALPHABET, self.order))
-
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
@@ -276,105 +272,52 @@ _C4_SEC6 = _lin(
 )
 
 
-# BCH exponents: the right-hand side of exp(sd*X).exp(sd*Y) = exp(<entries>)
-BCH_TABLES = {
-    ("sec7", 1): {"a": (_entry(1, POW, 1, _XpY),)},
-    ("sec7", 2): {
-        "a": (_entry(1, POW, 1, _XpY), _entry(1, EM, 2, _XY)),
-        "b": (_entry(1, POW, 1, _XpY), _entry(Fraction(1, 2), POW, 2, _XY)),
-    },
-    ("sec7", 3): {
-        "a": (
-            _entry(1, POW, 1, _XpY),
-            _entry(1, EM, 2, _XY),
-            _entry(Fraction(1, 2), EM, 3, _XmY_XY),
-        ),
-        "b": (
-            _entry(1, POW, 1, _XpY),
-            _entry(Fraction(1, 2), POW, 2, _XY),
-            _entry(Fraction(1, 12), POW, 3, _XmY_XY),
-        ),
-    },
-    ("sec7", 4): {
-        "a": (
-            _entry(1, POW, 1, _XpY),
-            _entry(1, EM, 2, _XY),
-            _entry(Fraction(1, 2), EM, 3, _XmY_XY),
-            _entry(-1, EM, 4, _Q_SEC7),
-        ),
-        "b": (
-            _entry(1, POW, 1, _XpY),
-            _entry(Fraction(1, 2), POW, 2, _XY),
-            _entry(Fraction(1, 12), POW, 3, _XmY_XY),
-            _entry(Fraction(-1, 24), POW, 4, _Q_SEC7),
-        ),
-    },
-    ("sec8", 1): {"a": (_entry(1, POW, 1, _XpY),)},
-    ("sec8", 2): {
-        "a": (_entry(1, POW, 1, _XpY), _entry(Fraction(1, 2), POW, 2, _XY)),
-    },
-    ("sec8", 3): {
-        "a": (
-            _entry(1, POW, 1, _XpY),
-            _entry(Fraction(1, 2), POW, 2, _XY),
-            _entry(Fraction(1, 12), POW, 3, _XmY_XY),
-        ),
-    },
-    ("sec8", 4): {
-        "a": (
-            _entry(1, POW, 1, _XpY),
-            _entry(Fraction(1, 2), POW, 2, _XY),
-            _entry(Fraction(1, 12), POW, 3, _XmY_XY),
-            _entry(Fraction(-1, 48), POW, 4, _R_SEC8),
-        ),
-    },
-}
-
-# Zassenhaus factor exponents, in order, after exp(sd*X).exp(sd*Y)
-ZASS_TABLES = {
-    2: {
-        "a": (_entry(-1, EM, 2, _XY),),
-        "b": (_entry(Fraction(-1, 2), POW, 2, _XY),),
-    },
-    3: {
-        "a": (_entry(-1, EM, 2, _XY), _entry(1, EM, 3, _Xp2Y_XY)),
-        "b": (
-            _entry(Fraction(-1, 2), POW, 2, _XY),
-            _entry(Fraction(1, 12), POW, 3, _Xp2Y_XY),
-        ),
-    },
-    4: {
-        "a": (
-            _entry(-1, EM, 2, _XY),
-            _entry(1, EM, 3, _Xp2Y_XY),
-            _entry(1, EM, 4, _C4_SEC6),
-        ),
-        "b": (
-            _entry(Fraction(-1, 2), POW, 2, _XY),
-            _entry(Fraction(1, 12), POW, 3, _Xp2Y_XY),
-            _entry(Fraction(1, 24), POW, 4, _C4_SEC6),
-        ),
-    },
+# Each displayed form once, keyed by (kind, section, form), its entries in
+# degree order from the kind's first degree.  The paper states order n of a
+# form as its entries through degree n, so every order is a prefix.  A BCH
+# form is the exponent of exp(sd*X).exp(sd*Y); a Zassenhaus form lists the
+# factor exponents, in order, after exp(sd*X).exp(sd*Y).
+PAPER_TABLES = {
+    ("bch", "sec7", "a"): (
+        _entry(1, POW, 1, _XpY),
+        _entry(1, EM, 2, _XY),
+        _entry(Fraction(1, 2), EM, 3, _XmY_XY),
+        _entry(-1, EM, 4, _Q_SEC7),
+    ),
+    ("bch", "sec7", "b"): (
+        _entry(1, POW, 1, _XpY),
+        _entry(Fraction(1, 2), POW, 2, _XY),
+        _entry(Fraction(1, 12), POW, 3, _XmY_XY),
+        _entry(Fraction(-1, 24), POW, 4, _Q_SEC7),
+    ),
+    ("bch", "sec8", "a"): (
+        _entry(1, POW, 1, _XpY),
+        _entry(Fraction(1, 2), POW, 2, _XY),
+        _entry(Fraction(1, 12), POW, 3, _XmY_XY),
+        _entry(Fraction(-1, 48), POW, 4, _R_SEC8),
+    ),
+    ("zassenhaus", "sec6", "a"): (
+        _entry(-1, EM, 2, _XY),
+        _entry(1, EM, 3, _Xp2Y_XY),
+        _entry(1, EM, 4, _C4_SEC6),
+    ),
+    ("zassenhaus", "sec6", "b"): (
+        _entry(Fraction(-1, 2), POW, 2, _XY),
+        _entry(Fraction(1, 12), POW, 3, _Xp2Y_XY),
+        _entry(Fraction(1, 24), POW, 4, _C4_SEC6),
+    ),
 }
 
 
-def paper_bch_table(order: int, variant: str, form: str = "a"):
-    if variant not in ("sec7", "sec8"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if not 1 <= order <= 4:
-        raise NotTabulated(f"BCH tables cover orders 1..4, got {order}")
-    forms = BCH_TABLES[(variant, order)]
-    if form not in forms:
-        raise ValueError(f"{variant} order {order} has no form {form!r}")
-    return forms[form]
-
-
-def paper_zassenhaus_table(order: int, form: str):
-    if not 2 <= order <= 4:
-        raise NotTabulated(f"Zassenhaus tables cover orders 2..4, got {order}")
-    if form not in ("a", "b"):
-        raise ValueError(f"form must be 'a' or 'b', got {form!r}")
-    return ZASS_TABLES[order][form]
+def paper_table(kind: str, section: str, form: str, order: int) -> tuple:
+    """The entries of degree at most ``order`` of one displayed form."""
+    entries = PAPER_TABLES[kind, section, form]
+    first = _FIRST_DEGREE[kind]
+    last = first + len(entries) - 1
+    if not first <= order <= last:
+        name = "BCH" if kind == "bch" else "Zassenhaus"
+        raise NotTabulated(f"{name} tables cover orders {first}..{last}, got {order}")
+    return entries[: order - first + 1]
 
 
 def _table_series(kind: str, order: int, source: str, entries) -> GradedSeries:
@@ -397,13 +340,13 @@ def bch_paper(order: int, variant: str) -> GradedSeries:
     Both displayed forms of an order grade to the same series, so the first
     one is used; the form distinction matters only to the identity checker.
     """
-    entries = paper_bch_table(order, variant, "a")
+    entries = paper_table("bch", variant, "a", order)
     return _table_series("bch", order, f"paper-{variant}", entries)
 
 
 def zassenhaus_paper(order: int, form: str) -> GradedSeries:
     """The tabulated Zassenhaus factors, t-graded, forms kept distinct."""
-    entries = paper_zassenhaus_table(order, form)
+    entries = paper_table("zassenhaus", "sec6", form, order)
     return _table_series("zassenhaus", order, f"paper-sec6-{form}", entries)
 
 

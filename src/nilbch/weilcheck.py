@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial
 
-from .assoc import AssocPoly, poly_exp, poly_inv, scalar_extend
+from .assoc import AssocPoly, poly_exp, poly_inv
 from .errors import (
     DegreeOutOfRange,
     InsufficientModel,
@@ -52,8 +52,7 @@ from .series import (
     _XpY,
     bch_paper,
     evaluate,
-    paper_bch_table,
-    paper_zassenhaus_table,
+    paper_table,
     series_compare,
 )
 
@@ -132,7 +131,7 @@ def _matrix_witness(diff: NilMatrix) -> dict:
 
 def _free_context(names: tuple[str, ...], k: int, trunc: int) -> _Context:
     """The free model: the truncated free algebra over the k-generator Weil ring."""
-    gens = [scalar_extend(AssocPoly.generator(names, i, trunc), k) for i in range(len(names))]
+    gens = [AssocPoly.generator(names, i, trunc, k) for i in range(len(names))]
     return _Context(k, gens, AssocPoly.one(names, trunc, k), poly_exp, poly_inv, _poly_witness)
 
 
@@ -155,13 +154,13 @@ _EXP_SD_X, _EXP_SD_Y = (EXP, _entry(1, POW, 1, _X)), (EXP, _entry(1, POW, 1, _Y)
 
 def _zassenhaus(order: int, form: str):
     """exp(sd(X+Y)) = exp(sd X) exp(sd Y) and one exp per table entry."""
-    factors = [(EXP, entry) for entry in paper_zassenhaus_table(order, form)]
+    factors = [(EXP, entry) for entry in paper_table("zassenhaus", "sec6", form, order)]
     return (EXP, _entry(1, POW, 1, _XpY)), (MUL, _EXP_SD_X, _EXP_SD_Y, *factors)
 
 
 def _bch(order: int, variant: str, form: str = "a"):
     """exp(sd X) exp(sd Y) = exp of the sum of the table entries."""
-    terms = [(1, entry) for entry in paper_bch_table(order, variant, form)]
+    terms = [(1, entry) for entry in paper_table("bch", variant, form, order)]
     return (MUL, _EXP_SD_X, _EXP_SD_Y), (EXP, _lin(*terms))
 
 
@@ -270,8 +269,6 @@ CATALOG: tuple[_Identity, ...] = (
     _Identity("thm-8.4", 4, 4, _PairRunner(_bch(4, "sec8"))),
     _Identity("consistency-7v8", 0, 1, _run_consistency_7v8),
 )
-
-CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in CATALOG)
 
 _BY_ID = {entry.id: entry for entry in CATALOG}
 

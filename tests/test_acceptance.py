@@ -50,7 +50,7 @@ def test_criterion_1_classical_oracle_self_consistency():
         z = bch_classical(n)
         x = AssocPoly.generator(XY, 0, n)
         y = AssocPoly.generator(XY, 1, n)
-        lhs = poly_exp(lie_embed(z.as_element()))
+        lhs = poly_exp(lie_embed(sum(z.degrees.values(), LieElement.zero(XY, n))))
         assert lhs == poly_mul(poly_exp(x), poly_exp(y)), n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"oracle reconstruction took {elapsed:.2f}s"

@@ -1,5 +1,6 @@
 """Guard against public API that only the tests call."""
 
+import ast
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -8,14 +9,25 @@ import nilbch
 
 SRC = Path(nilbch.__file__).parent
 
-# Public although no module uses it: the generic sum_p c_p (ad X)^p (V), which
-# the tests apply with the exp and logarithmic-derivative coefficients.
-USED_ONLY_OUTSIDE_SRC = {"apply_ad_series"}
+# Public although no module uses it, each with its reason.
+USED_ONLY_OUTSIDE_SRC = {
+    # the generic sum_p c_p (ad X)^p (V), which the tests apply with the exp
+    # and logarithmic-derivative coefficients
+    "apply_ad_series",
+    # the JSON contracts of the series and check output, which the tests
+    # validate that output against
+    "SERIES_SCHEMA",
+    "REPORT_SCHEMA",
+}
+
+
+def _modules():
+    return sorted(SRC.glob("*.py"))
 
 
 def _name_counts() -> Counter:
     counts = Counter()
-    for path in sorted(SRC.glob("*.py")):
+    for path in _modules():
         if path.name == "__init__.py":
             continue
         with path.open("rb") as handle:
@@ -25,10 +37,49 @@ def _name_counts() -> Counter:
     return counts
 
 
-def test_every_exported_name_is_used_inside_the_package():
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for name in ast.walk(target):
+            if isinstance(name, ast.Name):
+                yield name.id
+
+
+def _public_definitions() -> set[str]:
+    """Every function, class, method and module constant of the package whose
+    name has no leading underscore."""
+    names = set()
+    for path in _modules():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names.update(_assigned_names(node))
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                )
+    return {name for name in names if not name.startswith("_")}
+
+
+def _unused(names) -> list[str]:
     counts = _name_counts()
-    unused = sorted(
-        name for name in nilbch.__all__
-        if counts[name] < 2 and name not in USED_ONLY_OUTSIDE_SRC
+    return sorted(
+        name for name in names if counts[name] < 2 and name not in USED_ONLY_OUTSIDE_SRC
     )
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    unused = _unused(nilbch.__all__)
     assert unused == [], f"exported but never used beyond its definition: {unused}"
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    unused = _unused(_public_definitions())
+    assert unused == [], f"defined but never used beyond its definition: {unused}"
+
+
+def test_the_allow_list_names_only_unused_definitions():
+    counts = _name_counts()
+    assert USED_ONLY_OUTSIDE_SRC <= _public_definitions()
+    assert all(counts[name] < 2 for name in USED_ONLY_OUTSIDE_SRC)

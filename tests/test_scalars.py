@@ -254,6 +254,20 @@ def test_int_numerator_kernel_matches_fraction_reference(k):
             assert hash(x) == hash(y)
 
 
+def test_rational_weil_elements_hash_as_their_rationals():
+    # equal objects must hash equal, across types too
+    for weil, rational in (
+        (WeilElement.one(2), 1),
+        (WeilElement.from_rational(3, Fraction(1, 2)), Fraction(1, 2)),
+        (WeilElement.zero(2), 0),
+        (WeilElement(1, {0: -4}), -4),
+    ):
+        assert weil == rational
+        assert hash(weil) == hash(rational)
+    assert {1: "x"}.get(WeilElement.one(2)) == "x"
+    assert {Fraction(1, 2): "half"}[WeilElement.from_rational(3, Fraction(1, 2))] == "half"
+
+
 # -- power series --------------------------------------------------------------
 
 

@@ -37,6 +37,11 @@ def bracket_xy(max_degree):
     return lie_bracket(gen(0, max_degree), gen(1, max_degree))
 
 
+def _sum(s):
+    """All components of a series in one truncated Lie element."""
+    return sum(s.degrees.values(), LieElement.zero(XY, s.order))
+
+
 def exp_coeffs(n):
     """1/p!, p = 0..n: Ad(exp X) = exp(ad X) as an (ad X)^p series."""
     return [Fraction(1, factorial(p)) for p in range(n + 1)]
@@ -72,7 +77,7 @@ def test_classical_reconstruction_contract():
         z = bch_classical(n)
         x = AssocPoly.generator(XY, 0, n)
         y = AssocPoly.generator(XY, 1, n)
-        assert poly_exp(lie_embed(z.as_element())) == poly_mul(poly_exp(x), poly_exp(y))
+        assert poly_exp(lie_embed(_sum(z))) == poly_mul(poly_exp(x), poly_exp(y))
 
 
 def test_classical_degree_bounds():
@@ -151,7 +156,7 @@ def test_inverse_companion_duality():
         factors = zassenhaus_classical(n)
         x = AssocPoly.generator(XY, 0, n)
         y = AssocPoly.generator(XY, 1, n)
-        ez = poly_exp(lie_embed(z.as_element()))
+        ez = poly_exp(lie_embed(_sum(z)))
         tail = AssocPoly.one(XY, n)
         for m in range(2, n + 1):
             tail = poly_mul(tail, poly_exp(lie_embed(factors.component(m))))
@@ -193,12 +198,35 @@ def test_paper_order_four_degree_four_component():
 def test_table_entries_are_homogeneous_of_their_weight_degree():
     # expanded with room to spare, each entry's bracket degree is its weight's m
     ctx = series._TableContext(HARD_DEGREE_CAP)
-    for forms in (*series.BCH_TABLES.values(), *series.ZASS_TABLES.values()):
-        for entries in forms.values():
-            for entry in entries:
-                m = entry[1][1]
-                value = series.evaluate(ctx, entry, {})
-                assert value and value == value.degree_part(m), entry
+    for entries in series.PAPER_TABLES.values():
+        for entry in entries:
+            m = entry[1][1]
+            value = series.evaluate(ctx, entry, {})
+            assert value and value == value.degree_part(m), entry
+
+
+def test_each_form_lists_its_entries_by_degree_from_the_first():
+    # the lookup reads order n as a prefix, so entry i has degree first + i
+    for (kind, section, form), entries in series.PAPER_TABLES.items():
+        first = series._FIRST_DEGREE[kind]
+        degrees = [entry[1][1] for entry in entries]
+        assert degrees == list(range(first, first + len(entries))), (kind, section, form)
+
+
+def test_every_form_is_tabulated_exactly_from_its_first_to_its_last_degree():
+    for (kind, section, form), entries in series.PAPER_TABLES.items():
+        first = series._FIRST_DEGREE[kind]
+        last = first + len(entries) - 1
+        for order in (first - 1, last + 1):
+            with pytest.raises(NotTabulated) as raised:
+                series.paper_table(kind, section, form, order)
+            assert str(raised.value).endswith(f" cover orders {first}..{last}, got {order}")
+        assert series.paper_table(kind, section, form, last) is entries
+        assert len(series.paper_table(kind, section, form, first)) == 1
+
+
+def test_form_b_of_section_seven_starts_as_form_a():
+    assert series.paper_table("bch", "sec7", "b", 1) == series.paper_table("bch", "sec7", "a", 1)
 
 
 def test_paper_tables_stop_at_order_four():
@@ -294,9 +322,13 @@ def test_degrees_outside_the_series_raise():
 def _every_series():
     yield from (bch_classical(n) for n in range(1, 7))
     yield from (zassenhaus_classical(n) for n in range(2, 7))
-    yield from (bch_paper(order, variant) for variant, order in series.BCH_TABLES)
-    for order, forms in series.ZASS_TABLES.items():
-        yield from (zassenhaus_paper(order, form) for form in forms)
+    for (kind, section, form), entries in series.PAPER_TABLES.items():
+        first = series._FIRST_DEGREE[kind]
+        for order in range(first, first + len(entries)):
+            if kind == "zassenhaus":
+                yield zassenhaus_paper(order, form)
+            elif form == "a":  # bch_paper grades the first form of a section
+                yield bch_paper(order, section)
 
 
 def test_every_component_lives_at_the_series_order():

@@ -11,7 +11,7 @@ from math import factorial, gcd
 import pytest
 
 from nilbch import assoc, freelie, series, weilcheck
-from nilbch.assoc import scalar_extend
+from nilbch.assoc import AssocPoly
 from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
@@ -35,7 +35,6 @@ from nilbch.series import (
 )
 from nilbch.weilcheck import (
     CATALOG,
-    CATALOG_IDS,
     REPORT_SCHEMA,
     CheckParams,
     _free_context,
@@ -56,7 +55,7 @@ SPEC_CATALOG = (
 
 
 def test_catalog_complete_and_ordered():
-    assert CATALOG_IDS == SPEC_CATALOG
+    assert tuple(e.id for e in CATALOG) == SPEC_CATALOG
 
 
 # -- tangent elements ---------------------------------------------------------
@@ -413,7 +412,7 @@ WEIL_OP_PINS = {
 def test_weil_op_counts_of_the_suite_are_pinned(model, monkeypatch):
     calls = _count_kernel_ops(monkeypatch)
     reports, errors = run_suite(model=model)
-    assert len(reports) == len(CATALOG_IDS) and not errors
+    assert len(reports) == len(CATALOG) and not errors
     assert calls == WEIL_OP_PINS[model]
 
 
@@ -457,11 +456,15 @@ TABLE_BRACKET_PIN = 44
 def test_table_bracket_count_is_pinned(monkeypatch):
     calls = {"lie_bracket": 0}
     monkeypatch.setattr(series, "lie_bracket", _counted(calls, "lie_bracket", lie_bracket))
-    for variant, order in series.BCH_TABLES:
-        bch_paper(order, variant)
-    for order, forms in series.ZASS_TABLES.items():
-        for form in forms:
-            zassenhaus_paper(order, form)
+    expanded = []
+    for (kind, section, form), entries in series.PAPER_TABLES.items():
+        first = series._FIRST_DEGREE[kind]
+        for order in range(first, first + len(entries)):
+            if kind == "zassenhaus":
+                expanded.append(zassenhaus_paper(order, form))
+            elif form == "a":  # bch_paper grades the first form of a section
+                expanded.append(bch_paper(order, section))
+    assert len(expanded) == 14
     assert calls["lie_bracket"] == TABLE_BRACKET_PIN
 
 
@@ -515,9 +518,8 @@ def test_form_b_third_order_fails_with_exact_witness():
     x = LieElement.generator(names, 0, 3)
     y = LieElement.generator(names, 1, 3)
     bracket = lie_bracket(x + 2 * y, lie_bracket(x, y))
-    expected_poly = scalar_extend(lie_embed(Fraction(1, 2) * bracket), 3).scale(
-        weil_power_sum(3, 3)
-    )
+    rational = lie_embed(Fraction(1, 2) * bracket)
+    expected_poly = AssocPoly(names, 3, 3, rational.terms).scale(weil_power_sum(3, 3))
     ctx = _free_context(names, 3, 3)
     assert report.witness == ctx.witness(expected_poly)
 
