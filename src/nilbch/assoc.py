@@ -19,22 +19,37 @@ from .errors import (
     NotUnipotent,
 )
 from .scalars import (
-    TermMap,
+    Numerators,
     WeilElement,
-    accumulate,
     exp_series,
     geometric_series,
+    over_lcm,
     power_series,
 )
 
 Word = tuple[int, ...]
 
 
-class AssocPoly(TermMap):
-    """Noncommutative polynomial, truncated at word length ``trunc``."""
+def _letter_bits(alphabet: tuple[str, ...]) -> int:
+    """The width of one letter's bit field in a word code."""
+    return (len(alphabet) - 1).bit_length()
 
-    __slots__ = ("alphabet", "trunc", "weil_k", "terms")
-    _key_degree = staticmethod(len)
+
+class AssocPoly(Numerators):
+    """Noncommutative polynomial, truncated at word length ``trunc``.
+
+    Stored like a ``NilMatrix`` (see ``scalars.Numerators``): ``_rows[l]``
+    maps ``(code << s) | mask`` to the nonzero numerator of the ``mask`` term
+    of the coefficient of a word of length l, where s is ``weil_k`` (0 for a
+    rational polynomial, whose masks are all 0) and ``code`` packs the word's
+    letters into bit fields of ``_letter_bits`` each, first letter highest.
+    Codes order as their words do, concatenation shifts and ors them, and
+    ``freelie.lie_embed`` and ``dynkin_project`` read and write them too.
+    ``terms`` is the read-only view word -> coefficient, built on each read.
+    """
+
+    __slots__ = ("alphabet", "trunc", "weil_k")
+    _algebra = ("alphabet", "trunc", "weil_k")
 
     def __init__(
         self,
@@ -45,78 +60,83 @@ class AssocPoly(TermMap):
     ):
         if trunc < 1:
             raise ValueError(f"truncation must be positive, got {trunc}")
-        self.alphabet = tuple(alphabet)
-        self.trunc = trunc
-        self.weil_k = weil_k
-        clean: dict[Word, object] = {}
-        if terms:
-            letters = len(self.alphabet)
-            for word, coeff in terms.items():
-                if not all(0 <= i < letters for i in word):
-                    raise AlgebraMismatch(f"word {word} has a letter outside the alphabet")
-                if len(word) > trunc:
-                    continue
-                coeff = self._coerce(coeff)
-                if coeff:
-                    clean[word] = coeff
-        self.terms = clean
+        self.alphabet, self.trunc, self.weil_k = tuple(alphabet), trunc, weil_k
+        letters, s, bits = len(self.alphabet), weil_k or 0, _letter_bits(self.alphabet)
+        rows = [[] for _ in range(trunc + 1)]
+        for word, coeff in (terms or {}).items():
+            if not all(0 <= i < letters for i in word):
+                raise AlgebraMismatch(f"word {word} has a letter outside the alphabet")
+            if len(word) <= trunc:
+                code = 0
+                for letter in word:
+                    code = (code << bits) | letter
+                rows[len(word)].extend([((code << s) | m, v) for m, v in self._coefficient(coeff)])
+        self._rows, self._den = over_lcm(rows)
 
-    def _with(self, terms: dict) -> "AssocPoly":
-        """Wrap terms a ring operation built itself (words of length <= trunc,
-        nonzero ring coefficients); outside input goes through the constructor."""
+    def _wrap(self, rows: list[dict], den: int) -> "AssocPoly":
         out = object.__new__(AssocPoly)
         out.alphabet, out.trunc, out.weil_k = self.alphabet, self.trunc, self.weil_k
-        out.terms = terms
+        out._rows, out._den = rows, den
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """A fresh map from each word, shortest first and then in
+        lexicographic order, to its nonzero coefficient: a Fraction, or a
+        WeilElement when weil_k is set."""
+        k, s, den = self.weil_k, self.weil_k or 0, self._den
+        low, bits = (1 << s) - 1, _letter_bits(self.alphabet)
+        letter = (1 << bits) - 1
+        out = {}
+        for length, row in enumerate(self._rows):
+            by_code: dict[int, dict] = {}
+            for key in sorted(row):
+                by_code.setdefault(key >> s, {})[key & low] = row[key]
+            for code, c in by_code.items():
+                word = tuple([(code >> (bits * i)) & letter for i in range(length - 1, -1, -1)])
+                out[word] = Fraction(c[0], den) if k is None else WeilElement._trusted(k, c, den)
         return out
 
     # -- scalar plumbing ----------------------------------------------------
 
-    def _coerce(self, value):
-        """Lift ints and rationals into the coefficient ring."""
-        if self.weil_k is None:
-            if isinstance(value, WeilElement):
-                raise AlgebraMismatch("Weil coefficient in a rational algebra")
-            return Fraction(value)
+    def _coefficient(self, value):
+        """The (mask, nonzero Fraction) terms of a value of the coefficient
+        ring; a rational is the same terms in either ring."""
         if isinstance(value, WeilElement):
+            if self.weil_k is None:
+                raise AlgebraMismatch("Weil coefficient in a rational algebra")
             if value.k != self.weil_k:
                 raise GeneratorCountMismatch(
                     f"coefficient has {value.k} generators, algebra has {self.weil_k}"
                 )
-            return value
-        return WeilElement.from_rational(self.weil_k, value)
+            return value.coeffs.items()
+        value = Fraction(value)
+        return [(0, value)] if value else []
 
-    def _one(self):
-        if self.weil_k is None:
-            return Fraction(1)
-        return WeilElement.one(self.weil_k)
+    def _monomial(self, length: int, key: int) -> "AssocPoly":
+        """The term of numerator 1 at ``key`` in row ``length``, over 1."""
+        rows = [{} for _ in range(self.trunc + 1)]
+        rows[length][key] = 1
+        return self._wrap(rows, 1)
 
     def _check_operand(self, other: "AssocPoly") -> None:
-        if (
-            self.alphabet != other.alphabet
-            or self.trunc != other.trunc
-            or self.weil_k != other.weil_k
-        ):
+        if (self.alphabet, self.trunc, self.weil_k) != (other.alphabet, other.trunc, other.weil_k):
             raise AlgebraMismatch(
-                f"algebras differ: ({self.alphabet}, trunc {self.trunc}, "
-                f"weil {self.weil_k}) vs ({other.alphabet}, trunc {other.trunc}, "
-                f"weil {other.weil_k})"
+                f"algebras differ: ({self.alphabet}, trunc {self.trunc}, weil {self.weil_k}) "
+                f"vs ({other.alphabet}, trunc {other.trunc}, weil {other.weil_k})"
             )
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def one(cls, alphabet, trunc, weil_k=None) -> "AssocPoly":
-        out = cls(alphabet, trunc, weil_k)
-        out.terms[()] = out._one()
-        return out
+        return cls(alphabet, trunc, weil_k)._monomial(0, 0)
 
     @classmethod
     def generator(cls, alphabet, index, trunc, weil_k=None) -> "AssocPoly":
         if not 0 <= index < len(alphabet):
             raise AlgebraMismatch(f"generator index {index} outside alphabet")
-        out = cls(alphabet, trunc, weil_k)
-        out.terms[(index,)] = out._one()
-        return out
+        return cls(alphabet, trunc, weil_k)._monomial(1, index << (weil_k or 0))
 
     # -- ring operations ----------------------------------------------------
 
@@ -125,41 +145,54 @@ class AssocPoly(TermMap):
             return poly_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, AssocPoly):
-            return NotImplemented
-        return self.scale(other)
+    __rmul__ = __mul__  # only ever reached with a central scalar on the left
+
+    def _product(self, right: list[dict], den: int) -> "AssocPoly":
+        """self times the polynomial of rows ``right`` over ``den``.
+
+        Row l1 meets only the rows l2 <= trunc - l1, and only pairs of terms
+        with disjoint masks; no scalar is built per term.
+        """
+        s, bits, trunc = self.weil_k or 0, _letter_bits(self.alphabet), self.trunc
+        low = (1 << s) - 1
+        out = [{} for _ in range(trunc + 1)]
+        for l1, row1 in enumerate(self._rows):
+            if not row1:
+                continue
+            for l2, row2 in enumerate(right[: trunc + 1 - l1]):
+                if not row2:
+                    continue
+                acc, shift = out[l1 + l2], bits * l2 + s
+                for key1, n1 in row1.items():
+                    m1 = key1 & low
+                    base = ((key1 >> s) << shift) | m1
+                    for key2, n2 in row2.items():
+                        if not key2 & m1:  # a repeated generator gives d_i^2 = 0
+                            key = base | key2
+                            total = acc.get(key, 0) + n1 * n2
+                            if total:
+                                acc[key] = total
+                            else:
+                                del acc[key]
+        return self._with(out, self._den * den)
 
     def scale(self, scalar) -> "AssocPoly":
-        """Multiply every coefficient by a central scalar; a rational is not
-        lifted into the Weil ring, so Weil coefficients take their int path."""
-        if not isinstance(scalar, (int, Fraction)):
-            scalar = self._coerce(scalar)
-        if not scalar:
-            return self._with({})
-        # Weil scalars have zero divisors (d1 * d1 = 0), so products can vanish.
-        return self._with({w: p for w, c in self.terms.items() if (p := c * scalar)})
+        """Multiply every coefficient by a central scalar: a rational scales
+        the numerators, and a Weil scalar multiplies them mask by mask."""
+        if isinstance(scalar, WeilElement):
+            self._coefficient(scalar)  # rejects a scalar of another ring
+            return self._product(scalar._rows, scalar._den)
+        return self._scaled(scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar))
 
-    def __eq__(self, other):
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.trunc == other.trunc
-            and self.weil_k == other.weil_k
-            and self.terms == other.terms
-        )
+    def degree_part(self, n: int) -> "AssocPoly":
+        return self._with([row if l == n else {} for l, row in enumerate(self._rows)], self._den)
 
     # -- queries ------------------------------------------------------------
 
     def constant_term(self):
-        value = self.terms.get(())
-        if value is None:
-            return self._coerce(0)
-        return value
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
+        if self.weil_k is None:
+            return Fraction(self._rows[0].get(0, 0), self._den)
+        return WeilElement._trusted(self.weil_k, self._rows[0], self._den)
 
     def word_str(self, word: Word) -> str:
         if not word:
@@ -167,10 +200,8 @@ class AssocPoly(TermMap):
         return "·".join(self.alphabet[i] for i in word)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for word, coeff in self.sorted_terms():
+        for word, coeff in self.terms.items():
             coeff_str = str(coeff)
             if self.weil_k is not None and len(coeff) > 1:
                 coeff_str = f"({coeff_str})"
@@ -178,45 +209,32 @@ class AssocPoly(TermMap):
                 parts.append(f"{coeff_str}*{self.word_str(word)}")
             else:
                 parts.append(coeff_str)
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"AssocPoly({self})"
 
 
 def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    """Concatenation product, truncated at the common bound.
-
-    ``b``'s terms are grouped by word length once, so each term of ``a``
-    visits only the groups that fit beside it.
-    """
+    """Concatenation product, truncated at the common bound."""
     a._check_operand(b)
-    by_length: dict[int, list] = {}
-    for w2, c2 in b.terms.items():
-        by_length.setdefault(len(w2), []).append((w2, c2))
-    out: dict[Word, object] = {}
-    for w1, c1 in a.terms.items():
-        room = a.trunc - len(w1)
-        for length, group in by_length.items():
-            if length <= room:
-                accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in group))
-    return a._with(out)
+    return a._product(b._rows, b._den)
 
 
 def poly_exp(a: AssocPoly) -> AssocPoly:
     """sum_i a^i / i! for a in the augmentation ideal (no constant term)."""
-    if a.constant_term():
+    if a._rows[0]:
         raise NotNilpotent("exp needs a zero constant term")
-    return exp_series(a, AssocPoly.one(a.alphabet, a.trunc, a.weil_k), a.trunc)
+    return exp_series(a, a._monomial(0, 0), a.trunc)
 
 
 def poly_log(a: AssocPoly) -> AssocPoly:
     """sum_i (-1)^(i+1) (a-1)^i / i for a with constant term 1."""
-    if a.constant_term() != a._one():
+    if a._rows[0] != {0: a._den}:
         raise NotUnipotent("log needs constant term exactly 1")
-    u = a - AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
+    u = a - a._monomial(0, 0)
     coeffs = (Fraction((-1) ** (i + 1), i) for i in range(1, a.trunc + 1))
-    return power_series(a._with({}), u, lambda p: poly_mul(p, u), coeffs)
+    return power_series(a._scaled(0), u, lambda p: poly_mul(p, u), coeffs)
 
 
 def poly_inv(a: AssocPoly) -> AssocPoly:
@@ -229,7 +247,6 @@ def poly_inv(a: AssocPoly) -> AssocPoly:
     else:
         if not c:
             raise NotInvertible("constant term is zero")
-        c_inv = Fraction(1) / c
-    one = AssocPoly.one(a.alphabet, a.trunc, a.weil_k)
+        c_inv = 1 / c
+    one = a._monomial(0, 0)
     return geometric_series(one - a.scale(c_inv), one, a.trunc).scale(c_inv)
-

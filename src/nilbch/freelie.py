@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
-from .scalars import TermMap, accumulate, power_series, signed_join
+from .scalars import accumulate, power_series, signed_join
 
 Mono = Union[int, tuple]
 
@@ -135,8 +136,9 @@ def is_standard(m: Mono) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, Fraction], ...]:
-    """[u, v] for standard monomials u, v, expanded over standard monomials."""
+def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, int], ...]:
+    """[u, v] for standard monomials u, v, expanded over standard monomials;
+    the coefficients are ints, as the Lyndon basis is a basis over Z."""
     wu, wv = mono_word(u), mono_word(v)
     if wu == wv:
         return ()
@@ -145,9 +147,9 @@ def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, Fraction], ...]:
     # wu < wv, so the concatenation is Lyndon; [u, v] is standard exactly when
     # u is a letter or the right factor of u is >= v.
     if isinstance(u, int) or mono_word(u[1]) >= wv:
-        return (((u, v), Fraction(1)),)
+        return (((u, v), 1),)
     u1, u2 = u
-    out: dict[Mono, Fraction] = {}
+    out: dict[Mono, int] = {}
     accumulate(out, (
         (m2, c * c2) for m, c in _bracket_basis(u1, v) for m2, c2 in _bracket_basis(m, u2)
     ))
@@ -161,11 +163,10 @@ def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, Fraction], ...]:
 # Lie elements
 
 
-class LieElement(TermMap):
+class LieElement:
     """Exact linear combination of standard bracket monomials, truncated."""
 
     __slots__ = ("alphabet", "max_degree", "terms")
-    _key_degree = staticmethod(mono_degree)
 
     def __init__(
         self,
@@ -216,6 +217,24 @@ class LieElement(TermMap):
                 f"({self.alphabet} deg {self.max_degree} vs "
                 f"{other.alphabet} deg {other.max_degree})"
             )
+
+    def __add__(self, other):
+        if not isinstance(other, LieElement):
+            return NotImplemented
+        self._check_operand(other)
+        return self._with(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other) if isinstance(other, LieElement) else NotImplemented
+
+    def __neg__(self):
+        return self._with({m: -c for m, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def degree_part(self, n: int) -> "LieElement":
+        return self._with({m: c for m, c in self.terms.items() if mono_degree(m) == n})
 
     def scale(self, scalar) -> "LieElement":
         scalar = Fraction(scalar)
@@ -282,35 +301,42 @@ def apply_ad_series(coeffs, X: LieElement, V: LieElement) -> LieElement:
 
 
 @lru_cache(maxsize=None)
-def _embed_mono(m: Mono) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Expansion of a bracket monomial as words, via [a,b] = ab - ba."""
+def _embed_mono(m: Mono, bits: int) -> tuple[tuple[int, int], ...]:
+    """Expansion of a bracket monomial as words, via [a,b] = ab - ba: pairs of
+    the word's code (see ``assoc.AssocPoly``) and an int coefficient."""
     if isinstance(m, int):
-        return (((m,), Fraction(1)),)
-    left, right = _embed_mono(m[0]), _embed_mono(m[1])
-    out: dict[tuple[int, ...], Fraction] = {}
+        return ((m, 1),)
+    left, right = _embed_mono(m[0], bits), _embed_mono(m[1], bits)
+    lshift, rshift = bits * mono_degree(m[0]), bits * mono_degree(m[1])
+    out: dict[int, int] = {}
     for w1, c1 in left:
         for w2, c2 in right:
             c = c1 * c2
-            accumulate(out, ((w1 + w2, c), (w2 + w1, -c)))
+            accumulate(out, (((w1 << rshift) | w2, c), ((w2 << lshift) | w1, -c)))
     return tuple(sorted(out.items()))
 
 
 def lie_embed(a: LieElement) -> "assoc.AssocPoly":
     """Realize brackets as associative commutators; generators become words."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    poly, bits = assoc.AssocPoly(a.alphabet, a.max_degree), assoc._letter_bits(a.alphabet)
+    den = lcm(*[c.denominator for c in a.terms.values()])
+    rows: list[dict] = [{} for _ in range(a.max_degree + 1)]
     for mono, coeff in a.terms.items():
-        accumulate(terms, ((word, coeff * c) for word, c in _embed_mono(mono)))
-    return assoc.AssocPoly(a.alphabet, a.max_degree)._with(terms)
+        factor = coeff.numerator * (den // coeff.denominator)
+        accumulate(rows[mono_degree(mono)], [(w, factor * c) for w, c in _embed_mono(mono, bits)])
+    return poly._with(rows, den)
 
 
 @lru_cache(maxsize=None)
-def _left_nested(word: tuple[int, ...]) -> tuple[tuple[Mono, Fraction], ...]:
-    """[g1,[g2,[...,gn]]] for a word, expanded over standard monomials."""
-    if len(word) == 1:
-        return ((word[0], Fraction(1)),)
-    out: dict[Mono, Fraction] = {}
-    for mono, coeff in _left_nested(word[1:]):
-        accumulate(out, ((m2, coeff * c2) for m2, c2 in _bracket_basis(word[0], mono)))
+def _left_nested(length: int, code: int, bits: int) -> tuple[tuple[Mono, int], ...]:
+    """[g1,[g2,[...,gn]]] for the word of this length and code, expanded over
+    standard monomials."""
+    if length == 1:
+        return ((code, 1),)
+    rest = bits * (length - 1)
+    out: dict[Mono, int] = {}
+    for mono, coeff in _left_nested(length - 1, code & ((1 << rest) - 1), bits):
+        accumulate(out, ((m2, coeff * c2) for m2, c2 in _bracket_basis(code >> rest, mono)))
     return tuple(sorted(out.items(), key=lambda item: mono_word(item[0])))
 
 
@@ -319,14 +345,18 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
 
     Each word g1..gn maps to (1/n)[g1,[g2,[...,gn]]]; Lie elements of
     homogeneous degree are fixed, so this is a left inverse of lie_embed.
+    The sum runs on ints, over p's denominator times lcm(1..trunc).
     """
     if p.weil_k is not None:
         raise NotAugmentation("projection is defined over rational coefficients")
-    if () in p.terms:
+    if p._rows[0]:
         raise NotAugmentation("polynomial has a nonzero constant term")
     zero = LieElement(p.alphabet, p.trunc)  # rejects trunc outside 1..HARD_DEGREE_CAP
-    out: dict[Mono, Fraction] = {}
-    for word, coeff in p.terms.items():
-        factor = Fraction(coeff, len(word))
-        accumulate(out, ((mono, factor * c) for mono, c in _left_nested(word)))
-    return zero._with(out)
+    bits, span = assoc._letter_bits(p.alphabet), lcm(*range(1, p.trunc + 1))
+    out: dict[Mono, int] = {}
+    for length, row in enumerate(p._rows[1:], 1):
+        f = span // length
+        for code, n in row.items():
+            accumulate(out, [(mono, n * f * c) for mono, c in _left_nested(length, code, bits)])
+    den = p._den * span
+    return zero._with({mono: Fraction(n, den) for mono, n in out.items()})

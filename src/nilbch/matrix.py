@@ -9,30 +9,36 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
-from .scalars import WeilElement, _check_k, accumulate, exp_series, geometric_series
+from .scalars import (
+    Numerators,
+    WeilElement,
+    _check_k,
+    exp_series,
+    geometric_series,
+    over_lcm,
+)
 
 
-class NilMatrix:
+class NilMatrix(Numerators):
     """Square matrix over exact scalars (rationals or Weil elements).
 
     The Lie-algebra side uses strictly upper triangular matrices, the group
     side unitriangular ones; both make exp, log and inversion finite sums.
     Operands must share dim and scalar ring.
 
-    Stored like a ``WeilElement``, as integer numerators over one common
-    denominator for the whole matrix: ``_rows[i]`` maps ``(j << s) | mask``
-    to the nonzero numerator of the ``mask`` term of entry (i, j), where s is
-    ``weil_k`` (0 for a rational matrix, whose masks are all 0), and
-    ``_den`` is positive with gcd(_den, every numerator) == 1.  Equal values
-    thus have equal fields.  Products visit only pairs of nonzero terms whose
-    masks are disjoint, and build no scalar per entry; ``rows`` is a
-    read-only entry view, built on first read.
+    Stored like a ``WeilElement`` (see ``scalars.Numerators``), as integer
+    numerators over one common denominator for the whole matrix: ``_rows[i]``
+    maps ``(j << s) | mask`` to the nonzero numerator of the ``mask`` term of
+    entry (i, j), where s is ``weil_k`` (0 for a rational matrix, whose masks
+    are all 0).  Products visit only pairs of nonzero terms whose masks are
+    disjoint, and build no scalar per entry; ``rows`` is a read-only entry
+    view, built on first read.
     """
 
-    __slots__ = ("dim", "weil_k", "_rows", "_den", "_view")
+    __slots__ = ("dim", "weil_k", "_view")
+    _algebra = ("dim", "weil_k")
 
     def __init__(self, dim: int, weil_k: int | None, rows):
         rows = [list(row) for row in rows]
@@ -41,37 +47,25 @@ class NilMatrix:
                 f"dim {dim} matrix given rows of widths {[len(r) for r in rows]}"
             )
         s = weil_k or 0
-        terms = [[_entry_terms(weil_k, e) for e in row] for row in rows]
-        # Over the lcm of reduced denominators the form is already canonical.
-        den = lcm(*[d for row in terms for _, d in row])
-        self._init(dim, weil_k, [
-            {(j << s) | m: n * (den // d) for j, (nums, d) in enumerate(row)
-             for m, n in nums.items()}
-            for row in terms
-        ], den)
-
-    def _init(self, dim, weil_k, rows, den):
-        self.dim = dim
-        self.weil_k = weil_k
-        self._rows = rows
-        self._den = den
-        self._view = None
+        self.dim, self.weil_k, self._view = dim, weil_k, None
+        self._rows, self._den = over_lcm([
+            [((j << s) | m, v) for j, e in enumerate(row) for m, v in _entry_terms(weil_k, e)]
+            for row in rows
+        ])
 
     @classmethod
     def _trusted(cls, dim, weil_k, rows: list[dict], den: int) -> "NilMatrix":
-        """Wrap rows of nonzero int numerators over a positive den, reducing by
-        one gcd; the operations build such rows themselves."""
-        if den != 1:
-            g = gcd(den, *[n for row in rows for n in row.values()])
-            if g != 1:
-                rows = [{key: n // g for key, n in row.items()} for row in rows]
-                den //= g
+        """Wrap rows of nonzero int numerators over a positive den that is
+        already reduced; the operations build such rows themselves."""
         self = object.__new__(cls)
-        self._init(dim, weil_k, rows, den)
+        self.dim, self.weil_k, self._rows, self._den, self._view = dim, weil_k, rows, den, None
         return self
 
-    def _with(self, rows: list[dict], den: int) -> "NilMatrix":
-        return NilMatrix._trusted(self.dim, self.weil_k, rows, den)
+    def _wrap(self, rows: list[dict], den: int) -> "NilMatrix":
+        out = object.__new__(NilMatrix)
+        out.dim, out.weil_k, out._view = self.dim, self.weil_k, None
+        out._rows, out._den = rows, den
+        return out
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -111,31 +105,6 @@ class NilMatrix:
                 f"dim {other.dim}, weil_k {other.weil_k}"
             )
 
-    def __add__(self, other: "NilMatrix") -> "NilMatrix":
-        if not isinstance(other, NilMatrix):
-            return NotImplemented
-        self._check_operand(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:  # nearly all sums in the checks: skip the rescaling
-            return self._with(
-                [accumulate(dict(r1), r2.items()) for r1, r2 in zip(self._rows, other._rows)],
-                d1,
-            )
-        den = lcm(d1, d2)
-        f1, f2 = den // d1, den // d2
-        return self._with([
-            accumulate({key: n * f1 for key, n in r1.items()},
-                       [(key, n * f2) for key, n in r2.items()])
-            for r1, r2 in zip(self._rows, other._rows)
-        ], den)
-
-    def __sub__(self, other: "NilMatrix") -> "NilMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "NilMatrix":
-        rows = [{key: -n for key, n in row.items()} for row in self._rows]
-        return NilMatrix._trusted(self.dim, self.weil_k, rows, self._den)
-
     def _product(self, right: list[dict], den: int) -> "NilMatrix":
         """out[i] += a[i][l] * right[l], over term pairs with disjoint masks."""
         s = self.weil_k or 0
@@ -169,24 +138,10 @@ class NilMatrix:
                     f"Weil scalar with k {scalar.k} on a matrix with weil_k {self.weil_k}"
                 )
             # The product with the diagonal matrix scalar * 1.
-            nums, s = scalar._nums, self.weil_k
+            nums, s = scalar._rows[0], self.weil_k
             diagonal = [{(j << s) | m: n for m, n in nums.items()} for j in range(self.dim)]
             return self._product(diagonal, scalar._den)
-        num, den = scalar.numerator, scalar.denominator
-        if not num:
-            return self._with([{} for _ in range(self.dim)], 1)
-        rows = [{key: n * num for key, n in row.items()} for row in self._rows]
-        return self._with(rows, self._den * den)
-
-    def __eq__(self, other):
-        if not isinstance(other, NilMatrix):
-            return NotImplemented
-        return (self.dim, self.weil_k, self._den, self._rows) == (
-            other.dim, other.weil_k, other._den, other._rows
-        )
-
-    def __bool__(self) -> bool:
-        return any(self._rows)
+        return self._scaled(scalar)
 
     def is_strictly_upper(self) -> bool:
         s = self.weil_k or 0
@@ -213,12 +168,12 @@ class NilMatrix:
         return f"NilMatrix({self.rows})"
 
 
-def _entry_terms(weil_k: int | None, entry) -> tuple[dict[int, int], int]:
-    """The numerators by mask and the denominator of one constructor entry."""
+def _entry_terms(weil_k: int | None, entry):
+    """The (mask, nonzero Fraction) terms of one constructor entry."""
     if weil_k is None and isinstance(entry, (int, Fraction)):
-        return ({0: entry.numerator} if entry else {}), entry.denominator
+        return [(0, Fraction(entry))] if entry else []
     if isinstance(entry, WeilElement) and entry.k == weil_k:
-        return entry._nums, entry._den
+        return entry.coeffs.items()
     raise AlgebraMismatch(f"entry {entry!r} outside the scalar ring of weil_k {weil_k}")
 
 

@@ -37,37 +37,79 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
-class TermMap:
-    """Linear arithmetic shared by sparse maps ``terms`` of keys to nonzero coefficients.
+def over_lcm(rows) -> tuple[list[dict], int]:
+    """Rows of (key, nonzero Fraction) pairs as int numerator rows over the lcm
+    of the reduced denominators, which is already the canonical denominator."""
+    den = lcm(*[v.denominator for row in rows for _, v in row])
+    return [{key: v.numerator * (den // v.denominator) for key, v in row} for row in rows], den
 
-    A subclass supplies ``_check_operand`` (raise unless ``other`` lives in
-    the same algebra), ``_key_degree`` (the grading of a key) and
-    ``_with(terms)``, which wraps terms an operation built itself as a new
-    element of the same algebra.
+
+class Numerators:
+    """The numerator half of ``WeilElement``, ``assoc.AssocPoly`` and
+    ``matrix.NilMatrix``: sums, negation, rational scaling and equality.
+
+    ``_rows`` is a list of maps from int keys to nonzero int numerators over
+    one positive denominator ``_den``, with gcd(_den, every numerator) == 1,
+    so equal values have equal fields and the arithmetic runs on machine ints
+    with one gcd per result.  A subclass lays out its own rows and keys,
+    keeps its own product loop, names the fields that fix its algebra in
+    ``_algebra``, and supplies ``_check_operand`` (raise unless ``other``
+    lives in the same algebra) and ``_wrap(rows, den)`` (a value of its
+    algebra from rows over a reduced den).  No method mutates a row after
+    construction, so values share rows freely.
     """
 
-    __slots__ = ()
+    __slots__ = ("_rows", "_den")
+    _algebra: tuple[str, ...] = ()
+
+    def _with(self, rows: list[dict], den: int):
+        """Wrap rows an operation built, reducing by one gcd; outside input goes
+        through the public constructor."""
+        if den != 1:
+            g = gcd(den, *[n for row in rows for n in row.values()])
+            if g != 1:
+                rows = [{key: n // g for key, n in row.items()} for row in rows]
+                den //= g
+        return self._wrap(rows, den)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_operand(other)
-        return self._with(accumulate(dict(self.terms), other.terms.items()))
+        d1, d2 = self._den, other._den
+        if d1 == d2:  # most sums in the checks: skip the rescaling
+            rows = [accumulate(dict(r1), r2.items()) for r1, r2 in zip(self._rows, other._rows)]
+            return self._with(rows, d1)
+        den = lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        return self._with([
+            accumulate({key: n * f1 for key, n in r1.items()},
+                       [(key, n * f2) for key, n in r2.items()])
+            for r1, r2 in zip(self._rows, other._rows)
+        ], den)
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, type(self)) else NotImplemented
 
     def __neg__(self):
-        return self._with({key: -c for key, c in self.terms.items()})
+        return self._wrap([{key: -n for key, n in row.items()} for row in self._rows], self._den)
+
+    def _scaled(self, q):
+        """self times an int or a Fraction."""
+        num = q.numerator
+        if not num:
+            return self._wrap([{} for _ in self._rows], 1)
+        rows = [{key: n * num for key, n in row.items()} for row in self._rows]
+        return self._with(rows, self._den * q.denominator)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = all(getattr(self, name) == getattr(other, name) for name in self._algebra)
+        return same and (self._den, self._rows) == (other._den, other._rows)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree_part(self, n: int):
-        degree = self._key_degree
-        return self._with({key: c for key, c in self.terms.items() if degree(key) == n})
+        return any(self._rows)
 
 
 def power_series(out, first, step, coeffs):
@@ -119,64 +161,47 @@ def _check_k(k: int) -> None:
         )
 
 
-class WeilElement:
+class WeilElement(Numerators):
     """Element of Q[d1..dk]/(di^2 = 0).
 
-    Stored as integer numerators over one common denominator: ``_nums`` maps
-    each mask to a nonzero int and ``_den`` is a positive int, kept canonical
-    so that gcd(_den, *_nums.values()) == 1.  Equal values thus have equal
-    fields, and the ring operations run on machine ints with one gcd per
-    result.  ``coeffs`` is the read-only view mask -> reduced Fraction.
-    ``matrix.NilMatrix`` stores its entries in the same form and reads
-    these two fields directly.
-
-    Immutable by convention: no method mutates ``_nums`` after construction,
-    so values can be shared freely across threads.
+    Stored as one row of integer numerators by mask over a common
+    denominator (see ``Numerators``); the empty mask holds the scalar part.
+    ``coeffs`` is the read-only view mask -> reduced Fraction.
     """
 
-    __slots__ = ("k", "_nums", "_den")
+    __slots__ = ("k",)
+    _algebra = ("k",)
 
     def __init__(self, k: int, coeffs: dict[int, Fraction] | None = None):
         _check_k(k)
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            limit = 1 << k
-            for mask, value in coeffs.items():
-                if not 0 <= mask < limit:
-                    raise GeneratorCountMismatch(
-                        f"subset mask {mask} needs more than {k} generators"
-                    )
-                value = Fraction(value)
-                if value:
-                    clean[mask] = value
-        # Over the lcm of reduced denominators the form is already canonical.
-        den = lcm(*[v.denominator for v in clean.values()])
+        terms = []
+        for mask, value in (coeffs or {}).items():
+            if not 0 <= mask < 1 << k:
+                raise GeneratorCountMismatch(f"subset mask {mask} needs more than {k} generators")
+            value = Fraction(value)
+            if value:
+                terms.append((mask, value))
         self.k = k
-        self._nums = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
-        self._den = den
+        self._rows, self._den = over_lcm([terms])
+
+    def _wrap(self, rows: list[dict], den: int) -> "WeilElement":
+        out = object.__new__(WeilElement)
+        out.k, out._rows, out._den = self.k, rows, den
+        return out
 
     @classmethod
     def _trusted(cls, k: int, nums: dict[int, int], den: int) -> "WeilElement":
-        """Wrap nonzero int numerators over a positive den, reducing by one gcd.
-
-        The ring operations build such maps themselves, so their results skip
-        the public constructor's validation; outside input goes through it.
-        """
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {m: n // g for m, n in nums.items()}
-            den //= g
+        """Wrap nonzero int numerators by mask over a positive den, reducing by
+        one gcd; outside input goes through the public constructor."""
         self = object.__new__(cls)
         self.k = k
-        self._nums = nums
-        self._den = den
-        return self
+        return self._with([nums], den)
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
         """A fresh map from mask to nonzero reduced Fraction."""
         den = self._den
-        return {m: Fraction(n, den) for m, n in self._nums.items()}
+        return {m: Fraction(n, den) for m, n in self._rows[0].items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -204,93 +229,65 @@ class WeilElement:
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other) -> "WeilElement | None":
-        if isinstance(other, WeilElement):
-            if other.k != self.k:
-                raise GeneratorCountMismatch(
-                    f"mixed generator counts {self.k} and {other.k}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return WeilElement.from_rational(self.k, other)
-        return None
+    def _check_operand(self, other: "WeilElement") -> None:
+        if other.k != self.k:
+            raise GeneratorCountMismatch(f"mixed generator counts {self.k} and {other.k}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        d1, d2 = self._den, other._den
-        if d1 == d2:  # nearly all sums in the checks: skip the rescaling
-            nums = accumulate(dict(self._nums), other._nums.items())
-            return WeilElement._trusted(self.k, nums, d1)
-        den = lcm(d1, d2)
-        f1, f2 = den // d1, den // d2
-        nums = accumulate(
-            {m: n * f1 for m, n in self._nums.items()},
-            ((m, n * f2) for m, n in other._nums.items()),
-        )
-        return WeilElement._trusted(self.k, nums, den)
+        if isinstance(other, (int, Fraction)):
+            other = WeilElement.from_rational(self.k, other)
+        return super().__add__(other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return WeilElement._trusted(
-            self.k, {m: -n for m, n in self._nums.items()}, self._den
-        )
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction)):
+            other = WeilElement.from_rational(self.k, other)
+        return super().__sub__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            num, den = other.numerator, other.denominator
-            if not num:
-                return WeilElement._trusted(self.k, {}, 1)
-            return WeilElement._trusted(
-                self.k, {m: n * num for m, n in self._nums.items()}, self._den * den
-            )
+            return self._scaled(other)
         if not isinstance(other, WeilElement):
             return NotImplemented
-        if other.k != self.k:
-            raise GeneratorCountMismatch(
-                f"mixed generator counts {self.k} and {other.k}"
-            )
-        nums = accumulate({}, (
+        self._check_operand(other)
+        nums = accumulate({}, [
             (m1 | m2, n1 * n2)
-            for m1, n1 in self._nums.items()
-            for m2, n2 in other._nums.items()
+            for m1, n1 in self._rows[0].items()
+            for m2, n2 in other._rows[0].items()
             if not m1 & m2  # a repeated generator gives d_i^2 = 0
-        ))
-        return WeilElement._trusted(self.k, nums, self._den * other._den)
+        ])
+        return self._with([nums], self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _value(self) -> tuple:
+        """What equality compares: with no infinitesimal term the value is a
+        rational, whatever k, as for the hash; otherwise k counts too."""
+        nums = self._rows[0]
+        return (self.k if any(nums) else None, self._den, nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = WeilElement.from_rational(self.k, other)
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return (self.k, self._den, self._nums) == (other.k, other._den, other._nums)
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
+        return self._value() == other._value()
 
     def __len__(self) -> int:  # the number of nonzero terms
-        return len(self._nums)
+        return len(self._rows[0])
 
     def __hash__(self):
         # A rational value equals its Fraction, so it must hash as one.
-        if not any(self._nums):
-            return hash(Fraction(self._nums.get(0, 0), self._den))
-        return hash((self.k, self._den, frozenset(self._nums.items())))
+        nums = self._rows[0]
+        if not any(nums):
+            return hash(Fraction(nums.get(0, 0), self._den))
+        return hash((self.k, self._den, frozenset(nums.items())))
 
     # -- queries -----------------------------------------------------------
 
     def is_unit(self) -> bool:
-        return 0 in self._nums
+        return 0 in self._rows[0]
 
     def inverse(self) -> "WeilElement":
         """Exact inverse via the finite geometric series.
@@ -300,12 +297,13 @@ class WeilElement:
         common denominator, -m/c is -m's numerators over n0, the scalar
         numerator, so the nilpotent part is built over |n0| directly.
         """
-        n0 = self._nums.get(0)
+        nums = self._rows[0]
+        n0 = nums.get(0)
         if not n0:
             raise DivisionByZero("Weil element with zero scalar part has no inverse")
         sign = -1 if n0 > 0 else 1
         nil = WeilElement._trusted(
-            self.k, {m: sign * n for m, n in self._nums.items() if m}, abs(n0)
+            self.k, {m: sign * n for m, n in nums.items() if m}, abs(n0)
         )
         c_inv = Fraction(self._den, n0)
         return geometric_series(nil, WeilElement.one(self.k), self.k) * c_inv
@@ -323,7 +321,7 @@ class WeilElement:
     def __str__(self) -> str:
         return signed_join(
             (self._term_str(m, Fraction(abs(n), self._den)), n)
-            for m, n in sorted(self._nums.items())
+            for m, n in sorted(self._rows[0].items())
         )
 
     def __repr__(self) -> str:

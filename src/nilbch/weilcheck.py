@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import reduce
 from math import factorial
+from typing import NamedTuple
 
 from .assoc import AssocPoly, poly_exp, poly_inv
 from .errors import (
@@ -110,7 +110,7 @@ class _Context:
 
 
 def _poly_witness(diff: AssocPoly) -> dict:
-    terms = diff.sorted_terms()
+    terms = list(diff.terms.items())
     lead_word, lead_coeff = terms[0]
     return {
         "kind": "polynomial",
@@ -199,12 +199,11 @@ def _run_consistency_7v8(_ctx):
     return False, {"kind": "lie", "terms": diff.to_json_terms()}
 
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(NamedTuple):
     id: str
     n_d: int          # infinitesimals used
     order: int        # bracket order reached; bounds trunc and dim below
-    run: object = field(repr=False)
+    run: object
     gens: int = 2     # model generators required
 
     def min_trunc(self) -> int:
@@ -277,34 +276,29 @@ _BY_ID = {entry.id: entry for entry in CATALOG}
 # reports
 
 
-@dataclass(frozen=True)
-class CheckParams:
+class CheckParams(NamedTuple("_Params", [("trunc", "int | None"), ("dim", int), ("seed", int)])):
     """Model parameters; trunc=None means the minimum each identity needs."""
 
-    trunc: int | None = DEFAULT_TRUNC
-    dim: int = DEFAULT_DIM
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
+    def __new__(cls, trunc=DEFAULT_TRUNC, dim=DEFAULT_DIM, seed=DEFAULT_SEED):
         # Rejected before any identity runs.  Only trunc bounds the words of
         # an identity without infinitesimals (prop-4.4 costs about trunc^3),
         # and dim - 1 is the matrix model's nilpotency class.
-        if self.trunc is not None and self.trunc > HARD_DEGREE_CAP:
+        if trunc is not None and trunc > HARD_DEGREE_CAP:
             raise DegreeOutOfRange(
-                f"check truncation {self.trunc} above the limit of {HARD_DEGREE_CAP}"
+                f"check truncation {trunc} above the limit of {HARD_DEGREE_CAP}"
             )
-        if self.dim > HARD_DEGREE_CAP + 1:
+        if dim > HARD_DEGREE_CAP + 1:
             raise DegreeOutOfRange(
-                f"check matrix dimension {self.dim} above the limit of "
+                f"check matrix dimension {dim} above the limit of "
                 f"{HARD_DEGREE_CAP + 1} (nilpotency class {HARD_DEGREE_CAP})"
             )
+        return super().__new__(cls, trunc, dim, seed)
 
     def to_json_obj(self) -> dict:
         return {"trunc": self.trunc, "dim": self.dim, "seed": self.seed}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     id: str
     model: str
     params: CheckParams

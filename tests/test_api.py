@@ -1,6 +1,9 @@
 """Guard against public API that only the tests call."""
 
 import ast
+import os
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -83,3 +86,15 @@ def test_the_allow_list_names_only_unused_definitions():
     counts = _name_counts()
     assert USED_ONLY_OUTSIDE_SRC <= _public_definitions()
     assert all(counts[name] < 2 for name in USED_ONLY_OUTSIDE_SRC)
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis, tokenize and copy, which cost
+    # every process memory and start-up time; the package needs none of them.
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, nilbch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
@@ -286,3 +287,141 @@ def test_assoc_and_lie_elements_neither_add_nor_subtract():
             a + b
         with pytest.raises(TypeError):
             a - b
+
+
+# A word-by-word reference for the numerator kernel: one WeilElement or
+# Fraction coefficient per word, every product of two terms summed with the
+# scalar ring's own arithmetic, written out here on plain dicts.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for word, c in b.items():
+        total = out[word] + c if word in out else c
+        if total:
+            out[word] = total
+        else:
+            out.pop(word, None)
+    return out
+
+
+def _ref_scale(a, c):
+    return {w: v * c for w, v in a.items() if v * c}
+
+
+def _ref_mul(a, b, trunc):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            if len(w1) + len(w2) <= trunc:
+                out = _ref_add(out, {w1 + w2: c1 * c2})
+    return out
+
+
+def _ref_series(out, first, coeffs, trunc):
+    """out + sum_i c_i first^i, for i from 1."""
+    power = first
+    for i, c in enumerate(coeffs):
+        if i:
+            power = _ref_mul(power, first, trunc)
+        out = _ref_add(out, _ref_scale(power, c))
+    return out
+
+
+def _ref_ring(k):
+    return (lambda q: Fraction(q)) if k is None else (lambda q: WeilElement.from_rational(k, q))
+
+
+def _random_coeff(rng, k):
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 8, 12]))
+
+    if k is None:
+        return q()
+    return WeilElement(k, {rng.randrange(1 << k): q() for _ in range(rng.randint(1, 3))})
+
+
+def _random_word_poly(rng, alphabet, trunc, k, terms=None, constant=None):
+    """A polynomial of ``terms`` random terms (1 to 5 if None), with a constant
+    term of ``constant`` if given."""
+    coeffs = {}
+    for _ in range(terms or rng.randint(1, 5)):
+        word = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(1, trunc)))
+        coeffs[word] = _random_coeff(rng, k)
+    if constant is not None:
+        coeffs[()] = constant
+    return AssocPoly(alphabet, trunc, k, coeffs)
+
+
+def _assert_canonical(p):
+    """trunc + 1 rows of nonzero int numerators over a positive den coprime to them."""
+    nums = [n for row in p._rows for n in row.values()]
+    assert len(p._rows) == p.trunc + 1
+    assert p._den > 0 and all(type(n) is int and n for n in nums)
+    assert gcd(p._den, *nums) == 1
+
+
+@pytest.mark.parametrize("alphabet, k", [
+    (XY, None), (XY, 2), (("X", "Y", "Z"), None), (("X", "Y", "Z"), 3), (("X",), 2),
+])
+def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, k):
+    rng = random.Random(f"poly-kernel-{len(alphabet)}-{k}")
+    lift = _ref_ring(k)
+    for _ in range(40):
+        trunc = rng.randint(2, 4)
+        a, b = (_random_word_poly(rng, alphabet, trunc, k) for _ in range(2))
+        # one term by one term, with unrelated denominators
+        a1, b1 = (_random_word_poly(rng, alphabet, trunc, k, terms=1) for _ in range(2))
+        unit = _random_word_poly(rng, alphabet, trunc, k, constant=lift(rng.randint(1, 5)))
+        unipotent = _random_word_poly(rng, alphabet, trunc, k, constant=lift(1))
+        ra, rb, one = a.terms, b.terms, {(): lift(1)}
+        n, q = rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        cases = [
+            (poly_mul(a, b), _ref_mul(ra, rb, trunc)),
+            (poly_mul(a1, b1), _ref_mul(a1.terms, b1.terms, trunc)),
+            (poly_mul(a1, b), _ref_mul(a1.terms, rb, trunc)),
+            (a + b, _ref_add(ra, rb)),
+            (a - b, _ref_add(ra, _ref_scale(rb, -1))),
+            (-a, _ref_scale(ra, -1)),
+            (a.scale(n), _ref_scale(ra, n)),
+            (a.scale(q), _ref_scale(ra, q)),
+            (poly_exp(a), _ref_series(
+                one, ra, [Fraction(1, factorial(i)) for i in range(1, trunc + 1)], trunc)),
+            (poly_log(unipotent), _ref_series(
+                {}, _ref_add(unipotent.terms, {(): lift(-1)}),
+                [Fraction((-1) ** (i + 1), i) for i in range(1, trunc + 1)], trunc)),
+        ]
+        c = unit.terms[()]
+        c_inv = 1 / c if k is None else c.inverse()
+        nil = _ref_add(one, _ref_scale(unit.terms, -c_inv))
+        cases.append(
+            (poly_inv(unit), _ref_scale(_ref_series(one, nil, [1] * trunc, trunc), c_inv))
+        )
+        if k is not None:
+            w = _random_coeff(rng, k)
+            d1 = WeilElement.generator(k, 1)
+            cases += [(a.scale(w), _ref_scale(ra, w)), (a.scale(d1), _ref_scale(ra, d1))]
+        for result, expected in cases:
+            assert result.terms == expected
+            _assert_canonical(result)
+            assert result == AssocPoly(alphabet, trunc, k, expected)
+
+
+def test_equal_values_have_equal_numerators_and_denominator():
+    rng = random.Random(1981)
+    for k in (None, 2):
+        for _ in range(60):
+            a, b, c = (_random_word_poly(rng, XY, 4, k) for _ in range(3))
+            q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            routes = [
+                (poly_mul(a + b, c), poly_mul(a, c) + poly_mul(b, c)),
+                (a.scale(q).scale(1 / q), a),
+                ((a - b) + b, a),
+                (a.scale(2), a + a),
+                (poly_mul(a, poly_mul(b, c)), poly_mul(poly_mul(a, b), c)),
+                (AssocPoly(XY, 4, k, a.terms), a),
+                (a.degree_part(2) + (a - a.degree_part(2)), a),
+            ]
+            for x, y in routes:
+                _assert_canonical(x)
+                assert (x._rows, x._den) == (y._rows, y._den)

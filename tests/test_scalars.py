@@ -207,9 +207,10 @@ def _ref_inverse(a, k):
 
 
 def _assert_canonical(x):
+    (nums,) = x._rows  # a Weil element is one row of numerators by mask
     assert x._den > 0
-    assert all(type(n) is int and n for n in x._nums.values())
-    assert gcd(x._den, *x._nums.values()) == 1
+    assert all(type(n) is int and n for n in nums.values())
+    assert gcd(x._den, *nums.values()) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -266,6 +267,21 @@ def test_rational_weil_elements_hash_as_their_rationals():
         assert hash(weil) == hash(rational)
     assert {1: "x"}.get(WeilElement.one(2)) == "x"
     assert {Fraction(1, 2): "half"}[WeilElement.from_rational(3, Fraction(1, 2))] == "half"
+
+
+def test_equality_is_transitive_across_generator_counts():
+    # With no infinitesimal term a value is a rational, whatever k; an
+    # infinitesimal term ties it to its k.
+    one2, one3 = WeilElement.one(2), WeilElement.one(3)
+    assert one2 == 1 and 1 == one3 and one2 == one3
+    assert len({one2, one3}) == 1
+    assert len({1, one2, one3}) == 1
+    halves = [WeilElement.from_rational(k, Fraction(1, 2)) for k in (1, 2, 5)]
+    assert len(set(halves)) == 1 and all(h == Fraction(1, 2) for h in halves)
+    assert WeilElement.zero(1) == WeilElement.zero(4) == 0
+    d1s = [WeilElement.generator(k, 1) for k in (1, 2)]
+    assert d1s[0] != d1s[1] and len(set(d1s)) == 2
+    assert one2 + d1s[1] != one2 and one2 + d1s[1] != WeilElement.one(1) + d1s[0]
 
 
 # -- power series --------------------------------------------------------------
