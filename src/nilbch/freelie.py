@@ -4,7 +4,7 @@ Basis monomials are nested tuples: a bare ``int`` is a generator index and a
 pair ``(left, right)`` is the bracket [left, right].  A monomial is *standard*
 when its word of leaves is a Lyndon word and the tree is the standard
 right-factorization bracketing of that word.  Standard monomials form a basis,
-so equality of Lie elements reduces to comparing coefficient maps.
+and a Lie element keys each coefficient by the Lyndon word that fixes its monomial.
 
 Brackets of two standard monomials are normalized by the classical rewriting:
 antisymmetry reorders the arguments, and when the pair [u, v] is not itself
@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
-from .scalars import accumulate, power_series, signed_join
+from .scalars import Numerators, accumulate, over_lcm, power_series, signed_join
 
 Mono = Union[int, tuple]
+Word = tuple[int, ...]
 
 DEFAULT_MAX_DEGREE = 6
 HARD_DEGREE_CAP = 10
@@ -42,14 +43,8 @@ def default_names(k: int) -> tuple[str, ...]:
 # monomials
 
 
-def mono_degree(m: Mono) -> int:
-    if isinstance(m, int):
-        return 1
-    return mono_degree(m[0]) + mono_degree(m[1])
-
-
 @lru_cache(maxsize=None)
-def mono_word(m: Mono) -> tuple[int, ...]:
+def mono_word(m: Mono) -> Word:
     """The word of generator leaves, read left to right."""
     if isinstance(m, int):
         return (m,)
@@ -62,14 +57,24 @@ def mono_str(m: Mono, names: tuple[str, ...]) -> str:
     return f"[{mono_str(m[0], names)},{mono_str(m[1], names)}]"
 
 
-def is_lyndon(word: tuple[int, ...]) -> bool:
+# The text and JSON views of Lie elements render each monomial once per process.
+_mono_text = lru_cache(maxsize=None)(mono_str)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) writes it, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def is_lyndon(word: Word) -> bool:
     """A nonempty word strictly smaller than all of its proper suffixes."""
     if not word:
         return False
     return all(word < word[i:] for i in range(1, len(word)))
 
 
-def lyndon_words(k: int, n: int) -> list[tuple[int, ...]]:
+def lyndon_words(k: int, n: int) -> list[Word]:
     """All Lyndon words of length exactly n over 0..k-1, in lexicographic order.
 
     Duval's generation of the words of length at most n, filtered to length n.
@@ -112,17 +117,23 @@ def lyndon_count(k: int, n: int) -> int:
     return sum(_mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
 
 
+def _standard_factors(word: Word) -> tuple[Word, Word]:
+    """The standard factorization (u, v) of a Lyndon word of length >= 2: v is its
+    least proper suffix, and both are Lyndon.  Each caller caches its results."""
+    split = min(range(1, len(word)), key=lambda i: word[i:])
+    return word[:split], word[split:]
+
+
 @lru_cache(maxsize=None)
-def standard_bracketing(word: tuple[int, ...]) -> Mono:
+def standard_bracketing(word: Word) -> Mono:
     """Right standard factorization bracketing of a Lyndon word.
 
-    The word is not checked: every caller passes a Lyndon word, and the
-    factors of a standard factorization are Lyndon again.
+    The word is not checked: every caller passes a Lyndon word.
     """
     if len(word) == 1:
         return word[0]
-    split = min(range(1, len(word)), key=lambda i: word[i:])
-    return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
+    u, v = _standard_factors(word)
+    return (standard_bracketing(u), standard_bracketing(v))
 
 
 def hall_basis(k: int, n: int) -> list[Mono]:
@@ -130,43 +141,44 @@ def hall_basis(k: int, n: int) -> list[Mono]:
     return [standard_bracketing(w) for w in lyndon_words(k, n)]
 
 
-def is_standard(m: Mono) -> bool:
-    word = mono_word(m)
-    return is_lyndon(word) and standard_bracketing(word) == m
-
-
 @lru_cache(maxsize=None)
-def _bracket_basis(u: Mono, v: Mono) -> tuple[tuple[Mono, int], ...]:
-    """[u, v] for standard monomials u, v, expanded over standard monomials;
-    the coefficients are ints, as the Lyndon basis is a basis over Z."""
-    wu, wv = mono_word(u), mono_word(v)
-    if wu == wv:
+def _bracket_basis(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
+    """[u, v] for the standard monomials of Lyndon words u, v, expanded over
+    Lyndon words with int coefficients, as the Lyndon basis is a basis over Z."""
+    if u == v:
         return ()
-    if wu > wv:
-        return tuple((m, -c) for m, c in _bracket_basis(v, u))
-    # wu < wv, so the concatenation is Lyndon; [u, v] is standard exactly when
+    if u > v:
+        return tuple([(w, -c) for w, c in _bracket_basis(v, u)])
+    # u < v, so uv is Lyndon; [u, v] is its standard bracketing exactly when
     # u is a letter or the right factor of u is >= v.
-    if isinstance(u, int) or mono_word(u[1]) >= wv:
-        return (((u, v), 1),)
-    u1, u2 = u
-    out: dict[Mono, int] = {}
+    if len(u) == 1 or _standard_factors(u)[1] >= v:
+        return ((u + v, 1),)
+    u1, u2 = _standard_factors(u)
+    out: dict[Word, int] = {}
     accumulate(out, (
-        (m2, c * c2) for m, c in _bracket_basis(u1, v) for m2, c2 in _bracket_basis(m, u2)
+        (w2, c * c2) for w, c in _bracket_basis(u1, v) for w2, c2 in _bracket_basis(w, u2)
     ))
     accumulate(out, (
-        (m2, c * c2) for m, c in _bracket_basis(u2, v) for m2, c2 in _bracket_basis(u1, m)
+        (w2, c * c2) for w, c in _bracket_basis(u2, v) for w2, c2 in _bracket_basis(u1, w)
     ))
-    return tuple(sorted(out.items(), key=lambda item: mono_word(item[0])))
+    return tuple(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
 # Lie elements
 
 
-class LieElement:
-    """Exact linear combination of standard bracket monomials, truncated."""
+class LieElement(Numerators):
+    """Exact linear combination of standard bracket monomials, truncated.
 
-    __slots__ = ("alphabet", "max_degree", "terms")
+    Stored like an ``assoc.AssocPoly`` (see ``scalars.Numerators``): ``_rows[d]``
+    maps each Lyndon word of length d to a nonzero int numerator over ``_den``.
+    Bracket trees appear only at the public constructor and in the text and
+    JSON views, ``sorted_terms`` (which ``__str__`` reads) and ``to_json_terms``.
+    """
+
+    __slots__ = ("alphabet", "max_degree")
+    _algebra = ("alphabet", "max_degree")
 
     def __init__(
         self,
@@ -176,26 +188,24 @@ class LieElement:
     ):
         if not 1 <= max_degree <= HARD_DEGREE_CAP:
             raise ValueError(f"max_degree {max_degree} outside 1..{HARD_DEGREE_CAP}")
-        self.alphabet = tuple(alphabet)
-        self.max_degree = max_degree
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            letters = len(self.alphabet)
-            for mono, coeff in terms.items():
-                if not all(0 <= i < letters for i in mono_word(mono)):
-                    raise AlphabetMismatch(f"{mono} has a leaf outside the alphabet")
-                if not is_standard(mono):
-                    raise ValueError(f"{mono} is not a standard (Lyndon) monomial")
-                coeff = Fraction(coeff)
-                if coeff and mono_degree(mono) <= max_degree:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.alphabet, self.max_degree = tuple(alphabet), max_degree
+        letters = len(self.alphabet)
+        rows = [[] for _ in range(max_degree + 1)]
+        for mono, coeff in (terms or {}).items():
+            word = mono_word(mono)
+            if not all(0 <= i < letters for i in word):
+                raise AlphabetMismatch(f"{mono} has a leaf outside the alphabet")
+            if not (is_lyndon(word) and standard_bracketing(word) == mono):
+                raise ValueError(f"{mono} is not a standard (Lyndon) monomial")
+            coeff = Fraction(coeff)
+            if coeff and len(word) <= max_degree:
+                rows[len(word)].append((word, coeff))
+        self._rows, self._den = over_lcm(rows)
 
-    def _with(self, terms: dict) -> "LieElement":
-        """Wrap terms a Lie operation built itself (standard monomials of degree
-        <= max_degree, nonzero Fractions); outside input goes through the constructor."""
+    def _wrap(self, rows: list[dict], den: int) -> "LieElement":
         out = object.__new__(LieElement)
-        out.alphabet, out.max_degree, out.terms = self.alphabet, self.max_degree, terms
+        out.alphabet, out.max_degree = self.alphabet, self.max_degree
+        out._rows, out._den = rows, den
         return out
 
     @classmethod
@@ -206,9 +216,7 @@ class LieElement:
     def generator(
         cls, alphabet, index: int, max_degree: int = DEFAULT_MAX_DEGREE
     ) -> "LieElement":
-        if not 0 <= index < len(alphabet):
-            raise AlphabetMismatch(f"generator index {index} outside alphabet")
-        return cls(alphabet, max_degree, {index: Fraction(1)})
+        return cls(alphabet, max_degree, {index: Fraction(1)})  # checks the index
 
     def _check_operand(self, other: "LieElement") -> None:
         if self.alphabet != other.alphabet or self.max_degree != other.max_degree:
@@ -218,49 +226,30 @@ class LieElement:
                 f"{other.alphabet} deg {other.max_degree})"
             )
 
-    def __add__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self._check_operand(other)
-        return self._with(accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, LieElement) else NotImplemented
-
-    def __neg__(self):
-        return self._with({m: -c for m, c in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def degree_part(self, n: int) -> "LieElement":
-        return self._with({m: c for m, c in self.terms.items() if mono_degree(m) == n})
+        return self._with([row if d == n else {} for d, row in enumerate(self._rows)], self._den)
 
     def scale(self, scalar) -> "LieElement":
-        scalar = Fraction(scalar)
-        return self._with({m: c * scalar for m, c in self.terms.items()} if scalar else {})
+        return self._scaled(Fraction(scalar))
 
     def __mul__(self, scalar) -> "LieElement":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return self.scale(scalar)
+        return self._scaled(scalar)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        mine = (self.alphabet, self.max_degree, self.terms)
-        return mine == (other.alphabet, other.max_degree, other.terms)
-
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return sorted(
-            self.terms.items(), key=lambda item: (mono_degree(item[0]), mono_word(item[0]))
-        )
+        """(standard monomial, nonzero Fraction) pairs by degree, then by word."""
+        den = self._den
+        return [
+            (standard_bracketing(word), Fraction(row[word], den))
+            for row in self._rows for word in sorted(row)
+        ]
 
     def __str__(self) -> str:
         def body(mono, coeff):
-            text = mono_str(mono, self.alphabet)
+            text = _mono_text(mono, self.alphabet)
             return text if abs(coeff) == 1 else f"{abs(coeff)}*{text}"
 
         return signed_join((body(m, c), c) for m, c in self.sorted_terms())
@@ -269,31 +258,39 @@ class LieElement:
         return f"LieElement({self})"
 
     def to_json_terms(self) -> list[dict[str, str]]:
+        """``sorted_terms`` as JSON, each coefficient written from the ints."""
+        den, names = self._den, self.alphabet
         return [
-            {"monomial": mono_str(m, self.alphabet), "coeff": str(c)}
-            for m, c in self.sorted_terms()
+            {"monomial": _mono_text(standard_bracketing(word), names),
+             "coeff": _ratio_str(row[word], den)}
+            for row in self._rows for word in sorted(row)
         ]
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Bilinear bracket, rewritten to the standard basis and truncated."""
+    """Bilinear bracket, rewritten to the standard basis and truncated: row d1
+    meets only the rows d2 <= max_degree - d1, so no degree is computed."""
     a._check_operand(b)
-    out: dict[Mono, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        d1 = mono_degree(m1)
-        for m2, c2 in b.terms.items():
-            if d1 + mono_degree(m2) > a.max_degree:
+    top = a.max_degree
+    out = [{} for _ in range(top + 1)]
+    for d1, row1 in enumerate(a._rows):
+        if not row1:
+            continue
+        for d2, row2 in enumerate(b._rows[: top + 1 - d1]):
+            if not row2:
                 continue
-            factor = c1 * c2
-            accumulate(out, ((mono, factor * c) for mono, c in _bracket_basis(m1, m2)))
-    return a._with(out)
+            acc = out[d1 + d2]
+            for w1, n1 in row1.items():
+                for w2, n2 in row2.items():
+                    n = n1 * n2
+                    accumulate(acc, [(w, n * c) for w, c in _bracket_basis(w1, w2)])
+    return a._with(out, a._den * b._den)
 
 
 def apply_ad_series(coeffs, X: LieElement, V: LieElement) -> LieElement:
     """sum_p coeffs[p] * (ad X)^p (V), truncated; (ad X)^0 is the identity."""
     X._check_operand(V)
-    coeffs = (Fraction(c) for c in coeffs)
-    return power_series(X._with({}), V, lambda p: lie_bracket(X, p), coeffs)
+    return power_series(X._scaled(0), V, lambda p: lie_bracket(X, p), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +298,15 @@ def apply_ad_series(coeffs, X: LieElement, V: LieElement) -> LieElement:
 
 
 @lru_cache(maxsize=None)
-def _embed_mono(m: Mono, bits: int) -> tuple[tuple[int, int], ...]:
-    """Expansion of a bracket monomial as words, via [a,b] = ab - ba: pairs of
-    the word's code (see ``assoc.AssocPoly``) and an int coefficient."""
-    if isinstance(m, int):
-        return ((m, 1),)
-    left, right = _embed_mono(m[0], bits), _embed_mono(m[1], bits)
-    lshift, rshift = bits * mono_degree(m[0]), bits * mono_degree(m[1])
+def _embed_mono(word: Word, bits: int) -> tuple[tuple[int, int], ...]:
+    """Expansion of the standard monomial of a Lyndon word as words, via
+    [a,b] = ab - ba: pairs of a word's code (see ``assoc.AssocPoly``) and an
+    int coefficient."""
+    if len(word) == 1:
+        return ((word[0], 1),)
+    u, v = _standard_factors(word)
+    left, right = _embed_mono(u, bits), _embed_mono(v, bits)
+    lshift, rshift = bits * len(u), bits * len(v)
     out: dict[int, int] = {}
     for w1, c1 in left:
         for w2, c2 in right:
@@ -319,25 +318,26 @@ def _embed_mono(m: Mono, bits: int) -> tuple[tuple[int, int], ...]:
 def lie_embed(a: LieElement) -> "assoc.AssocPoly":
     """Realize brackets as associative commutators; generators become words."""
     poly, bits = assoc.AssocPoly(a.alphabet, a.max_degree), assoc._letter_bits(a.alphabet)
-    den = lcm(*[c.denominator for c in a.terms.values()])
-    rows: list[dict] = [{} for _ in range(a.max_degree + 1)]
-    for mono, coeff in a.terms.items():
-        factor = coeff.numerator * (den // coeff.denominator)
-        accumulate(rows[mono_degree(mono)], [(w, factor * c) for w, c in _embed_mono(mono, bits)])
-    return poly._with(rows, den)
+    rows = [{} for _ in a._rows]
+    for d, row in enumerate(a._rows):
+        for word, n in row.items():
+            accumulate(rows[d], [(code, n * c) for code, c in _embed_mono(word, bits)])
+    # The monomial of a Lyndon word w is w plus greater words: gcd 1 with _den holds.
+    return poly._wrap(rows, a._den)
 
 
 @lru_cache(maxsize=None)
-def _left_nested(length: int, code: int, bits: int) -> tuple[tuple[Mono, int], ...]:
+def _left_nested(length: int, code: int, bits: int) -> tuple[tuple[Word, int], ...]:
     """[g1,[g2,[...,gn]]] for the word of this length and code, expanded over
-    standard monomials."""
+    Lyndon words."""
     if length == 1:
-        return ((code, 1),)
+        return (((code,), 1),)
     rest = bits * (length - 1)
-    out: dict[Mono, int] = {}
-    for mono, coeff in _left_nested(length - 1, code & ((1 << rest) - 1), bits):
-        accumulate(out, ((m2, coeff * c2) for m2, c2 in _bracket_basis(code >> rest, mono)))
-    return tuple(sorted(out.items(), key=lambda item: mono_word(item[0])))
+    first = (code >> rest,)
+    out: dict[Word, int] = {}
+    for word, coeff in _left_nested(length - 1, code & ((1 << rest) - 1), bits):
+        accumulate(out, ((w2, coeff * c2) for w2, c2 in _bracket_basis(first, word)))
+    return tuple(sorted(out.items()))
 
 
 def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
@@ -353,10 +353,9 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
         raise NotAugmentation("polynomial has a nonzero constant term")
     zero = LieElement(p.alphabet, p.trunc)  # rejects trunc outside 1..HARD_DEGREE_CAP
     bits, span = assoc._letter_bits(p.alphabet), lcm(*range(1, p.trunc + 1))
-    out: dict[Mono, int] = {}
+    rows = [{} for _ in p._rows]
     for length, row in enumerate(p._rows[1:], 1):
-        f = span // length
+        f, acc = span // length, rows[length]
         for code, n in row.items():
-            accumulate(out, [(mono, n * f * c) for mono, c in _left_nested(length, code, bits)])
-    den = p._den * span
-    return zero._with({mono: Fraction(n, den) for mono, n in out.items()})
+            accumulate(acc, [(word, n * f * c) for word, c in _left_nested(length, code, bits)])
+    return zero._with(rows, p._den * span)

@@ -45,18 +45,18 @@ def over_lcm(rows) -> tuple[list[dict], int]:
 
 
 class Numerators:
-    """The numerator half of ``WeilElement``, ``assoc.AssocPoly`` and
-    ``matrix.NilMatrix``: sums, negation, rational scaling and equality.
+    """The numerator half of ``WeilElement``, ``assoc.AssocPoly``, ``matrix.NilMatrix``
+    and ``freelie.LieElement``: sums, negation, scaling, truth value, equality.
 
-    ``_rows`` is a list of maps from int keys to nonzero int numerators over
-    one positive denominator ``_den``, with gcd(_den, every numerator) == 1,
-    so equal values have equal fields and the arithmetic runs on machine ints
-    with one gcd per result.  A subclass lays out its own rows and keys,
-    keeps its own product loop, names the fields that fix its algebra in
-    ``_algebra``, and supplies ``_check_operand`` (raise unless ``other``
-    lives in the same algebra) and ``_wrap(rows, den)`` (a value of its
-    algebra from rows over a reduced den).  No method mutates a row after
-    construction, so values share rows freely.
+    ``_rows`` is a list of maps from keys (ints, or Lyndon words for a Lie
+    element) to nonzero int numerators over one positive ``_den``, with
+    gcd(_den, every numerator) == 1, so equal values have equal fields and
+    the arithmetic runs on machine ints with one gcd per result.  A subclass
+    lays out its own rows and keys, keeps its own product loop, names the
+    fields that fix its algebra in ``_algebra``, and supplies
+    ``_check_operand`` (raise unless ``other`` lives in the same algebra) and
+    ``_wrap(rows, den)`` (a value of its algebra from rows over a reduced
+    den).  No method mutates a row after construction, so values share rows.
     """
 
     __slots__ = ("_rows", "_den")
@@ -68,7 +68,7 @@ class Numerators:
         if den != 1:
             g = gcd(den, *[n for row in rows for n in row.values()])
             if g != 1:
-                rows = [{key: n // g for key, n in row.items()} for row in rows]
+                rows = [{key: n // g for key, n in row.items()} if row else row for row in rows]
                 den //= g
         return self._wrap(rows, den)
 
@@ -189,13 +189,12 @@ class WeilElement(Numerators):
         out.k, out._rows, out._den = self.k, rows, den
         return out
 
-    @classmethod
-    def _trusted(cls, k: int, nums: dict[int, int], den: int) -> "WeilElement":
+    @staticmethod
+    def _trusted(k: int, nums: dict[int, int], den: int) -> "WeilElement":
         """Wrap nonzero int numerators by mask over a positive den, reducing by
-        one gcd; outside input goes through the public constructor."""
-        self = object.__new__(cls)
-        self.k = k
-        return self._with([nums], den)
+        one gcd in the shared zero's ``_with``, which allocates the one object;
+        outside input goes through the public constructor."""
+        return WeilElement.zero(k)._with([nums], den)
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -206,6 +205,7 @@ class WeilElement(Numerators):
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    @cache  # values are immutable, so each k shares one zero
     def zero(cls, k: int) -> "WeilElement":
         return cls(k)
 

@@ -220,10 +220,10 @@ class _TableContext:
     bracket and each weight its lemma-6.0 t-coefficient, em(m) = sd^m / m!."""
 
     def __init__(self, max_degree: int):
-        self.max_degree = max_degree
+        self._gens = [LieElement.generator(BCH_ALPHABET, i, max_degree) for i in (0, 1)]
 
     def gen_img(self, i: int) -> LieElement:
-        return LieElement.generator(BCH_ALPHABET, i, self.max_degree)
+        return self._gens[i]
 
     @staticmethod
     def bracket(a: LieElement, b: LieElement) -> LieElement:

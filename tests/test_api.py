@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import nilbch
+from nilbch.scalars import Numerators
 
 SRC = Path(nilbch.__file__).parent
 
@@ -98,3 +99,14 @@ def test_importing_the_cli_loads_no_introspection_modules():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_numerators_subclasses_keep_one_numerator_half():
+    # sums, negation, scaling, truth value and the gcd reduction live once,
+    # in Numerators, for every algebra class stored as numerator rows
+    subclasses = Numerators.__subclasses__()
+    names = sorted(cls.__name__ for cls in subclasses)
+    assert names == ["AssocPoly", "LieElement", "NilMatrix", "WeilElement"]
+    for cls in subclasses:
+        own = sorted({"_with", "__neg__", "__bool__", "_scaled"} & set(vars(cls)))
+        assert own == [], f"{cls.__name__} defines {own} itself"

@@ -20,6 +20,7 @@ from nilbch.freelie import (
 from nilbch.series import (
     bch_classical,
     bch_paper,
+    evaluate,
     log_derivative_coeffs,
     series_compare,
     zassenhaus_classical,
@@ -162,6 +163,41 @@ def test_inverse_companion_duality():
             tail = poly_mul(tail, poly_exp(lie_embed(factors.component(m))))
         assert poly_mul(ez, tail) == poly_exp(x + y)
         assert ez == poly_mul(poly_exp(x + y), poly_inv(tail))
+
+
+class _Substitution:
+    """The ``evaluate`` context of a Lie monomial in X, Y at two Lie elements."""
+
+    bracket = staticmethod(lie_bracket)
+
+    def __init__(self, x, y):
+        self.images = (x, y)
+
+    def gen_img(self, i):
+        return self.images[i]
+
+
+def bch_at(z, a, b):
+    """Z(a, b): the Lie terms of the classical series z with X and Y replaced
+    by a and b through lie_bracket, with one memo for the whole substitution."""
+    ctx, memo = _Substitution(a, b), {}
+    total = LieElement.zero(a.alphabet, a.max_degree)
+    for n in range(1, z.order + 1):
+        for mono, coeff in z.component(n).sorted_terms():
+            total = total + evaluate(ctx, mono, memo).scale(coeff)
+    return total
+
+
+def test_bch_is_associative_through_the_oracle_cap():
+    # Z(Z(X,Y),W) = Z(X,Z(Y,W)) in three generators, as exp Z is a group law;
+    # it holds at every degree and uses no copied coefficient
+    N = series.ORACLE_DEGREE_CAP
+    z = bch_classical(N)
+    x, y, w = (LieElement.generator(("X", "Y", "W"), i, N) for i in range(3))
+    left, right = bch_at(z, bch_at(z, x, y), w), bch_at(z, x, bch_at(z, y, w))
+    for n in range(1, N + 1):
+        assert left.degree_part(n), f"Z(Z(X,Y),W) has no degree-{n} part"
+        assert left.degree_part(n) == right.degree_part(n), f"degree {n}"
 
 
 # -- tabulated formulas ----------------------------------------------------------
