@@ -180,7 +180,8 @@ class AssocPoly(Numerators):
         """Multiply every coefficient by a central scalar: a rational scales
         the numerators, and a Weil scalar multiplies them mask by mask."""
         if isinstance(scalar, WeilElement):
-            self._coefficient(scalar)  # rejects a scalar of another ring
+            if scalar.k != self.weil_k:
+                self._coefficient(scalar)  # raises the mismatch
             return self._product(scalar._rows, scalar._den)
         return self._scaled(scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar))
 

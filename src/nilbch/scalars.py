@@ -77,8 +77,9 @@ class Numerators:
             return NotImplemented
         self._check_operand(other)
         d1, d2 = self._den, other._den
-        if d1 == d2:  # most sums in the checks: skip the rescaling
-            rows = [accumulate(dict(r1), r2.items()) for r1, r2 in zip(self._rows, other._rows)]
+        if d1 == d2:  # most sums in the checks: skip the rescaling, share an unmatched row
+            rows = [accumulate(dict(r1), r2.items()) if r1 and r2 else r1 or r2
+                    for r1, r2 in zip(self._rows, other._rows)]
             return self._with(rows, d1)
         den = lcm(d1, d2)
         f1, f2 = den // d1, den // d2

@@ -217,7 +217,8 @@ def evaluate(ctx, expr, memo: dict):
 
 class _TableContext:
     """Table entries as Lie elements of one max_degree: the bracket is the Lie
-    bracket and each weight its lemma-6.0 t-coefficient, em(m) = sd^m / m!."""
+    bracket, each weight its lemma-6.0 t-coefficient, em(m) = sd^m / m!, and
+    a FAIL witness lists the difference's terms."""
 
     def __init__(self, max_degree: int):
         self._gens = [LieElement.generator(BCH_ALPHABET, i, max_degree) for i in (0, 1)]
@@ -232,6 +233,10 @@ class _TableContext:
     @staticmethod
     def weight(coeff, shape, m) -> Fraction:
         return coeff / factorial(m) if shape == EM else coeff
+
+    @staticmethod
+    def witness(diff: LieElement) -> dict:
+        return {"kind": "lie", "terms": diff.to_json_terms()}
 
 
 def _lin(*pairs):

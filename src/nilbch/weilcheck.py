@@ -1,18 +1,23 @@
 """Mechanical verification of the catalog identities in two exact models.
 
-Every catalog entry writes the sides of one numbered statement as data, in
-the expression language of ``series``, and its evaluator rebuilds them
+Every catalog entry writes one numbered statement as pairs of sides, in the
+expression language of ``series``, and ``series.evaluate`` rebuilds them
 exactly as written: each exp of an infinitesimally weighted Lie expression
 becomes a truncated exponential of its associative (or matrix) image, group
 inverses are computed by actual inversion rather than by negating exponents,
-and the check subtracts the sides.  PASS means the difference is exactly zero.
+and the check subtracts the sides of each pair.  PASS means every difference
+is exactly zero.
 
 Two models are available.  The *free* model works in the truncated free
-associative algebra over the Weil ring and is the universal one: a PASS there
-holds in every instance.  The *matrix* model evaluates in a seeded
-unitriangular rational matrix group; it is a quotient, so a PASS is necessary
-but not sufficient for free-model validity, and the suite checks that
-implication rather than assuming it.
+associative algebra over the Weil ring.  Where every exponent carries an
+infinitesimal the truncation cuts nothing, so a PASS there holds in every
+instance; ``prop-4.4`` and ``prop-5.3`` exponentiate plain generators and
+are checked only through degree ``trunc``.  The *matrix* model evaluates in
+a seeded unitriangular rational matrix group; it is a quotient, so a PASS is
+necessary but not sufficient for free-model validity, and the suite checks
+that implication rather than assuming it.  ``consistency-7v8`` compares two
+tables' degree-4 entries as Lie elements of degree at most 4, whichever
+model is asked for.
 """
 
 from __future__ import annotations
@@ -42,18 +47,18 @@ from .series import (
     INV,
     MUL,
     ONE,
+    PAPER_TABLES,
     POW,
     D,
+    _TableContext,
     _X,
     _XY,
     _Y,
     _entry,
     _lin,
     _XpY,
-    bch_paper,
     evaluate,
     paper_table,
-    series_compare,
 )
 
 DEFAULT_TRUNC = 6
@@ -149,17 +154,19 @@ _EXP_X = (EXP, _X)
 _D1_X = _entry(1, D, (1,), _X)
 _EXP_D1_X, _EXP_D1_Y = (EXP, _D1_X), (EXP, _entry(1, D, (1,), _Y))
 _EXP_D2_Y = (EXP, _entry(1, D, (2,), _Y))
+_EXP_D1_XpY = (EXP, _entry(1, D, (1,), _XpY))
+_EXP_D1_X_EXP_D1_Y = (MUL, _EXP_D1_X, _EXP_D1_Y)
 _EXP_SD_X, _EXP_SD_Y = (EXP, _entry(1, POW, 1, _X)), (EXP, _entry(1, POW, 1, _Y))
 
 
 def _zassenhaus(order: int, form: str):
-    """exp(sd(X+Y)) = exp(sd X) exp(sd Y) and one exp per table entry."""
+    """The pair exp(sd(X+Y)) = exp(sd X) exp(sd Y) and one exp per table entry."""
     factors = [(EXP, entry) for entry in paper_table("zassenhaus", "sec6", form, order)]
     return (EXP, _entry(1, POW, 1, _XpY)), (MUL, _EXP_SD_X, _EXP_SD_Y, *factors)
 
 
 def _bch(order: int, variant: str, form: str = "a"):
-    """exp(sd X) exp(sd Y) = exp of the sum of the table entries."""
+    """The pair exp(sd X) exp(sd Y) = exp of the sum of the table entries."""
     terms = [(1, entry) for entry in paper_table("bch", variant, form, order)]
     return (MUL, _EXP_SD_X, _EXP_SD_Y), (EXP, _lin(*terms))
 
@@ -168,105 +175,71 @@ def _bch(order: int, variant: str, form: str = "a"):
 # the catalog
 
 
-class _PairRunner:
-    """PASS when each consecutive pair of the evaluated sides is equal."""
-
-    def __init__(self, sides: tuple):
-        self.sides = sides
-
-    def __call__(self, ctx):
-        memo: dict = {}
-        values = [evaluate(ctx, side, memo) for side in self.sides]
-        for left, right in zip(values, values[1:]):
-            diff = left - right
-            if diff:
-                return False, ctx.witness(diff)
-        return True, None
-
-
-def _run_lemma_6_0(ctx):
-    for m in range(1, ctx.k + 2):
-        diff = ctx.weight(Fraction(1, factorial(m)), POW, m) - ctx.weight(1, EM, m)
-        if diff:
-            return False, {"kind": "scalar", "m": m, "value": str(diff)}
-    return True, None
-
-
-def _run_consistency_7v8(_ctx):
-    diff = series_compare(bch_paper(4, "sec7"), bch_paper(4, "sec8"), 4)
-    if not diff:
-        return True, None
-    return False, {"kind": "lie", "terms": diff.to_json_terms()}
-
-
 class _Identity(NamedTuple):
     id: str
     n_d: int          # infinitesimals used
     order: int        # bracket order reached; bounds trunc and dim below
-    run: object
+    pairs: tuple      # (left, right) side expressions; PASS when every pair is equal
     gens: int = 2     # model generators required
-
-    def min_trunc(self) -> int:
-        return self.order
-
-    def min_dim(self) -> int:
-        return self.order + 1
+    lie_degree: int = 0  # if set, decided among Lie elements of this degree in any model
 
 
 CATALOG: tuple[_Identity, ...] = (
-    _Identity("prop-2.1", 2, 2, _PairRunner((
-        _EXP_SD_X, (MUL, _EXP_D1_X, (EXP, _entry(1, D, (2,), _X))),
-    ))),
-    _Identity("prop-2.2", 1, 2, _PairRunner((
-        (EXP, _entry(1, D, (1,), _XpY)),
-        (MUL, _EXP_D1_X, _EXP_D1_Y), (MUL, _EXP_D1_Y, _EXP_D1_X),
-    ))),
-    _Identity("thm-2.3", 2, 2, _PairRunner((
-        (MUL, _EXP_D1_X, _EXP_D2_Y, (INV, _EXP_D1_X), (INV, _EXP_D2_Y)),
-        (EXP, _entry(1, D, (1, 2), _XY)),
-    ))),
-    _Identity("lemma-2.5", 0, 4, _PairRunner(((_X, (_Y, _XY)), (_Y, (_X, _XY))))),
-    _Identity("prop-4.4", 0, 2, _PairRunner((
-        (MUL, _EXP_X, _Y, (INV, _EXP_X)), (CONJ, _X, _Y),
-    ))),
-    _Identity("prop-4.5", 1, 1, _PairRunner((_EXP_D1_X, _lin((1, (ONE,)), (1, _D1_X))))),
+    _Identity("prop-2.1", 2, 2, (
+        (_EXP_SD_X, (MUL, _EXP_D1_X, (EXP, _entry(1, D, (2,), _X)))),
+    )),
+    # a chain of three sides: the middle one is shared, so it is evaluated once
+    _Identity("prop-2.2", 1, 2, (
+        (_EXP_D1_XpY, _EXP_D1_X_EXP_D1_Y),
+        (_EXP_D1_X_EXP_D1_Y, (MUL, _EXP_D1_Y, _EXP_D1_X)),
+    )),
+    _Identity("thm-2.3", 2, 2, (
+        ((MUL, _EXP_D1_X, _EXP_D2_Y, (INV, _EXP_D1_X), (INV, _EXP_D2_Y)),
+         (EXP, _entry(1, D, (1, 2), _XY))),
+    )),
+    _Identity("lemma-2.5", 0, 4, (((_X, (_Y, _XY)), (_Y, (_X, _XY))),)),
+    _Identity("prop-4.4", 0, 2, (((MUL, _EXP_X, _Y, (INV, _EXP_X)), (CONJ, _X, _Y)),)),
+    _Identity("prop-4.5", 1, 1, ((_EXP_D1_X, _lin((1, (ONE,)), (1, _D1_X))),)),
     # the commuting pair X and X
-    _Identity("prop-5.3", 0, 2, _PairRunner((
-        (MUL, _EXP_X, _EXP_X), (EXP, _lin((1, _X), (1, _X))),
-    ))),
-    _Identity("prop-5.4", 2, 2, _PairRunner((
-        (MUL, _EXP_D1_X, _EXP_D2_Y),
-        (MUL, _EXP_D2_Y, _EXP_D1_X, (EXP, _entry(1, D, (1, 2), _XY))),
-    ))),
-    _Identity("lemma-6.0", 4, 1, _run_lemma_6_0),
-    _Identity("thm-6.1", 1, 1, _PairRunner((
-        (EXP, _entry(1, D, (1,), _XpY)), (MUL, _EXP_D1_X, _EXP_D1_Y),
-    ))),
-    _Identity("thm-6.2a", 2, 2, _PairRunner(_zassenhaus(2, "a"))),
-    _Identity("thm-6.2b", 2, 2, _PairRunner(_zassenhaus(2, "b"))),
-    _Identity("thm-6.3a", 3, 3, _PairRunner(_zassenhaus(3, "a"))),
-    _Identity("thm-6.3b", 3, 3, _PairRunner(_zassenhaus(3, "b"))),
-    _Identity("thm-6.4a", 4, 4, _PairRunner(_zassenhaus(4, "a"))),
-    _Identity("thm-6.4b", 4, 4, _PairRunner(_zassenhaus(4, "b"))),
-    _Identity("thm-7.1", 1, 1, _PairRunner(_bch(1, "sec7"))),
-    _Identity("thm-7.2a", 2, 2, _PairRunner(_bch(2, "sec7"))),
-    _Identity("thm-7.2b", 2, 2, _PairRunner(_bch(2, "sec7", "b"))),
-    _Identity("cor-7.2.1", 2, 2, _PairRunner((
-        (MUL, _EXP_SD_X, _EXP_SD_Y, (EXP, _entry(1, POW, 1, 2))),
-        (EXP, _lin(
-            (1, _entry(1, POW, 1, _lin((1, 0), (1, 1), (1, 2)))),
-            (1, _entry(1, D, (1, 2), _lin((1, (0, 1)), (1, (0, 2)), (1, (1, 2))))),
-        )),
-    )), gens=3),
-    _Identity("thm-7.3a", 3, 3, _PairRunner(_bch(3, "sec7"))),
-    _Identity("thm-7.3b", 3, 3, _PairRunner(_bch(3, "sec7", "b"))),
-    _Identity("thm-7.4a", 4, 4, _PairRunner(_bch(4, "sec7"))),
-    _Identity("thm-7.4b", 4, 4, _PairRunner(_bch(4, "sec7", "b"))),
-    _Identity("thm-8.1", 1, 1, _PairRunner(_bch(1, "sec8"))),
-    _Identity("thm-8.2", 2, 2, _PairRunner(_bch(2, "sec8"))),
-    _Identity("thm-8.3", 3, 3, _PairRunner(_bch(3, "sec8"))),
-    _Identity("thm-8.4", 4, 4, _PairRunner(_bch(4, "sec8"))),
-    _Identity("consistency-7v8", 0, 1, _run_consistency_7v8),
+    _Identity("prop-5.3", 0, 2, (((MUL, _EXP_X, _EXP_X), (EXP, _lin((1, _X), (1, _X)))),)),
+    _Identity("prop-5.4", 2, 2, (
+        ((MUL, _EXP_D1_X, _EXP_D2_Y),
+         (MUL, _EXP_D2_Y, _EXP_D1_X, (EXP, _entry(1, D, (1, 2), _XY)))),
+    )),
+    # sd^m / m! = em(m), as multiples of the unit
+    _Identity("lemma-6.0", 5, 1, tuple(
+        (_entry(Fraction(1, factorial(m)), POW, m, (ONE,)), _entry(1, EM, m, (ONE,)))
+        for m in range(1, 6)
+    )),
+    _Identity("thm-6.1", 1, 1, ((_EXP_D1_XpY, _EXP_D1_X_EXP_D1_Y),)),
+    _Identity("thm-6.2a", 2, 2, (_zassenhaus(2, "a"),)),
+    _Identity("thm-6.2b", 2, 2, (_zassenhaus(2, "b"),)),
+    _Identity("thm-6.3a", 3, 3, (_zassenhaus(3, "a"),)),
+    _Identity("thm-6.3b", 3, 3, (_zassenhaus(3, "b"),)),
+    _Identity("thm-6.4a", 4, 4, (_zassenhaus(4, "a"),)),
+    _Identity("thm-6.4b", 4, 4, (_zassenhaus(4, "b"),)),
+    _Identity("thm-7.1", 1, 1, (_bch(1, "sec7"),)),
+    _Identity("thm-7.2a", 2, 2, (_bch(2, "sec7"),)),
+    _Identity("thm-7.2b", 2, 2, (_bch(2, "sec7", "b"),)),
+    _Identity("cor-7.2.1", 2, 2, (
+        ((MUL, _EXP_SD_X, _EXP_SD_Y, (EXP, _entry(1, POW, 1, 2))),
+         (EXP, _lin(
+             (1, _entry(1, POW, 1, _lin((1, 0), (1, 1), (1, 2)))),
+             (1, _entry(1, D, (1, 2), _lin((1, (0, 1)), (1, (0, 2)), (1, (1, 2))))),
+         ))),
+    ), gens=3),
+    _Identity("thm-7.3a", 3, 3, (_bch(3, "sec7"),)),
+    _Identity("thm-7.3b", 3, 3, (_bch(3, "sec7", "b"),)),
+    _Identity("thm-7.4a", 4, 4, (_bch(4, "sec7"),)),
+    _Identity("thm-7.4b", 4, 4, (_bch(4, "sec7", "b"),)),
+    _Identity("thm-8.1", 1, 1, (_bch(1, "sec8"),)),
+    _Identity("thm-8.2", 2, 2, (_bch(2, "sec8"),)),
+    _Identity("thm-8.3", 3, 3, (_bch(3, "sec8"),)),
+    _Identity("thm-8.4", 4, 4, (_bch(4, "sec8"),)),
+    # the degree-4 entries of the two BCH tables, as Lie elements
+    _Identity("consistency-7v8", 4, 1, (
+        (PAPER_TABLES["bch", "sec7", "a"][3], PAPER_TABLES["bch", "sec8", "a"][3]),
+    ), lie_degree=4),
 )
 
 _BY_ID = {entry.id: entry for entry in CATALOG}
@@ -345,42 +318,47 @@ REPORT_SCHEMA = {
 
 
 def _context_for(entry: _Identity, model: str, params: CheckParams):
+    if model == "free":
+        what, need, got = "truncation", entry.order, params.trunc
+    elif model == "matrix":
+        what, need, got = "matrix dimension", entry.order + 1, params.dim
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    if got < need:
+        raise InsufficientModel(f"{entry.id} needs {what} >= {need}, got {got}")
+    if entry.lie_degree:
+        return _TableContext(entry.lie_degree)
     k = max(entry.n_d, 1)
     if model == "free":
-        if params.trunc < entry.min_trunc():
-            raise InsufficientModel(
-                f"{entry.id} needs truncation >= {entry.min_trunc()}, got {params.trunc}"
-            )
         return _free_context(default_names(entry.gens), k, params.trunc)
-    if model == "matrix":
-        if params.dim < entry.min_dim():
-            raise InsufficientModel(
-                f"{entry.id} needs matrix dimension >= {entry.min_dim()}, got {params.dim}"
-            )
-        return _matrix_context(k, params.dim, params.seed, entry.gens)
-    raise ValueError(f"unknown model {model!r}")
+    return _matrix_context(k, params.dim, params.seed, entry.gens)
 
 
 def check_identity(
     identity_id: str, model: str = "free", params: CheckParams | None = None
 ) -> CheckReport:
-    """Evaluate one catalog identity literally and report PASS or FAIL."""
+    """Evaluate one catalog identity literally and report PASS or FAIL: the
+    witness is the first nonzero difference of a side pair."""
     entry = _BY_ID.get(identity_id)
     if entry is None:
         raise UnknownIdentity(identity_id)
     if params is None:
         params = CheckParams()
     if params.trunc is None:
-        params = CheckParams(entry.min_trunc(), params.dim, params.seed)
+        params = CheckParams(entry.order, params.dim, params.seed)
     start = time.perf_counter()
-    ctx = _context_for(entry, model, params)
-    ok, witness = entry.run(ctx)
+    ctx, memo, witness = _context_for(entry, model, params), {}, None
+    for left, right in entry.pairs:
+        diff = evaluate(ctx, left, memo) - evaluate(ctx, right, memo)
+        if diff:
+            witness = ctx.witness(diff)
+            break
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CheckReport(
         id=identity_id,
         model=model,
         params=params,
-        verdict="PASS" if ok else "FAIL",
+        verdict="PASS" if witness is None else "FAIL",
         witness=witness,
         elapsed_ms=elapsed_ms,
     )

@@ -15,6 +15,7 @@ from nilbch.assoc import (
 )
 from nilbch.errors import (
     AlgebraMismatch,
+    GeneratorCountMismatch,
     NotInvertible,
     NotNilpotent,
     NotUnipotent,
@@ -278,6 +279,13 @@ def test_truncation_mismatch_is_an_error():
         poly_mul(rational_gen(0, trunc=4), rational_gen(1, trunc=5))
     with pytest.raises(AlgebraMismatch):
         poly_mul(rational_gen(0), weil_gen(1))
+
+
+def test_scaling_by_a_weil_scalar_of_another_ring_is_an_error():
+    with pytest.raises(AlgebraMismatch):
+        rational_gen(0).scale(WeilElement.generator(2, 1))
+    with pytest.raises(GeneratorCountMismatch):
+        weil_gen(0, k=2).scale(WeilElement.generator(3, 1))
 
 
 def test_assoc_and_lie_elements_neither_add_nor_subtract():

@@ -124,6 +124,11 @@ def test_check_exit_codes_for_input_errors(capsys):
     code, _, err = run(capsys, "check", "--id", "thm-7.4a", "--trunc", "3")
     assert code == 2 and "InsufficientModel" in err
 
+    # consistency-7v8 is decided among Lie elements, after the model's checks
+    for params in (("--trunc", "0"), ("--model", "matrix", "--dim", "1")):
+        code, out, err = run(capsys, "check", "--id", "consistency-7v8", *params)
+        assert (code, out) == (2, "") and "InsufficientModel" in err
+
     # Every matched identity an input error: no report, not an empty one.
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "check", "--id", "thm-7.4*", "--trunc", "3", "--format", fmt)

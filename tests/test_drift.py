@@ -26,9 +26,9 @@ SEEDS = range(6)
 def _reports() -> list[dict]:
     out = []
     for entry in CATALOG:
-        for trunc in range(entry.min_trunc(), entry.min_trunc() + 3):
+        for trunc in range(entry.order, entry.order + 3):
             out.append(check_identity(entry.id, "free", CheckParams(trunc=trunc)))
-        for dim in range(entry.min_dim(), entry.min_dim() + 2):
+        for dim in range(entry.order + 1, entry.order + 3):
             for seed in SEEDS:
                 out.append(check_identity(entry.id, "matrix", CheckParams(dim=dim, seed=seed)))
     return [report.to_json_obj() for report in out]

@@ -37,7 +37,6 @@ from nilbch.weilcheck import (
     REPORT_SCHEMA,
     CheckParams,
     _free_context,
-    _PairRunner,
     check_identity,
     run_suite,
 )
@@ -136,14 +135,13 @@ def assert_well_formed(expr, entry):
 
 
 def test_catalog_expressions_are_well_formed():
-    pairs = [entry for entry in CATALOG if isinstance(entry.run, _PairRunner)]
-    assert {entry.id for entry in CATALOG} - {entry.id for entry in pairs} == {
-        "lemma-6.0", "consistency-7v8"
-    }
-    for entry in pairs:
-        assert len(entry.run.sides) >= 2, entry.id
-        for side in entry.run.sides:
-            assert_well_formed(side, entry)
+    for entry in CATALOG:
+        assert not any(callable(field) for field in entry), entry.id  # plain data, no code
+        assert entry.pairs, entry.id
+        for pair in entry.pairs:
+            assert len(pair) == 2, entry.id
+            for side in pair:
+                assert_well_formed(side, entry)
 
 
 _ONE_F = Fraction(1)
@@ -402,8 +400,8 @@ def _count_kernel_ops(monkeypatch):
 # change to the kernels moves these pins on purpose and records the old and
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 74, "add": 5, "poly_mul": 388, "nilmatrix_mul": 0},
-    "matrix": {"mul": 71, "add": 5, "poly_mul": 0, "nilmatrix_mul": 361},
+    "free": {"mul": 74, "add": 0, "poly_mul": 388, "nilmatrix_mul": 0},
+    "matrix": {"mul": 71, "add": 0, "poly_mul": 0, "nilmatrix_mul": 361},
 }
 
 
@@ -550,6 +548,40 @@ def test_consistency_check_passes():
     assert report.verdict == "PASS"
 
 
+# -- perturbed statements ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", ["free", "matrix"])
+def test_perturbed_lemma_6_0_fails_with_witness(model, monkeypatch):
+    # sd^3 / 12 = em(3) / 2, so the pair m = 3 differs by -em(3)/2 times the unit
+    entry = weilcheck._BY_ID["lemma-6.0"]
+    pairs = list(entry.pairs)
+    pairs[2] = (series._entry(Fraction(1, 12), POW, 3, (ONE,)), pairs[2][1])
+    monkeypatch.setitem(weilcheck._BY_ID, "lemma-6.0", entry._replace(pairs=tuple(pairs)))
+    report = check_identity("lemma-6.0", model)
+    assert report.verdict == "FAIL"
+    ctx = weilcheck._context_for(entry, model, report.params)
+    assert report.witness == ctx.witness(ctx.one().scale(weil_power_sum(5, 3) * Fraction(-1, 2)))
+
+
+@pytest.mark.parametrize("model", ["free", "matrix"])
+def test_perturbed_consistency_7v8_fails_with_lie_witness(model, monkeypatch):
+    sec7 = series.PAPER_TABLES["bch", "sec7", "a"]
+    sec8 = series.PAPER_TABLES["bch", "sec8", "a"]
+    coeff, weight, bracket = sec8[3]
+    perturbed = (*sec8[:3], (2 * coeff, weight, bracket))
+    entry = weilcheck._BY_ID["consistency-7v8"]
+    monkeypatch.setitem(
+        weilcheck._BY_ID, "consistency-7v8", entry._replace(pairs=((sec7[3], perturbed[3]),))
+    )
+    report = check_identity("consistency-7v8", model)
+    monkeypatch.setitem(series.PAPER_TABLES, ("bch", "sec8", "a"), perturbed)
+    diff = series_compare(bch_paper(4, "sec7"), bch_paper(4, "sec8"), 4)
+    assert diff
+    assert report.verdict == "FAIL"
+    assert report.witness == {"kind": "lie", "terms": diff.to_json_terms()}
+
+
 # -- suite ------------------------------------------------------------------------
 
 
@@ -570,13 +602,10 @@ def test_suite_aggregates_errors_without_aborting():
 
 
 def test_suite_lets_programming_errors_propagate(monkeypatch):
-    def broken_runner(ctx):
-        raise TypeError("a bug in a runner")
+    def broken_evaluate(ctx, expr, memo):
+        raise TypeError("a bug in the evaluator")
 
-    entry = weilcheck._BY_ID["thm-7.1"]
-    monkeypatch.setitem(
-        weilcheck._BY_ID, "thm-7.1", entry._replace(run=broken_runner)
-    )
+    monkeypatch.setattr(weilcheck, "evaluate", broken_evaluate)
     with pytest.raises(TypeError):
         run_suite("thm-7.*", "free")
     with pytest.raises(TypeError):  # a crash, not exit code 2
