@@ -75,19 +75,13 @@ class Numerators:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
+        if self._den != other._den:
+            return combination([(1, self), (1, other)])
+        # most sums in the checks: skip the rescaling, share an unmatched row
         self._check_operand(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:  # most sums in the checks: skip the rescaling, share an unmatched row
-            rows = [accumulate(dict(r1), r2.items()) if r1 and r2 else r1 or r2
-                    for r1, r2 in zip(self._rows, other._rows)]
-            return self._with(rows, d1)
-        den = lcm(d1, d2)
-        f1, f2 = den // d1, den // d2
-        return self._with([
-            accumulate({key: n * f1 for key, n in r1.items()},
-                       [(key, n * f2) for key, n in r2.items()])
-            for r1, r2 in zip(self._rows, other._rows)
-        ], den)
+        rows = [accumulate(dict(r1), r2.items()) if r1 and r2 else r1 or r2
+                for r1, r2 in zip(self._rows, other._rows)]
+        return self._with(rows, self._den)
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, type(self)) else NotImplemented
@@ -113,22 +107,66 @@ class Numerators:
         return any(self._rows)
 
 
+def combination(terms):
+    """sum_i c_i p_i over a nonempty list of (c_i, p_i) pairs, each c_i an int
+    or a Fraction and each p_i a value of one ``Numerators`` algebra.
+
+    The sum is taken once over one common denominator, the lcm of the
+    c_i.denominator * p_i._den: each term's rows are added into fresh rows
+    with one int factor, and ``_with`` reduces the result by one gcd.
+    """
+    first = terms[0][1]
+    kind, check = type(first), first._check_operand
+    live = []
+    for c, p in terms:
+        if type(p) is not kind:
+            raise TypeError(f"unsupported operand type(s) for +: "
+                            f"'{kind.__name__}' and '{type(p).__name__}'")
+        check(p)
+        if c:  # a zero p is over 1 and adds nothing, so only c is tested
+            live.append((c.numerator, c.denominator * p._den, p._rows))
+    den = lcm(*[d for _, d, _ in live])
+    rows = None
+    for a, d, p_rows in live:
+        f = a * (den // d)
+        if rows is None:
+            rows = [{key: n * f for key, n in row.items()} for row in p_rows]
+            continue
+        for acc, row in zip(rows, p_rows):
+            for key, n in row.items():  # inline, as in the product loops: no pair list per row
+                total = acc.get(key, 0) + n * f
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    if rows is None:
+        rows = [{} for _ in first._rows]
+    return first._with(rows, den)
+
+
 def power_series(out, first, step, coeffs):
     """out + sum_i c_i p_i, where p_0 = first and p_(i+1) = step(p_i).
 
-    The powers may be any elements with ``+`` and ``scale``.  The sum stops at
-    the first zero power or when ``coeffs`` runs out, and ``step`` is never
-    called past either; ``coeffs`` is read one term at a time, so it may be an
-    endless generator.  A coefficient equal to 1 adds its power unscaled.
+    The powers are values of one ``Numerators`` algebra and the c_i ints or
+    Fractions.  The sum stops at the first zero power or when ``coeffs`` runs
+    out, and ``step`` is never called past either; ``coeffs`` is read one
+    term at a time, so it may be an endless generator.  The terms are summed
+    once by ``combination``, except that a lone power of coefficient 1 is
+    added to ``out`` with ``+``, which shares rows.
     """
+    terms = [(1, out)]
     power = first
     for i, coeff in enumerate(coeffs):
         if i:
             power = step(power)
         if not power:
             break
-        out = out + (power if coeff == 1 else power.scale(coeff))
-    return out
+        terms.append((coeff, power))
+    if len(terms) == 1:
+        return out
+    if len(terms) == 2 and terms[1][0] == 1:
+        return out + terms[1][1]
+    return combination(terms)
 
 
 @cache

@@ -135,6 +135,7 @@ def zassenhaus_classical(N: int) -> GradedSeries:
     modulo degree 2n > n, and the Dynkin projection preserves degree, so
     projecting the degree-n part of the remainder gives the same C[n] as
     projecting the degree-n part of its logarithm, without computing the log.
+    The peel stops at C[N]: nothing reads the remainder after it.
     """
     if not 2 <= N <= ORACLE_DEGREE_CAP:
         raise DegreeOutOfRange(
@@ -142,11 +143,10 @@ def zassenhaus_classical(N: int) -> GradedSeries:
         )
     x, y = _xy_polys(N)
     remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
-    factors: dict[int, LieElement] = {}
-    for n in range(2, N + 1):
-        c_n = dynkin_project(remainder.degree_part(n))
-        factors[n] = c_n
-        remainder = poly_mul(poly_exp(-lie_embed(c_n)), remainder)
+    factors = {2: dynkin_project(remainder.degree_part(2))}
+    for n in range(3, N + 1):
+        remainder = poly_mul(poly_exp(-lie_embed(factors[n - 1])), remainder)
+        factors[n] = dynkin_project(remainder.degree_part(n))
     return GradedSeries("zassenhaus", N, "classical", factors)
 
 

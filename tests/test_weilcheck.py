@@ -15,7 +15,7 @@ from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import WeilElement, weil_power_sum, weil_sum
+from nilbch.scalars import Numerators, WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
     CONJ,
     EM,
@@ -431,16 +431,52 @@ def _count_oracle_ops(monkeypatch):
 
 # Kernel calls of one oracle-classical benchmark pass: bch_classical(1..6)
 # and zassenhaus_classical(2..6).  Pinned like WEIL_OP_PINS.
-ORACLE_OP_PINS = {"poly_mul": 141, "poly_log": 6, "poly_exp": 42, "dynkin_project": 21}
+ORACLE_OP_PINS = {"poly_mul": 131, "poly_log": 6, "poly_exp": 37, "dynkin_project": 21}
 
 
-def test_oracle_op_counts_are_pinned(monkeypatch):
-    calls = _count_oracle_ops(monkeypatch)
+def _oracle_pass():
     for n in range(1, series.ORACLE_DEGREE_CAP + 1):
         bch_classical(n)
     for n in range(2, series.ORACLE_DEGREE_CAP + 1):
         zassenhaus_classical(n)
+
+
+def test_oracle_op_counts_are_pinned(monkeypatch):
+    calls = _count_oracle_ops(monkeypatch)
+    _oracle_pass()
     assert calls == ORACLE_OP_PINS
+
+
+def _count_sums(monkeypatch):
+    """Count the shared ``Numerators`` reductions, sums and scalings; every
+    subclass reaches them through the base class."""
+    calls = {}
+    for name in ("_with", "__add__", "_scaled"):
+        calls[name] = 0
+        monkeypatch.setattr(Numerators, name, _counted(calls, name, getattr(Numerators, name)))
+    return calls
+
+
+# Numerators._with, __add__ and _scaled calls of one oracle pass (as for
+# ORACLE_OP_PINS) and of one default-params run_suite per model.  Each power
+# series sums once through scalars.combination, so these count the sums
+# themselves, not the terms; pinned like WEIL_OP_PINS.
+SUM_PINS = {
+    "oracle": {"_with": 242, "__add__": 20, "_scaled": 6},
+    "free": {"_with": 998, "__add__": 210, "_scaled": 58},
+    "matrix": {"_with": 1019, "__add__": 208, "_scaled": 55},
+}
+
+
+@pytest.mark.parametrize("run", sorted(SUM_PINS))
+def test_sum_counts_are_pinned(run, monkeypatch):
+    calls = _count_sums(monkeypatch)
+    if run == "oracle":
+        _oracle_pass()
+    else:
+        reports, errors = run_suite(model=run)
+        assert len(reports) == len(CATALOG) and not errors
+    assert calls == SUM_PINS[run]
 
 
 # series.lie_bracket calls that expand every paper table: bch_paper at
