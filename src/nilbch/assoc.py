@@ -22,9 +22,9 @@ from .scalars import (
     Numerators,
     WeilElement,
     exp_series,
-    geometric_series,
     over_lcm,
     power_series,
+    unit_inverse,
 )
 
 Word = tuple[int, ...]
@@ -183,17 +183,12 @@ class AssocPoly(Numerators):
             if scalar.k != self.weil_k:
                 self._coefficient(scalar)  # raises the mismatch
             return self._product(scalar._rows, scalar._den)
-        return self._scaled(scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar))
+        return self._scaled(scalar)
 
     def degree_part(self, n: int) -> "AssocPoly":
         return self._with([row if l == n else {} for l, row in enumerate(self._rows)], self._den)
 
     # -- queries ------------------------------------------------------------
-
-    def constant_term(self):
-        if self.weil_k is None:
-            return Fraction(self._rows[0].get(0, 0), self._den)
-        return WeilElement._trusted(self.weil_k, self._rows[0], self._den)
 
     def word_str(self, word: Word) -> str:
         if not word:
@@ -239,15 +234,11 @@ def poly_log(a: AssocPoly) -> AssocPoly:
 
 
 def poly_inv(a: AssocPoly) -> AssocPoly:
-    """Two-sided inverse of an element whose constant term is a unit."""
-    c = a.constant_term()
-    if isinstance(c, WeilElement):
-        if not c.is_unit():
-            raise NotInvertible("constant term is not a unit")
-        c_inv = c.inverse()
-    else:
-        if not c:
-            raise NotInvertible("constant term is zero")
-        c_inv = 1 / c
-    one = a._monomial(0, 0)
-    return geometric_series(one - a.scale(c_inv), one, a.trunc).scale(c_inv)
+    """Two-sided inverse of an element whose constant term is a unit, that is,
+    has a nonzero rational part.  A nonzero power of the nilpotent x of
+    ``unit_inverse`` has at most trunc letters and at most one factor from
+    each nilpotent term of the constant."""
+    row = a._rows[0]
+    if 0 not in row:
+        raise NotInvertible("constant term is not a unit")
+    return unit_inverse(a, a._monomial(0, 0), a.trunc + len(row) - 1)

@@ -230,7 +230,7 @@ class LieElement(Numerators):
         return self._with([row if d == n else {} for d, row in enumerate(self._rows)], self._den)
 
     def scale(self, scalar) -> "LieElement":
-        return self._scaled(Fraction(scalar))
+        return self._scaled(scalar)
 
     def __mul__(self, scalar) -> "LieElement":
         if not isinstance(scalar, (int, Fraction)):

@@ -90,7 +90,10 @@ class Numerators:
         return self._wrap([{key: -n for key, n in row.items()} for row in self._rows], self._den)
 
     def _scaled(self, q):
-        """self times an int or a Fraction."""
+        """self times an int or a Fraction; any other scalar is inexact or
+        not a number, so it is a TypeError."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"cannot scale {type(self).__name__} by {type(q).__name__}")
         num = q.numerator
         if not num:
             return self._wrap([{} for _ in self._rows], 1)
@@ -183,6 +186,17 @@ def exp_series(x, one, bound: int):
 def geometric_series(x, one, bound: int):
     """sum_i x^i = (one - x)^-1 for an x with x^(bound+1) = 0."""
     return power_series(one, x, lambda p: p * x, repeat(1, bound))
+
+
+def unit_inverse(a, one, bound: int):
+    """a^-1 for a value a of a ``Numerators`` algebra whose rational part n0,
+    the key-0 numerator of row 0, is nonzero; ``one`` is the unit.
+
+    With c = _den / n0, x = one - c*a has rational part 0, so it is
+    nilpotent, and a^-1 = c * sum_i x^i; x^(bound+1) must be 0.
+    """
+    c = Fraction(a._den, a._rows[0][0])
+    return geometric_series(one - a._scaled(c), one, bound)._scaled(c)
 
 
 def signed_join(terms) -> str:
@@ -325,27 +339,11 @@ class WeilElement(Numerators):
 
     # -- queries -----------------------------------------------------------
 
-    def is_unit(self) -> bool:
-        return 0 in self._rows[0]
-
     def inverse(self) -> "WeilElement":
-        """Exact inverse via the finite geometric series.
-
-        Writing a = c + m with c the scalar part and m nilpotent,
-        a^-1 = (1/c) sum_i (-m/c)^i, and the sum stops at i = k.  Over the
-        common denominator, -m/c is -m's numerators over n0, the scalar
-        numerator, so the nilpotent part is built over |n0| directly.
-        """
-        nums = self._rows[0]
-        n0 = nums.get(0)
-        if not n0:
+        """Exact inverse via the finite geometric series, which stops at i = k."""
+        if 0 not in self._rows[0]:
             raise DivisionByZero("Weil element with zero scalar part has no inverse")
-        sign = -1 if n0 > 0 else 1
-        nil = WeilElement._trusted(
-            self.k, {m: sign * n for m, n in nums.items() if m}, abs(n0)
-        )
-        c_inv = Fraction(self._den, n0)
-        return geometric_series(nil, WeilElement.one(self.k), self.k) * c_inv
+        return unit_inverse(self, WeilElement.one(self.k), self.k)
 
     # -- text format -------------------------------------------------------
 

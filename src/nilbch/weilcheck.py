@@ -180,14 +180,14 @@ class _Identity(NamedTuple):
     n_d: int          # infinitesimals used
     order: int        # bracket order reached; bounds trunc and dim below
     pairs: tuple      # (left, right) side expressions; PASS when every pair is equal
-    gens: int = 2     # model generators required
+    gens: int = 2     # model generators: one more than the largest index used
     lie_degree: int = 0  # if set, decided among Lie elements of this degree in any model
 
 
 CATALOG: tuple[_Identity, ...] = (
     _Identity("prop-2.1", 2, 2, (
         (_EXP_SD_X, (MUL, _EXP_D1_X, (EXP, _entry(1, D, (2,), _X)))),
-    )),
+    ), gens=1),
     # a chain of three sides: the middle one is shared, so it is evaluated once
     _Identity("prop-2.2", 1, 2, (
         (_EXP_D1_XpY, _EXP_D1_X_EXP_D1_Y),
@@ -199,9 +199,10 @@ CATALOG: tuple[_Identity, ...] = (
     )),
     _Identity("lemma-2.5", 0, 4, (((_X, (_Y, _XY)), (_Y, (_X, _XY))),)),
     _Identity("prop-4.4", 0, 2, (((MUL, _EXP_X, _Y, (INV, _EXP_X)), (CONJ, _X, _Y)),)),
-    _Identity("prop-4.5", 1, 1, ((_EXP_D1_X, _lin((1, (ONE,)), (1, _D1_X))),)),
+    _Identity("prop-4.5", 1, 1, ((_EXP_D1_X, _lin((1, (ONE,)), (1, _D1_X))),), gens=1),
     # the commuting pair X and X
-    _Identity("prop-5.3", 0, 2, (((MUL, _EXP_X, _EXP_X), (EXP, _lin((1, _X), (1, _X)))),)),
+    _Identity("prop-5.3", 0, 2, (((MUL, _EXP_X, _EXP_X), (EXP, _lin((1, _X), (1, _X)))),),
+              gens=1),
     _Identity("prop-5.4", 2, 2, (
         ((MUL, _EXP_D1_X, _EXP_D2_Y),
          (MUL, _EXP_D2_Y, _EXP_D1_X, (EXP, _entry(1, D, (1, 2), _XY)))),
@@ -210,7 +211,7 @@ CATALOG: tuple[_Identity, ...] = (
     _Identity("lemma-6.0", 5, 1, tuple(
         (_entry(Fraction(1, factorial(m)), POW, m, (ONE,)), _entry(1, EM, m, (ONE,)))
         for m in range(1, 6)
-    )),
+    ), gens=0),
     _Identity("thm-6.1", 1, 1, ((_EXP_D1_XpY, _EXP_D1_X_EXP_D1_Y),)),
     _Identity("thm-6.2a", 2, 2, (_zassenhaus(2, "a"),)),
     _Identity("thm-6.2b", 2, 2, (_zassenhaus(2, "b"),)),

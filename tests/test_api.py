@@ -18,6 +18,9 @@ USED_ONLY_OUTSIDE_SRC = {
     # the generic sum_p c_p (ad X)^p (V), which the tests apply with the exp
     # and logarithmic-derivative coefficients
     "apply_ad_series",
+    # WeilElement's inverse, which the tests check and the benchmark's tracer
+    # times; the package inverts through scalars.unit_inverse directly
+    "inverse",
     # the JSON contracts of the series and check output, which the tests
     # validate that output against
     "SERIES_SCHEMA",

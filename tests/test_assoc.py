@@ -46,7 +46,7 @@ def random_poly(rng, trunc=4, weil_k=None):
 
 def augmentation(rng, trunc=4):
     poly = random_poly(rng, trunc)
-    return poly - AssocPoly(XY, trunc, None, {(): poly.constant_term()})
+    return poly - poly.degree_part(0)
 
 
 def test_infinitesimal_product_expansion():
@@ -169,8 +169,33 @@ def test_inv_of_general_unit():
 
 
 def test_inv_rejects_zero_constant():
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible, match="constant term is not a unit"):
         poly_inv(rational_gen(0))
+    d1 = WeilElement.generator(2, 1)
+    with pytest.raises(NotInvertible, match="constant term is not a unit"):
+        poly_inv(AssocPoly.one(XY, 4, 2).scale(d1) + weil_gen(0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_inv_of_a_unit_with_an_infinitesimal_constant(k):
+    # A constant with nilpotent Weil terms lengthens the series past trunc:
+    # (2 + d1 + X)^-1 has a nonzero d1 X^trunc term, which only the
+    # (trunc+1)-th power of the series gives.
+    d = [WeilElement.generator(k, i) for i in range(1, k + 1)]
+    constants = [
+        2 + d[0] - d[0] * d[-1] * Fraction(1, 3),
+        -3 + sum(d[1:], d[0]),
+        d[0] * d[-1] - 2 * d[-1] + Fraction(5, 7),
+    ]
+    for trunc in range(1, 5):
+        one = AssocPoly.one(XY, trunc, k)
+        x, y = (AssocPoly.generator(XY, i, trunc, k) for i in (0, 1))
+        tail = x - poly_mul(y, x).scale(Fraction(1, 2)) + y.scale(d[-1])
+        for c in constants:
+            a = one.scale(c) + tail
+            inverse = poly_inv(a)
+            assert poly_mul(a, inverse) == one
+            assert poly_mul(inverse, a) == one
 
 
 def random_weil_poly(rng, trunc=4, k=2):

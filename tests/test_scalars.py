@@ -111,7 +111,7 @@ def test_unit_inverse_exact():
     rng = random.Random(7)
     for _ in range(100):
         a = random_weil(rng, 4) + Fraction(rng.randint(1, 5))
-        assert a.is_unit()
+        assert 0 in a.coeffs
         assert a * a.inverse() == WeilElement.one(4)
 
 
@@ -124,6 +124,22 @@ def test_scalar_part_and_coercion():
     a = WeilElement.from_rational(2, Fraction(3, 4)) + d(2, 1)
     assert a - Fraction(3, 4) == d(2, 1)
     assert 2 * d(2, 1) == d(2, 1) + d(2, 1)
+
+
+@pytest.mark.parametrize("scalar", [0.5, "1/3"])
+def test_only_ints_and_fractions_scale(scalar):
+    # A float or a string is never coerced: no scalar outside Q reaches the
+    # exact arithmetic, whichever class it scales.
+    x = gen_nilmatrix(3, 1, count=1)[0]
+    scalings = [
+        lambda: d(2, 1) * scalar,
+        lambda: AssocPoly.generator(("X",), 0, 2).scale(scalar),
+        lambda: LieElement.generator(("X",), 0, 2).scale(scalar),
+        lambda: x.scale(scalar),
+    ]
+    for scale in scalings:
+        with pytest.raises(TypeError):
+            scale()
 
 
 def test_text_format():

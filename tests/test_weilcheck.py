@@ -104,10 +104,10 @@ TAG_ARITY = {EXP: 1, INV: 1, ONE: 0, CONJ: 2, MUL: None}
 def assert_well_formed(expr, entry):
     """Each node is a generator below entry.gens, a LIN, a known tag with its
     arity, a weight of a known shape whose d indices are at most entry.n_d,
-    or a bracket pair."""
+    or a bracket pair.  Returns the generator indices the expression uses."""
     if isinstance(expr, int):
         assert 0 <= expr < entry.gens, expr
-        return
+        return {expr}
     assert isinstance(expr, tuple) and expr, expr
     head = expr[0]
     if head == LIN:
@@ -130,18 +130,20 @@ def assert_well_formed(expr, entry):
     else:
         assert len(expr) == 2, expr
         operands = expr
-    for sub in operands:
-        assert_well_formed(sub, entry)
+    return set().union(*[assert_well_formed(sub, entry) for sub in operands])
 
 
 def test_catalog_expressions_are_well_formed():
     for entry in CATALOG:
         assert not any(callable(field) for field in entry), entry.id  # plain data, no code
         assert entry.pairs, entry.id
+        used = set()
         for pair in entry.pairs:
             assert len(pair) == 2, entry.id
             for side in pair:
-                assert_well_formed(side, entry)
+                used |= assert_well_formed(side, entry)
+        # the model builds exactly the generators the entry uses
+        assert entry.gens == max(used, default=-1) + 1, entry.id
 
 
 _ONE_F = Fraction(1)
@@ -159,7 +161,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_well_formedness_check_catches_malformed_data(name):
-    entry = weilcheck._BY_ID["prop-2.1"]  # two generators, two infinitesimals
+    entry = weilcheck._BY_ID["prop-5.4"]  # two generators, two infinitesimals
     with pytest.raises(AssertionError):
         assert_well_formed(MALFORMED[name], entry)
 
@@ -376,9 +378,10 @@ def _counted(calls, name, fn):
 
 
 def _count_kernel_ops(monkeypatch):
-    """Count Weil products and sums by every name the operators have, and
-    polynomial and matrix products by every name that calls reach them through."""
-    calls = {"mul": 0, "add": 0, "poly_mul": 0, "nilmatrix_mul": 0}
+    """Count Weil products, sums and inverses by every name the operators
+    have, and polynomial and matrix products by every name that calls reach
+    them through."""
+    calls = {"mul": 0, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 0}
 
     def counted(name, fn):
         return _counted(calls, name, fn)
@@ -388,6 +391,7 @@ def _count_kernel_ops(monkeypatch):
         monkeypatch.setattr(WeilElement, attr, counted("mul", mul))
     for attr in ("__add__", "__radd__"):
         monkeypatch.setattr(WeilElement, attr, counted("add", add))
+    monkeypatch.setattr(WeilElement, "inverse", counted("inverse", WeilElement.inverse))
     poly_mul = counted("poly_mul", assoc.poly_mul)
     for module in (assoc, series):
         monkeypatch.setattr(module, "poly_mul", poly_mul)
@@ -395,13 +399,13 @@ def _count_kernel_ops(monkeypatch):
     return calls
 
 
-# Weil products and sums, polynomial products (assoc.poly_mul) and matrix
+# Weil products, sums and inverses, polynomial products (assoc.poly_mul) and matrix
 # products (NilMatrix.__mul__) of one default-params run_suite per model.  A
 # change to the kernels moves these pins on purpose and records the old and
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 74, "add": 0, "poly_mul": 388, "nilmatrix_mul": 0},
-    "matrix": {"mul": 71, "add": 0, "poly_mul": 0, "nilmatrix_mul": 361},
+    "free": {"mul": 71, "add": 0, "inverse": 0, "poly_mul": 388, "nilmatrix_mul": 0},
+    "matrix": {"mul": 71, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 361},
 }
 
 
@@ -463,7 +467,7 @@ def _count_sums(monkeypatch):
 # themselves, not the terms; pinned like WEIL_OP_PINS.
 SUM_PINS = {
     "oracle": {"_with": 242, "__add__": 20, "_scaled": 6},
-    "free": {"_with": 998, "__add__": 210, "_scaled": 58},
+    "free": {"_with": 989, "__add__": 210, "_scaled": 61},
     "matrix": {"_with": 1019, "__add__": 208, "_scaled": 55},
 }
 
