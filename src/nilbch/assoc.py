@@ -11,20 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    AlgebraMismatch,
-    GeneratorCountMismatch,
-    NotInvertible,
-    NotNilpotent,
-    NotUnipotent,
-)
+from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
 from .scalars import (
     Numerators,
     WeilElement,
+    decode_row,
+    encode_scalar,
     exp_series,
     over_lcm,
     power_series,
     unit_inverse,
+    weil_numerators,
 )
 
 Word = tuple[int, ...]
@@ -42,7 +39,8 @@ class AssocPoly(Numerators):
     maps ``(code << s) | mask`` to the nonzero numerator of the ``mask`` term
     of the coefficient of a word of length l, where s is ``weil_k`` (0 for a
     rational polynomial, whose masks are all 0) and ``code`` packs the word's
-    letters into bit fields of ``_letter_bits`` each, first letter highest.
+    letters into bit fields of ``_letter_bits`` each, first letter highest;
+    ``scalars.encode_scalar`` and ``decode_row`` translate coefficients.
     Codes order as their words do, concatenation shifts and ors them, and
     ``freelie.lie_embed`` and ``dynkin_project`` read and write them too.
     ``terms`` is the read-only view word -> coefficient, built on each read.
@@ -61,16 +59,17 @@ class AssocPoly(Numerators):
         if trunc < 1:
             raise ValueError(f"truncation must be positive, got {trunc}")
         self.alphabet, self.trunc, self.weil_k = tuple(alphabet), trunc, weil_k
-        letters, s, bits = len(self.alphabet), weil_k or 0, _letter_bits(self.alphabet)
+        letters, bits = len(self.alphabet), _letter_bits(self.alphabet)
         rows = [[] for _ in range(trunc + 1)]
         for word, coeff in (terms or {}).items():
             if not all(0 <= i < letters for i in word):
                 raise AlgebraMismatch(f"word {word} has a letter outside the alphabet")
+            code = 0
+            for letter in word:
+                code = (code << bits) | letter
+            coeff_terms = encode_scalar(weil_k, code, coeff)  # checks words past trunc too
             if len(word) <= trunc:
-                code = 0
-                for letter in word:
-                    code = (code << bits) | letter
-                rows[len(word)].extend([((code << s) | m, v) for m, v in self._coefficient(coeff)])
+                rows[len(word)].extend(coeff_terms)
         self._rows, self._den = over_lcm(rows)
 
     def _wrap(self, rows: list[dict], den: int) -> "AssocPoly":
@@ -84,47 +83,21 @@ class AssocPoly(Numerators):
         """A fresh map from each word, shortest first and then in
         lexicographic order, to its nonzero coefficient: a Fraction, or a
         WeilElement when weil_k is set."""
-        k, s, den = self.weil_k, self.weil_k or 0, self._den
-        low, bits = (1 << s) - 1, _letter_bits(self.alphabet)
+        bits = _letter_bits(self.alphabet)
         letter = (1 << bits) - 1
-        out = {}
-        for length, row in enumerate(self._rows):
-            by_code: dict[int, dict] = {}
-            for key in sorted(row):
-                by_code.setdefault(key >> s, {})[key & low] = row[key]
-            for code, c in by_code.items():
-                word = tuple([(code >> (bits * i)) & letter for i in range(length - 1, -1, -1)])
-                out[word] = Fraction(c[0], den) if k is None else WeilElement._trusted(k, c, den)
-        return out
+        return {
+            tuple([(code >> (bits * i)) & letter for i in range(length - 1, -1, -1)]): c
+            for length, row in enumerate(self._rows)
+            for code, c in decode_row(self.weil_k, row, self._den).items()
+        }
 
     # -- scalar plumbing ----------------------------------------------------
-
-    def _coefficient(self, value):
-        """The (mask, nonzero Fraction) terms of a value of the coefficient
-        ring; a rational is the same terms in either ring."""
-        if isinstance(value, WeilElement):
-            if self.weil_k is None:
-                raise AlgebraMismatch("Weil coefficient in a rational algebra")
-            if value.k != self.weil_k:
-                raise GeneratorCountMismatch(
-                    f"coefficient has {value.k} generators, algebra has {self.weil_k}"
-                )
-            return value.coeffs.items()
-        value = Fraction(value)
-        return [(0, value)] if value else []
 
     def _monomial(self, length: int, key: int) -> "AssocPoly":
         """The term of numerator 1 at ``key`` in row ``length``, over 1."""
         rows = [{} for _ in range(self.trunc + 1)]
         rows[length][key] = 1
         return self._wrap(rows, 1)
-
-    def _check_operand(self, other: "AssocPoly") -> None:
-        if (self.alphabet, self.trunc, self.weil_k) != (other.alphabet, other.trunc, other.weil_k):
-            raise AlgebraMismatch(
-                f"algebras differ: ({self.alphabet}, trunc {self.trunc}, weil {self.weil_k}) "
-                f"vs ({other.alphabet}, trunc {other.trunc}, weil {other.weil_k})"
-            )
 
     # -- constructors -------------------------------------------------------
 
@@ -180,9 +153,8 @@ class AssocPoly(Numerators):
         """Multiply every coefficient by a central scalar: a rational scales
         the numerators, and a Weil scalar multiplies them mask by mask."""
         if isinstance(scalar, WeilElement):
-            if scalar.k != self.weil_k:
-                self._coefficient(scalar)  # raises the mismatch
-            return self._product(scalar._rows, scalar._den)
+            nums, den = weil_numerators(self.weil_k, scalar)
+            return self._product([nums], den)
         return self._scaled(scalar)
 
     def degree_part(self, n: int) -> "AssocPoly":

@@ -9,16 +9,17 @@ class DivisionByZero(NilbchError, ZeroDivisionError):
     """Exact division by a zero rational or non-unit scalar."""
 
 
-class GeneratorCountMismatch(NilbchError, ValueError):
-    """Weil elements with different generator counts, or a count out of range."""
-
-
 class AlphabetMismatch(NilbchError, ValueError):
     """Lie elements over different generator alphabets or truncations."""
 
 
 class AlgebraMismatch(NilbchError, ValueError):
-    """Associative polynomials from incompatible algebras (alphabet, truncation or scalars)."""
+    """Operands from incompatible algebras (alphabet, truncation, dim or scalar ring)."""
+
+
+class GeneratorCountMismatch(AlgebraMismatch):
+    """Weil elements with different generator counts, or a count out of range;
+    an ``AlgebraMismatch``, since another Weil ring is another algebra."""
 
 
 class NotNilpotent(NilbchError, ValueError):

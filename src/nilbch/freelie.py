@@ -21,7 +21,7 @@ from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
-from .scalars import Numerators, accumulate, over_lcm, power_series, signed_join
+from .scalars import Numerators, accumulate, over_lcm, power_series, rational, signed_join
 
 Mono = Union[int, tuple]
 Word = tuple[int, ...]
@@ -179,6 +179,7 @@ class LieElement(Numerators):
 
     __slots__ = ("alphabet", "max_degree")
     _algebra = ("alphabet", "max_degree")
+    _mismatch = AlphabetMismatch
 
     def __init__(
         self,
@@ -197,7 +198,7 @@ class LieElement(Numerators):
                 raise AlphabetMismatch(f"{mono} has a leaf outside the alphabet")
             if not (is_lyndon(word) and standard_bracketing(word) == mono):
                 raise ValueError(f"{mono} is not a standard (Lyndon) monomial")
-            coeff = Fraction(coeff)
+            coeff = rational(coeff)
             if coeff and len(word) <= max_degree:
                 rows[len(word)].append((word, coeff))
         self._rows, self._den = over_lcm(rows)
@@ -218,26 +219,13 @@ class LieElement(Numerators):
     ) -> "LieElement":
         return cls(alphabet, max_degree, {index: Fraction(1)})  # checks the index
 
-    def _check_operand(self, other: "LieElement") -> None:
-        if self.alphabet != other.alphabet or self.max_degree != other.max_degree:
-            raise AlphabetMismatch(
-                "Lie elements live in different algebras "
-                f"({self.alphabet} deg {self.max_degree} vs "
-                f"{other.alphabet} deg {other.max_degree})"
-            )
-
     def degree_part(self, n: int) -> "LieElement":
         return self._with([row if d == n else {} for d, row in enumerate(self._rows)], self._den)
 
     def scale(self, scalar) -> "LieElement":
         return self._scaled(scalar)
 
-    def __mul__(self, scalar) -> "LieElement":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self._scaled(scalar)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scale
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """(standard monomial, nonzero Fraction) pairs by degree, then by word."""

@@ -15,9 +15,12 @@ from .scalars import (
     Numerators,
     WeilElement,
     _check_k,
+    decode_row,
+    encode_scalar,
     exp_series,
     geometric_series,
     over_lcm,
+    weil_numerators,
 )
 
 
@@ -32,9 +35,10 @@ class NilMatrix(Numerators):
     numerators over one common denominator for the whole matrix: ``_rows[i]``
     maps ``(j << s) | mask`` to the nonzero numerator of the ``mask`` term of
     entry (i, j), where s is ``weil_k`` (0 for a rational matrix, whose masks
-    are all 0).  Products visit only pairs of nonzero terms whose masks are
-    disjoint, and build no scalar per entry; ``rows`` is a read-only entry
-    view, built on first read.
+    are all 0), as ``scalars.encode_scalar`` and ``decode_row`` translate.
+    Products visit only pairs of nonzero terms whose masks are disjoint, and
+    build no scalar per entry; ``rows`` is a read-only entry view, built on
+    first read.
     """
 
     __slots__ = ("dim", "weil_k", "_view")
@@ -46,10 +50,9 @@ class NilMatrix(Numerators):
             raise AlgebraMismatch(
                 f"dim {dim} matrix given rows of widths {[len(r) for r in rows]}"
             )
-        s = weil_k or 0
         self.dim, self.weil_k, self._view = dim, weil_k, None
         self._rows, self._den = over_lcm([
-            [((j << s) | m, v) for j, e in enumerate(row) for m, v in _entry_terms(weil_k, e)]
+            [term for j, e in enumerate(row) for term in encode_scalar(weil_k, j, e)]
             for row in rows
         ])
 
@@ -71,18 +74,10 @@ class NilMatrix(Numerators):
     def rows(self) -> tuple[tuple, ...]:
         """The entries as Fractions or WeilElements, zeros included."""
         if self._view is None:
-            k, s = self.weil_k, self.weil_k or 0
-            low, den = (1 << s) - 1, self._den
-            view = []
-            for row in self._rows:
-                entries = [{} for _ in range(self.dim)]
-                for key, n in row.items():
-                    entries[key >> s][key & low] = n
-                if k is None:
-                    view.append(tuple([Fraction(e.get(0, 0), den) for e in entries]))
-                else:
-                    view.append(tuple([WeilElement._trusted(k, e, den) for e in entries]))
-            self._view = tuple(view)
+            k, cols = self.weil_k, range(self.dim)
+            zero = Fraction(0) if k is None else WeilElement.zero(k)
+            entries = [decode_row(k, row, self._den) for row in self._rows]
+            self._view = tuple([tuple([e.get(j, zero) for j in cols]) for e in entries])
         return self._view
 
     @classmethod
@@ -97,13 +92,6 @@ class NilMatrix(Numerators):
         _check_k(k)
         rows = [{j << k: n for j, n in row.items()} for row in self._rows]
         return NilMatrix._trusted(self.dim, k, rows, self._den)
-
-    def _check_operand(self, other: "NilMatrix") -> None:
-        if other.dim != self.dim or other.weil_k != self.weil_k:
-            raise AlgebraMismatch(
-                f"matrices of dim {self.dim}, weil_k {self.weil_k} and "
-                f"dim {other.dim}, weil_k {other.weil_k}"
-            )
 
     def _product(self, right: list[dict], den: int) -> "NilMatrix":
         """out[i] += a[i][l] * right[l], over term pairs with disjoint masks."""
@@ -133,14 +121,11 @@ class NilMatrix(Numerators):
 
     def scale(self, scalar) -> "NilMatrix":
         if isinstance(scalar, WeilElement):
-            if scalar.k != self.weil_k:
-                raise AlgebraMismatch(
-                    f"Weil scalar with k {scalar.k} on a matrix with weil_k {self.weil_k}"
-                )
             # The product with the diagonal matrix scalar * 1.
-            nums, s = scalar._rows[0], self.weil_k
+            nums, den = weil_numerators(self.weil_k, scalar)
+            s = self.weil_k
             diagonal = [{(j << s) | m: n for m, n in nums.items()} for j in range(self.dim)]
-            return self._product(diagonal, scalar._den)
+            return self._product(diagonal, den)
         return self._scaled(scalar)
 
     def is_strictly_upper(self) -> bool:
@@ -166,15 +151,6 @@ class NilMatrix(Numerators):
 
     def __repr__(self) -> str:
         return f"NilMatrix({self.rows})"
-
-
-def _entry_terms(weil_k: int | None, entry):
-    """The (mask, nonzero Fraction) terms of one constructor entry."""
-    if weil_k is None and isinstance(entry, (int, Fraction)):
-        return [(0, Fraction(entry))] if entry else []
-    if isinstance(entry, WeilElement) and entry.k == weil_k:
-        return entry.coeffs.items()
-    raise AlgebraMismatch(f"entry {entry!r} outside the scalar ring of weil_k {weil_k}")
 
 
 def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:

@@ -7,6 +7,8 @@ square-zero infinitesimals.  A Weil element is stored sparsely as a map from
 subsets of {1..k} (encoded as bitmasks) to nonzero integer numerators over one
 common denominator; the empty subset holds the scalar part.  Multiplying two
 terms whose subsets overlap yields zero, which is the whole point of the ring.
+The module also decides, once, which scalars (``rational``) and operands
+(``Numerators._check_operand``, ``encode_scalar``) every algebra accepts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cache
 from itertools import combinations, repeat
 from math import factorial, gcd, lcm
 
-from .errors import DivisionByZero, GeneratorCountMismatch
+from .errors import AlgebraMismatch, DivisionByZero, GeneratorCountMismatch
 
 MAX_GENERATORS = 16
 
@@ -37,6 +39,14 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
+def rational(value) -> Fraction:
+    """An int or a Fraction as a Fraction; anything else, a float or a string
+    among them, is inexact or not a number, so it is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"a scalar must be an int or a Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 def over_lcm(rows) -> tuple[list[dict], int]:
     """Rows of (key, nonzero Fraction) pairs as int numerator rows over the lcm
     of the reduced denominators, which is already the canonical denominator."""
@@ -53,14 +63,30 @@ class Numerators:
     gcd(_den, every numerator) == 1, so equal values have equal fields and
     the arithmetic runs on machine ints with one gcd per result.  A subclass
     lays out its own rows and keys, keeps its own product loop, names the
-    fields that fix its algebra in ``_algebra``, and supplies
-    ``_check_operand`` (raise unless ``other`` lives in the same algebra) and
-    ``_wrap(rows, den)`` (a value of its algebra from rows over a reduced
-    den).  No method mutates a row after construction, so values share rows.
+    fields that fix its algebra in ``_algebra`` and the error an operand of
+    another algebra raises in ``_mismatch``, and supplies ``_wrap(rows, den)``
+    (a value of its algebra from rows over a reduced den).  No method mutates
+    a row after construction, so values share rows.
     """
 
     __slots__ = ("_rows", "_den")
     _algebra: tuple[str, ...] = ()
+    _mismatch: type = AlgebraMismatch
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The _algebra fields compared in one compiled function, as namedtuple
+        # compiles its code, for the operand check and ==; on Python 3.11 two
+        # operator.attrgetter calls, which build tuples, took twice as long.
+        same = " and ".join(f"a.{name} == b.{name}" for name in cls._algebra)
+        cls._same = eval(f"lambda a, b: {same}")
+
+    def _check_operand(self, other) -> None:
+        """Raise ``_mismatch`` unless other agrees on every ``_algebra`` field."""
+        if not self._same(other):
+            mine, theirs = ([getattr(x, name) for name in self._algebra] for x in (self, other))
+            raise self._mismatch(f"{type(self).__name__} operands differ in "
+                                 f"{self._algebra}: {mine} vs {theirs}")
 
     def _with(self, rows: list[dict], den: int):
         """Wrap rows an operation built, reducing by one gcd; outside input goes
@@ -90,10 +116,10 @@ class Numerators:
         return self._wrap([{key: -n for key, n in row.items()} for row in self._rows], self._den)
 
     def _scaled(self, q):
-        """self times an int or a Fraction; any other scalar is inexact or
-        not a number, so it is a TypeError."""
+        """self times an int or a Fraction; any other scalar is a TypeError,
+        as in ``rational``, whose test is inline on this hot path."""
         if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"cannot scale {type(self).__name__} by {type(q).__name__}")
+            raise TypeError(f"a scalar must be an int or a Fraction, not {type(q).__name__}")
         num = q.numerator
         if not num:
             return self._wrap([{} for _ in self._rows], 1)
@@ -103,8 +129,7 @@ class Numerators:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        same = all(getattr(self, name) == getattr(other, name) for name in self._algebra)
-        return same and (self._den, self._rows) == (other._den, other._rows)
+        return self._same(other) and (self._den, self._rows) == (other._den, other._rows)
 
     def __bool__(self) -> bool:
         return any(self._rows)
@@ -224,6 +249,7 @@ class WeilElement(Numerators):
 
     __slots__ = ("k",)
     _algebra = ("k",)
+    _mismatch = GeneratorCountMismatch
 
     def __init__(self, k: int, coeffs: dict[int, Fraction] | None = None):
         _check_k(k)
@@ -231,7 +257,7 @@ class WeilElement(Numerators):
         for mask, value in (coeffs or {}).items():
             if not 0 <= mask < 1 << k:
                 raise GeneratorCountMismatch(f"subset mask {mask} needs more than {k} generators")
-            value = Fraction(value)
+            value = rational(value)
             if value:
                 terms.append((mask, value))
         self.k = k
@@ -269,7 +295,7 @@ class WeilElement(Numerators):
     @classmethod
     def from_rational(cls, k: int, value) -> "WeilElement":
         _check_k(k)
-        value = Fraction(value)
+        value = rational(value)
         nums = {0: value.numerator} if value else {}
         return cls._trusted(k, nums, value.denominator)
 
@@ -282,21 +308,24 @@ class WeilElement(Numerators):
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_operand(self, other: "WeilElement") -> None:
-        if other.k != self.k:
-            raise GeneratorCountMismatch(f"mixed generator counts {self.k} and {other.k}")
+    def _lift(self, other):
+        """A rational as an element of this ring; any other operand as it is."""
+        if isinstance(other, (int, Fraction)):
+            return WeilElement.from_rational(self.k, other)
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeilElement.from_rational(self.k, other)
-        return super().__add__(other)
+        return super().__add__(self._lift(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeilElement.from_rational(self.k, other)
-        return super().__sub__(other)
+        return super().__sub__(self._lift(other))
+
+    def __rsub__(self, other):
+        # other - self as -self + other; a non-number gives NotImplemented,
+        # so Python raises TypeError without calling back here
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -321,8 +350,7 @@ class WeilElement(Numerators):
         return (self.k if any(nums) else None, self._den, nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeilElement.from_rational(self.k, other)
+        other = self._lift(other)
         if not isinstance(other, WeilElement):
             return NotImplemented
         return self._value() == other._value()
@@ -363,6 +391,39 @@ class WeilElement(Numerators):
 
     def __repr__(self) -> str:
         return f"WeilElement(k={self.k}, {self})"
+
+
+def weil_numerators(weil_k: int | None, scalar: WeilElement) -> tuple[dict[int, int], int]:
+    """The numerators by mask and the denominator of a Weil scalar of the
+    ring with weil_k generators, or of none (weil_k None: the rationals)."""
+    if weil_k is None:
+        raise AlgebraMismatch(f"Weil scalar {scalar} in a rational algebra")
+    if scalar.k != weil_k:
+        raise GeneratorCountMismatch(f"Weil scalar with {scalar.k} generators in a ring with {weil_k}")
+    return scalar._rows[0], scalar._den
+
+
+def encode_scalar(weil_k: int | None, index: int, value) -> list[tuple[int, Fraction]]:
+    """The (key, nonzero Fraction) terms of a coefficient at ``index`` of an
+    ``AssocPoly`` or ``NilMatrix`` row, keyed (index << weil_k) | mask.  The
+    ring is Q when weil_k is None, else the Weil ring, which contains Q."""
+    if isinstance(value, WeilElement):
+        nums, den = weil_numerators(weil_k, value)
+        return [((index << weil_k) | m, Fraction(n, den)) for m, n in nums.items()]
+    value = rational(value)
+    return [(index << (weil_k or 0), value)] if value else []
+
+
+def decode_row(weil_k: int | None, row: dict[int, int], den: int) -> dict:
+    """A numerator row over ``den`` as a map from each index, in increasing
+    order, to its nonzero coefficient: a Fraction, or a WeilElement when
+    weil_k is set."""
+    if weil_k is None:
+        return {key: Fraction(row[key], den) for key in sorted(row)}
+    low, by_index = (1 << weil_k) - 1, {}
+    for key in sorted(row):
+        by_index.setdefault(key >> weil_k, {})[key & low] = row[key]
+    return {i: WeilElement._trusted(weil_k, nums, den) for i, nums in by_index.items()}
 
 
 def weil_sum(n: int) -> WeilElement:

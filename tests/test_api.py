@@ -92,6 +92,19 @@ def test_the_allow_list_names_only_unused_definitions():
     assert all(counts[name] < 2 for name in USED_ONLY_OUTSIDE_SRC)
 
 
+def test_no_module_reads_the_weil_coeffs_view():
+    # coeffs builds a Fraction per term; the package reads the numerator rows
+    # through scalars, and only bench/tracer.py still reads the view, which
+    # ROADMAP item 6 replaces with _rows
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    ]
+    assert readers == []
+
+
 def test_importing_the_cli_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis, tokenize and copy, which cost
     # every process memory and start-up time; the package needs none of them.
@@ -111,5 +124,5 @@ def test_numerators_subclasses_keep_one_numerator_half():
     names = sorted(cls.__name__ for cls in subclasses)
     assert names == ["AssocPoly", "LieElement", "NilMatrix", "WeilElement"]
     for cls in subclasses:
-        own = sorted({"_with", "__neg__", "__bool__", "_scaled"} & set(vars(cls)))
+        own = sorted({"_with", "__neg__", "__bool__", "_scaled", "_check_operand"} & set(vars(cls)))
         assert own == [], f"{cls.__name__} defines {own} itself"

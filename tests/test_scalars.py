@@ -10,7 +10,7 @@ import pytest
 from nilbch.assoc import AssocPoly
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.freelie import LieElement, lie_bracket
-from nilbch.matrix import gen_nilmatrix
+from nilbch.matrix import NilMatrix, gen_nilmatrix
 from nilbch.scalars import WeilElement, power_series, weil_power_sum, weil_sum
 
 
@@ -124,18 +124,29 @@ def test_scalar_part_and_coercion():
     a = WeilElement.from_rational(2, Fraction(3, 4)) + d(2, 1)
     assert a - Fraction(3, 4) == d(2, 1)
     assert 2 * d(2, 1) == d(2, 1) + d(2, 1)
+    assert 3 - d(2, 1) == WeilElement.from_rational(2, 3) - d(2, 1)
+    assert Fraction(5, 7) - 2 * d(2, 1) == -2 * d(2, 1) + Fraction(5, 7)
+    for other in ("1/3", None):
+        with pytest.raises(TypeError):
+            other - d(2, 1)
 
 
 @pytest.mark.parametrize("scalar", [0.5, "1/3"])
 def test_only_ints_and_fractions_scale(scalar):
     # A float or a string is never coerced: no scalar outside Q reaches the
-    # exact arithmetic, whichever class it scales.
+    # exact arithmetic, whichever class it scales or constructor it enters.
     x = gen_nilmatrix(3, 1, count=1)[0]
     scalings = [
         lambda: d(2, 1) * scalar,
         lambda: AssocPoly.generator(("X",), 0, 2).scale(scalar),
         lambda: LieElement.generator(("X",), 0, 2).scale(scalar),
         lambda: x.scale(scalar),
+        lambda: WeilElement(2, {0: scalar}),
+        lambda: WeilElement.from_rational(2, scalar),
+        lambda: AssocPoly(("X",), 2, terms={(0,): scalar}),
+        lambda: LieElement(("X",), 2, {0: scalar}),
+        lambda: NilMatrix(2, None, [[0, scalar], [0, 0]]),
+        lambda: NilMatrix(2, 2, [[0, scalar], [0, 0]]),
     ]
     for scale in scalings:
         with pytest.raises(TypeError):

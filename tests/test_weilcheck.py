@@ -249,9 +249,13 @@ def test_rows_must_match_dim():
 
 def test_entries_must_lie_in_the_scalar_ring():
     d1 = WeilElement.generator(2, 1)
-    for weil_k, entry in ((None, d1), (3, d1), (2, Fraction(1, 2)), (None, 0.5)):
+    for weil_k, entry in ((None, d1), (3, d1)):
         with pytest.raises(AlgebraMismatch):
             NilMatrix(2, weil_k, [[0, entry], [0, 0]])
+    # Q lies in every Weil ring, so a Weil matrix takes rational entries
+    zero, half = WeilElement.zero(2), WeilElement.from_rational(2, Fraction(1, 2))
+    expected = NilMatrix(2, 2, [[zero, half], [zero, zero]])
+    assert NilMatrix(2, 2, [[0, Fraction(1, 2)], [0, 0]]) == expected
 
 
 def test_equality_compares_scalar_rings():
@@ -468,7 +472,7 @@ def _count_sums(monkeypatch):
 SUM_PINS = {
     "oracle": {"_with": 242, "__add__": 20, "_scaled": 6},
     "free": {"_with": 989, "__add__": 210, "_scaled": 61},
-    "matrix": {"_with": 1019, "__add__": 208, "_scaled": 55},
+    "matrix": {"_with": 903, "__add__": 208, "_scaled": 55},
 }
 
 
