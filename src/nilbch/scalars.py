@@ -198,13 +198,13 @@ def power_series(out, first, step, coeffs):
 
 
 @cache
-def _inverse_factorial(i: int) -> Fraction:
+def inverse_factorial(i: int) -> Fraction:
     return Fraction(1, factorial(i))
 
 
 def exp_series(x, one, bound: int):
     """sum_i x^i / i! for an x with x^(bound+1) = 0; ``one`` is the unit."""
-    coeffs = map(_inverse_factorial, range(1, bound + 1))
+    coeffs = map(inverse_factorial, range(1, bound + 1))
     return power_series(one, x, lambda p: p * x, coeffs)
 
 

@@ -1,12 +1,15 @@
 """BCH and Zassenhaus series from two sources.
 
-The *classical* series are computed from first principles in the truncated
-associative algebra: log(exp X . exp Y) projected onto the Lie algebra for
-BCH, and a peeling recursion for the Zassenhaus factors.  The peel takes no
-logarithm: once the factors below degree n are divided off, the remainder is
-1 + u with u of lowest degree n, so its log agrees with u through degree
-2n - 1 and the degree-n factor is the projection of u's degree-n part.  No
-classical coefficient is ever hard-coded.
+The *classical* series are computed from first principles among Lie
+elements, with brackets, sums and rational scalings alone.  BCH follows
+Varadarajan's homogeneous recursion, the one Casas and Murua build on
+(J. Math. Phys. 50, 033513, 2009), with Bernoulli numbers computed from
+their own recursion; the Zassenhaus factors follow the logarithmic-derivative
+recursion of Casas, Murua and Nadinic (Comput. Phys. Commun. 183, 2386,
+2012).  No classical coefficient is ever hard-coded.  The tests keep the
+route through the truncated associative algebra as their cross-check: the
+Dynkin projection of log(exp X . exp Y), and a peel of the Zassenhaus
+factors through products of exponentials.
 
 The *tabulated* series come from formulas stated over sums d1+...+dn of
 square-zero infinitesimals, written in the expression language that the
@@ -23,14 +26,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
-from math import factorial
+from math import comb, factorial
 
-from .assoc import AssocPoly, poly_exp, poly_log, poly_mul
 from .errors import DegreeOutOfRange, KindMismatch, NotTabulated
-from .freelie import HARD_DEGREE_CAP, LieElement, dynkin_project, lie_bracket, lie_embed
-from .scalars import power_series
+from .freelie import HARD_DEGREE_CAP, LieElement, lie_bracket
+from .scalars import combination, inverse_factorial, power_series
 
 ORACLE_DEGREE_CAP = 6
 
@@ -112,42 +114,78 @@ SERIES_SCHEMA = {
 # classical oracles
 
 
-def _xy_polys(trunc: int) -> tuple[AssocPoly, AssocPoly]:
-    x = AssocPoly.generator(BCH_ALPHABET, 0, trunc)
-    y = AssocPoly.generator(BCH_ALPHABET, 1, trunc)
-    return x, y
+@cache
+def _bernoulli_even(n: int) -> tuple[Fraction, ...]:
+    """B_2p / (2p)! for p = 1..n // 2, from the recursion
+    sum_(k<=m) C(m+1, k) B_k = 0, m >= 1, with B_0 = 1."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum([comb(m + 1, k) * b[k] for k in range(m)]) / (m + 1))
+    return tuple([b[2 * p] / factorial(2 * p) for p in range(1, n // 2 + 1)])
 
 
 def bch_classical(N: int) -> GradedSeries:
-    """log(exp X . exp Y) through degree N, computed in the truncated algebra."""
+    """log(exp X . exp Y) through degree N by Varadarajan's recursion:
+    Z_1 = X + Y and, with T[p][m] the sum over k_1 + ... + k_p = m of
+    [Z_k1, [..., [Z_kp, X + Y]...]],
+
+        (n+1) Z_(n+1) = 1/2 [X - Y, Z_n] + sum_(1<=p<=n/2) B_2p / (2p)! T[2p][n].
+
+    T is filled degree by degree, T[0][0] = X + Y and
+    T[p][m] = sum_k [Z_k, T[p-1][m-k]], so no composition is enumerated.
+    """
     if not 1 <= N <= ORACLE_DEGREE_CAP:
         raise DegreeOutOfRange(f"classical BCH degree {N} outside 1..{ORACLE_DEGREE_CAP}")
-    x, y = _xy_polys(N)
-    z = dynkin_project(poly_log(poly_mul(poly_exp(x), poly_exp(y))))
-    return GradedSeries("bch", N, "classical", {n: z.degree_part(n) for n in range(1, N + 1)})
+    x, y = (LieElement.generator(BCH_ALPHABET, i, N) for i in (0, 1))
+    x_minus_y, z = x - y, {1: x + y}
+    weights = _bernoulli_even(N - 1)
+    # t[p][m] = T[p][m], kept where it can be nonzero: [Z_1, X + Y] = 0, so
+    # T[p][m] = 0 for 1 <= m <= p; an odd p at m = N - 1 is never read
+    t = [{0: z[1]}] + [{} for _ in range(N - 2)]
+    for n in range(1, N):
+        for p in range(1, n):
+            if p % 2 and n == N - 1:
+                continue
+            t[p][n] = combination([
+                (1, lie_bracket(z[k], t[p - 1][n - k])) for k in range(1, n + 1)
+                if n - k in t[p - 1]
+            ])
+        terms = [(Fraction(1, 2 * (n + 1)), lie_bracket(x_minus_y, z[n]))]
+        terms += [(w / (n + 1), t[2 * p][n]) for p, w in enumerate(weights[: (n - 1) // 2], 1)]
+        z[n + 1] = combination(terms)
+    return GradedSeries("bch", N, "classical", z)
 
 
 def zassenhaus_classical(N: int) -> GradedSeries:
-    """Factors C[2..N] by peeling exp(-C[n-1])...exp(-Y)exp(-X)exp(X+Y).
+    """Factors C[2..N] from the logarithmic derivatives F_n = f_n' f_n^-1 of
+    f_n(t) = exp(-t^n C[n]) ... exp(-tY) exp(-tX) exp(t(X+Y)), as in Casas,
+    Murua and Nadinic.  The t-degree of each term of F_n is its Lie degree
+    minus one, so F_n is held as one Lie element at t = 1:
 
-    At step n the remainder is exp(C[n]) exp(C[n+1]) ... = 1 + u, where u has
-    lowest degree n.  Then log(remainder) = u - u^2/2 + ... agrees with u
-    modulo degree 2n > n, and the Dynkin projection preserves degree, so
-    projecting the degree-n part of the remainder gives the same C[n] as
-    projecting the degree-n part of its logarithm, without computing the log.
-    The peel stops at C[N]: nothing reads the remainder after it.
+        F_1 = e^(-ad Y) e^(-ad X) Y - Y,
+        C[n] = (degree-n part of F_(n-1)) / n,
+        F_n = e^(-ad C[n]) F_(n-1) - n C[n].
+
+    The recursion stops at C[N]: nothing reads F_N.
     """
     if not 2 <= N <= ORACLE_DEGREE_CAP:
         raise DegreeOutOfRange(
             f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}"
         )
-    x, y = _xy_polys(N)
-    remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
-    factors = {2: dynkin_project(remainder.degree_part(2))}
-    for n in range(3, N + 1):
-        remainder = poly_mul(poly_exp(-lie_embed(factors[n - 1])), remainder)
-        factors[n] = dynkin_project(remainder.degree_part(n))
+    x, y = (LieElement.generator(BCH_ALPHABET, i, N) for i in (0, 1))
+    f = _ad_exp(-y, -y, _ad_exp(LieElement.zero(BCH_ALPHABET, N), -x, y))
+    factors = {}
+    for n in range(2, N + 1):
+        factors[n] = c = f.degree_part(n).scale(Fraction(1, n))
+        if n < N:
+            f = _ad_exp(c.scale(-n), -c, f)
     return GradedSeries("zassenhaus", N, "classical", factors)
+
+
+def _ad_exp(out: LieElement, a: LieElement, b: LieElement) -> LieElement:
+    """out + e^(ad a) b = out + sum_p (ad a)^p b / p!, summed once, as the
+    CONJ node sums it."""
+    return power_series(out, b, lambda p: lie_bracket(a, p), map(inverse_factorial, count()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@ USED_ONLY_OUTSIDE_SRC = {
     # WeilElement's inverse, which the tests check and the benchmark's tracer
     # times; the package inverts through scalars.unit_inverse directly
     "inverse",
+    # the associative route to the classical series, which the tests keep as
+    # the cross-check of the Lie recursions; bench/tracer.py binds all three
+    # by name, so deleting them breaks the traced benchmark run
+    "poly_log",
+    "dynkin_project",
+    "lie_embed",
     # the JSON contracts of the series and check output, which the tests
     # validate that output against
     "SERIES_SCHEMA",

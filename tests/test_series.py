@@ -113,8 +113,9 @@ def test_zassenhaus_factor_four_frozen():
     assert factors.component(4) == expected
 
 
-def test_zassenhaus_reconstruction_contract():
-    for n in range(2, 7):
+def test_zassenhaus_reconstruction_contract(monkeypatch):
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", HARD_DEGREE_CAP)
+    for n in range(2, HARD_DEGREE_CAP + 1):
         factors = zassenhaus_classical(n)
         x = AssocPoly.generator(XY, 0, n)
         y = AssocPoly.generator(XY, 1, n)
@@ -122,6 +123,55 @@ def test_zassenhaus_reconstruction_contract():
         for m in range(2, n + 1):
             product = poly_mul(product, poly_exp(lie_embed(factors.component(m))))
         assert product == poly_exp(x + y)
+
+
+def bch_by_log(N):
+    """log(exp X . exp Y) through degree N, computed in the truncated algebra."""
+    x = AssocPoly.generator(XY, 0, N)
+    y = AssocPoly.generator(XY, 1, N)
+    z = dynkin_project(poly_log(poly_mul(poly_exp(x), poly_exp(y))))
+    return series.GradedSeries(
+        "bch", N, "classical", {n: z.degree_part(n) for n in range(1, N + 1)}
+    )
+
+
+def zassenhaus_by_peel(N):
+    """Factors C[2..N] by peeling exp(-C[n-1])...exp(-Y)exp(-X)exp(X+Y).
+
+    At step n the remainder is exp(C[n]) exp(C[n+1]) ... = 1 + u, where u has
+    lowest degree n.  Then log(remainder) = u - u^2/2 + ... agrees with u
+    modulo degree 2n > n, and the Dynkin projection preserves degree, so
+    projecting the degree-n part of the remainder gives the same C[n] as
+    projecting the degree-n part of its logarithm, without computing the log.
+    The peel stops at C[N]: nothing reads the remainder after it.
+    """
+    x = AssocPoly.generator(XY, 0, N)
+    y = AssocPoly.generator(XY, 1, N)
+    remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
+    factors = {2: dynkin_project(remainder.degree_part(2))}
+    for n in range(3, N + 1):
+        remainder = poly_mul(poly_exp(-lie_embed(factors[n - 1])), remainder)
+        factors[n] = dynkin_project(remainder.degree_part(n))
+    return series.GradedSeries("zassenhaus", N, "classical", factors)
+
+
+def test_lie_recursions_match_the_associative_route_through_degree_ten(monkeypatch):
+    # the production series are built among Lie elements alone, the
+    # references through logarithms and exponentials in the truncated
+    # associative algebra
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", HARD_DEGREE_CAP)
+    for native, reference, first in (
+        (bch_classical, bch_by_log, 1),
+        (zassenhaus_classical, zassenhaus_by_peel, 2),
+    ):
+        for N in range(first, HARD_DEGREE_CAP + 1):
+            got, want = native(N), reference(N)
+            assert (got.kind, got.order, got.source) == (want.kind, want.order, want.source)
+            assert sorted(got.degrees) == sorted(want.degrees) == list(range(first, N + 1))
+            for n in range(first, N + 1):
+                assert got.component(n) == want.component(n), (got.kind, N, n)
+                assert got.component(n).max_degree == want.component(n).max_degree == N
+                assert got.component(n).to_json_terms() == want.component(n).to_json_terms()
 
 
 def zassenhaus_by_log(N):
@@ -137,11 +187,9 @@ def zassenhaus_by_log(N):
     return factors
 
 
-def test_log_free_peel_matches_log_reference(monkeypatch):
-    assert series.ORACLE_DEGREE_CAP == 6
-    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", 7)
+def test_log_free_peel_matches_log_reference():
     for N in range(2, 8):
-        factors = zassenhaus_classical(N)
+        factors = zassenhaus_by_peel(N)
         reference = zassenhaus_by_log(N)
         assert sorted(factors.degrees) == sorted(reference)
         for n, c_n in reference.items():
@@ -186,6 +234,19 @@ def bch_at(z, a, b):
         for mono, coeff in z.component(n).sorted_terms():
             total = total + evaluate(ctx, mono, memo).scale(coeff)
     return total
+
+
+def test_bch_is_antisymmetric_under_swapping_and_negating_through_degree_ten(monkeypatch):
+    # exp Z(X,Y) exp Z(-Y,-X) = exp X exp Y exp -Y exp -X = 1, so
+    # Z(X,Y) = -Z(-Y,-X) at every degree; no copied coefficient is used
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", HARD_DEGREE_CAP)
+    N = HARD_DEGREE_CAP
+    z = bch_classical(N)
+    x, y = gen(0, N), gen(1, N)
+    swapped = -bch_at(z, -y, -x)
+    for n in range(1, N + 1):
+        assert z.component(n), f"Z has no degree-{n} part"
+        assert swapped.degree_part(n) == z.component(n), f"degree {n}"
 
 
 def test_bch_is_associative_through_the_oracle_cap():
