@@ -3,7 +3,6 @@
 from .assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from .freelie import (
     LieElement,
-    apply_ad_series,
     dynkin_project,
     hall_basis,
     lie_bracket,
@@ -34,7 +33,6 @@ __all__ = [
     "LieElement",
     "NilMatrix",
     "WeilElement",
-    "apply_ad_series",
     "bch_classical",
     "bch_paper",
     "check_identity",

@@ -12,13 +12,14 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
-from .errors import NilbchError
+from .errors import DegreeOutOfRange, NilbchError
 from .freelie import HARD_DEGREE_CAP, default_names, hall_basis, lyndon_count, mono_str
 from .series import (
+    ad_coeffs,
     bch_classical,
     bch_paper,
-    log_derivative_coeffs,
     series_compare,
     zassenhaus_classical,
     zassenhaus_paper,
@@ -152,7 +153,11 @@ def _cmd_hall(args) -> int:
 
 
 def _cmd_logderiv(args) -> int:
-    coeffs = log_derivative_coeffs(args.side, args.order)
+    if not 0 <= args.order <= HARD_DEGREE_CAP:
+        raise DegreeOutOfRange(
+            f"logarithmic derivative order {args.order} outside 0..{HARD_DEGREE_CAP}"
+        )
+    coeffs = list(islice(ad_coeffs(args.side), args.order + 1))
     obj = {"side": args.side, "order": args.order, "coeffs": [str(c) for c in coeffs]}
     _emit(args, obj, (f"p={p}: {c}" for p, c in enumerate(coeffs)))
     return 0

@@ -21,7 +21,7 @@ from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
-from .scalars import Numerators, accumulate, over_lcm, power_series, rational, signed_join
+from .scalars import Numerators, accumulate, over_lcm, rational, signed_join
 
 Mono = Union[int, tuple]
 Word = tuple[int, ...]
@@ -273,12 +273,6 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
                     n = n1 * n2
                     accumulate(acc, [(w, n * c) for w, c in _bracket_basis(w1, w2)])
     return a._with(out, a._den * b._den)
-
-
-def apply_ad_series(coeffs, X: LieElement, V: LieElement) -> LieElement:
-    """sum_p coeffs[p] * (ad X)^p (V), truncated; (ad X)^0 is the identity."""
-    X._check_operand(V)
-    return power_series(X._scaled(0), V, lambda p: lie_bracket(X, p), coeffs)
 
 
 # ---------------------------------------------------------------------------

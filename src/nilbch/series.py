@@ -27,11 +27,11 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import count
+from itertools import count, islice
 from math import comb, factorial
 
 from .errors import DegreeOutOfRange, KindMismatch, NotTabulated
-from .freelie import HARD_DEGREE_CAP, LieElement, lie_bracket
+from .freelie import LieElement, lie_bracket
 from .scalars import combination, inverse_factorial, power_series
 
 ORACLE_DEGREE_CAP = 6
@@ -173,19 +173,14 @@ def zassenhaus_classical(N: int) -> GradedSeries:
             f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}"
         )
     x, y = (LieElement.generator(BCH_ALPHABET, i, N) for i in (0, 1))
-    f = _ad_exp(-y, -y, _ad_exp(LieElement.zero(BCH_ALPHABET, N), -x, y))
+    f = ad_series(lie_bracket, LieElement.zero(BCH_ALPHABET, N), -x, y, ad_coeffs("exp"))
+    f = ad_series(lie_bracket, -y, -y, f, ad_coeffs("exp"))
     factors = {}
     for n in range(2, N + 1):
         factors[n] = c = f.degree_part(n).scale(Fraction(1, n))
         if n < N:
-            f = _ad_exp(c.scale(-n), -c, f)
+            f = ad_series(lie_bracket, c.scale(-n), -c, f, ad_coeffs("exp"))
     return GradedSeries("zassenhaus", N, "classical", factors)
-
-
-def _ad_exp(out: LieElement, a: LieElement, b: LieElement) -> LieElement:
-    """out + e^(ad a) b = out + sum_p (ad a)^p b / p!, summed once, as the
-    CONJ node sums it."""
-    return power_series(out, b, lambda p: lie_bracket(a, p), map(inverse_factorial, count()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +195,9 @@ def _ad_exp(out: LieElement, a: LieElement, b: LieElement) -> LieElement:
 #   (INV, a)            the group inverse of a, computed, not exp(-...)
 #   (MUL, a, b, ...)    the product a b ..., from the left
 #   (ONE,)              the unit
-#   (CONJ, a, b)        e^a b e^-a, as the sum of (ad a)^p b / p!
-LIN, EXP, INV, MUL, ONE, CONJ = "lin", "exp", "inv", "mul", "one", "conj"
+#   (AD, family, a, b)  sum_p c_p (ad a)^p b with the c_p of ad_coeffs(family):
+#                       e^a b e^-a ("exp"), or a logarithmic derivative of exp
+LIN, EXP, INV, MUL, ONE, AD = "lin", "exp", "inv", "mul", "one", "ad"
 
 # weight shapes
 EM = "em"    # sum of all products of m distinct infinitesimals
@@ -234,10 +230,10 @@ def evaluate(ctx, expr, memo: dict):
             value = reduce(operator.mul, [evaluate(ctx, a, memo) for a in expr[1:]])
         elif head == ONE:
             value = ctx.one()
-        elif head == CONJ:
-            x, y = evaluate(ctx, expr[1], memo), evaluate(ctx, expr[2], memo)
-            coeffs = (Fraction(1, factorial(p)) for p in count(1))
-            value = power_series(y, ctx.bracket(x, y), lambda t: ctx.bracket(x, t), coeffs)
+        elif head == AD:
+            x, y = evaluate(ctx, expr[2], memo), evaluate(ctx, expr[3], memo)
+            coeffs = islice(ad_coeffs(expr[1]), 1, None)  # c_0 = 1: y seeds the sum
+            value = ad_series(ctx.bracket, y, x, ctx.bracket(x, y), coeffs)
         elif head == LIN:
             parts = [(c, evaluate(ctx, a, memo)) for c, a in expr[1]]
             value = reduce(operator.add, [v if c == 1 else v.scale(c) for c, v in parts])
@@ -397,17 +393,23 @@ def zassenhaus_paper(order: int, form: str) -> GradedSeries:
 # operator series and comparisons
 
 
-def log_derivative_coeffs(side: str, N: int) -> list[Fraction]:
-    """Coefficients of (ad X)^p, p = 0..N, in the logarithmic derivative of exp."""
-    if not 0 <= N <= HARD_DEGREE_CAP:
-        raise DegreeOutOfRange(
-            f"logarithmic derivative order {N} outside 0..{HARD_DEGREE_CAP}"
-        )
-    if side == "left":
-        return [Fraction((-1) ** p, factorial(p + 1)) for p in range(N + 1)]
-    if side == "right":
-        return [Fraction(1, factorial(p + 1)) for p in range(N + 1)]
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def ad_coeffs(family: str):
+    """c_0, c_1, ... without end, the coefficients of (ad a)^p in e^(ad a), 1/p!
+    (family "exp"), and in the left and right logarithmic derivatives of exp,
+    (-1)^p/(p+1)! ("left") and 1/(p+1)! ("right").  Every family has c_0 = 1."""
+    if family == "exp":
+        return map(inverse_factorial, count())
+    if family == "left":
+        return (Fraction((-1) ** p, factorial(p + 1)) for p in count())
+    if family == "right":
+        return map(inverse_factorial, count(1))
+    raise ValueError(f"ad-series family must be 'exp', 'left' or 'right', got {family!r}")
+
+
+def ad_series(bracket, out, a, b, coeffs):
+    """out + sum_p coeffs[p] (ad a)^p b, summed once; pass the caller's bracket
+    binding at call time, so that a wrapper installed on it sees every call."""
+    return power_series(out, b, lambda p: bracket(a, p), coeffs)
 
 
 def series_compare(a: GradedSeries, b: GradedSeries, degree: int) -> LieElement:

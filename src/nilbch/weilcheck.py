@@ -41,7 +41,7 @@ from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
 from .scalars import WeilElement, weil_power_sum, weil_sum
 from .series import (
-    CONJ,
+    AD,
     EM,
     EXP,
     INV,
@@ -198,7 +198,7 @@ CATALOG: tuple[_Identity, ...] = (
          (EXP, _entry(1, D, (1, 2), _XY))),
     )),
     _Identity("lemma-2.5", 0, 4, (((_X, (_Y, _XY)), (_Y, (_X, _XY))),)),
-    _Identity("prop-4.4", 0, 2, (((MUL, _EXP_X, _Y, (INV, _EXP_X)), (CONJ, _X, _Y)),)),
+    _Identity("prop-4.4", 0, 2, (((MUL, _EXP_X, _Y, (INV, _EXP_X)), (AD, "exp", _X, _Y)),)),
     _Identity("prop-4.5", 1, 1, ((_EXP_D1_X, _lin((1, (ONE,)), (1, _D1_X))),), gens=1),
     # the commuting pair X and X
     _Identity("prop-5.3", 0, 2, (((MUL, _EXP_X, _EXP_X), (EXP, _lin((1, _X), (1, _X)))),),

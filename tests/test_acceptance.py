@@ -9,12 +9,12 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 from nilbch.assoc import AssocPoly, poly_exp, poly_log, poly_mul
 from nilbch.freelie import (
     LieElement,
-    apply_ad_series,
     dynkin_project,
     hall_basis,
     lie_bracket,
@@ -22,9 +22,10 @@ from nilbch.freelie import (
 )
 from nilbch.scalars import WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
+    ad_coeffs,
+    ad_series,
     bch_classical,
     bch_paper,
-    log_derivative_coeffs,
     series_compare,
     zassenhaus_classical,
     zassenhaus_paper,
@@ -208,8 +209,8 @@ def test_criterion_8_property_suites():
 
 
 def test_criterion_9_logarithmic_derivative_operators():
-    left = log_derivative_coeffs("left", 5)
-    right = log_derivative_coeffs("right", 5)
+    left = list(islice(ad_coeffs("left"), 6))
+    right = list(islice(ad_coeffs("right"), 6))
     for p in range(6):
         assert left[p] == Fraction((-1) ** p, factorial(p + 1))
         assert right[p] == Fraction(1, factorial(p + 1))
@@ -221,7 +222,8 @@ def test_criterion_9_logarithmic_derivative_operators():
     from nilbch.assoc import poly_inv
 
     conjugated = poly_mul(poly_mul(poly_exp(x), y), poly_inv(poly_exp(x)))
-    exp_coeffs = [Fraction(1, factorial(p)) for p in range(trunc)]
-    lie_side = apply_ad_series(exp_coeffs, gen(0, trunc), gen(1, trunc))
+    exp_coeffs = islice(ad_coeffs("exp"), trunc)
+    zero = LieElement.zero(XY, trunc)
+    lie_side = ad_series(lie_bracket, zero, gen(0, trunc), gen(1, trunc), exp_coeffs)
     assert lie_embed(lie_side) == conjugated
     _ok(9, "left/right coefficients through p=5; Ad(exp X) = e^(ad X) at trunc 4")

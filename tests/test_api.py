@@ -15,9 +15,6 @@ SRC = Path(nilbch.__file__).parent
 
 # Public although no module uses it, each with its reason.
 USED_ONLY_OUTSIDE_SRC = {
-    # the generic sum_p c_p (ad X)^p (V), which the tests apply with the exp
-    # and logarithmic-derivative coefficients
-    "apply_ad_series",
     # WeilElement's inverse, which the tests check and the benchmark's tracer
     # times; the package inverts through scalars.unit_inverse directly
     "inverse",
@@ -109,6 +106,33 @@ def test_no_module_reads_the_weil_coeffs_view():
         if isinstance(node, ast.Attribute) and node.attr == "coeffs"
     ]
     assert readers == []
+
+
+def _name(node) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _ad_series_sites(path) -> list[str]:
+    """The functions of a module that pass ``power_series`` a step mentioning
+    a bracket, as module.function."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call) and _name(call.func) == "power_series"):
+                continue
+            steps = call.args[2:3] + [kw.value for kw in call.keywords if kw.arg == "step"]
+            if any("bracket" in _name(n) for step in steps for n in ast.walk(step)):
+                sites.append(f"{path.stem}.{node.name}")
+    return sites
+
+
+def test_one_routine_sums_every_ad_series():
+    # sum_p c_p (ad a)^p b is series.ad_series alone; every other module and
+    # function reaches it through that routine or the AD node
+    sites = [site for path in _modules() for site in _ad_series_sites(path)]
+    assert sites == ["series.ad_series"]
 
 
 def test_importing_the_cli_loads_no_introspection_modules():

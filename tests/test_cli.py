@@ -95,10 +95,10 @@ def test_logderiv_order_outside_range_is_an_input_error(capsys, order):
 
 
 def test_programming_error_propagates_out_of_dispatch(capsys, monkeypatch):
-    def broken(side, n):
+    def broken(family):
         raise ValueError("a bug, not an input error")
 
-    monkeypatch.setattr(cli, "log_derivative_coeffs", broken)
+    monkeypatch.setattr(cli, "ad_coeffs", broken)
     with pytest.raises(ValueError, match="a bug"):
         dispatch(["logderiv", "--side", "left", "--order", "3"])
 

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbch import assoc, freelie, scalars, series
+from nilbch import assoc, scalars, series
 from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from nilbch.errors import AlgebraMismatch, AlphabetMismatch, GeneratorCountMismatch
-from nilbch.freelie import LieElement, apply_ad_series
+from nilbch.freelie import LieElement
 from nilbch.matrix import NilMatrix, gen_nilmatrix
 from nilbch.scalars import WeilElement, combination, weil_sum
-from nilbch.series import log_derivative_coeffs
+from nilbch.series import AD
 
 XY = ("X", "Y")
 K = 2  # generators of the Weil scalars below
@@ -143,7 +143,7 @@ def _series_values(n: int) -> dict:
     sd = weil_sum(k)
     wx, wy = (AssocPoly.generator(XY, i, n, k) for i in (0, 1))
     m = gen_nilmatrix(n + 1, 7 + n, 1)[0]
-    lx, ly = (LieElement.generator(XY, i, n) for i in (0, 1))
+    table = series._TableContext(n)
     weil = WeilElement(n, {0: 3, 1: Fraction(-1, 2), (1 << n) - 1: Fraction(5, 7)})
     return {
         "exp": poly_exp(x + y.scale(Fraction(2, 3))),
@@ -154,16 +154,16 @@ def _series_values(n: int) -> dict:
         "geometric": poly_inv(x.scale(3) - y + x._monomial(0, 0).scale(Fraction(1, 2))),
         "geometric-matrix": m.exp().inv(),
         "geometric-weil": weil.inverse(),
-        "ad-left": apply_ad_series(log_derivative_coeffs("left", n), lx, ly),
-        "ad-right": apply_ad_series(log_derivative_coeffs("right", n), lx + ly, ly),
-        "conj": series.evaluate(series._TableContext(n), (series.CONJ, 0, 1), {}),
+        "ad-left": series.evaluate(table, (AD, "left", 0, 1), {}),
+        "ad-right": series.evaluate(table, (AD, "right", series._lin((1, 0), (1, 1)), 1), {}),
+        "conj": series.evaluate(table, (AD, "exp", 0, 1), {}),
     }
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_power_series_equals_the_term_by_term_sum(n, monkeypatch):
     summed_once = _series_values(n)
-    for module in (scalars, assoc, freelie, series):
+    for module in (scalars, assoc, series):
         monkeypatch.setattr(module, "power_series", _term_by_term)
     term_by_term = _series_values(n)
     for name, value in summed_once.items():

@@ -1,7 +1,7 @@
 """Series sources: classical oracles, tabulated formulas, operator series."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 
 import pytest
@@ -12,16 +12,17 @@ from nilbch.errors import DegreeOutOfRange, KindMismatch, NotTabulated
 from nilbch.freelie import (
     HARD_DEGREE_CAP,
     LieElement,
-    apply_ad_series,
     dynkin_project,
     lie_bracket,
     lie_embed,
+    mono_word,
 )
 from nilbch.series import (
+    ad_coeffs,
+    ad_series,
     bch_classical,
     bch_paper,
     evaluate,
-    log_derivative_coeffs,
     series_compare,
     zassenhaus_classical,
     zassenhaus_paper,
@@ -43,9 +44,14 @@ def _sum(s):
     return sum(s.degrees.values(), LieElement.zero(XY, s.order))
 
 
-def exp_coeffs(n):
-    """1/p!, p = 0..n: Ad(exp X) = exp(ad X) as an (ad X)^p series."""
-    return [Fraction(1, factorial(p)) for p in range(n + 1)]
+def coeffs(family, n):
+    """c_0..c_n of an ad-series family; "exp" gives Ad(exp X) = exp(ad X)."""
+    return list(islice(ad_coeffs(family), n + 1))
+
+
+def ad_sum(weights, x, v):
+    """sum_p weights[p] (ad x)^p v through the one ad-series routine."""
+    return ad_series(lie_bracket, LieElement.zero(XY, x.max_degree), x, v, weights)
 
 
 # -- classical oracle ----------------------------------------------------------
@@ -249,6 +255,28 @@ def test_bch_is_antisymmetric_under_swapping_and_negating_through_degree_ten(mon
         assert swapped.degree_part(n) == z.component(n), f"degree {n}"
 
 
+def bernoulli_plus_over_factorial(n):
+    """b_k = B_k^+ / k!, k = 0..n, with B_1 = +1/2: the coefficients of
+    x / (1 - e^-x), inverted term by term from (1 - e^-x) / x = sum_k (-x)^k / (k+1)!."""
+    a = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
+    b = []
+    for k in range(n + 1):
+        b.append(int(k == 0) - sum(a[i] * b[k - i] for i in range(1, k + 1)))
+    return b
+
+
+def test_bch_part_linear_in_y_is_the_bernoulli_ad_series_through_degree_ten(monkeypatch):
+    # the part of Z(X,Y) linear in Y is sum_k b_k (ad X)^k Y; in degree n it is
+    # the Lyndon word X...XY alone, whose monomial is (ad X)^(n-1) Y
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", HARD_DEGREE_CAP)
+    N = HARD_DEGREE_CAP
+    z = bch_classical(N)
+    linear = ad_sum(bernoulli_plus_over_factorial(N - 1), gen(0, N), gen(1, N))
+    for n in range(1, N + 1):
+        terms = {m: c for m, c in z.component(n).sorted_terms() if mono_word(m).count(1) == 1}
+        assert LieElement(XY, N, terms) == linear.degree_part(n), f"degree {n}"
+
+
 def test_bch_is_associative_through_the_oracle_cap():
     # Z(Z(X,Y),W) = Z(X,Z(Y,W)) in three generators, as exp Z is a group law;
     # it holds at every degree and uses no copied coefficient
@@ -443,7 +471,7 @@ def test_equal_components_compare_equal_across_sources():
 
 
 def test_left_coefficients_through_p_five():
-    assert log_derivative_coeffs("left", 5) == [
+    assert coeffs("left", 5) == [
         Fraction(1),
         Fraction(-1, 2),
         Fraction(1, 6),
@@ -454,7 +482,7 @@ def test_left_coefficients_through_p_five():
 
 
 def test_right_coefficients_through_p_five():
-    assert log_derivative_coeffs("right", 5) == [
+    assert coeffs("right", 5) == [
         Fraction(1),
         Fraction(1, 2),
         Fraction(1, 6),
@@ -467,28 +495,28 @@ def test_right_coefficients_through_p_five():
 def test_left_derivative_at_zero_is_identity():
     zero = LieElement.zero(XY, 4)
     y = gen(1, 4)
-    assert apply_ad_series(log_derivative_coeffs("left", 3), zero, y) == y
+    assert ad_sum(coeffs("left", 3), zero, y) == y
 
 
 def test_left_derivative_first_order():
     # the p <= 1 truncation: Y - 1/2 [X,Y]
     x, y = gen(0, 4), gen(1, 4)
     expected = y - Fraction(1, 2) * bracket_xy(4)
-    assert apply_ad_series(log_derivative_coeffs("left", 1), x, y) == expected
+    assert ad_sum(coeffs("left", 1), x, y) == expected
 
 
 def test_right_derivative_second_order():
     x, y = gen(0, 4), gen(1, 4)
     xy = bracket_xy(4)
     expected = y + Fraction(1, 2) * xy + Fraction(1, 6) * lie_bracket(x, xy)
-    assert apply_ad_series(log_derivative_coeffs("right", 2), x, y) == expected
+    assert ad_sum(coeffs("right", 2), x, y) == expected
 
 
 def test_ad_exp_basics():
     x, y = gen(0, 4), gen(1, 4)
     zero = LieElement.zero(XY, 4)
-    assert apply_ad_series(exp_coeffs(3), zero, y) == y
-    assert apply_ad_series(exp_coeffs(1), x, y) == y + bracket_xy(4)
+    assert ad_sum(coeffs("exp", 3), zero, y) == y
+    assert ad_sum(coeffs("exp", 1), x, y) == y + bracket_xy(4)
 
 
 def test_ad_exp_matches_associative_conjugation():
@@ -497,7 +525,7 @@ def test_ad_exp_matches_associative_conjugation():
     x = AssocPoly.generator(XY, 0, trunc)
     y = AssocPoly.generator(XY, 1, trunc)
     conjugated = poly_mul(poly_mul(poly_exp(x), y), poly_exp(-x))
-    lie_side = apply_ad_series(exp_coeffs(4), gen(0, trunc), gen(1, trunc))
+    lie_side = ad_sum(coeffs("exp", 4), gen(0, trunc), gen(1, trunc))
     assert lie_embed(lie_side) == conjugated
 
 
@@ -505,9 +533,9 @@ def test_ad_exp_matches_associative_conjugation():
 def test_right_derivative_is_ad_exp_of_left(n):
     # delta_right = Ad(exp X) o delta_left, degree by degree
     x, y = gen(0, n + 1), gen(1, n + 1)
-    left = apply_ad_series(log_derivative_coeffs("left", n), x, y)
-    right = apply_ad_series(log_derivative_coeffs("right", n), x, y)
-    assert apply_ad_series(exp_coeffs(n), x, left) == right
+    left = ad_sum(coeffs("left", n), x, y)
+    right = ad_sum(coeffs("right", n), x, y)
+    assert ad_sum(coeffs("exp", n), x, left) == right
 
 
 # -- multi-factor order two ----------------------------------------------------------

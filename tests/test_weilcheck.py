@@ -17,7 +17,7 @@ from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
 from nilbch.scalars import Numerators, WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
-    CONJ,
+    AD,
     EM,
     EXP,
     INV,
@@ -26,6 +26,7 @@ from nilbch.series import (
     ONE,
     POW,
     D,
+    ad_coeffs,
     bch_classical,
     bch_paper,
     series_compare,
@@ -97,14 +98,17 @@ def test_tangent_inverse():
 
 # -- catalog expressions ------------------------------------------------------
 
-# operand count of each tag; MUL takes two or more
-TAG_ARITY = {EXP: 1, INV: 1, ONE: 0, CONJ: 2, MUL: None}
+# operand count of each tag; MUL takes two or more, and AD takes two after
+# its family, which is data
+TAG_ARITY = {EXP: 1, INV: 1, ONE: 0, AD: 2, MUL: None}
+AD_FAMILIES = ("exp", "left", "right")
 
 
 def assert_well_formed(expr, entry):
     """Each node is a generator below entry.gens, a LIN, a known tag with its
-    arity, a weight of a known shape whose d indices are at most entry.n_d,
-    or a bracket pair.  Returns the generator indices the expression uses."""
+    arity (an AD node's family first, one of AD_FAMILIES), a weight of a
+    known shape whose d indices are at most entry.n_d, or a bracket pair.
+    Returns the generator indices the expression uses."""
     if isinstance(expr, int):
         assert 0 <= expr < entry.gens, expr
         return {expr}
@@ -117,6 +121,9 @@ def assert_well_formed(expr, entry):
     elif isinstance(head, str):
         assert head in TAG_ARITY, f"unknown tag {head!r}"
         operands = expr[1:]
+        if head == AD:
+            family, *operands = operands
+            assert family in AD_FAMILIES, expr
         arity = TAG_ARITY[head]
         assert len(operands) >= 2 if arity is None else len(operands) == arity, expr
     elif len(expr) == 3:
@@ -156,6 +163,8 @@ MALFORMED = {
     "d index above n_d": (_ONE_F, (D, (3,)), 0),
     "em above n_d": (_ONE_F, (EM, 3), 0),
     "three-operand bracket": (0, 1, (0, 1), 1),
+    "unknown ad-series family": (AD, "sin", 0, 1),
+    "ad-series without a family": (AD, 0, 1),
 }
 
 
@@ -169,6 +178,7 @@ def test_well_formedness_check_catches_malformed_data(name):
 @pytest.mark.parametrize("expr, message", [
     (("expo", 0), "unknown expression tag 'expo'"),
     ((_ONE_F, ("pow2", 1), 0), "unknown weight shape 'pow2'"),
+    ((AD, "sin", 0, 1), "ad-series family must be 'exp', 'left' or 'right', got 'sin'"),
 ])
 def test_evaluator_raises_on_unknown_tags_and_shapes(expr, message):
     with pytest.raises(ValueError, match=message):
@@ -628,6 +638,40 @@ def test_perturbed_consistency_7v8_fails_with_lie_witness(model, monkeypatch):
     assert diff
     assert report.verdict == "FAIL"
     assert report.witness == {"kind": "lie", "terms": diff.to_json_terms()}
+
+
+# -- the logarithmic derivative of exp, from exp itself ---------------------------
+
+
+def logderiv_statement(side):
+    """exp(X + d1 Y) = exp(X) (1 + d1 sum_p c_p (ad X)^p Y) with the left
+    family, and (1 + d1 sum_p c_p (ad X)^p Y) exp(X) with the right one: the
+    derivative of exp along Y in Kock's one-infinitesimal form.  Kept out of
+    the catalog, as nothing in the paper's abstract states it."""
+    tangent = series._lin((1, (ONE,)), (1, series._entry(1, D, (1,), (AD, side, 0, 1))))
+    factors = ((EXP, 0), tangent) if side == "left" else (tangent, (EXP, 0))
+    return (EXP, series._lin((1, 0), (1, series._entry(1, D, (1,), 1)))), (MUL, *factors)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_logarithmic_derivative_of_exp_holds_at_every_truncation(side):
+    left, right = logderiv_statement(side)
+    for trunc in range(1, freelie.HARD_DEGREE_CAP + 1):
+        ctx = _free_context(("X", "Y"), 1, trunc)
+        assert evaluate(ctx, left) == evaluate(ctx, right), trunc
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_logarithmic_derivative_of_exp_fails_with_a_doubled_coefficient(side, monkeypatch):
+    # doubling c_(T-1) changes only the degree-T term, the last one truncation T keeps
+    left, right = logderiv_statement(side)
+    for trunc in range(2, freelie.HARD_DEGREE_CAP + 1):
+        def doubled(family, p=trunc - 1):
+            return (2 * c if i == p else c for i, c in enumerate(ad_coeffs(family)))
+
+        monkeypatch.setattr(series, "ad_coeffs", doubled)
+        ctx = _free_context(("X", "Y"), 1, trunc)
+        assert evaluate(ctx, left) != evaluate(ctx, right), trunc
 
 
 # -- suite ------------------------------------------------------------------------
