@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import DegreeOutOfRange, NilbchError
 from .freelie import HARD_DEGREE_CAP, default_names, hall_basis, lyndon_count, mono_str
@@ -30,13 +31,39 @@ from .weilcheck import CheckParams, run_suite
 HALL_LAYER_CAP = 100_000
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for string-keyed values.
+
+    Any ``indent`` sends ``json`` to its pure-Python encoder, which is about
+    twice as slow and leaves a reference cycle per call.  This joins the
+    containers by hand and sends strings and scalars through the C encoder.
+    ``indent`` is the newline and indentation of ``value``'s own line.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(key) + ": " + _json_text(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(args, obj, lines) -> None:
     """Write ``obj`` as JSON or the text ``lines`` to stdout or ``--output``.
 
     ``lines`` is only read for text output, so pass it as a generator.
     """
     if args.format == "json":
-        text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
+        text = _json_text(obj) + "\n"
     else:
         text = "\n".join(lines) + "\n"
     if args.output is None:
@@ -168,6 +195,10 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write output to a file")
 
 
+# The parser of each command, by name; filled by ``build_parser``.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of this process, built on the first call and then shared.
@@ -239,13 +270,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_ld)
     p_ld.set_defaults(func=_cmd_logderiv)
 
+    _COMMANDS.update(sub.choices)
     return parser
 
 
-def dispatch(argv: list[str]) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with its command's parser, as the top-level one would.
+
+    The top-level parser would classify every string and hand the tail to
+    the command's parser to classify again; it parses only an ``argv`` that
+    names no command, so that help and usage errors stay its own.
+    """
     parser = build_parser()
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def dispatch(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

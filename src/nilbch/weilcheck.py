@@ -26,7 +26,7 @@ import operator
 import time
 from fnmatch import fnmatchcase
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 from typing import NamedTuple
 
@@ -70,6 +70,25 @@ DEFAULT_SEED = 42
 # evaluation contexts
 
 
+@cache
+def _weight(k: int, coeff, shape, m) -> WeilElement:
+    """coeff times em(m) (EM), sd^m with sd = d1 + ... + dk (POW), or the
+    product of the d_i listed in m (D), in the k-generator Weil algebra.
+
+    Computed once per process: the keys come only from the catalog, and
+    the values are immutable.
+    """
+    if shape == EM:
+        weight = weil_power_sum(k, m)
+    elif shape == POW:
+        weight = reduce(operator.mul, [weil_sum(k)] * m)
+    elif shape == D:
+        weight = reduce(operator.mul, [WeilElement.generator(k, i) for i in m])
+    else:
+        raise ValueError(f"unknown weight shape {shape!r}")
+    return weight if coeff == 1 else weight * coeff
+
+
 class _Context:
     """One model: generator images, the unit, exp, inverse and the FAIL witness;
     the bracket is the commutator.
@@ -82,7 +101,6 @@ class _Context:
         self.k = k
         self._gens = gens
         self._one = one
-        self._sd = weil_sum(k)
         self.exp = exp
         self.inv = inv
         self.witness = witness
@@ -97,21 +115,8 @@ class _Context:
     def bracket(a, b):
         return a * b - b * a
 
-    def d(self, i: int) -> WeilElement:
-        return WeilElement.generator(self.k, i)
-
     def weight(self, coeff, shape, m) -> WeilElement:
-        """coeff times em(m) (EM), sd^m with sd = d1 + ... + dk (POW), or the
-        product of the d_i listed in m (D)."""
-        if shape == EM:
-            weight = weil_power_sum(self.k, m)
-        elif shape == POW:
-            weight = reduce(operator.mul, [self._sd] * m)
-        elif shape == D:
-            weight = reduce(operator.mul, [self.d(i) for i in m])
-        else:
-            raise ValueError(f"unknown weight shape {shape!r}")
-        return weight if coeff == 1 else weight * coeff
+        return _weight(self.k, coeff, shape, m)
 
 
 def _poly_witness(diff: AssocPoly) -> dict:

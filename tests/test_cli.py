@@ -1,13 +1,18 @@
 """Command-line contract: golden outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nilbch import cli, freelie, weilcheck
 from nilbch.cli import dispatch
+from nilbch.errors import NilbchError
 from nilbch.series import SERIES_SCHEMA
 from nilbch.weilcheck import REPORT_SCHEMA
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -290,3 +295,65 @@ def test_help_is_the_same_every_time(capsys):
     second = run(capsys, "--help")
     assert first[0] == 0 and first[1].startswith("usage: nilbch")
     assert first == second
+
+
+# Each command is parsed by its own parser; the top-level parser sees only an
+# argv that names no command.  The reference is the whole argv through the
+# top-level parser, which then hands the tail to the command's parser.
+
+def reference_dispatch(argv):
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except (NilbchError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+
+
+PARITY_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("nope",),
+    ("check", "-h"),
+    ("check", "--bogus"),
+    ("zassenhaus",),
+    ("bch", "--order", "x", "--source", "classical"),
+    ("bch", "--order", "2", "--source", "wrong"),
+    ("bch", "--order", "2", "--source", "classical", "extra"),
+    *((*argv, "--format", "json") for _, argv in GOLDEN.values()),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_per_command_parse_matches_the_top_level_parse(capsys, argv):
+    expected = reference_dispatch(list(argv)), *capsys.readouterr()
+    assert run(capsys, *argv) == expected
+
+
+# The JSON writer against json.dumps(indent=2): strings with quotes,
+# backslashes, control characters, non-ASCII, non-BMP characters and lone
+# surrogates, every scalar type, and empty and nested containers.
+
+_json_chars = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001d54f'
+_json_strings = st.text(st.one_of(st.sampled_from(_json_chars), st.characters()))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings),
+    lambda inner: st.one_of(st.lists(inner), st.dictionaries(_json_strings, inner)),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_writes_timings_as_json_dumps_does(capsys):
+    code, out, _ = run(capsys, "check", "--id", "thm-7.1", "--format", "json", "--timings")
+    reports = json.loads(out)
+    assert code == 0 and isinstance(reports[0]["elapsed_ms"], float)
+    assert out == json.dumps(reports, indent=2) + "\n"
