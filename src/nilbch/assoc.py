@@ -1,9 +1,10 @@
 """Degree-truncated free associative algebra over an exact scalar ring.
 
-Words are tuples of generator indices; coefficients are rationals or Weil
-elements (``weil_k`` records which).  Multiplication concatenates words and
-drops anything longer than the truncation bound, which makes every element of
-the augmentation ideal nilpotent and exp/log exact finite sums.  Truncation is
+Words are tuples of generator indices; coefficients are rationals, Weil
+elements or elements of Q[t]/(t^(n+1)) (``weil_k`` records which).
+Multiplication concatenates words and drops anything longer than the
+truncation bound, which makes every element of the augmentation ideal
+nilpotent and exp/log exact finite sums.  Truncation is
 a property of the algebra: operands must agree on it, mixing is an error.
 """
 
@@ -14,14 +15,16 @@ from fractions import Fraction
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
 from .scalars import (
     Numerators,
-    WeilElement,
+    _LocalScalar,
     decode_row,
+    divided_products,
     encode_scalar,
     exp_series,
+    key_shift,
     over_lcm,
     power_series,
+    scalar_numerators,
     unit_inverse,
-    weil_numerators,
 )
 
 Word = tuple[int, ...]
@@ -36,11 +39,13 @@ class AssocPoly(Numerators):
     """Noncommutative polynomial, truncated at word length ``trunc``.
 
     Stored like a ``NilMatrix`` (see ``scalars.Numerators``): ``_rows[l]``
-    maps ``(code << s) | mask`` to the nonzero numerator of the ``mask`` term
-    of the coefficient of a word of length l, where s is ``weil_k`` (0 for a
-    rational polynomial, whose masks are all 0) and ``code`` packs the word's
-    letters into bit fields of ``_letter_bits`` each, first letter highest;
-    ``scalars.encode_scalar`` and ``decode_row`` translate coefficients.
+    maps ``(code << s) | key`` to the nonzero numerator of the ``key`` term
+    of the coefficient of a word of length l, where s is
+    ``scalars.key_shift(weil_k)`` (0 for a rational polynomial, whose keys
+    are all 0), ``key`` a Weil mask or a t-exponent, and ``code`` packs the
+    word's letters into bit fields of ``_letter_bits`` each, first letter
+    highest; ``scalars.encode_scalar`` and ``decode_row`` translate
+    coefficients.
     Codes order as their words do, concatenation shifts and ors them, and
     ``freelie.lie_embed`` and ``dynkin_project`` read and write them too.
     ``terms`` is the read-only view word -> coefficient, built on each read.
@@ -82,7 +87,7 @@ class AssocPoly(Numerators):
     def terms(self) -> dict:
         """A fresh map from each word, shortest first and then in
         lexicographic order, to its nonzero coefficient: a Fraction, or a
-        WeilElement when weil_k is set."""
+        scalar of the ring weil_k selects when it is set."""
         bits = _letter_bits(self.alphabet)
         letter = (1 << bits) - 1
         return {
@@ -109,7 +114,7 @@ class AssocPoly(Numerators):
     def generator(cls, alphabet, index, trunc, weil_k=None) -> "AssocPoly":
         if not 0 <= index < len(alphabet):
             raise AlgebraMismatch(f"generator index {index} outside alphabet")
-        return cls(alphabet, trunc, weil_k)._monomial(1, index << (weil_k or 0))
+        return cls(alphabet, trunc, weil_k)._monomial(1, index << key_shift(weil_k))
 
     # -- ring operations ----------------------------------------------------
 
@@ -124,9 +129,14 @@ class AssocPoly(Numerators):
         """self times the polynomial of rows ``right`` over ``den``.
 
         Row l1 meets only the rows l2 <= trunc - l1, and only pairs of terms
-        with disjoint masks; no scalar is built per term.
+        with disjoint masks, or over Q[t]/(t^(n+1)) with exponents of sum at
+        most n, times the factor of ``scalars.divided_products``; no scalar
+        is built per term.
         """
         s, bits, trunc = self.weil_k or 0, _letter_bits(self.alphabet), self.trunc
+        choose = None
+        if s < 0:  # Q[t]/(t^(n+1)), n = -weil_k
+            s, choose = s.bit_length(), divided_products(-s)
         low = (1 << s) - 1
         out = [{} for _ in range(trunc + 1)]
         for l1, row1 in enumerate(self._rows):
@@ -136,6 +146,21 @@ class AssocPoly(Numerators):
                 if not row2:
                     continue
                 acc, shift = out[l1 + l2], bits * l2 + s
+                if choose is not None:
+                    for key1, n1 in row1.items():
+                        e1 = key1 & low
+                        base, factors = ((key1 >> s) << shift) + e1, choose[e1]
+                        room = len(factors)
+                        for key2, n2 in row2.items():
+                            e2 = key2 & low
+                            if e2 < room:  # t^(n+1) = 0
+                                key = base + key2
+                                total = acc.get(key, 0) + n1 * n2 * factors[e2]
+                                if total:
+                                    acc[key] = total
+                                else:
+                                    del acc[key]
+                    continue
                 for key1, n1 in row1.items():
                     m1 = key1 & low
                     base = ((key1 >> s) << shift) | m1
@@ -151,9 +176,9 @@ class AssocPoly(Numerators):
 
     def scale(self, scalar) -> "AssocPoly":
         """Multiply every coefficient by a central scalar: a rational scales
-        the numerators, and a Weil scalar multiplies them mask by mask."""
-        if isinstance(scalar, WeilElement):
-            nums, den = weil_numerators(self.weil_k, scalar)
+        the numerators, and a Weil or t scalar multiplies them term by term."""
+        if isinstance(scalar, _LocalScalar):
+            nums, den = scalar_numerators(self.weil_k, scalar)
             return self._product([nums], den)
         return self._scaled(scalar)
 
@@ -208,9 +233,11 @@ def poly_log(a: AssocPoly) -> AssocPoly:
 def poly_inv(a: AssocPoly) -> AssocPoly:
     """Two-sided inverse of an element whose constant term is a unit, that is,
     has a nonzero rational part.  A nonzero power of the nilpotent x of
-    ``unit_inverse`` has at most trunc letters and at most one factor from
-    each nilpotent term of the constant."""
-    row = a._rows[0]
+    ``unit_inverse`` has at most trunc letters and, over the Weil ring, at
+    most one factor from each nilpotent term of the constant, or over
+    Q[t]/(t^(n+1)) at most n such factors."""
+    row, k = a._rows[0], a.weil_k
     if 0 not in row:
         raise NotInvertible("constant term is not a unit")
-    return unit_inverse(a, a._monomial(0, 0), a.trunc + len(row) - 1)
+    nilpotent = -k if k is not None and k < 0 else len(row) - 1
+    return unit_inverse(a, a._monomial(0, 0), a.trunc + nilpotent)

@@ -2,7 +2,8 @@
 
 The matrix model of ``weilcheck`` evaluates each catalog identity in seeded
 strictly upper triangular matrices and the unitriangular group they
-exponentiate to, over the k-generator Weil algebra of ``scalars``.
+exponentiate to, over the k-generator Weil algebra of ``scalars`` or over
+Q[t]/(t^(n+1)).
 """
 
 from __future__ import annotations
@@ -13,19 +14,23 @@ from fractions import Fraction
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
 from .scalars import (
     Numerators,
-    WeilElement,
     _check_k,
+    _LocalScalar,
     decode_row,
+    divided_products,
     encode_scalar,
     exp_series,
     geometric_series,
+    key_shift,
     over_lcm,
-    weil_numerators,
+    scalar_numerators,
+    scalar_type,
 )
 
 
 class NilMatrix(Numerators):
-    """Square matrix over exact scalars (rationals or Weil elements).
+    """Square matrix over exact scalars (rationals, Weil elements or
+    elements of Q[t]/(t^(n+1)), as ``weil_k`` selects).
 
     The Lie-algebra side uses strictly upper triangular matrices, the group
     side unitriangular ones; both make exp, log and inversion finite sums.
@@ -33,12 +38,13 @@ class NilMatrix(Numerators):
 
     Stored like a ``WeilElement`` (see ``scalars.Numerators``), as integer
     numerators over one common denominator for the whole matrix: ``_rows[i]``
-    maps ``(j << s) | mask`` to the nonzero numerator of the ``mask`` term of
-    entry (i, j), where s is ``weil_k`` (0 for a rational matrix, whose masks
-    are all 0), as ``scalars.encode_scalar`` and ``decode_row`` translate.
-    Products visit only pairs of nonzero terms whose masks are disjoint, and
-    build no scalar per entry; ``rows`` is a read-only entry view, built on
-    first read.
+    maps ``(j << s) | key`` to the nonzero numerator of the ``key`` term of
+    entry (i, j), where s is ``scalars.key_shift(weil_k)`` (0 for a rational
+    matrix, whose keys are all 0) and ``key`` a Weil mask or a t-exponent,
+    as ``scalars.encode_scalar`` and ``decode_row`` translate.  Products
+    visit only pairs of nonzero terms whose masks are disjoint, or whose
+    exponents sum to at most n, and build no scalar per entry; ``rows`` is
+    a read-only entry view, built on first read.
     """
 
     __slots__ = ("dim", "weil_k", "_view")
@@ -72,30 +78,35 @@ class NilMatrix(Numerators):
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        """The entries as Fractions or WeilElements, zeros included."""
+        """The entries as Fractions or ring scalars, zeros included."""
         if self._view is None:
             k, cols = self.weil_k, range(self.dim)
-            zero = Fraction(0) if k is None else WeilElement.zero(k)
+            zero = Fraction(0) if k is None else scalar_type(k)[0].zero(abs(k))
             entries = [decode_row(k, row, self._den) for row in self._rows]
             self._view = tuple([tuple([e.get(j, zero) for j in cols]) for e in entries])
         return self._view
 
     @classmethod
     def identity(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
-        s = weil_k or 0
+        s = key_shift(weil_k)
         return cls._trusted(dim, weil_k, [{i << s: 1} for i in range(dim)], 1)
 
     def lift(self, k: int) -> "NilMatrix":
-        """Base change of a rational matrix into the k-generator Weil ring."""
+        """Base change of a rational matrix into the ring weil_k = k selects:
+        the k-generator Weil ring, or Q[t]/(t^(1-k)) for k < 0."""
         if self.weil_k is not None:
             raise ValueError("matrix already has Weil entries")
-        _check_k(k)
-        rows = [{j << k: n for j, n in row.items()} for row in self._rows]
+        _check_k(abs(k))
+        s = key_shift(k)
+        rows = [{j << s: n for j, n in row.items()} for row in self._rows]
         return NilMatrix._trusted(self.dim, k, rows, self._den)
 
     def _product(self, right: list[dict], den: int) -> "NilMatrix":
-        """out[i] += a[i][l] * right[l], over term pairs with disjoint masks."""
+        """out[i] += a[i][l] * right[l], over term pairs with disjoint masks,
+        or over Q[t]/(t^(n+1)) with t-exponents of sum at most n."""
         s = self.weil_k or 0
+        if s < 0:  # Q[t]/(t^(n+1)), n = -weil_k
+            return self._with(_t_product(self._rows, right, s.bit_length(), -s), self._den * den)
         low = (1 << s) - 1
         out = []
         for row in self._rows:
@@ -120,16 +131,16 @@ class NilMatrix(Numerators):
         return self._product(other._rows, other._den)
 
     def scale(self, scalar) -> "NilMatrix":
-        if isinstance(scalar, WeilElement):
+        if isinstance(scalar, _LocalScalar):
             # The product with the diagonal matrix scalar * 1.
-            nums, den = weil_numerators(self.weil_k, scalar)
-            s = self.weil_k
+            nums, den = scalar_numerators(self.weil_k, scalar)
+            s = key_shift(self.weil_k)
             diagonal = [{(j << s) | m: n for m, n in nums.items()} for j in range(self.dim)]
             return self._product(diagonal, den)
         return self._scaled(scalar)
 
     def is_strictly_upper(self) -> bool:
-        s = self.weil_k or 0
+        s = key_shift(self.weil_k)
         return all(key >> s > i for i, row in enumerate(self._rows) for key in row)
 
     def exp(self) -> "NilMatrix":
@@ -146,11 +157,33 @@ class NilMatrix(Numerators):
             raise NotInvertible("matrix inverse needs a unitriangular argument")
         return geometric_series(nil, one, self.dim - 1)
 
-    def entries_str(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.rows]
-
     def __repr__(self) -> str:
         return f"NilMatrix({self.rows})"
+
+
+def _t_product(left: list[dict], right: list[dict], s: int, n: int) -> list[dict]:
+    """The rows of left times right over Q[t]/(t^(n+1)): a term's key is
+    (column << s) | e for t^[e], so keys add, exponents above n drop and
+    each product takes the factor of ``scalars.divided_products``."""
+    low, choose = (1 << s) - 1, divided_products(n)
+    out = []
+    for row in left:
+        acc = {}
+        for key1, n1 in row.items():
+            e1 = key1 & low
+            factors = choose[e1]
+            room = len(factors)
+            for key2, n2 in right[key1 >> s].items():
+                e2 = key2 & low
+                if e2 < room:
+                    key = key2 + e1
+                    total = acc.get(key, 0) + n1 * n2 * factors[e2]
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+        out.append(acc)
+    return out
 
 
 def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:

@@ -1,14 +1,18 @@
 """Exact commutative scalar rings.
 
-Two rings live here: arbitrary-precision rationals (the standard library
+Three rings live here: arbitrary-precision rationals (the standard library
 ``fractions.Fraction``, which already keeps gcd-reduced canonical form with a
-positive denominator) and the Weil algebra Q[d1..dk]/(d1^2, ..., dk^2) of
-square-zero infinitesimals.  A Weil element is stored sparsely as a map from
-subsets of {1..k} (encoded as bitmasks) to nonzero integer numerators over one
-common denominator; the empty subset holds the scalar part.  Multiplying two
-terms whose subsets overlap yields zero, which is the whole point of the ring.
-The module also decides, once, which scalars (``rational``) and operands
-(``Numerators._check_operand``, ``encode_scalar``) every algebra accepts.
+positive denominator), the Weil algebra Q[d1..dk]/(d1^2, ..., dk^2) of
+square-zero infinitesimals, and Q[t]/(t^(n+1)).  A Weil element is stored
+sparsely as a map from subsets of {1..k} (encoded as bitmasks) to nonzero
+integer numerators over one common denominator; the empty subset holds the
+scalar part.  Multiplying two terms whose subsets overlap yields zero, which
+is the whole point of the ring.  An element of Q[t]/(t^(n+1)) is stored the
+same way, keyed by t-exponent; t -> sd = d1 + ... + dn embeds it in the
+n-generator Weil ring, since sd^m = m! em(m) (lemma 6.0) and em(1..n) are
+linearly independent.  The module also decides, once, which scalars
+(``rational``) and operands (``Numerators._check_operand``,
+``encode_scalar``) every algebra accepts.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, repeat
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import AlgebraMismatch, DivisionByZero, GeneratorCountMismatch
 
@@ -45,6 +49,20 @@ def rational(value) -> Fraction:
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"a scalar must be an int or a Fraction, not {type(value).__name__}")
     return Fraction(value)
+
+
+def reduced(rows: list[dict], den: int) -> tuple[list[dict], int]:
+    """Numerator rows over a positive den, divided by their one gcd with den;
+    the gcd is taken row by row and stops at 1."""
+    if den != 1:
+        g = den
+        for row in rows:
+            g = gcd(g, *row.values())
+            if g == 1:
+                return rows, den
+        rows = [{key: n // g for key, n in row.items()} if row else row for row in rows]
+        den //= g
+    return rows, den
 
 
 def over_lcm(rows) -> tuple[list[dict], int]:
@@ -91,11 +109,8 @@ class Numerators:
     def _with(self, rows: list[dict], den: int):
         """Wrap rows an operation built, reducing by one gcd; outside input goes
         through the public constructor."""
-        if den != 1:
-            g = gcd(den, *[n for row in rows for n in row.values()])
-            if g != 1:
-                rows = [{key: n // g for key, n in row.items()} if row else row for row in rows]
-                den //= g
+        if den != 1:  # as for most results, den 1 needs no reduction: skip the call
+            rows, den = reduced(rows, den)
         return self._wrap(rows, den)
 
     def __add__(self, other):
@@ -239,12 +254,16 @@ def _check_k(k: int) -> None:
         )
 
 
-class WeilElement(Numerators):
-    """Element of Q[d1..dk]/(di^2 = 0).
+class _LocalScalar(Numerators):
+    """Element of Q + N with N nilpotent, the shared half of ``WeilElement``
+    and ``TElement``.
 
-    Stored as one row of integer numerators by mask over a common
-    denominator (see ``Numerators``); the empty mask holds the scalar part.
-    ``coeffs`` is the read-only view mask -> reduced Fraction.
+    Stored as one row of integer numerators by monomial key over a common
+    denominator (see ``Numerators``); key 0 holds the scalar part and k
+    names the ring.  ``coeffs`` is the read-only view key -> reduced
+    Fraction.  A subclass checks a key (``_check_key``), multiplies
+    (``__mul__``, through ``_times``) and names a key's monomial
+    (``_monomial``, empty for key 0).
     """
 
     __slots__ = ("k",)
@@ -254,64 +273,58 @@ class WeilElement(Numerators):
     def __init__(self, k: int, coeffs: dict[int, Fraction] | None = None):
         _check_k(k)
         terms = []
-        for mask, value in (coeffs or {}).items():
-            if not 0 <= mask < 1 << k:
-                raise GeneratorCountMismatch(f"subset mask {mask} needs more than {k} generators")
+        for key, value in (coeffs or {}).items():
+            self._check_key(k, key)
             value = rational(value)
             if value:
-                terms.append((mask, value))
+                terms.append((key, value))
         self.k = k
         self._rows, self._den = over_lcm([terms])
 
-    def _wrap(self, rows: list[dict], den: int) -> "WeilElement":
-        out = object.__new__(WeilElement)
+    def _wrap(self, rows: list[dict], den: int):
+        out = object.__new__(type(self))
         out.k, out._rows, out._den = self.k, rows, den
         return out
 
-    @staticmethod
-    def _trusted(k: int, nums: dict[int, int], den: int) -> "WeilElement":
-        """Wrap nonzero int numerators by mask over a positive den, reducing by
-        one gcd in the shared zero's ``_with``, which allocates the one object;
-        outside input goes through the public constructor."""
-        return WeilElement.zero(k)._with([nums], den)
+    @classmethod
+    def _trusted(cls, k: int, nums: dict[int, int], den: int):
+        """Wrap nonzero int numerators by key over a positive den, reducing by
+        one gcd; outside input goes through the public constructor."""
+        out = object.__new__(cls)
+        out.k = k
+        out._rows, out._den = reduced([nums], den)
+        return out
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        """A fresh map from mask to nonzero reduced Fraction."""
+        """A fresh map from key to nonzero reduced Fraction."""
         den = self._den
-        return {m: Fraction(n, den) for m, n in self._rows[0].items()}
+        return {key: Fraction(n, den) for key, n in self._rows[0].items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    @cache  # values are immutable, so each k shares one zero
-    def zero(cls, k: int) -> "WeilElement":
+    @cache  # values are immutable, so each ring shares one zero
+    def zero(cls, k: int):
         return cls(k)
 
     @classmethod
-    def one(cls, k: int) -> "WeilElement":
+    def one(cls, k: int):
         return cls(k, {0: 1})
 
     @classmethod
-    def from_rational(cls, k: int, value) -> "WeilElement":
+    def from_rational(cls, k: int, value):
         _check_k(k)
         value = rational(value)
         nums = {0: value.numerator} if value else {}
         return cls._trusted(k, nums, value.denominator)
-
-    @classmethod
-    def generator(cls, k: int, index: int) -> "WeilElement":
-        """The infinitesimal d_index, with 1-based index as in d1..dk."""
-        if not 1 <= index <= k:
-            raise GeneratorCountMismatch(f"generator index {index} outside 1..{k}")
-        return cls(k, {1 << (index - 1): 1})
 
     # -- ring structure ----------------------------------------------------
 
     def _lift(self, other):
         """A rational as an element of this ring; any other operand as it is."""
         if isinstance(other, (int, Fraction)):
-            return WeilElement.from_rational(self.k, other)
+            return self.from_rational(self.k, other)
         return other
 
     def __add__(self, other):
@@ -327,31 +340,27 @@ class WeilElement(Numerators):
         # so Python raises TypeError without calling back here
         return (-self).__add__(other)
 
-    def __mul__(self, other):
+    def _times(self, other, pairs):
+        """self times other: a rational scales; ``pairs(a, b)`` lists the
+        (key, numerator) products of two numerator rows of this ring."""
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        if not isinstance(other, WeilElement):
+        if type(other) is not type(self):
             return NotImplemented
         self._check_operand(other)
-        nums = accumulate({}, [
-            (m1 | m2, n1 * n2)
-            for m1, n1 in self._rows[0].items()
-            for m2, n2 in other._rows[0].items()
-            if not m1 & m2  # a repeated generator gives d_i^2 = 0
-        ])
+        nums = accumulate({}, pairs(self._rows[0], other._rows[0]))
         return self._with([nums], self._den * other._den)
 
-    __rmul__ = __mul__
-
     def _value(self) -> tuple:
-        """What equality compares: with no infinitesimal term the value is a
-        rational, whatever k, as for the hash; otherwise k counts too."""
+        """What equality compares: with no nilpotent term the value is a
+        rational, whatever the ring, as for the hash; otherwise the ring
+        counts too."""
         nums = self._rows[0]
-        return (self.k if any(nums) else None, self._den, nums)
+        return ((type(self), self.k) if any(nums) else None, self._den, nums)
 
     def __eq__(self, other):
         other = self._lift(other)
-        if not isinstance(other, WeilElement):
+        if not isinstance(other, _LocalScalar):
             return NotImplemented
         return self._value() == other._value()
 
@@ -365,7 +374,41 @@ class WeilElement(Numerators):
             return hash(Fraction(nums.get(0, 0), self._den))
         return hash((self.k, self._den, frozenset(nums.items())))
 
-    # -- queries -----------------------------------------------------------
+    # -- text format -------------------------------------------------------
+
+    def _term_str(self, key: int, value: Fraction) -> str:
+        monomial = self._monomial(key)
+        if not monomial:
+            return str(value)
+        return monomial if value == 1 else f"{value}*{monomial}"
+
+    def __str__(self) -> str:
+        return signed_join(
+            (self._term_str(key, Fraction(abs(n), self._den)), n)
+            for key, n in sorted(self._rows[0].items())
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={self.k}, {self})"
+
+
+class WeilElement(_LocalScalar):
+    """Element of Q[d1..dk]/(di^2 = 0), keyed by the mask of its generators."""
+
+    __slots__ = ()
+    __add__ = _LocalScalar.__add__  # bench/tracer.py wraps it by this class's own name
+
+    @staticmethod
+    def _check_key(k: int, mask: int) -> None:
+        if not 0 <= mask < 1 << k:
+            raise GeneratorCountMismatch(f"subset mask {mask} needs more than {k} generators")
+
+    def __mul__(self, other):
+        return self._times(other, lambda a, b: [  # d_i^2 = 0 drops overlapping masks
+            (m1 | m2, n1 * n2) for m1, n1 in a.items() for m2, n2 in b.items() if not m1 & m2
+        ])
+
+    __rmul__ = __mul__
 
     def inverse(self) -> "WeilElement":
         """Exact inverse via the finite geometric series, which stops at i = k."""
@@ -373,57 +416,114 @@ class WeilElement(Numerators):
             raise DivisionByZero("Weil element with zero scalar part has no inverse")
         return unit_inverse(self, WeilElement.one(self.k), self.k)
 
-    # -- text format -------------------------------------------------------
+    @classmethod
+    def generator(cls, k: int, index: int) -> "WeilElement":
+        """The infinitesimal d_index, with 1-based index as in d1..dk."""
+        if not 1 <= index <= k:
+            raise GeneratorCountMismatch(f"generator index {index} outside 1..{k}")
+        return cls(k, {1 << (index - 1): 1})
 
-    def _term_str(self, mask: int, value: Fraction) -> str:
-        gens = "".join(f"d{i + 1}" for i in range(self.k) if mask & (1 << i))
-        if not gens:
-            return str(value)
-        if value == 1:
-            return gens
-        return f"{value}*{gens}"
-
-    def __str__(self) -> str:
-        return signed_join(
-            (self._term_str(m, Fraction(abs(n), self._den)), n)
-            for m, n in sorted(self._rows[0].items())
-        )
-
-    def __repr__(self) -> str:
-        return f"WeilElement(k={self.k}, {self})"
+    def _monomial(self, mask: int) -> str:
+        return "".join(f"d{i + 1}" for i in range(self.k) if mask & (1 << i))
 
 
-def weil_numerators(weil_k: int | None, scalar: WeilElement) -> tuple[dict[int, int], int]:
-    """The numerators by mask and the denominator of a Weil scalar of the
-    ring with weil_k generators, or of none (weil_k None: the rationals)."""
+class TElement(_LocalScalar):
+    """Element of Q[t]/(t^(k+1)) in its divided-power basis t^[e] = t^e / e!,
+    keyed by e: t^[a] t^[b] = C(a+b, a) t^[a+b], and a sum above k drops.
+
+    t -> sd = d1 + ... + dk maps t^[e] to em(e) (lemma 6.0), so the map
+    into the k-generator Weil ring (``weil_image``) keeps every numerator.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(k: int, e: int) -> None:
+        if not 0 <= e <= k:
+            raise GeneratorCountMismatch(f"t-exponent {e} outside 0..{k}")
+
+    def __mul__(self, other):
+        choose = divided_products(self.k)
+        return self._times(other, lambda a, b: [
+            (e1 + e2, n1 * n2 * choose[e1][e2])
+            for e1, n1 in a.items() for e2, n2 in b.items() if e2 < len(choose[e1])
+        ])
+
+    __rmul__ = __mul__
+
+    def weil_image(self) -> WeilElement:
+        """The image under t -> sd: each t^[e] becomes em(e)."""
+        nums = {}
+        for e, n in self._rows[0].items():
+            nums.update(dict.fromkeys(_subset_masks(self.k, e), n))
+        return WeilElement._trusted(self.k, nums, self._den)
+
+    @staticmethod
+    def _monomial(e: int) -> str:
+        return "" if not e else "t" if e == 1 else f"t^[{e}]"
+
+
+@cache
+def divided_products(n: int) -> tuple[tuple[int, ...], ...]:
+    """C(a+b, a) at [a][b] for a + b <= n, the factor of t^[a] t^[b] in Q[t]/(t^(n+1))."""
+    return tuple([tuple([comb(a + b, a) for b in range(n + 1 - a)]) for a in range(n + 1)])
+
+
+def key_shift(weil_k: int | None) -> int:
+    """The width of the scalar's field at the low end of an ``AssocPoly`` or
+    ``NilMatrix`` row key: none over Q (weil_k None), a k-bit mask over the
+    Weil ring of k generators, and the bits of an exponent 0..n over
+    Q[t]/(t^(n+1)), which weil_k = -n selects."""
     if weil_k is None:
-        raise AlgebraMismatch(f"Weil scalar {scalar} in a rational algebra")
-    if scalar.k != weil_k:
-        raise GeneratorCountMismatch(f"Weil scalar with {scalar.k} generators in a ring with {weil_k}")
+        return 0
+    return weil_k if weil_k > 0 else weil_k.bit_length()
+
+
+def scalar_type(weil_k: int) -> tuple[type, int]:
+    """The scalar class and its k of the ring that a weil_k other than None selects."""
+    return (WeilElement, weil_k) if weil_k > 0 else (TElement, -weil_k)
+
+
+def scalar_numerators(weil_k: int | None, scalar: _LocalScalar) -> tuple[dict[int, int], int]:
+    """The numerators by key and the denominator of a scalar of the ring
+    weil_k selects, or of none (weil_k None: the rationals)."""
+    if weil_k != (scalar.k if type(scalar) is WeilElement else -scalar.k):
+        if weil_k is None:
+            raise AlgebraMismatch(f"scalar {scalar!r} in a rational algebra")
+        raise GeneratorCountMismatch(f"scalar {scalar!r} in the ring of weil_k {weil_k}")
     return scalar._rows[0], scalar._den
 
 
 def encode_scalar(weil_k: int | None, index: int, value) -> list[tuple[int, Fraction]]:
     """The (key, nonzero Fraction) terms of a coefficient at ``index`` of an
-    ``AssocPoly`` or ``NilMatrix`` row, keyed (index << weil_k) | mask.  The
-    ring is Q when weil_k is None, else the Weil ring, which contains Q."""
-    if isinstance(value, WeilElement):
-        nums, den = weil_numerators(weil_k, value)
-        return [((index << weil_k) | m, Fraction(n, den)) for m, n in nums.items()]
+    ``AssocPoly`` or ``NilMatrix`` row, keyed (index << key_shift(weil_k)) |
+    key.  The ring is Q when weil_k is None, else the ring weil_k selects,
+    which contains Q."""
+    s = key_shift(weil_k)
+    if isinstance(value, _LocalScalar):
+        nums, den = scalar_numerators(weil_k, value)
+        return [((index << s) | key, Fraction(n, den)) for key, n in nums.items()]
     value = rational(value)
-    return [(index << (weil_k or 0), value)] if value else []
+    return [(index << s, value)] if value else []
 
 
 def decode_row(weil_k: int | None, row: dict[int, int], den: int) -> dict:
     """A numerator row over ``den`` as a map from each index, in increasing
-    order, to its nonzero coefficient: a Fraction, or a WeilElement when
-    weil_k is set."""
+    order, to its nonzero coefficient: a Fraction, or a scalar of the ring
+    weil_k selects when it is set."""
     if weil_k is None:
         return {key: Fraction(row[key], den) for key in sorted(row)}
-    low, by_index = (1 << weil_k) - 1, {}
+    (kind, k), s = scalar_type(weil_k), key_shift(weil_k)
+    low, by_index = (1 << s) - 1, {}
     for key in sorted(row):
-        by_index.setdefault(key >> weil_k, {})[key & low] = row[key]
-    return {i: WeilElement._trusted(weil_k, nums, den) for i, nums in by_index.items()}
+        by_index.setdefault(key >> s, {})[key & low] = row[key]
+    return {i: kind._trusted(k, nums, den) for i, nums in by_index.items()}
+
+
+@cache
+def _subset_masks(n: int, m: int) -> tuple[int, ...]:
+    """The masks of the m-element subsets of n generators: the terms of em(m)."""
+    return tuple([sum([1 << i for i in subset]) for subset in combinations(range(n), m)])
 
 
 def weil_sum(n: int) -> WeilElement:
@@ -441,12 +541,5 @@ def weil_power_sum(n: int, m: int) -> WeilElement:
     _check_k(n)
     if m < 1:
         raise ValueError(f"exponent must be at least 1, got {m}")
-    if m > n:
-        return WeilElement.zero(n)
-    nums: dict[int, int] = {}
-    for subset in combinations(range(n), m):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        nums[mask] = 1
-    return WeilElement._trusted(n, nums, 1)
+    return WeilElement._trusted(n, dict.fromkeys(_subset_masks(n, m), 1), 1)
+

@@ -8,16 +8,25 @@ inverses are computed by actual inversion rather than by negating exponents,
 and the check subtracts the sides of each pair.  PASS means every difference
 is exactly zero.
 
-Two models are available.  The *free* model works in the truncated free
-associative algebra over the Weil ring.  Where every exponent carries an
-infinitesimal the truncation cuts nothing, so a PASS there holds in every
-instance; ``prop-4.4`` and ``prop-5.3`` exponentiate plain generators and
-are checked only through degree ``trunc``.  The *matrix* model evaluates in
-a seeded unitriangular rational matrix group; it is a quotient, so a PASS is
-necessary but not sufficient for free-model validity, and the suite checks
-that implication rather than assuming it.  ``consistency-7v8`` compares two
-tables' degree-4 entries as Lie elements of degree at most 4, whichever
-model is asked for.
+Two models are available, each over the coefficient ring ``_ring`` picks
+from the statement's weights.  A statement with a generator whose weights
+are all sd^m or em(m), sd = d1 + ... + dn (the 17 built from the tables of
+sections 6-8), is decided over Q[t]/(t^(n+1)): lemma 6.0, sd^m = m! em(m),
+makes t -> sd an injective ring map into the n-generator Weil ring, so a
+difference vanishes there exactly when its image vanishes in the Weil ring,
+and a FAIL witness writes that image.  Every other statement, ``lemma-6.0``
+itself among them, is decided over the Weil ring.
+
+The *free* model works in the truncated free associative algebra over the
+ring.  Where every exponent carries an infinitesimal the truncation cuts
+nothing, so a PASS there holds in every instance; ``prop-4.4`` and
+``prop-5.3`` exponentiate plain generators and are checked only through
+degree ``trunc``.  The *matrix* model evaluates in a seeded unitriangular
+rational matrix group, its entries base-changed to the ring; it is a
+quotient, so a PASS is necessary but not sufficient for free-model
+validity, and the suite checks that implication rather than assuming it.
+``consistency-7v8`` compares two tables' degree-4 entries as Lie elements of
+degree at most 4, whichever model is asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from .errors import (
 )
 from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
-from .scalars import WeilElement, weil_power_sum, weil_sum
+from .scalars import TElement, WeilElement, weil_power_sum, weil_sum
 from .series import (
     AD,
     EM,
@@ -71,13 +80,18 @@ DEFAULT_SEED = 42
 
 
 @cache
-def _weight(k: int, coeff, shape, m) -> WeilElement:
+def _weight(k: int, coeff, shape, m) -> WeilElement | TElement:
     """coeff times em(m) (EM), sd^m with sd = d1 + ... + dk (POW), or the
-    product of the d_i listed in m (D), in the k-generator Weil algebra.
+    product of the d_i listed in m (D), in the k-generator Weil algebra;
+    for k = -n, coeff times the preimage t^[m] of em(m) or m! t^[m] of
+    sd^m = m! em(m) (lemma 6.0) in Q[t]/(t^(n+1)), where t stands for sd.
 
     Computed once per process: the keys come only from the catalog, and
     the values are immutable.
     """
+    if k < 0 and shape in (EM, POW):
+        c = coeff if shape == EM else coeff * factorial(m)
+        return TElement._trusted(-k, {m: c.numerator} if c and m <= -k else {}, c.denominator)
     if shape == EM:
         weight = weil_power_sum(k, m)
     elif shape == POW:
@@ -93,8 +107,8 @@ class _Context:
     """One model: generator images, the unit, exp, inverse and the FAIL witness;
     the bracket is the commutator.
 
-    The Weil weights live in the k-generator Weil algebra, whichever model
-    the context is.
+    k is the ``weil_k`` of the coefficient ring (see ``_ring``), in which
+    the weights live, whichever model the context is.
     """
 
     def __init__(self, k: int, gens: list, one, exp, inv, witness):
@@ -103,7 +117,7 @@ class _Context:
         self._one = one
         self.exp = exp
         self.inv = inv
-        self.witness = witness
+        self._witness = witness
 
     def gen_img(self, i: int):
         return self._gens[i]
@@ -115,38 +129,45 @@ class _Context:
     def bracket(a, b):
         return a * b - b * a
 
-    def weight(self, coeff, shape, m) -> WeilElement:
+    def weight(self, coeff, shape, m) -> WeilElement | TElement:
         return _weight(self.k, coeff, shape, m)
 
-
-def _poly_witness(diff: AssocPoly) -> dict:
-    terms = list(diff.terms.items())
-    lead_word, lead_coeff = terms[0]
-    return {
-        "kind": "polynomial",
-        "lead": {"word": diff.word_str(lead_word), "coeff": str(lead_coeff)},
-        "terms": [{"word": diff.word_str(w), "coeff": str(c)} for w, c in terms],
-    }
+    def witness(self, diff) -> dict:
+        """The report of a nonzero difference, each coefficient written as
+        an element of the Weil ring: over Q[t]/(t^(n+1)), its image."""
+        return self._witness(diff, str if self.k > 0 else _weil_text)
 
 
-def _matrix_witness(diff: NilMatrix) -> dict:
+def _weil_text(scalar: TElement) -> str:
+    return str(scalar.weil_image())
+
+
+def _poly_witness(diff: AssocPoly, text) -> dict:
+    terms = [{"word": diff.word_str(w), "coeff": text(c)} for w, c in diff.terms.items()]
+    return {"kind": "polynomial", "lead": terms[0], "terms": terms}
+
+
+def _matrix_witness(diff: NilMatrix, text) -> dict:
+    entries = [[text(e) for e in row] for row in diff.rows]
     lead = next(
-        {"row": i, "col": j, "coeff": str(e)}
+        {"row": i, "col": j, "coeff": entries[i][j]}
         for i, row in enumerate(diff.rows)
         for j, e in enumerate(row)
         if e
     )
-    return {"kind": "matrix", "lead": lead, "entries": diff.entries_str()}
+    return {"kind": "matrix", "lead": lead, "entries": entries}
 
 
 def _free_context(names: tuple[str, ...], k: int, trunc: int) -> _Context:
-    """The free model: the truncated free algebra over the k-generator Weil ring."""
+    """The free model: the truncated free algebra over the ring k selects,
+    the k-generator Weil ring or, for k = -n, Q[t]/(t^(n+1))."""
     gens = [AssocPoly.generator(names, i, trunc, k) for i in range(len(names))]
     return _Context(k, gens, AssocPoly.one(names, trunc, k), poly_exp, poly_inv, _poly_witness)
 
 
 def _matrix_context(k: int, dim: int, seed: int, count: int) -> _Context:
-    """The matrix model: seeded dim x dim nilpotent matrices over the Weil ring."""
+    """The matrix model: seeded dim x dim nilpotent matrices over the ring k
+    selects, as in ``_free_context``."""
     gens = [m.lift(k) for m in gen_nilmatrix(dim, seed, count)]
     one = NilMatrix.identity(dim, k)
     return _Context(k, gens, one, NilMatrix.exp, NilMatrix.inv, _matrix_witness)
@@ -323,6 +344,33 @@ REPORT_SCHEMA = {
 }
 
 
+def _weight_shapes(expr, out: set) -> set:
+    """Add to ``out`` the shape of every weight node in an expression."""
+    if isinstance(expr, tuple):
+        if len(expr) == 3 and isinstance(expr[0], Fraction):  # (coeff, (shape, m), sub)
+            out.add(expr[1][0])
+        for part in expr:
+            _weight_shapes(part, out)
+    return out
+
+
+@cache
+def _ring(identity_id: str) -> int:
+    """The coefficient ring of an identity, as ``weil_k``: -n_d, for
+    Q[t]/(t^(n_d+1)) with t standing for sd = d1 + ... + d_n_d, when every
+    weight is sd^m or em(m) and a generator occurs; else n_d (at least 1),
+    for the Weil ring, as also for an identity decided among Lie elements.
+    t -> sd is an injective ring map, since sd^m = m! em(m) (lemma 6.0) and
+    em(1..n_d) are linearly independent, so both rings decide such an
+    identity alike.  ``lemma-6.0`` has no generator: it is that lemma, and
+    stays in the Weil ring."""
+    entry = _BY_ID[identity_id]
+    shapes = _weight_shapes(entry.pairs, set())
+    if entry.gens and not entry.lie_degree and shapes and shapes <= {EM, POW}:
+        return -entry.n_d
+    return max(entry.n_d, 1)
+
+
 def _context_for(entry: _Identity, model: str, params: CheckParams):
     if model == "free":
         what, need, got = "truncation", entry.order, params.trunc
@@ -334,7 +382,7 @@ def _context_for(entry: _Identity, model: str, params: CheckParams):
         raise InsufficientModel(f"{entry.id} needs {what} >= {need}, got {got}")
     if entry.lie_degree:
         return _TableContext(entry.lie_degree)
-    k = max(entry.n_d, 1)
+    k = _ring(entry.id)
     if model == "free":
         return _free_context(default_names(entry.gens), k, params.trunc)
     return _matrix_context(k, params.dim, params.seed, entry.gens)

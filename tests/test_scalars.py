@@ -11,7 +11,7 @@ from nilbch.assoc import AssocPoly
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.freelie import LieElement, lie_bracket
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import WeilElement, power_series, weil_power_sum, weil_sum
+from nilbch.scalars import TElement, WeilElement, power_series, weil_power_sum, weil_sum
 
 
 def d(k, i):
@@ -309,6 +309,28 @@ def test_equality_is_transitive_across_generator_counts():
     d1s = [WeilElement.generator(k, 1) for k in (1, 2)]
     assert d1s[0] != d1s[1] and len(set(d1s)) == 2
     assert one2 + d1s[1] != one2 and one2 + d1s[1] != WeilElement.one(1) + d1s[0]
+
+
+def test_t_elements_multiply_in_the_divided_power_basis():
+    # key e holds t^[e] = t^e / e!, the preimage of em(e) under t -> sd
+    t = TElement(3, {1: 1})
+    assert t * t == TElement(3, {2: 2}) and t * t * t == TElement(3, {3: 6})
+    assert t * t * t * t == TElement.zero(3) == 0
+    assert str(1 - t * t * Fraction(1, 4)) == "1 - 1/2*t^[2]"
+    power, sd_power = TElement.one(3), WeilElement.one(3)
+    for _ in range(4):  # t^m -> sd^m
+        assert power.weil_image() == sd_power
+        power, sd_power = power * t, sd_power * weil_sum(3)
+    assert TElement(3, {2: 1}).weil_image() == weil_power_sum(3, 2)
+    # rational values equal across rings; t and d1 do not, though keys and k agree
+    assert TElement.one(3) == WeilElement.one(2) == 1
+    assert TElement(1, {1: 1}) != WeilElement.generator(1, 1)
+    with pytest.raises(GeneratorCountMismatch):
+        TElement(3, {4: 1})
+    with pytest.raises(GeneratorCountMismatch):
+        t * TElement(2, {1: 1})
+    with pytest.raises(TypeError):
+        t * WeilElement.generator(3, 1)
 
 
 # -- power series --------------------------------------------------------------

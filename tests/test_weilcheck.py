@@ -3,10 +3,12 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
 
 import pytest
@@ -17,7 +19,7 @@ from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import Numerators, WeilElement, weil_power_sum, weil_sum
+from nilbch.scalars import Numerators, TElement, WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
     AD,
     EM,
@@ -299,21 +301,29 @@ def _dense_series(x, one, coeffs):
     return out
 
 
+def _scalar_class(weil_k):
+    """The scalar class of the ring weil_k selects: WeilElement for k > 0 and,
+    for -n, TElement of Q[t]/(t^(n+1))."""
+    return (WeilElement, weil_k) if weil_k > 0 else (TElement, -weil_k)
+
+
 def _random_scalar(rng, weil_k):
     def value():
         return Fraction(rng.choice([0, rng.randint(-3, 3)]), rng.choice([1, 2, 3, 4, 6]))
 
     if weil_k is None:
         return value()
-    return WeilElement(weil_k, {rng.randrange(1 << weil_k): value()
-                                for _ in range(rng.randint(0, 3))})
+    kind, k = _scalar_class(weil_k)
+    keys = 1 << k if kind is WeilElement else k + 1
+    return kind(k, {rng.randrange(keys): value() for _ in range(rng.randint(0, 3))})
 
 
 def _random_matrix(rng, dim, weil_k, shape):
     if weil_k is None:
         zero, one = Fraction(0), Fraction(1)
     else:
-        zero, one = WeilElement.zero(weil_k), WeilElement.one(weil_k)
+        kind, k = _scalar_class(weil_k)
+        zero, one = kind.zero(k), kind.one(k)
     rows = [[_random_scalar(rng, weil_k) for _ in range(dim)] for _ in range(dim)]
     if shape != "dense":
         for i in range(dim):
@@ -329,7 +339,7 @@ def _assert_canonical(m):
 
 
 def _assert_matches(result, dense):
-    scalar_type = Fraction if result.weil_k is None else WeilElement
+    scalar_type = Fraction if result.weil_k is None else _scalar_class(result.weil_k)[0]
     assert all(type(e) is scalar_type for row in result.rows for e in row)
     assert result.rows == tuple(tuple(row) for row in dense)
     _assert_canonical(result)
@@ -339,21 +349,58 @@ def _assert_matches(result, dense):
 def _scalars(rng, weil_k):
     """Rational scalars, zero among them, and for a Weil matrix Weil scalars:
     d1, which kills the terms that already carry d1, the zero d1*d1, 1 + d1
+    and a random one; over Q[t]/(t^(n+1)), t, t*t (zero when n = 1), 1 + t
     and a random one."""
     out = [3, -2, 0, Fraction(2, 3), Fraction(-5, 4), Fraction(0)]
     if weil_k is not None:
-        d1 = WeilElement.generator(weil_k, 1)
+        kind, k = _scalar_class(weil_k)
+        d1 = WeilElement.generator(k, 1) if kind is WeilElement else TElement(k, {1: 1})
         out += [d1, d1 * d1, d1 + 1, _random_scalar(rng, weil_k)]
     return out
 
 
-@pytest.mark.parametrize("weil_k", [None, 1, 2, 3, 4])
+def _phi_scalar(c, n):
+    """phi: t^m -> sd^m = m! em(m), by Weil arithmetic on sd = d1 + ... + dn;
+    the coeffs of a TElement are those of t^[e] = t^e / e!.  A rational is
+    its own image."""
+    if not isinstance(c, TElement):
+        return c
+    sd, out = weil_sum(n), WeilElement.zero(n)
+    for e, value in c.coeffs.items():
+        out = out + value / factorial(e) * reduce(operator.mul, [sd] * e, WeilElement.one(n))
+    return out
+
+
+def _phi(value, n):
+    """phi entry by entry or coefficient by coefficient, into the n-generator Weil ring."""
+    if isinstance(value, NilMatrix):
+        return NilMatrix(value.dim, n, [[_phi_scalar(e, n) for e in row] for row in value.rows])
+    terms = {w: _phi_scalar(c, n) for w, c in value.terms.items()}
+    return AssocPoly(value.alphabet, value.trunc, n, terms)
+
+
+def _assert_phi_commutes(a, b, scalars, n):
+    """phi of each result over Q[t]/(t^(n+1)) is the Weil result on the images."""
+    pa, pb = _phi(a, n), _phi(b, n)
+    assert _phi(a * b, n) == pa * pb
+    assert _phi(a + b, n) == pa + pb
+    assert _phi(a - b, n) == pa - pb
+    for scalar in scalars:
+        assert _phi(a.scale(scalar), n) == pa.scale(_phi_scalar(scalar, n))
+        if isinstance(scalar, TElement):
+            assert scalar.weil_image() == _phi_scalar(scalar, n)
+
+
+@pytest.mark.parametrize("weil_k", [None, 1, 2, 3, 4, -1, -2, -3, -4, -5])
 @pytest.mark.parametrize("shape", ["dense", "strictly_upper", "unitriangular"])
 def test_sparse_kernels_match_dense_reference(shape, weil_k):
+    # weil_k = -n is Q[t]/(t^(n+1)); there every result is also mapped by
+    # phi into the n-generator Weil ring and compared with the Weil result
     rng = random.Random(f"{shape}-{weil_k}")
-    unit = Fraction(1) if weil_k is None else WeilElement.one(weil_k)
+    unit = Fraction(1) if weil_k is None else _scalar_class(weil_k)[0].one(abs(weil_k))
+    t_ring = weil_k is not None and weil_k < 0
     for dim in range(2, 7):
-        for _ in range(6):
+        for rep in range(3 if t_ring else 6):
             a, b, c = (_random_matrix(rng, dim, weil_k, shape) for _ in range(3))
             _assert_matches(a * b, _dense_mul(a.rows, b.rows))
             _assert_matches(a + b, _entrywise(operator.add, a, b))
@@ -372,10 +419,17 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
                 _assert_matches(a.inv(), _dense_series(nil, dense_one, [1] * (dim - 1)))
                 assert a * a.inv() == one
             if weil_k is None:
-                for k in (1, 4):
-                    _assert_matches(
-                        a.lift(k), _entrywise(lambda x: WeilElement.from_rational(k, x), a)
-                    )
+                for k in (1, 4, -3):
+                    kind, n = _scalar_class(k)
+                    _assert_matches(a.lift(k), _entrywise(lambda x: kind.from_rational(n, x), a))
+            if t_ring and rep < 2:
+                n, t = -weil_k, TElement(-weil_k, {1: 1})
+                assert _phi(one, n) == NilMatrix.identity(dim, n)
+                _assert_phi_commutes(a, b, _scalars(rng, weil_k), n)
+                if shape == "strictly_upper":
+                    assert _phi(a.exp(), n) == _phi(a, n).exp()
+                    u = one + a.scale(t)  # 1 + t*a
+                    assert _phi(u.inv(), n) == _phi(u, n).inv()
             # equal values reached by different routes
             assert (a + b) - b == a
             assert a * (b + c) == a * b + a * c
@@ -383,6 +437,34 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
             assert a.scale(Fraction(1, 3)).scale(3) == a
             if a:
                 assert a != a.scale(2) and a != a.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_t_ring_polynomials_map_onto_the_weil_ring(n):
+    # AssocPoly over Q[t]/(t^(n+1)) (weil_k = -n), against the Weil ring through phi
+    rng = random.Random(f"poly-{n}")
+    names, trunc = ("X", "Y"), 3
+    words = [w for length in range(trunc + 1) for w in itertools.product(range(2), repeat=length)]
+    one, t = AssocPoly.one(names, trunc, -n), TElement(n, {1: 1})
+
+    def poly(constant=True):
+        chosen = [w for w in rng.sample(words, 6) if constant or w]
+        return AssocPoly(names, trunc, -n, {w: _random_scalar(rng, -n) for w in chosen})
+
+    for _ in range(6):
+        a, b = poly(), poly()
+        _assert_phi_commutes(a, b, _scalars(rng, -n), n)
+        x = poly(constant=False)
+        assert _phi(assoc.poly_exp(x), n) == assoc.poly_exp(_phi(x, n))
+        u = one + a.scale(t)  # 1 + t*a: its constant 1 + t*c(t) needs up to n factors
+        inv = assoc.poly_inv(u)
+        assert inv * u == one == u * inv
+        assert _phi(inv, n) == assoc.poly_inv(_phi(u, n))
+    # at trunc 1, 1 + t needs n factors: more than the Weil ring's bound,
+    # trunc + (terms of the constant) - 1 = 2, once n > 2
+    one = AssocPoly.one(names, 1, -n)
+    u = one + one.scale(t)
+    assert assoc.poly_inv(u) * u == one
 
 
 def _counted(calls, name, fn):
@@ -396,7 +478,8 @@ def _counted(calls, name, fn):
 def _count_kernel_ops(monkeypatch):
     """Count Weil products, sums and inverses by every name the operators
     have, and polynomial and matrix products by every name that calls reach
-    them through.  The Weil weights are counted from a cold cache."""
+    them through.  The weights are counted from a cold cache, which holds
+    those of the Weil ring and those of Q[t]/(t^(n+1)) alike."""
     weilcheck._weight.cache_clear()
     calls = {"mul": 0, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 0}
 
@@ -419,8 +502,8 @@ def _count_kernel_ops(monkeypatch):
 # change to the kernels moves these pins on purpose and records the old and
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 51, "add": 0, "inverse": 0, "poly_mul": 388, "nilmatrix_mul": 0},
-    "matrix": {"mul": 51, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 361},
+    "free": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 388, "nilmatrix_mul": 0},
+    "matrix": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 361},
 }
 
 
@@ -488,8 +571,8 @@ def _count_sums(monkeypatch):
 # themselves, not the terms; pinned like WEIL_OP_PINS.
 SUM_PINS = {
     "oracle": {"_with": 181, "__add__": 21, "_scaled": 25},
-    "free": {"_with": 961, "__add__": 210, "_scaled": 54},
-    "matrix": {"_with": 875, "__add__": 208, "_scaled": 48},
+    "free": {"_with": 828, "__add__": 210, "_scaled": 37},
+    "matrix": {"_with": 793, "__add__": 208, "_scaled": 31},
 }
 
 
@@ -731,6 +814,48 @@ def test_suite_lets_programming_errors_propagate(monkeypatch):
     assert not reports
     assert [e[0] for e in errors] == ["thm-7.4a", "thm-7.4b"]
     assert errors[0][1].startswith("InsufficientModel")
+
+
+SD_ONLY_IDS = (
+    "thm-6.2a", "thm-6.2b", "thm-6.3a", "thm-6.3b", "thm-6.4a", "thm-6.4b", "thm-7.1",
+    "thm-7.2a", "thm-7.2b", "thm-7.3a", "thm-7.3b", "thm-7.4a", "thm-7.4b", "thm-8.1",
+    "thm-8.2", "thm-8.3", "thm-8.4",
+)
+
+
+def test_ring_choice_selects_exactly_the_sd_only_statements():
+    assert [e.id for e in CATALOG if weilcheck._ring(e.id) < 0] == list(SD_ONLY_IDS)
+    for entry in CATALOG:
+        if entry.id in SD_ONLY_IDS:
+            assert weilcheck._ring(entry.id) == -entry.n_d
+            ctx = weilcheck._context_for(entry, "free", CheckParams(trunc=entry.order))
+            assert ctx.gen_img(0).weil_k == -entry.n_d
+        else:  # lemma-6.0, thm-6.1, cor-7.2.1 and the rest
+            assert weilcheck._ring(entry.id) == max(entry.n_d, 1)
+
+
+def _sd_only_reports() -> list[dict]:
+    """The drift fixture's range for each sd-only statement: free at trunc
+    min..min+2, matrix at dim min..min+1 with seeds 0-5."""
+    out = []
+    for ident in SD_ONLY_IDS:
+        order = weilcheck._BY_ID[ident].order
+        for trunc in range(order, order + 3):
+            out.append(check_identity(ident, "free", CheckParams(trunc=trunc)))
+        for dim in range(order + 1, order + 3):
+            for seed in range(6):
+                out.append(check_identity(ident, "matrix", CheckParams(dim=dim, seed=seed)))
+    return [report.to_json_obj() for report in out]
+
+
+def test_both_rings_give_the_same_verdicts_and_witnesses(monkeypatch):
+    small = _sd_only_reports()
+    monkeypatch.setattr(weilcheck, "_ring", lambda ident: weilcheck._BY_ID[ident].n_d)
+    weil = _sd_only_reports()
+    assert len(small) == 17 * 15
+    assert {r["verdict"] for r in small} == {"PASS", "FAIL"}
+    for a, b in zip(small, weil):
+        assert a == b, (a["id"], a["model"], a["params"])
 
 
 def test_expected_pass_set_in_both_models():
