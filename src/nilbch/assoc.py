@@ -13,17 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
+from .rings import decode_row, divided_products, encode_scalar, key_shift, scalar_numerators
 from .scalars import (
     Numerators,
     _LocalScalar,
-    decode_row,
-    divided_products,
-    encode_scalar,
     exp_series,
-    key_shift,
     over_lcm,
     power_series,
-    scalar_numerators,
     unit_inverse,
 )
 

@@ -12,19 +12,14 @@ import random
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
+from .rings import decode_row, divided_products, encode_scalar, key_shift, scalar_numerators, scalar_type
 from .scalars import (
     Numerators,
     _check_k,
     _LocalScalar,
-    decode_row,
-    divided_products,
-    encode_scalar,
     exp_series,
     geometric_series,
-    key_shift,
     over_lcm,
-    scalar_numerators,
-    scalar_type,
 )
 
 

@@ -1,18 +1,15 @@
 """Exact commutative scalar rings.
 
-Three rings live here: arbitrary-precision rationals (the standard library
+Two rings live here: arbitrary-precision rationals (the standard library
 ``fractions.Fraction``, which already keeps gcd-reduced canonical form with a
-positive denominator), the Weil algebra Q[d1..dk]/(d1^2, ..., dk^2) of
-square-zero infinitesimals, and Q[t]/(t^(n+1)).  A Weil element is stored
-sparsely as a map from subsets of {1..k} (encoded as bitmasks) to nonzero
-integer numerators over one common denominator; the empty subset holds the
-scalar part.  Multiplying two terms whose subsets overlap yields zero, which
-is the whole point of the ring.  An element of Q[t]/(t^(n+1)) is stored the
-same way, keyed by t-exponent; t -> sd = d1 + ... + dn embeds it in the
-n-generator Weil ring, since sd^m = m! em(m) (lemma 6.0) and em(1..n) are
-linearly independent.  The module also decides, once, which scalars
-(``rational``) and operands (``Numerators._check_operand``,
-``encode_scalar``) every algebra accepts.
+positive denominator) and the Weil algebra Q[d1..dk]/(d1^2, ..., dk^2) of
+square-zero infinitesimals.  A Weil element is stored sparsely as a map from
+subsets of {1..k} (encoded as bitmasks) to nonzero integer numerators over one
+common denominator; the empty subset holds the scalar part.  Multiplying two
+terms whose subsets overlap yields zero, which is the whole point of the ring.
+``_LocalScalar`` holds what the Weil ring shares with Q[t]/(t^(n+1)), which
+``rings`` adds.  The module also decides, once, which scalars (``rational``)
+and operands (``Numerators._check_operand``) every algebra accepts.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, repeat
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 
 from .errors import AlgebraMismatch, DivisionByZero, GeneratorCountMismatch
 
@@ -52,14 +49,18 @@ def rational(value) -> Fraction:
 
 
 def reduced(rows: list[dict], den: int) -> tuple[list[dict], int]:
-    """Numerator rows over a positive den, divided by their one gcd with den;
-    the gcd is taken row by row and stops at 1."""
+    """Numerator rows over a positive den, divided by their one gcd with den.
+
+    The gcd is taken row by row and stops at 1, so no list of every
+    numerator is built.
+    """
     if den != 1:
         g = den
         for row in rows:
-            g = gcd(g, *row.values())
-            if g == 1:
-                return rows, den
+            if row:
+                g = gcd(g, *row.values())
+                if g == 1:
+                    return rows, den
         rows = [{key: n // g for key, n in row.items()} if row else row for row in rows]
         den //= g
     return rows, den
@@ -425,99 +426,6 @@ class WeilElement(_LocalScalar):
 
     def _monomial(self, mask: int) -> str:
         return "".join(f"d{i + 1}" for i in range(self.k) if mask & (1 << i))
-
-
-class TElement(_LocalScalar):
-    """Element of Q[t]/(t^(k+1)) in its divided-power basis t^[e] = t^e / e!,
-    keyed by e: t^[a] t^[b] = C(a+b, a) t^[a+b], and a sum above k drops.
-
-    t -> sd = d1 + ... + dk maps t^[e] to em(e) (lemma 6.0), so the map
-    into the k-generator Weil ring (``weil_image``) keeps every numerator.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_key(k: int, e: int) -> None:
-        if not 0 <= e <= k:
-            raise GeneratorCountMismatch(f"t-exponent {e} outside 0..{k}")
-
-    def __mul__(self, other):
-        choose = divided_products(self.k)
-        return self._times(other, lambda a, b: [
-            (e1 + e2, n1 * n2 * choose[e1][e2])
-            for e1, n1 in a.items() for e2, n2 in b.items() if e2 < len(choose[e1])
-        ])
-
-    __rmul__ = __mul__
-
-    def weil_image(self) -> WeilElement:
-        """The image under t -> sd: each t^[e] becomes em(e)."""
-        nums = {}
-        for e, n in self._rows[0].items():
-            nums.update(dict.fromkeys(_subset_masks(self.k, e), n))
-        return WeilElement._trusted(self.k, nums, self._den)
-
-    @staticmethod
-    def _monomial(e: int) -> str:
-        return "" if not e else "t" if e == 1 else f"t^[{e}]"
-
-
-@cache
-def divided_products(n: int) -> tuple[tuple[int, ...], ...]:
-    """C(a+b, a) at [a][b] for a + b <= n, the factor of t^[a] t^[b] in Q[t]/(t^(n+1))."""
-    return tuple([tuple([comb(a + b, a) for b in range(n + 1 - a)]) for a in range(n + 1)])
-
-
-def key_shift(weil_k: int | None) -> int:
-    """The width of the scalar's field at the low end of an ``AssocPoly`` or
-    ``NilMatrix`` row key: none over Q (weil_k None), a k-bit mask over the
-    Weil ring of k generators, and the bits of an exponent 0..n over
-    Q[t]/(t^(n+1)), which weil_k = -n selects."""
-    if weil_k is None:
-        return 0
-    return weil_k if weil_k > 0 else weil_k.bit_length()
-
-
-def scalar_type(weil_k: int) -> tuple[type, int]:
-    """The scalar class and its k of the ring that a weil_k other than None selects."""
-    return (WeilElement, weil_k) if weil_k > 0 else (TElement, -weil_k)
-
-
-def scalar_numerators(weil_k: int | None, scalar: _LocalScalar) -> tuple[dict[int, int], int]:
-    """The numerators by key and the denominator of a scalar of the ring
-    weil_k selects, or of none (weil_k None: the rationals)."""
-    if weil_k != (scalar.k if type(scalar) is WeilElement else -scalar.k):
-        if weil_k is None:
-            raise AlgebraMismatch(f"scalar {scalar!r} in a rational algebra")
-        raise GeneratorCountMismatch(f"scalar {scalar!r} in the ring of weil_k {weil_k}")
-    return scalar._rows[0], scalar._den
-
-
-def encode_scalar(weil_k: int | None, index: int, value) -> list[tuple[int, Fraction]]:
-    """The (key, nonzero Fraction) terms of a coefficient at ``index`` of an
-    ``AssocPoly`` or ``NilMatrix`` row, keyed (index << key_shift(weil_k)) |
-    key.  The ring is Q when weil_k is None, else the ring weil_k selects,
-    which contains Q."""
-    s = key_shift(weil_k)
-    if isinstance(value, _LocalScalar):
-        nums, den = scalar_numerators(weil_k, value)
-        return [((index << s) | key, Fraction(n, den)) for key, n in nums.items()]
-    value = rational(value)
-    return [(index << s, value)] if value else []
-
-
-def decode_row(weil_k: int | None, row: dict[int, int], den: int) -> dict:
-    """A numerator row over ``den`` as a map from each index, in increasing
-    order, to its nonzero coefficient: a Fraction, or a scalar of the ring
-    weil_k selects when it is set."""
-    if weil_k is None:
-        return {key: Fraction(row[key], den) for key in sorted(row)}
-    (kind, k), s = scalar_type(weil_k), key_shift(weil_k)
-    low, by_index = (1 << s) - 1, {}
-    for key in sorted(row):
-        by_index.setdefault(key >> s, {})[key & low] = row[key]
-    return {i: kind._trusted(k, nums, den) for i, nums in by_index.items()}
 
 
 @cache

@@ -11,7 +11,8 @@ from nilbch.assoc import AssocPoly
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.freelie import LieElement, lie_bracket
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import TElement, WeilElement, power_series, weil_power_sum, weil_sum
+from nilbch.rings import TElement
+from nilbch.scalars import WeilElement, power_series, weil_power_sum, weil_sum
 
 
 def d(k, i):

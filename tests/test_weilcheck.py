@@ -19,7 +19,8 @@ from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import Numerators, TElement, WeilElement, weil_power_sum, weil_sum
+from nilbch.rings import TElement
+from nilbch.scalars import Numerators, WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
     AD,
     EM,
