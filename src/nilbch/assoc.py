@@ -14,14 +14,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
 from .rings import decode_row, divided_products, encode_scalar, key_shift, scalar_numerators
-from .scalars import (
-    Numerators,
-    _LocalScalar,
-    exp_series,
-    over_lcm,
-    power_series,
-    unit_inverse,
-)
+from .scalars import Numerators, _LocalScalar, exp_series, over_lcm, power_series, unit_inverse
 
 Word = tuple[int, ...]
 

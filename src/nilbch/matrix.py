@@ -12,15 +12,15 @@ import random
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
-from .rings import decode_row, divided_products, encode_scalar, key_shift, scalar_numerators, scalar_type
-from .scalars import (
-    Numerators,
-    _check_k,
-    _LocalScalar,
-    exp_series,
-    geometric_series,
-    over_lcm,
+from .rings import (
+    decode_row,
+    divided_products,
+    encode_scalar,
+    key_shift,
+    scalar_numerators,
+    scalar_type,
 )
+from .scalars import Numerators, _check_k, _LocalScalar, exp_series, geometric_series, over_lcm
 
 
 class NilMatrix(Numerators):
