@@ -28,7 +28,7 @@ from .series import (
 )
 
 # ---------------------------------------------------------------------------
-# shared sides
+# catalog expressions, in the language of ``series``
 
 _EXP_X = (EXP, _X)
 _D1_X = _entry(1, D, (1,), _X)
@@ -124,5 +124,3 @@ CATALOG: tuple[_Identity, ...] = (
 )
 
 _BY_ID = {entry.id: entry for entry in CATALOG}
-
-

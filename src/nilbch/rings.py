@@ -115,5 +115,3 @@ def decode_row(weil_k: int | None, row: dict[int, int], den: int) -> dict:
     for key in sorted(row):
         by_index.setdefault(key >> s, {})[key & low] = row[key]
     return {i: kind._trusted(k, nums, den) for i, nums in by_index.items()}
-
-

@@ -110,7 +110,7 @@ class Numerators:
     def _with(self, rows: list[dict], den: int):
         """Wrap rows an operation built, reducing by one gcd; outside input goes
         through the public constructor."""
-        if den != 1:  # as for most results, den 1 needs no reduction: skip the call
+        if den != 1:  # most results are over 1, which needs no reduction: skip the call
             rows, den = reduced(rows, den)
         return self._wrap(rows, den)
 
@@ -450,4 +450,3 @@ def weil_power_sum(n: int, m: int) -> WeilElement:
     if m < 1:
         raise ValueError(f"exponent must be at least 1, got {m}")
     return WeilElement._trusted(n, dict.fromkeys(_subset_masks(n, m), 1), 1)
-

@@ -247,7 +247,8 @@ def _ring(identity_id: str) -> int:
     t -> sd is an injective ring map, since sd^m = m! em(m) (lemma 6.0) and
     em(1..n_d) are linearly independent, so both rings decide such an
     identity alike.  ``lemma-6.0`` has no generator: it is that lemma, and
-    stays in the Weil ring."""
+    stays in the Weil ring.  Cached by id, since the catalog is fixed once
+    imported."""
     entry = _BY_ID[identity_id]
     shapes = _weight_shapes(entry.pairs, set())
     if entry.gens and not entry.lie_degree and shapes and shapes <= {EM, POW}:
