@@ -90,7 +90,7 @@ class NilMatrix(Numerators):
         """Base change of a rational matrix into the ring weil_k = k selects:
         the k-generator Weil ring, or Q[t]/(t^(1-k)) for k < 0."""
         if self.weil_k is not None:
-            raise ValueError("matrix already has Weil entries")
+            raise ValueError("matrix already has entries in a ring other than Q")
         _check_k(abs(k))
         s = key_shift(k)
         rows = [{j << s: n for j, n in row.items()} for row in self._rows]

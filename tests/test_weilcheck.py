@@ -19,7 +19,7 @@ from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.rings import TElement
+from nilbch.rings import TElement, scalar_type
 from nilbch.scalars import Numerators, WeilElement, weil_power_sum, weil_sum
 from nilbch.series import (
     AD,
@@ -302,19 +302,13 @@ def _dense_series(x, one, coeffs):
     return out
 
 
-def _scalar_class(weil_k):
-    """The scalar class of the ring weil_k selects: WeilElement for k > 0 and,
-    for -n, TElement of Q[t]/(t^(n+1))."""
-    return (WeilElement, weil_k) if weil_k > 0 else (TElement, -weil_k)
-
-
 def _random_scalar(rng, weil_k):
     def value():
         return Fraction(rng.choice([0, rng.randint(-3, 3)]), rng.choice([1, 2, 3, 4, 6]))
 
     if weil_k is None:
         return value()
-    kind, k = _scalar_class(weil_k)
+    kind, k = scalar_type(weil_k)
     keys = 1 << k if kind is WeilElement else k + 1
     return kind(k, {rng.randrange(keys): value() for _ in range(rng.randint(0, 3))})
 
@@ -323,7 +317,7 @@ def _random_matrix(rng, dim, weil_k, shape):
     if weil_k is None:
         zero, one = Fraction(0), Fraction(1)
     else:
-        kind, k = _scalar_class(weil_k)
+        kind, k = scalar_type(weil_k)
         zero, one = kind.zero(k), kind.one(k)
     rows = [[_random_scalar(rng, weil_k) for _ in range(dim)] for _ in range(dim)]
     if shape != "dense":
@@ -340,8 +334,8 @@ def _assert_canonical(m):
 
 
 def _assert_matches(result, dense):
-    scalar_type = Fraction if result.weil_k is None else _scalar_class(result.weil_k)[0]
-    assert all(type(e) is scalar_type for row in result.rows for e in row)
+    kind = Fraction if result.weil_k is None else scalar_type(result.weil_k)[0]
+    assert all(type(e) is kind for row in result.rows for e in row)
     assert result.rows == tuple(tuple(row) for row in dense)
     _assert_canonical(result)
     assert result == NilMatrix(result.dim, result.weil_k, dense)
@@ -354,7 +348,7 @@ def _scalars(rng, weil_k):
     and a random one."""
     out = [3, -2, 0, Fraction(2, 3), Fraction(-5, 4), Fraction(0)]
     if weil_k is not None:
-        kind, k = _scalar_class(weil_k)
+        kind, k = scalar_type(weil_k)
         d1 = WeilElement.generator(k, 1) if kind is WeilElement else TElement(k, {1: 1})
         out += [d1, d1 * d1, d1 + 1, _random_scalar(rng, weil_k)]
     return out
@@ -398,7 +392,7 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
     # weil_k = -n is Q[t]/(t^(n+1)); there every result is also mapped by
     # phi into the n-generator Weil ring and compared with the Weil result
     rng = random.Random(f"{shape}-{weil_k}")
-    unit = Fraction(1) if weil_k is None else _scalar_class(weil_k)[0].one(abs(weil_k))
+    unit = Fraction(1) if weil_k is None else scalar_type(weil_k)[0].one(abs(weil_k))
     t_ring = weil_k is not None and weil_k < 0
     for dim in range(2, 7):
         for rep in range(3 if t_ring else 6):
@@ -421,7 +415,7 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
                 assert a * a.inv() == one
             if weil_k is None:
                 for k in (1, 4, -3):
-                    kind, n = _scalar_class(k)
+                    kind, n = scalar_type(k)
                     _assert_matches(a.lift(k), _entrywise(lambda x: kind.from_rational(n, x), a))
             if t_ring and rep < 2:
                 n, t = -weil_k, TElement(-weil_k, {1: 1})
