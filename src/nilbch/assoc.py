@@ -24,6 +24,11 @@ def _letter_bits(alphabet: tuple[str, ...]) -> int:
     return (len(alphabet) - 1).bit_length()
 
 
+def _check_trunc(trunc: int) -> None:
+    if trunc < 1:
+        raise ValueError(f"truncation must be positive, got {trunc}")
+
+
 class AssocPoly(Numerators):
     """Noncommutative polynomial, truncated at word length ``trunc``.
 
@@ -50,8 +55,7 @@ class AssocPoly(Numerators):
         weil_k: int | None = None,
         terms: dict | None = None,
     ):
-        if trunc < 1:
-            raise ValueError(f"truncation must be positive, got {trunc}")
+        _check_trunc(trunc)
         self.alphabet, self.trunc, self.weil_k = tuple(alphabet), trunc, weil_k
         letters, bits = len(self.alphabet), _letter_bits(self.alphabet)
         rows = [[] for _ in range(trunc + 1)]
@@ -88,22 +92,32 @@ class AssocPoly(Numerators):
     # -- scalar plumbing ----------------------------------------------------
 
     def _monomial(self, length: int, key: int) -> "AssocPoly":
-        """The term of numerator 1 at ``key`` in row ``length``, over 1."""
-        rows = [{} for _ in range(self.trunc + 1)]
-        rows[length][key] = 1
-        return self._wrap(rows, 1)
+        """The term of numerator 1 at ``key`` in row ``length`` of self's algebra."""
+        return AssocPoly._unit_term(self.alphabet, self.trunc, self.weil_k, length, key)
 
     # -- constructors -------------------------------------------------------
 
+    @staticmethod
+    def _unit_term(alphabet, trunc, weil_k, length, key) -> "AssocPoly":
+        """The term of numerator 1 at ``key`` in row ``length``, over 1, built
+        from rows; trunc is checked as the public constructor checks it."""
+        _check_trunc(trunc)
+        out = object.__new__(AssocPoly)
+        out.alphabet, out.trunc, out.weil_k = tuple(alphabet), trunc, weil_k
+        out._rows = [{} for _ in range(trunc + 1)]
+        out._rows[length] = {key: 1}
+        out._den = 1
+        return out
+
     @classmethod
     def one(cls, alphabet, trunc, weil_k=None) -> "AssocPoly":
-        return cls(alphabet, trunc, weil_k)._monomial(0, 0)
+        return cls._unit_term(alphabet, trunc, weil_k, 0, 0)
 
     @classmethod
     def generator(cls, alphabet, index, trunc, weil_k=None) -> "AssocPoly":
         if not 0 <= index < len(alphabet):
             raise AlgebraMismatch(f"generator index {index} outside alphabet")
-        return cls(alphabet, trunc, weil_k)._monomial(1, index << key_shift(weil_k))
+        return cls._unit_term(alphabet, trunc, weil_k, 1, index << key_shift(weil_k))
 
     # -- ring operations ----------------------------------------------------
 

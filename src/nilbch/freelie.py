@@ -168,6 +168,11 @@ def _bracket_basis(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 # Lie elements
 
 
+def _check_max_degree(max_degree: int) -> None:
+    if not 1 <= max_degree <= HARD_DEGREE_CAP:
+        raise ValueError(f"max_degree {max_degree} outside 1..{HARD_DEGREE_CAP}")
+
+
 class LieElement(Numerators):
     """Exact linear combination of standard bracket monomials, truncated.
 
@@ -187,8 +192,7 @@ class LieElement(Numerators):
         max_degree: int = DEFAULT_MAX_DEGREE,
         terms: dict[Mono, Fraction] | None = None,
     ):
-        if not 1 <= max_degree <= HARD_DEGREE_CAP:
-            raise ValueError(f"max_degree {max_degree} outside 1..{HARD_DEGREE_CAP}")
+        _check_max_degree(max_degree)
         self.alphabet, self.max_degree = tuple(alphabet), max_degree
         letters = len(self.alphabet)
         rows = [[] for _ in range(max_degree + 1)]
@@ -211,13 +215,22 @@ class LieElement(Numerators):
 
     @classmethod
     def zero(cls, alphabet, max_degree: int = DEFAULT_MAX_DEGREE) -> "LieElement":
-        return cls(alphabet, max_degree)
+        """Built from rows, max_degree checked as the public constructor checks it."""
+        _check_max_degree(max_degree)
+        out = object.__new__(cls)
+        out.alphabet, out.max_degree = tuple(alphabet), max_degree
+        out._rows, out._den = [{} for _ in range(max_degree + 1)], 1
+        return out
 
     @classmethod
     def generator(
         cls, alphabet, index: int, max_degree: int = DEFAULT_MAX_DEGREE
     ) -> "LieElement":
-        return cls(alphabet, max_degree, {index: Fraction(1)})  # checks the index
+        out = cls.zero(alphabet, max_degree)
+        if not 0 <= index < len(out.alphabet):
+            raise AlphabetMismatch(f"{index} has a leaf outside the alphabet")
+        out._rows[1] = {(index,): 1}
+        return out
 
     def degree_part(self, n: int) -> "LieElement":
         return self._with([row if d == n else {} for d, row in enumerate(self._rows)], self._den)

@@ -18,13 +18,20 @@ and a FAIL witness writes that image.  Every other statement, ``lemma-6.0``
 itself among them, is decided over the Weil ring.
 
 The *free* model works in the truncated free associative algebra over the
-ring.  Where every exponent carries an infinitesimal the truncation cuts
-nothing, so a PASS there holds in every instance; ``prop-4.4`` and
+ring, and stops at the statement's reach.  Where every generator occurrence
+carries an infinitesimal (``_scope``), each term has at least as many
+infinitesimals as letters, and in a ring of n infinitesimals a product of
+more than n vanishes, so no word longer than n survives: the model is built
+at truncation min(trunc, n), the truncation cuts nothing, and a PASS holds
+in every instance.  Three statements are not bounded so.  ``prop-4.4`` and
 ``prop-5.3`` exponentiate plain generators and are checked only through
-degree ``trunc``.  The *matrix* model evaluates in a seeded unitriangular
-rational matrix group, its entries base-changed to the ring; it is a
-quotient, so a PASS is necessary but not sufficient for free-model
-validity, and the suite checks that implication rather than assuming it.
+degree ``trunc``; ``lemma-2.5`` brackets plain generators, and its PASS is
+still exact because both its sides are homogeneous of degree 4.
+
+The *matrix* model evaluates in a seeded unitriangular rational matrix
+group, its entries base-changed to the ring; it is a quotient, so a PASS is
+necessary but not sufficient for free-model validity, and the suite checks
+that implication rather than assuming it.
 ``consistency-7v8`` compares two tables' degree-4 entries as Lie elements of
 degree at most 4, whichever model is asked for.
 """
@@ -34,9 +41,8 @@ from __future__ import annotations
 import operator
 import time
 from fnmatch import fnmatchcase
-from fractions import Fraction
 from functools import cache, reduce
-from math import factorial
+from math import factorial, inf
 from typing import NamedTuple
 
 from .assoc import AssocPoly, poly_exp, poly_inv
@@ -51,7 +57,7 @@ from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
 from .rings import TElement
 from .scalars import WeilElement, weil_power_sum, weil_sum
-from .series import EM, POW, D, _TableContext, evaluate
+from .series import AD, EM, EXP, INV, LIN, MUL, ONE, POW, D, _TableContext, evaluate
 
 DEFAULT_TRUNC = 6
 DEFAULT_DIM = 5
@@ -131,7 +137,7 @@ def _poly_witness(diff: AssocPoly, text) -> dict:
 
 
 def _matrix_witness(diff: NilMatrix, text) -> dict:
-    entries = [[text(e) for e in row] for row in diff.rows]
+    entries = [[text(e) if e else "0" for e in row] for row in diff.rows]
     lead = next(
         {"row": i, "col": j, "coeff": entries[i][j]}
         for i, row in enumerate(diff.rows)
@@ -228,14 +234,51 @@ REPORT_SCHEMA = {
 }
 
 
-def _weight_shapes(expr, out: set) -> set:
-    """Add to ``out`` the shape of every weight node in an expression."""
-    if isinstance(expr, tuple):
-        if len(expr) == 3 and isinstance(expr[0], Fraction):  # (coeff, (shape, m), sub)
-            out.add(expr[1][0])
-        for part in expr:
-            _weight_shapes(part, out)
-    return out
+def _deficit(expr, shapes: set) -> float:
+    """The largest word length less weight degree over the terms of an
+    expression's image, inf where no bound holds; the shape of each weight
+    node goes into ``shapes``.
+
+    A generator counts 1 and the unit 0, a weight node subtracts its degree
+    (the infinitesimals in every term of its scalar), products and brackets
+    add, and sums take the largest.  exp, the group inverse and an ad-series
+    sum powers of their argument (of a, for an ad-series), which keep a
+    deficit <= 0, so they are bounded only where that argument's is.
+    """
+    if isinstance(expr, int):
+        return 1
+    head = expr[0]
+    if head == ONE:
+        return 0
+    if head == LIN:
+        return max([_deficit(a, shapes) for _, a in expr[1]])
+    if head == MUL:
+        return sum([_deficit(a, shapes) for a in expr[1:]])
+    if head in (EXP, INV):
+        return 0 if _deficit(expr[1], shapes) <= 0 else inf
+    if head == AD:
+        b = _deficit(expr[3], shapes)
+        return b if _deficit(expr[2], shapes) <= 0 else inf
+    if len(expr) == 3:  # (coeff, (shape, m), sub)
+        shape, m = expr[1]
+        shapes.add(shape)
+        return _deficit(expr[2], shapes) - (len(m) if shape == D else m)
+    return _deficit(expr[0], shapes) + _deficit(expr[1], shapes)
+
+
+@cache
+def _scope(identity_id: str) -> tuple[frozenset[str], bool]:
+    """The weight shapes of an identity, and whether it is *bounded*: every
+    side has deficit <= 0 (``_deficit``).  A term of a bounded side then
+    carries at least as many infinitesimals as letters, and a product of
+    more than n = |``_ring``| of them vanishes, so every word longer than n
+    is zero: the free model truncated at n decides the identity as at any
+    truncation above, with the same difference.  Cached by id, like
+    ``_ring``."""
+    shapes: set[str] = set()
+    sides = [side for pair in _BY_ID[identity_id].pairs for side in pair]
+    deficits = [_deficit(side, shapes) for side in sides]
+    return frozenset(shapes), max(deficits) <= 0
 
 
 @cache
@@ -250,7 +293,7 @@ def _ring(identity_id: str) -> int:
     stays in the Weil ring.  Cached by id, since the catalog is fixed once
     imported."""
     entry = _BY_ID[identity_id]
-    shapes = _weight_shapes(entry.pairs, set())
+    shapes = _scope(identity_id)[0]
     if entry.gens and not entry.lie_degree and shapes and shapes <= {EM, POW}:
         return -entry.n_d
     return max(entry.n_d, 1)
@@ -269,7 +312,10 @@ def _context_for(entry: _Identity, model: str, params: CheckParams):
         return _TableContext(entry.lie_degree)
     k = _ring(entry.id)
     if model == "free":
-        return _free_context(default_names(entry.gens), k, params.trunc)
+        trunc = params.trunc
+        if _scope(entry.id)[1]:  # no word longer than |k| survives
+            trunc = min(trunc, abs(k))
+        return _free_context(default_names(entry.gens), k, trunc)
     return _matrix_context(k, params.dim, params.seed, entry.gens)
 
 
@@ -315,9 +361,12 @@ def run_suite(
     """
     reports: list[CheckReport] = []
     errors: list[tuple[str, str]] = []
-    for entry in CATALOG:
-        if not fnmatchcase(entry.id, pattern):
-            continue
+    exact = _BY_ID.get(pattern)  # an exact id needs no pattern match
+    if exact is not None:
+        matched = [exact]
+    else:
+        matched = [entry for entry in CATALOG if fnmatchcase(entry.id, pattern)]
+    for entry in matched:
         try:
             reports.append(check_identity(entry.id, model, params))
         except NilbchError as exc:

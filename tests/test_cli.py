@@ -122,6 +122,16 @@ def test_check_all_reports_failures(capsys):
     assert out.rstrip().endswith("passed 24/29")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_by_exact_id_prints_what_the_matching_glob_prints(capsys, fmt):
+    exact = run(capsys, "check", "--id", "thm-6.1", "--format", fmt)
+    glob = run(capsys, "check", "--id", "thm-6.[1]", "--format", fmt)
+    assert exact == glob and exact[0] == 0 and exact[1]
+
+    code, out, err = run(capsys, "check", "--id", "thm-9.9", "--format", fmt)
+    assert (code, out) == (2, "") and "no identity matches 'thm-9.9'" in err
+
+
 def test_check_exit_codes_for_input_errors(capsys):
     code, _, err = run(capsys, "check", "--id", "no-such-*")
     assert code == 2 and "no identity matches" in err

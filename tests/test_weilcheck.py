@@ -497,7 +497,7 @@ def _count_kernel_ops(monkeypatch):
 # change to the kernels moves these pins on purpose and records the old and
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 388, "nilmatrix_mul": 0},
+    "free": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 325, "nilmatrix_mul": 0},
     "matrix": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 361},
 }
 
@@ -566,7 +566,7 @@ def _count_sums(monkeypatch):
 # themselves, not the terms; pinned like WEIL_OP_PINS.
 SUM_PINS = {
     "oracle": {"_with": 181, "__add__": 21, "_scaled": 25},
-    "free": {"_with": 828, "__add__": 210, "_scaled": 37},
+    "free": {"_with": 765, "__add__": 210, "_scaled": 37},
     "matrix": {"_with": 793, "__add__": 208, "_scaled": 31},
 }
 
@@ -609,6 +609,10 @@ def _free_suite():
     return run_suite(model="free")
 
 
+def _free_suite_at_the_minimum_truncation():
+    return run_suite(model="free", params=CheckParams(trunc=None))
+
+
 def _matrix_suite():
     return run_suite(model="matrix")
 
@@ -636,7 +640,7 @@ def _failing_check_json():
 
 
 @pytest.mark.parametrize("run", [
-    _free_suite, _matrix_suite, _classical_oracles,
+    _free_suite, _free_suite_at_the_minimum_truncation, _matrix_suite, _classical_oracles,
     _bch_json, _zassenhaus_json, _failing_check_json,
 ])
 def test_runs_leave_no_reference_cycles(run):
@@ -851,6 +855,54 @@ def test_both_rings_give_the_same_verdicts_and_witnesses(monkeypatch):
     assert {r["verdict"] for r in small} == {"PASS", "FAIL"}
     for a, b in zip(small, weil):
         assert a == b, (a["id"], a["model"], a["params"])
+
+
+UNBOUNDED_IDS = ("lemma-2.5", "prop-4.4", "prop-5.3")
+
+
+def test_scope_walk_finds_exactly_the_statements_without_infinitesimals():
+    assert [e.id for e in CATALOG if not weilcheck._scope(e.id)[1]] == list(UNBOUNDED_IDS)
+
+
+def test_an_unweighted_exponent_keeps_the_full_truncation(monkeypatch):
+    # exp(X) = exp(sd Y): every weight a power of sd, so the ring is Q[t],
+    # but exp(X) has words of every length, so nothing may be cut
+    sd_y = series._entry(1, POW, 1, 1)
+    entry = weilcheck._BY_ID["thm-6.2a"]._replace(id="unweighted", pairs=(
+        ((EXP, 0), (EXP, sd_y)),
+    ))
+    monkeypatch.setitem(weilcheck._BY_ID, entry.id, entry)
+    try:
+        assert weilcheck._ring(entry.id) == -2
+        assert weilcheck._scope(entry.id) == (frozenset({POW}), False)
+        ctx = weilcheck._context_for(entry, "free", CheckParams(trunc=5))
+        assert ctx.one().trunc == 5
+    finally:
+        weilcheck._ring.cache_clear()
+        weilcheck._scope.cache_clear()
+
+
+def _bounded_free_reports() -> list[dict]:
+    """The free reports of every bounded statement at trunc order..order+2."""
+    return [
+        check_identity(entry.id, "free", CheckParams(trunc=trunc)).to_json_obj()
+        for entry in CATALOG
+        if weilcheck._scope(entry.id)[1]
+        for trunc in range(entry.order, entry.order + 3)
+    ]
+
+
+def test_a_bounded_statement_is_decided_at_its_reach_as_at_any_truncation(monkeypatch):
+    prop_2_2 = weilcheck._BY_ID["prop-2.2"]  # one infinitesimal: no word of two letters
+    assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one().trunc == 1
+    clamped = _bounded_free_reports()
+    scope = weilcheck._scope
+    monkeypatch.setattr(weilcheck, "_scope", lambda ident: (scope(ident)[0], False))
+    full = _bounded_free_reports()
+    assert len(clamped) == 26 * 3
+    assert {r["verdict"] for r in clamped} == {"PASS", "FAIL"}
+    for a, b in zip(clamped, full):
+        assert a == b, (a["id"], a["params"])
 
 
 def test_expected_pass_set_in_both_models():
