@@ -882,12 +882,11 @@ def test_an_unweighted_exponent_keeps_the_full_truncation(monkeypatch):
         weilcheck._scope.cache_clear()
 
 
-def _bounded_free_reports() -> list[dict]:
-    """The free reports of every bounded statement at trunc order..order+2."""
+def _free_reports(entries) -> list[dict]:
+    """The free reports of each entry at trunc order..order+2."""
     return [
         check_identity(entry.id, "free", CheckParams(trunc=trunc)).to_json_obj()
-        for entry in CATALOG
-        if weilcheck._scope(entry.id)[1]
+        for entry in entries
         for trunc in range(entry.order, entry.order + 3)
     ]
 
@@ -895,11 +894,13 @@ def _bounded_free_reports() -> list[dict]:
 def test_a_bounded_statement_is_decided_at_its_reach_as_at_any_truncation(monkeypatch):
     prop_2_2 = weilcheck._BY_ID["prop-2.2"]  # one infinitesimal: no word of two letters
     assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one().trunc == 1
-    clamped = _bounded_free_reports()
+    bounded = [entry for entry in CATALOG if weilcheck._scope(entry.id)[1]]
+    clamped = _free_reports(bounded)
     scope = weilcheck._scope
     monkeypatch.setattr(weilcheck, "_scope", lambda ident: (scope(ident)[0], False))
-    full = _bounded_free_reports()
-    assert len(clamped) == 26 * 3
+    assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one().trunc == 4
+    full = _free_reports(bounded)
+    assert len(clamped) == len(full) == 26 * 3
     assert {r["verdict"] for r in clamped} == {"PASS", "FAIL"}
     for a, b in zip(clamped, full):
         assert a == b, (a["id"], a["params"])
