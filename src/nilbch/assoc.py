@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
-from .rings import decode_row, divided_products, encode_scalar, key_shift, scalar_numerators
-from .scalars import Numerators, _LocalScalar, exp_series, over_lcm, power_series, unit_inverse
+from .rings import decode_row, encode_scalar, key_shift, scalar_numerators
+from .scalars import (Numerators, _LocalScalar, check_ring, exp_series, over_lcm, pair_factors,
+                      power_series, unit_inverse)
 
 Word = tuple[int, ...]
 
@@ -35,11 +36,11 @@ class AssocPoly(Numerators):
     Stored like a ``NilMatrix`` (see ``scalars.Numerators``): ``_rows[l]``
     maps ``(code << s) | key`` to the nonzero numerator of the ``key`` term
     of the coefficient of a word of length l, where s is
-    ``scalars.key_shift(weil_k)`` (0 for a rational polynomial, whose keys
+    ``rings.key_shift(weil_k)`` (0 for a rational polynomial, whose keys
     are all 0), ``key`` a Weil mask or a t-exponent, and ``code`` packs the
     word's letters into bit fields of ``_letter_bits`` each, first letter
-    highest; ``scalars.encode_scalar`` and ``decode_row`` translate
-    coefficients.
+    highest; ``rings.encode_scalar`` and ``decode_row`` translate
+    coefficients, and ``scalars.check_ring`` bounds weil_k.
     Codes order as their words do, concatenation shifts and ors them, and
     ``freelie.lie_embed`` and ``dynkin_project`` read and write them too.
     ``terms`` is the read-only view word -> coefficient, built on each read.
@@ -56,6 +57,7 @@ class AssocPoly(Numerators):
         terms: dict | None = None,
     ):
         _check_trunc(trunc)
+        check_ring(weil_k)
         self.alphabet, self.trunc, self.weil_k = tuple(alphabet), trunc, weil_k
         letters, bits = len(self.alphabet), _letter_bits(self.alphabet)
         rows = [[] for _ in range(trunc + 1)]
@@ -100,8 +102,10 @@ class AssocPoly(Numerators):
     @staticmethod
     def _unit_term(alphabet, trunc, weil_k, length, key) -> "AssocPoly":
         """The term of numerator 1 at ``key`` in row ``length``, over 1, built
-        from rows; trunc is checked as the public constructor checks it."""
+        from rows; trunc and weil_k are checked as the public constructor
+        checks them."""
         _check_trunc(trunc)
+        check_ring(weil_k)
         out = object.__new__(AssocPoly)
         out.alphabet, out.trunc, out.weil_k = tuple(alphabet), trunc, weil_k
         out._rows = [{} for _ in range(trunc + 1)]
@@ -131,15 +135,13 @@ class AssocPoly(Numerators):
     def _product(self, right: list[dict], den: int) -> "AssocPoly":
         """self times the polynomial of rows ``right`` over ``den``.
 
-        Row l1 meets only the rows l2 <= trunc - l1, and only pairs of terms
-        with disjoint masks, or over Q[t]/(t^(n+1)) with exponents of sum at
-        most n, times the factor of ``scalars.divided_products``; no scalar
-        is built per term.
+        Row l1 meets only the rows l2 <= trunc - l1.  Two terms multiply by
+        the ring's ``scalars.pair_factors``, so a pair whose factor is 0 (a
+        repeated d_i, or a t-exponent past n) adds nothing; no scalar is
+        built per term.
         """
-        s, bits, trunc = self.weil_k or 0, _letter_bits(self.alphabet), self.trunc
-        choose = None
-        if s < 0:  # Q[t]/(t^(n+1)), n = -weil_k
-            s, choose = s.bit_length(), divided_products(-s)
+        weil_k, bits, trunc = self.weil_k, _letter_bits(self.alphabet), self.trunc
+        s, factors = key_shift(weil_k), pair_factors(weil_k)
         low = (1 << s) - 1
         out = [{} for _ in range(trunc + 1)]
         for l1, row1 in enumerate(self._rows):
@@ -149,28 +151,14 @@ class AssocPoly(Numerators):
                 if not row2:
                     continue
                 acc, shift = out[l1 + l2], bits * l2 + s
-                if choose is not None:
-                    for key1, n1 in row1.items():
-                        e1 = key1 & low
-                        base, factors = ((key1 >> s) << shift) + e1, choose[e1]
-                        room = len(factors)
-                        for key2, n2 in row2.items():
-                            e2 = key2 & low
-                            if e2 < room:  # t^(n+1) = 0
-                                key = base + key2
-                                total = acc.get(key, 0) + n1 * n2 * factors[e2]
-                                if total:
-                                    acc[key] = total
-                                else:
-                                    del acc[key]
-                    continue
                 for key1, n1 in row1.items():
-                    m1 = key1 & low
-                    base = ((key1 >> s) << shift) | m1
+                    e1 = key1 & low
+                    base, row = ((key1 >> s) << shift) + e1, factors[e1]
                     for key2, n2 in row2.items():
-                        if not key2 & m1:  # a repeated generator gives d_i^2 = 0
-                            key = base | key2
-                            total = acc.get(key, 0) + n1 * n2
+                        f = row[key2 & low]
+                        if f:
+                            key = base + key2
+                            total = acc.get(key, 0) + n1 * n2 * f
                             if total:
                                 acc[key] = total
                             else:

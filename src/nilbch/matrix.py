@@ -12,15 +12,9 @@ import random
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
-from .rings import (
-    decode_row,
-    divided_products,
-    encode_scalar,
-    key_shift,
-    scalar_numerators,
-    scalar_type,
-)
-from .scalars import Numerators, _check_k, _LocalScalar, exp_series, geometric_series, over_lcm
+from .rings import decode_row, encode_scalar, key_shift, scalar_numerators, scalar_type
+from .scalars import (Numerators, _LocalScalar, check_ring, exp_series, geometric_series,
+                      over_lcm, pair_factors)
 
 
 class NilMatrix(Numerators):
@@ -34,18 +28,19 @@ class NilMatrix(Numerators):
     Stored like a ``WeilElement`` (see ``scalars.Numerators``), as integer
     numerators over one common denominator for the whole matrix: ``_rows[i]``
     maps ``(j << s) | key`` to the nonzero numerator of the ``key`` term of
-    entry (i, j), where s is ``scalars.key_shift(weil_k)`` (0 for a rational
+    entry (i, j), where s is ``rings.key_shift(weil_k)`` (0 for a rational
     matrix, whose keys are all 0) and ``key`` a Weil mask or a t-exponent,
-    as ``scalars.encode_scalar`` and ``decode_row`` translate.  Products
-    visit only pairs of nonzero terms whose masks are disjoint, or whose
-    exponents sum to at most n, and build no scalar per entry; ``rows`` is
-    a read-only entry view, built on first read.
+    as ``rings.encode_scalar`` and ``decode_row`` translate.  Products
+    visit only pairs of nonzero terms, multiply them by the ring's
+    ``scalars.pair_factors`` and build no scalar per entry; ``rows`` is a
+    read-only entry view, built on first read.
     """
 
     __slots__ = ("dim", "weil_k", "_view")
     _algebra = ("dim", "weil_k")
 
     def __init__(self, dim: int, weil_k: int | None, rows):
+        check_ring(weil_k)
         rows = [list(row) for row in rows]
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise AlgebraMismatch(
@@ -83,6 +78,7 @@ class NilMatrix(Numerators):
 
     @classmethod
     def identity(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
+        check_ring(weil_k)
         s = key_shift(weil_k)
         return cls._trusted(dim, weil_k, [{i << s: 1} for i in range(dim)], 1)
 
@@ -91,27 +87,28 @@ class NilMatrix(Numerators):
         the k-generator Weil ring, or Q[t]/(t^(1-k)) for k < 0."""
         if self.weil_k is not None:
             raise ValueError("matrix already has entries in a ring other than Q")
-        _check_k(abs(k))
+        check_ring(k)
         s = key_shift(k)
         rows = [{j << s: n for j, n in row.items()} for row in self._rows]
         return NilMatrix._trusted(self.dim, k, rows, self._den)
 
     def _product(self, right: list[dict], den: int) -> "NilMatrix":
-        """out[i] += a[i][l] * right[l], over term pairs with disjoint masks,
-        or over Q[t]/(t^(n+1)) with t-exponents of sum at most n."""
-        s = self.weil_k or 0
-        if s < 0:  # Q[t]/(t^(n+1)), n = -weil_k
-            return self._with(_t_product(self._rows, right, s.bit_length(), -s), self._den * den)
+        """out[i] += a[i][l] * right[l], two terms multiplied by the ring's
+        ``scalars.pair_factors``: a key (l << s) | e1 meets the keys
+        (j << s) | e2 of row l, and their product is keyed (j << s) + e1 + e2."""
+        s, factors = key_shift(self.weil_k), pair_factors(self.weil_k)
         low = (1 << s) - 1
         out = []
         for row in self._rows:
             acc = {}
             for key1, n1 in row.items():
-                m1 = key1 & low
+                e1 = key1 & low
+                factor = factors[e1]
                 for key2, n2 in right[key1 >> s].items():
-                    if not key2 & m1:  # a repeated generator gives d_i^2 = 0
-                        key = key2 | m1
-                        total = acc.get(key, 0) + n1 * n2
+                    f = factor[key2 & low]
+                    if f:
+                        key = key2 + e1
+                        total = acc.get(key, 0) + n1 * n2 * f
                         if total:
                             acc[key] = total
                         else:
@@ -154,31 +151,6 @@ class NilMatrix(Numerators):
 
     def __repr__(self) -> str:
         return f"NilMatrix({self.rows})"
-
-
-def _t_product(left: list[dict], right: list[dict], s: int, n: int) -> list[dict]:
-    """The rows of left times right over Q[t]/(t^(n+1)): a term's key is
-    (column << s) | e for t^[e], so keys add, exponents above n drop and
-    each product takes the factor of ``scalars.divided_products``."""
-    low, choose = (1 << s) - 1, divided_products(n)
-    out = []
-    for row in left:
-        acc = {}
-        for key1, n1 in row.items():
-            e1 = key1 & low
-            factors = choose[e1]
-            room = len(factors)
-            for key2, n2 in right[key1 >> s].items():
-                e2 = key2 & low
-                if e2 < room:
-                    key = key2 + e1
-                    total = acc.get(key, 0) + n1 * n2 * factors[e2]
-                    if total:
-                        acc[key] = total
-                    else:
-                        del acc[key]
-        out.append(acc)
-    return out
 
 
 def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:

@@ -5,7 +5,8 @@ when it is k > 0, and Q[t]/(t^(n+1)) when it is -n.  A row key of either
 algebra holds an index (a word code or a column) above the term's key in
 the ring, a Weil mask or a t-exponent (``key_shift``); ``encode_scalar`` and
 ``decode_row`` translate coefficients, and ``scalar_numerators`` checks a
-scalar against the ring.
+scalar against the ring.  Every product over a ring reads its one
+multiplication table, ``scalars.pair_factors``.
 
 Q[t]/(t^(n+1)) is ``TElement``.  t -> sd = d1 + ... + dn embeds it in the
 n-generator Weil ring, since sd^m = m! em(m) (lemma 6.0) and em(1..n) are
@@ -17,8 +18,6 @@ instead of 2^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from math import comb
 
 from .errors import AlgebraMismatch, GeneratorCountMismatch
 from .scalars import WeilElement, _LocalScalar, _subset_masks, rational
@@ -26,27 +25,20 @@ from .scalars import WeilElement, _LocalScalar, _subset_masks, rational
 
 class TElement(_LocalScalar):
     """Element of Q[t]/(t^(k+1)) in its divided-power basis t^[e] = t^e / e!,
-    keyed by e: t^[a] t^[b] = C(a+b, a) t^[a+b], and a sum above k drops.
+    keyed by e: t^[a] t^[b] = C(a+b, a) t^[a+b], and a sum above k drops,
+    as ``scalars.pair_factors(-k)`` tabulates.
 
     t -> sd = d1 + ... + dk maps t^[e] to em(e) (lemma 6.0), so the map
     into the k-generator Weil ring (``weil_image``) keeps every numerator.
     """
 
     __slots__ = ()
+    _sign = -1
 
     @staticmethod
     def _check_key(k: int, e: int) -> None:
         if not 0 <= e <= k:
             raise GeneratorCountMismatch(f"t-exponent {e} outside 0..{k}")
-
-    def __mul__(self, other):
-        choose = divided_products(self.k)
-        return self._times(other, lambda a, b: [
-            (e1 + e2, n1 * n2 * choose[e1][e2])
-            for e1, n1 in a.items() for e2, n2 in b.items() if e2 < len(choose[e1])
-        ])
-
-    __rmul__ = __mul__
 
     def weil_image(self) -> WeilElement:
         """The image under t -> sd: each t^[e] becomes em(e)."""
@@ -58,12 +50,6 @@ class TElement(_LocalScalar):
     @staticmethod
     def _monomial(e: int) -> str:
         return "" if not e else "t" if e == 1 else f"t^[{e}]"
-
-
-@cache
-def divided_products(n: int) -> tuple[tuple[int, ...], ...]:
-    """C(a+b, a) at [a][b] for a + b <= n, the factor of t^[a] t^[b] in Q[t]/(t^(n+1))."""
-    return tuple([tuple([comb(a + b, a) for b in range(n + 1 - a)]) for a in range(n + 1)])
 
 
 def key_shift(weil_k: int | None) -> int:
@@ -84,7 +70,7 @@ def scalar_type(weil_k: int) -> tuple[type, int]:
 def scalar_numerators(weil_k: int | None, scalar: _LocalScalar) -> tuple[dict[int, int], int]:
     """The numerators by key and the denominator of a scalar of the ring
     weil_k selects, or of none (weil_k None: the rationals)."""
-    if weil_k != (scalar.k if type(scalar) is WeilElement else -scalar.k):
+    if weil_k != scalar._sign * scalar.k:
         if weil_k is None:
             raise AlgebraMismatch(f"scalar {scalar!r} in a rational algebra")
         raise GeneratorCountMismatch(f"scalar {scalar!r} in the ring of weil_k {weil_k}")

@@ -8,8 +8,10 @@ subsets of {1..k} (encoded as bitmasks) to nonzero integer numerators over one
 common denominator; the empty subset holds the scalar part.  Multiplying two
 terms whose subsets overlap yields zero, which is the whole point of the ring.
 ``_LocalScalar`` holds what the Weil ring shares with Q[t]/(t^(n+1)), which
-``rings`` adds.  The module also decides, once, which scalars (``rational``)
-and operands (``Numerators._check_operand``) every algebra accepts.
+``rings`` adds, and ``pair_factors`` the one multiplication table that every
+product over these rings reads.  The module also decides, once, which rings
+(``check_ring``), scalars (``rational``) and operands
+(``Numerators._check_operand``) every algebra accepts.
 """
 
 from __future__ import annotations
@@ -17,11 +19,44 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, repeat
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import AlgebraMismatch, DivisionByZero, GeneratorCountMismatch
 
-MAX_GENERATORS = 16
+MAX_GENERATORS = 8  # a Weil table has 4^k entries: 0.5 MiB at k = 8, 8 MiB at k = 10
+MAX_T_DEGREE = 16
+
+
+def check_ring(weil_k: int | None) -> None:
+    """Raise ``GeneratorCountMismatch`` unless weil_k names a coefficient ring:
+    None for Q, k in 1..MAX_GENERATORS for the Weil ring of k generators, or
+    -n with n in 1..MAX_T_DEGREE for Q[t]/(t^(n+1))."""
+    if weil_k is not None and not (0 < weil_k <= MAX_GENERATORS or 0 < -weil_k <= MAX_T_DEGREE):
+        raise GeneratorCountMismatch(f"weil_k {weil_k} is neither None, 1..{MAX_GENERATORS} "
+                                     f"(Weil generators) nor -{MAX_T_DEGREE}..-1 (t-degree)")
+
+
+@cache
+def pair_factors(weil_k: int | None) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of the ring weil_k selects: entry [a][b] is the
+    int f with (term a)(term b) = f * (term a + b), the terms keyed as in
+    ``_LocalScalar``.
+
+    Over Q (None) the one key is 0 and f is 1.  Over the Weil ring f is 1 for
+    disjoint masks, where a | b = a + b, and 0 otherwise (d_i^2 = 0).  Over
+    Q[t]/(t^(n+1)), in the divided-power basis, f is C(a+b, a) when a + b <= n
+    and 0 otherwise.  So at n = 1 both rings have the table ((1, 1), (1, 0)).
+    """
+    check_ring(weil_k)
+    if weil_k is None:
+        return ((1,),)
+    if weil_k > 0:
+        size = 1 << weil_k
+        return tuple([tuple([0 if a & b else 1 for b in range(size)]) for a in range(size)])
+    n = -weil_k
+    return tuple([
+        tuple([comb(a + b, a) if a + b <= n else 0 for b in range(n + 1)]) for a in range(n + 1)
+    ])
 
 
 def accumulate(out: dict, pairs) -> dict:
@@ -248,11 +283,11 @@ def signed_join(terms) -> str:
     return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
-def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_GENERATORS:
-        raise GeneratorCountMismatch(
-            f"generator count {k} outside 1..{MAX_GENERATORS}"
-        )
+def _check_count(k: int, sign: int) -> None:
+    """``check_ring`` for the ring of k Weil generators (sign 1) or of t-degree k (sign -1)."""
+    if k < 1:
+        raise GeneratorCountMismatch(f"generator count {k} below 1")
+    check_ring(sign * k)
 
 
 class _LocalScalar(Numerators):
@@ -261,18 +296,21 @@ class _LocalScalar(Numerators):
 
     Stored as one row of integer numerators by monomial key over a common
     denominator (see ``Numerators``); key 0 holds the scalar part and k
-    names the ring.  ``coeffs`` is the read-only view key -> reduced
-    Fraction.  A subclass checks a key (``_check_key``), multiplies
-    (``__mul__``, through ``_times``) and names a key's monomial
-    (``_monomial``, empty for key 0).
+    names the ring, whose weil_k is ``_sign * k``: a Weil ring of at most
+    ``MAX_GENERATORS`` generators, or Q[t]/(t^(k+1)) with k at most
+    ``MAX_T_DEGREE``.  ``coeffs`` is the read-only view key -> reduced
+    Fraction.  ``__mul__`` reads the ring's ``pair_factors``, so a subclass
+    only checks a key (``_check_key``), sets ``_sign`` and names a key's
+    monomial (``_monomial``, empty for key 0).
     """
 
     __slots__ = ("k",)
     _algebra = ("k",)
     _mismatch = GeneratorCountMismatch
+    _sign: int
 
     def __init__(self, k: int, coeffs: dict[int, Fraction] | None = None):
-        _check_k(k)
+        _check_count(k, self._sign)
         terms = []
         for key, value in (coeffs or {}).items():
             self._check_key(k, key)
@@ -315,7 +353,7 @@ class _LocalScalar(Numerators):
 
     @classmethod
     def from_rational(cls, k: int, value):
-        _check_k(k)
+        _check_count(k, cls._sign)
         value = rational(value)
         nums = {0: value.numerator} if value else {}
         return cls._trusted(k, nums, value.denominator)
@@ -341,16 +379,20 @@ class _LocalScalar(Numerators):
         # so Python raises TypeError without calling back here
         return (-self).__add__(other)
 
-    def _times(self, other, pairs):
-        """self times other: a rational scales; ``pairs(a, b)`` lists the
-        (key, numerator) products of two numerator rows of this ring."""
+    def __mul__(self, other):
+        """self times other: a rational scales, and two terms of this ring
+        multiply by the ring's ``pair_factors``."""
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if type(other) is not type(self):
             return NotImplemented
         self._check_operand(other)
-        nums = accumulate({}, pairs(self._rows[0], other._rows[0]))
-        return self._with([nums], self._den * other._den)
+        factors = pair_factors(self._sign * self.k)
+        pairs = [(key1 + key2, n1 * n2 * f) for key1, n1 in self._rows[0].items()
+                 for key2, n2 in other._rows[0].items() if (f := factors[key1][key2])]
+        return self._with([accumulate({}, pairs)], self._den * other._den)
+
+    __rmul__ = __mul__
 
     def _value(self) -> tuple:
         """What equality compares: with no nilpotent term the value is a
@@ -397,19 +439,15 @@ class WeilElement(_LocalScalar):
     """Element of Q[d1..dk]/(di^2 = 0), keyed by the mask of its generators."""
 
     __slots__ = ()
-    __add__ = _LocalScalar.__add__  # bench/tracer.py wraps it by this class's own name
+    _sign = 1
+    # bench/tracer.py wraps these by this class's own names
+    __add__ = _LocalScalar.__add__
+    __mul__ = __rmul__ = _LocalScalar.__mul__
 
     @staticmethod
     def _check_key(k: int, mask: int) -> None:
         if not 0 <= mask < 1 << k:
             raise GeneratorCountMismatch(f"subset mask {mask} needs more than {k} generators")
-
-    def __mul__(self, other):
-        return self._times(other, lambda a, b: [  # d_i^2 = 0 drops overlapping masks
-            (m1 | m2, n1 * n2) for m1, n1 in a.items() for m2, n2 in b.items() if not m1 & m2
-        ])
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "WeilElement":
         """Exact inverse via the finite geometric series, which stops at i = k."""
@@ -435,8 +473,9 @@ def _subset_masks(n: int, m: int) -> tuple[int, ...]:
 
 
 def weil_sum(n: int) -> WeilElement:
-    """d1 + ... + dn in the n-generator Weil algebra."""
-    _check_k(n)
+    """d1 + ... + dn in the n-generator Weil algebra, the image of t under
+    t -> sd, so n may be any t-degree, as for ``weil_power_sum``."""
+    _check_count(n, -1)
     return WeilElement._trusted(n, {1 << i: 1 for i in range(n)}, 1)
 
 
@@ -445,8 +484,11 @@ def weil_power_sum(n: int, m: int) -> WeilElement:
 
     Built directly as the sum of all products of m distinct generators, which
     equals the divided power by the square-zero relations; zero once m > n.
+    It is the image of t^[m] in Q[t]/(t^(n+1)) under t -> sd, so n may be
+    any t-degree, up to ``MAX_T_DEGREE``; only a product needs n at most
+    ``MAX_GENERATORS``.
     """
-    _check_k(n)
+    _check_count(n, -1)
     if m < 1:
         raise ValueError(f"exponent must be at least 1, got {m}")
     return WeilElement._trusted(n, dict.fromkeys(_subset_masks(n, m), 1), 1)

@@ -21,6 +21,7 @@ from nilbch.errors import (
     NotUnipotent,
 )
 from nilbch.freelie import LieElement, dynkin_project, lie_bracket, lie_embed
+from nilbch.rings import TElement, scalar_type
 from nilbch.scalars import WeilElement
 
 XY = ("X", "Y")
@@ -362,7 +363,10 @@ def _ref_series(out, first, coeffs, trunc):
 
 
 def _ref_ring(k):
-    return (lambda q: Fraction(q)) if k is None else (lambda q: WeilElement.from_rational(k, q))
+    if k is None:
+        return lambda q: Fraction(q)
+    kind, n = scalar_type(k)
+    return lambda q: kind.from_rational(n, q)
 
 
 def _random_coeff(rng, k):
@@ -371,7 +375,9 @@ def _random_coeff(rng, k):
 
     if k is None:
         return q()
-    return WeilElement(k, {rng.randrange(1 << k): q() for _ in range(rng.randint(1, 3))})
+    kind, n = scalar_type(k)
+    keys = 1 << n if kind is WeilElement else n + 1
+    return kind(n, {rng.randrange(keys): q() for _ in range(rng.randint(1, 3))})
 
 
 def _random_word_poly(rng, alphabet, trunc, k, terms=None, constant=None):
@@ -396,6 +402,7 @@ def _assert_canonical(p):
 
 @pytest.mark.parametrize("alphabet, k", [
     (XY, None), (XY, 2), (("X", "Y", "Z"), None), (("X", "Y", "Z"), 3), (("X",), 2),
+    (XY, -3), (("X",), -1),
 ])
 def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, k):
     rng = random.Random(f"poly-kernel-{len(alphabet)}-{k}")
@@ -405,7 +412,8 @@ def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, k):
         a, b = (_random_word_poly(rng, alphabet, trunc, k) for _ in range(2))
         # one term by one term, with unrelated denominators
         a1, b1 = (_random_word_poly(rng, alphabet, trunc, k, terms=1) for _ in range(2))
-        unit = _random_word_poly(rng, alphabet, trunc, k, constant=lift(rng.randint(1, 5)))
+        c = rng.randint(1, 5)
+        unit = _random_word_poly(rng, alphabet, trunc, k, constant=lift(c))
         unipotent = _random_word_poly(rng, alphabet, trunc, k, constant=lift(1))
         ra, rb, one = a.terms, b.terms, {(): lift(1)}
         n, q = rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 7))
@@ -424,15 +432,14 @@ def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, k):
                 {}, _ref_add(unipotent.terms, {(): lift(-1)}),
                 [Fraction((-1) ** (i + 1), i) for i in range(1, trunc + 1)], trunc)),
         ]
-        c = unit.terms[()]
-        c_inv = 1 / c if k is None else c.inverse()
+        c_inv = lift(Fraction(1, c))
         nil = _ref_add(one, _ref_scale(unit.terms, -c_inv))
         cases.append(
             (poly_inv(unit), _ref_scale(_ref_series(one, nil, [1] * trunc, trunc), c_inv))
         )
         if k is not None:
             w = _random_coeff(rng, k)
-            d1 = WeilElement.generator(k, 1)
+            d1 = WeilElement.generator(k, 1) if k > 0 else TElement(-k, {1: 1})
             cases += [(a.scale(w), _ref_scale(ra, w)), (a.scale(d1), _ref_scale(ra, d1))]
         for result, expected in cases:
             assert result.terms == expected

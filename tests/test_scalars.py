@@ -3,16 +3,24 @@
 import random
 from fractions import Fraction
 from itertools import count
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
-from nilbch.assoc import AssocPoly
+from nilbch.assoc import AssocPoly, poly_mul
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.freelie import LieElement, lie_bracket
 from nilbch.matrix import NilMatrix, gen_nilmatrix
 from nilbch.rings import TElement
-from nilbch.scalars import WeilElement, power_series, weil_power_sum, weil_sum
+from nilbch.scalars import (
+    MAX_GENERATORS,
+    MAX_T_DEGREE,
+    WeilElement,
+    pair_factors,
+    power_series,
+    weil_power_sum,
+    weil_sum,
+)
 
 
 def d(k, i):
@@ -57,9 +65,73 @@ def test_generator_count_bounds():
     with pytest.raises(GeneratorCountMismatch):
         WeilElement.zero(0)
     with pytest.raises(GeneratorCountMismatch):
-        WeilElement.zero(17)
+        WeilElement.zero(9)
     with pytest.raises(GeneratorCountMismatch):
         WeilElement.generator(2, 3)
+
+
+BAD_RINGS = (0, 9, 40, -17, -40)
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: AssocPoly(("X",), 2, w),
+    lambda w: AssocPoly(("X",), 2, w, {(0,): 1}),
+    lambda w: AssocPoly.one(("X",), 2, w),
+    lambda w: AssocPoly.generator(("X",), 0, 2, w),
+    lambda w: NilMatrix(2, w, [[0, 1], [0, 0]]),
+    lambda w: NilMatrix.identity(2, w),
+    lambda w: gen_nilmatrix(2, 0, 1)[0].lift(w),
+    lambda w: pair_factors(w),
+])
+def test_every_constructor_checks_its_ring_before_building_a_table(make):
+    # a weil_k of 40 would ask for a 4^40-entry table: the check comes first
+    before = pair_factors.cache_info()
+    for weil_k in BAD_RINGS:
+        with pytest.raises(GeneratorCountMismatch):
+            make(weil_k)
+    assert pair_factors.cache_info().currsize == before.currsize
+    for weil_k in (None, 1, MAX_GENERATORS, -1, -MAX_T_DEGREE):
+        make(weil_k)
+
+
+def test_weil_and_t_scalars_check_their_ring():
+    for k in BAD_RINGS:
+        for make in (WeilElement, WeilElement.one, WeilElement.zero):
+            with pytest.raises(GeneratorCountMismatch):
+                make(k)
+        with pytest.raises(GeneratorCountMismatch):
+            WeilElement.from_rational(k, 1)
+    for k in (0, 17, 40, -17, -40):
+        # weil_sum and weil_power_sum build the image of a t-ring under t -> sd
+        for make in (TElement, TElement.one, TElement.zero, weil_sum,
+                     lambda k: weil_power_sum(k, 1)):
+            with pytest.raises(GeneratorCountMismatch):
+                make(k)
+    t16 = TElement.one(16)  # Q[t]/(t^17) has a 17-entry table
+    assert t16 * TElement(16, {1: 1}) == TElement(16, {1: 1})
+    p = AssocPoly.generator(("X",), 0, 2, -16).scale(TElement(16, {16: 1}))
+    assert poly_mul(p, p) == AssocPoly(("X",), 2, -16)  # t^[16] t^[16] = 0
+
+
+def test_pair_factors_agree_with_independent_routes():
+    assert pair_factors(None) == ((1,),)
+    assert pair_factors(-1) == pair_factors(1) == ((1, 1), (1, 0))
+    # t^[a] t^[b] = C(a+b, a) t^[a+b], mapped by t -> sd onto em(a+b)
+    for n in range(1, 11):
+        for a in range(n + 1):
+            for b in range(n + 1):
+                product = TElement(n, {a: 1}) * TElement(n, {b: 1})
+                if a + b:
+                    assert product.weil_image() == weil_power_sum(n, a + b) * comb(a + b, a)
+                else:
+                    assert product == 1
+    # the Weil table against the Fraction-dict reference product
+    for k in range(1, 6):
+        table = pair_factors(k)
+        for m1 in range(1 << k):
+            for m2 in range(1 << k):
+                ref = _ref_mul({m1: Fraction(1)}, {m2: Fraction(1)})
+                assert ref == ({m1 + m2: table[m1][m2]} if table[m1][m2] else {})
 
 
 def test_power_sum_two_of_two():
