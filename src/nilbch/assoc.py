@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
 from .rings import decode_row, encode_scalar, key_shift, scalar_numerators
 from .scalars import (Numerators, _LocalScalar, check_ring, exp_series, over_lcm, pair_factors,
-                      power_series, unit_inverse)
+                      power_series, scale_terms, unit_inverse)
 
 Word = tuple[int, ...]
 
@@ -132,19 +132,19 @@ class AssocPoly(Numerators):
 
     __rmul__ = __mul__  # only ever reached with a central scalar on the left
 
-    def _product(self, right: list[dict], den: int) -> "AssocPoly":
-        """self times the polynomial of rows ``right`` over ``den``.
+    def _add_product(self, out: list[dict], left: list[dict], right: list[dict], factor: int):
+        """Add factor * left * right into the rows ``out``, all three laid out
+        as self's rows.
 
         Row l1 meets only the rows l2 <= trunc - l1.  Two terms multiply by
         the ring's ``scalars.pair_factors``, so a pair whose factor is 0 (a
         repeated d_i, or a t-exponent past n) adds nothing; no scalar is
         built per term.
         """
-        weil_k, bits, trunc = self.weil_k, _letter_bits(self.alphabet), self.trunc
-        s, factors = key_shift(weil_k), pair_factors(weil_k)
+        bits, trunc = _letter_bits(self.alphabet), self.trunc
+        s, factors = key_shift(self.weil_k), pair_factors(self.weil_k)
         low = (1 << s) - 1
-        out = [{} for _ in range(trunc + 1)]
-        for l1, row1 in enumerate(self._rows):
+        for l1, row1 in enumerate(left):
             if not row1:
                 continue
             for l2, row2 in enumerate(right[: trunc + 1 - l1]):
@@ -153,24 +153,23 @@ class AssocPoly(Numerators):
                 acc, shift = out[l1 + l2], bits * l2 + s
                 for key1, n1 in row1.items():
                     e1 = key1 & low
-                    base, row = ((key1 >> s) << shift) + e1, factors[e1]
+                    base, row, m1 = ((key1 >> s) << shift) + e1, factors[e1], n1 * factor
                     for key2, n2 in row2.items():
                         f = row[key2 & low]
                         if f:
                             key = base + key2
-                            total = acc.get(key, 0) + n1 * n2 * f
+                            total = acc.get(key, 0) + m1 * n2 * f
                             if total:
                                 acc[key] = total
                             else:
                                 del acc[key]
-        return self._with(out, self._den * den)
 
     def scale(self, scalar) -> "AssocPoly":
         """Multiply every coefficient by a central scalar: a rational scales
         the numerators, and a Weil or t scalar multiplies them term by term."""
         if isinstance(scalar, _LocalScalar):
             nums, den = scalar_numerators(self.weil_k, scalar)
-            return self._product([nums], den)
+            return scale_terms(self, nums, den, key_shift(self.weil_k))
         return self._scaled(scalar)
 
     def degree_part(self, n: int) -> "AssocPoly":
@@ -202,7 +201,9 @@ class AssocPoly(Numerators):
 def poly_mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     """Concatenation product, truncated at the common bound."""
     a._check_operand(b)
-    return a._product(b._rows, b._den)
+    out = [{} for _ in a._rows]
+    a._add_product(out, a._rows, b._rows, 1)
+    return a._with(out, a._den * b._den)
 
 
 def poly_exp(a: AssocPoly) -> AssocPoly:

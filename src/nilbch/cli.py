@@ -36,11 +36,14 @@ def _json_text(value, indent: str = "\n") -> str:
 
     Any ``indent`` sends ``json`` to its pure-Python encoder, which is about
     twice as slow and leaves a reference cycle per call.  This joins the
-    containers by hand and sends strings and scalars through the C encoder.
+    containers by hand, writes a plain int as its repr, as ``json`` does,
+    and sends strings and the other scalars through the C encoder.
     ``indent`` is the newline and indentation of ``value``'s own line.
     """
     if isinstance(value, str):
         return _encode_str(value)
+    if type(value) is int:  # not a bool, whose repr is not its JSON
+        return int.__repr__(value)
     if isinstance(value, dict):
         if not value:
             return "{}"

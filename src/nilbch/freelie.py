@@ -21,7 +21,7 @@ from typing import Union
 
 from . import assoc
 from .errors import AlphabetMismatch, NotAugmentation
-from .scalars import Numerators, accumulate, over_lcm, rational, signed_join
+from .scalars import Numerators, accumulate, bracket_sum, over_lcm, rational, signed_join
 
 Mono = Union[int, tuple]
 Word = tuple[int, ...]
@@ -240,6 +240,29 @@ class LieElement(Numerators):
 
     __mul__ = __rmul__ = scale
 
+    def _add_bracket(self, out: list[dict], left: list[dict], right: list[dict], factor: int):
+        """Add factor * [left, right] into the rows ``out``, each pair of
+        Lyndon words rewritten to the standard basis: row d1 meets only the
+        rows d2 <= max_degree - d1, so no degree is computed."""
+        top = self.max_degree
+        for d1, row1 in enumerate(left):
+            if not row1:
+                continue
+            for d2, row2 in enumerate(right[: top + 1 - d1]):
+                if not row2:
+                    continue
+                acc = out[d1 + d2]
+                for w1, n1 in row1.items():
+                    m1 = n1 * factor
+                    for w2, n2 in row2.items():
+                        n = m1 * n2
+                        for w, c in _bracket_basis(w1, w2):
+                            total = acc.get(w, 0) + n * c
+                            if total:
+                                acc[w] = total
+                            else:
+                                del acc[w]
+
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """(standard monomial, nonzero Fraction) pairs by degree, then by word."""
         den = self._den
@@ -269,23 +292,9 @@ class LieElement(Numerators):
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Bilinear bracket, rewritten to the standard basis and truncated: row d1
-    meets only the rows d2 <= max_degree - d1, so no degree is computed."""
-    a._check_operand(b)
-    top = a.max_degree
-    out = [{} for _ in range(top + 1)]
-    for d1, row1 in enumerate(a._rows):
-        if not row1:
-            continue
-        for d2, row2 in enumerate(b._rows[: top + 1 - d1]):
-            if not row2:
-                continue
-            acc = out[d1 + d2]
-            for w1, n1 in row1.items():
-                for w2, n2 in row2.items():
-                    n = n1 * n2
-                    accumulate(acc, [(w, n * c) for w, c in _bracket_basis(w1, w2)])
-    return a._with(out, a._den * b._den)
+    """Bilinear bracket, rewritten to the standard basis and truncated: the
+    one-term ``scalars.bracket_sum``."""
+    return bracket_sum([(1, a, b)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
 from .rings import decode_row, encode_scalar, key_shift, scalar_numerators, scalar_type
 from .scalars import (Numerators, _LocalScalar, check_ring, exp_series, geometric_series,
-                      over_lcm, pair_factors)
+                      over_lcm, pair_factors, scale_terms)
 
 
 class NilMatrix(Numerators):
@@ -92,43 +92,38 @@ class NilMatrix(Numerators):
         rows = [{j << s: n for j, n in row.items()} for row in self._rows]
         return NilMatrix._trusted(self.dim, k, rows, self._den)
 
-    def _product(self, right: list[dict], den: int) -> "NilMatrix":
-        """out[i] += a[i][l] * right[l], two terms multiplied by the ring's
-        ``scalars.pair_factors``: a key (l << s) | e1 meets the keys
+    def _add_product(self, out: list[dict], left: list[dict], right: list[dict], factor: int):
+        """out[i] += factor * left[i][l] * right[l], two terms multiplied by
+        the ring's ``scalars.pair_factors``: a key (l << s) | e1 meets the keys
         (j << s) | e2 of row l, and their product is keyed (j << s) + e1 + e2."""
         s, factors = key_shift(self.weil_k), pair_factors(self.weil_k)
         low = (1 << s) - 1
-        out = []
-        for row in self._rows:
-            acc = {}
+        for row, acc in zip(left, out):
             for key1, n1 in row.items():
                 e1 = key1 & low
-                factor = factors[e1]
+                factor1, m1 = factors[e1], n1 * factor
                 for key2, n2 in right[key1 >> s].items():
-                    f = factor[key2 & low]
+                    f = factor1[key2 & low]
                     if f:
                         key = key2 + e1
-                        total = acc.get(key, 0) + n1 * n2 * f
+                        total = acc.get(key, 0) + m1 * n2 * f
                         if total:
                             acc[key] = total
                         else:
                             del acc[key]
-            out.append(acc)
-        return self._with(out, self._den * den)
 
     def __mul__(self, other: "NilMatrix") -> "NilMatrix":
         if not isinstance(other, NilMatrix):
             return NotImplemented
         self._check_operand(other)
-        return self._product(other._rows, other._den)
+        out = [{} for _ in self._rows]
+        self._add_product(out, self._rows, other._rows, 1)
+        return self._with(out, self._den * other._den)
 
     def scale(self, scalar) -> "NilMatrix":
         if isinstance(scalar, _LocalScalar):
-            # The product with the diagonal matrix scalar * 1.
             nums, den = scalar_numerators(self.weil_k, scalar)
-            s = key_shift(self.weil_k)
-            diagonal = [{(j << s) | m: n for m, n in nums.items()} for j in range(self.dim)]
-            return self._product(diagonal, den)
+            return scale_terms(self, nums, den, key_shift(self.weil_k))
         return self._scaled(scalar)
 
     def is_strictly_upper(self) -> bool:
@@ -153,27 +148,35 @@ class NilMatrix(Numerators):
         return f"NilMatrix({self.rows})"
 
 
+_SUPERDIAGONAL = (-3, -2, -1, 1, 2, 3)
+
+
 def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:
     """Seeded strictly upper triangular rational matrices with small entries.
 
     The superdiagonal is kept nonzero so a single matrix already realizes the
-    full nilpotency class dim - 1.
+    full nilpotency class dim - 1.  Each entry is drawn from three random
+    bits by rejection, as CPython's ``choice`` of the six superdiagonal
+    values and ``randint(-3, 3)`` draw it, so the matrices are theirs.
     """
     if dim < 2:
         raise ValueError(f"matrix dimension must be at least 2, got {dim}")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     out = []
     for _ in range(count):
         rows = []
-        for i in range(dim):
-            row = {}
+        for i in range(1, dim):
+            r = bits(3)
+            while r >= 6:
+                r = bits(3)
+            row = {i: _SUPERDIAGONAL[r]}
             for j in range(i + 1, dim):
-                if j == i + 1:
-                    value = rng.choice([-3, -2, -1, 1, 2, 3])
-                else:
-                    value = rng.randint(-3, 3)
-                if value:
-                    row[j] = value
+                r = bits(3)
+                while r == 7:
+                    r = bits(3)
+                if r != 3:
+                    row[j] = r - 3
             rows.append(row)
+        rows.append({})
         out.append(NilMatrix._trusted(dim, None, rows, 1))
     return tuple(out)

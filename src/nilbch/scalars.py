@@ -9,7 +9,9 @@ common denominator; the empty subset holds the scalar part.  Multiplying two
 terms whose subsets overlap yields zero, which is the whole point of the ring.
 ``_LocalScalar`` holds what the Weil ring shares with Q[t]/(t^(n+1)), which
 ``rings`` adds, and ``pair_factors`` the one multiplication table that every
-product over these rings reads.  The module also decides, once, which rings
+product over these rings reads.  ``bracket_sum`` builds every bracket and sum
+of brackets of the algebras over them, and ``scale_terms`` every scaling of a
+polynomial or matrix by a ring scalar.  The module also decides, once, which rings
 (``check_ring``), scalars (``rational``) and operands
 (``Numerators._check_operand``) every algebra accepts.
 """
@@ -119,8 +121,11 @@ class Numerators:
     lays out its own rows and keys, keeps its own product loop, names the
     fields that fix its algebra in ``_algebra`` and the error an operand of
     another algebra raises in ``_mismatch``, and supplies ``_wrap(rows, den)``
-    (a value of its algebra from rows over a reduced den).  No method mutates
-    a row after construction, so values share rows.
+    (a value of its algebra from rows over a reduced den).  An associative
+    one supplies ``_add_product(out, left, right, factor)``, which adds
+    factor * left * right into the rows ``out``, and so gets the bracket
+    ``bracket_sum`` reads; a Lie algebra overrides ``_add_bracket`` itself.
+    No method mutates a row after construction, so values share rows.
     """
 
     __slots__ = ("_rows", "_den")
@@ -177,6 +182,12 @@ class Numerators:
         rows = [{key: n * num for key, n in row.items()} for row in self._rows]
         return self._with(rows, self._den * q.denominator)
 
+    def _add_bracket(self, out: list[dict], left: list[dict], right: list[dict], factor: int):
+        """Add factor * [left, right] = factor * (left right - right left) into
+        the rows ``out``, both products by the algebra's one loop."""
+        self._add_product(out, left, right, factor)
+        self._add_product(out, right, left, -factor)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -221,6 +232,63 @@ def combination(terms):
     if rows is None:
         rows = [{} for _ in first._rows]
     return first._with(rows, den)
+
+
+def bracket_sum(terms):
+    """sum_k c_k [a_k, b_k] over a nonempty list of (c_k, a_k, b_k) triples,
+    each c_k an int or a Fraction and each a_k, b_k a value of one
+    ``Numerators`` algebra.
+
+    As in ``combination``, the sum is taken once over one common
+    denominator, the lcm of the c_k.denominator * a_k._den * b_k._den: each
+    bracket is added into one set of fresh rows by the algebra's
+    ``_add_bracket`` with one int factor, and ``_with`` reduces the result
+    by one gcd.  No product, negation or partial sum is built.
+    """
+    first = terms[0][1]
+    kind, check = type(first), first._check_operand
+    live = []
+    for c, a, b in terms:
+        for p in (a, b):
+            if type(p) is not kind:
+                raise TypeError(f"cannot bracket '{kind.__name__}' with '{type(p).__name__}'")
+            check(p)
+        if c:  # a zero a or b adds nothing to the rows, so only c is tested
+            live.append((c.numerator, c.denominator * a._den * b._den, a._rows, b._rows))
+    den = lcm(*[d for _, d, _, _ in live])
+    rows = [{} for _ in first._rows]
+    for n, d, left, right in live:
+        first._add_bracket(rows, left, right, n * (den // d))
+    return first._with(rows, den)
+
+
+def scale_terms(p, nums: dict[int, int], den: int, s: int):
+    """p times a scalar of its coefficient ring, given as its numerators by
+    key over den, for an ``AssocPoly`` or ``NilMatrix`` p whose row keys hold
+    the ring's key in their low s bits.
+
+    Each row term meets each of the scalar's few terms, and the ring's
+    ``pair_factors`` gives the int factor of their product, keyed by the
+    sum of the two keys; no scalar, diagonal matrix or one-row operand is
+    built.
+    """
+    factors, low, terms = pair_factors(p.weil_k), (1 << s) - 1, list(nums.items())
+    out = []
+    for row in p._rows:
+        acc = {}
+        for key1, n1 in row.items():
+            factor = factors[key1 & low]
+            for key2, n2 in terms:
+                f = factor[key2]
+                if f:
+                    key = key1 + key2
+                    total = acc.get(key, 0) + n1 * n2 * f
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+        out.append(acc)
+    return p._with(out, p._den * den)
 
 
 def power_series(out, first, step, coeffs):

@@ -32,7 +32,7 @@ from math import comb, factorial
 
 from .errors import DegreeOutOfRange, KindMismatch, NotTabulated
 from .freelie import LieElement, lie_bracket
-from .scalars import combination, inverse_factorial, power_series
+from .scalars import bracket_sum, combination, inverse_factorial, power_series
 
 ORACLE_DEGREE_CAP = 6
 
@@ -132,7 +132,8 @@ def bch_classical(N: int) -> GradedSeries:
         (n+1) Z_(n+1) = 1/2 [X - Y, Z_n] + sum_(1<=p<=n/2) B_2p / (2p)! T[2p][n].
 
     T is filled degree by degree, T[0][0] = X + Y and
-    T[p][m] = sum_k [Z_k, T[p-1][m-k]], so no composition is enumerated.
+    T[p][m] = sum_k [Z_k, T[p-1][m-k]], one ``bracket_sum``, so no
+    composition is enumerated.
     """
     if not 1 <= N <= ORACLE_DEGREE_CAP:
         raise DegreeOutOfRange(f"classical BCH degree {N} outside 1..{ORACLE_DEGREE_CAP}")
@@ -146,9 +147,8 @@ def bch_classical(N: int) -> GradedSeries:
         for p in range(1, n):
             if p % 2 and n == N - 1:
                 continue
-            t[p][n] = combination([
-                (1, lie_bracket(z[k], t[p - 1][n - k])) for k in range(1, n + 1)
-                if n - k in t[p - 1]
+            t[p][n] = bracket_sum([
+                (1, z[k], t[p - 1][n - k]) for k in range(1, n + 1) if n - k in t[p - 1]
             ])
         terms = [(Fraction(1, 2 * (n + 1)), lie_bracket(x_minus_y, z[n]))]
         terms += [(w / (n + 1), t[2 * p][n]) for p, w in enumerate(weights[: (n - 1) // 2], 1)]

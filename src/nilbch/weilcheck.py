@@ -41,6 +41,7 @@ from __future__ import annotations
 import operator
 import time
 from fnmatch import fnmatchcase
+from fractions import Fraction
 from functools import cache, reduce
 from math import factorial, inf
 from typing import NamedTuple
@@ -56,7 +57,7 @@ from .catalog import _BY_ID, CATALOG, _Identity
 from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
 from .rings import TElement
-from .scalars import WeilElement, weil_power_sum, weil_sum
+from .scalars import WeilElement, bracket_sum, weil_power_sum, weil_sum
 from .series import AD, EM, EXP, INV, LIN, MUL, ONE, POW, D, _TableContext, evaluate
 
 DEFAULT_TRUNC = 6
@@ -69,15 +70,17 @@ DEFAULT_SEED = 42
 
 
 @cache
-def _weight(k: int, coeff, shape, m) -> WeilElement | TElement:
-    """coeff times em(m) (EM), sd^m with sd = d1 + ... + dk (POW), or the
-    product of the d_i listed in m (D), in the k-generator Weil algebra;
-    for k = -n, coeff times the preimage t^[m] of em(m) or m! t^[m] of
-    sd^m = m! em(m) (lemma 6.0) in Q[t]/(t^(n+1)), where t stands for sd.
+def _weight(k: int, num: int, den: int, shape, m) -> WeilElement | TElement:
+    """coeff = num/den times em(m) (EM), sd^m with sd = d1 + ... + dk (POW),
+    or the product of the d_i listed in m (D), in the k-generator Weil
+    algebra; for k = -n, coeff times the preimage t^[m] of em(m) or m! t^[m]
+    of sd^m = m! em(m) (lemma 6.0) in Q[t]/(t^(n+1)), where t stands for sd.
 
     Computed once per process: the keys come only from the catalog, and
-    the values are immutable.
+    the values are immutable.  The coefficient is keyed by its two ints,
+    since hashing a Fraction costs a modular inverse on every lookup.
     """
+    coeff = Fraction(num, den)
     if k < 0 and shape in (EM, POW):
         c = coeff if shape == EM else coeff * factorial(m)
         return TElement._trusted(-k, {m: c.numerator} if c and m <= -k else {}, c.denominator)
@@ -94,7 +97,7 @@ def _weight(k: int, coeff, shape, m) -> WeilElement | TElement:
 
 class _Context:
     """One model: generator images, the unit, exp, inverse and the FAIL witness;
-    the bracket is the commutator.
+    the bracket is the commutator ab - ba, built as one ``scalars.bracket_sum``.
 
     k is the ``weil_k`` of the coefficient ring (see ``_ring``), in which
     the weights live, whichever model the context is.
@@ -116,10 +119,10 @@ class _Context:
 
     @staticmethod
     def bracket(a, b):
-        return a * b - b * a
+        return bracket_sum([(1, a, b)])
 
     def weight(self, coeff, shape, m) -> WeilElement | TElement:
-        return _weight(self.k, coeff, shape, m)
+        return _weight(self.k, coeff.numerator, coeff.denominator, shape, m)
 
     def witness(self, diff) -> dict:
         """The report of a nonzero difference, each coefficient written as

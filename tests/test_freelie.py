@@ -19,6 +19,7 @@ from nilbch.freelie import (
     mono_str,
     mono_word,
 )
+from nilbch.scalars import bracket_sum, combination
 from nilbch.series import ad_series
 
 XY = ("X", "Y")
@@ -187,6 +188,21 @@ def test_antisymmetry_and_jacobi_seeded():
 def ad_sum(weights, x, v):
     """sum_p weights[p] (ad x)^p v through the one ad-series routine."""
     return ad_series(lie_bracket, LieElement.zero(XY, x.max_degree), x, v, weights)
+
+
+@pytest.mark.parametrize("max_degree", range(1, 7))
+def test_bracket_sum_is_the_combination_of_its_brackets(max_degree):
+    # and, through lie_embed, the sum of the associative commutators
+    rng = random.Random(f"bracket-sum-{max_degree}")
+    for _ in range(20):
+        values = [random_lie(rng, max_degree) for _ in range(4)]
+        triples = [(rng.choice([0, 1, -2, Fraction(3, 4), Fraction(-5, 6)]), *rng.sample(values, 2))
+                   for _ in range(rng.randint(1, 4))]
+        got = bracket_sum(triples)
+        assert got == combination([(c, lie_bracket(a, b)) for c, a, b in triples])
+        embedded = [(c, lie_embed(a), lie_embed(b)) for c, a, b in triples]
+        assert lie_embed(got) == bracket_sum(embedded)
+        assert lie_embed(got) == combination([(c, a * b - b * a) for c, a, b in embedded])
 
 
 def test_ad_series_identity_term():

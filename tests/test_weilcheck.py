@@ -13,14 +13,15 @@ from math import factorial, gcd
 
 import pytest
 
-from nilbch import assoc, freelie, series, weilcheck
+from nilbch import assoc, freelie, scalars, series, weilcheck
 from nilbch.assoc import AssocPoly
 from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
 from nilbch.rings import TElement, scalar_type
-from nilbch.scalars import MAX_GENERATORS, Numerators, WeilElement, weil_power_sum, weil_sum
+from nilbch.scalars import (MAX_GENERATORS, Numerators, WeilElement, bracket_sum, combination,
+                            weil_power_sum, weil_sum)
 from nilbch.series import (
     AD,
     EM,
@@ -199,6 +200,29 @@ def test_fixture_matrices_frozen():
     matrices = gen_nilmatrix(fixture["dim"], fixture["seed"], count=2)
     got = [[[str(e) for e in row] for row in m.rows] for m in matrices]
     assert got == fixture["matrices"]
+
+
+def _reference_draw(dim, seed, count):
+    """The rows gen_nilmatrix draws, by random.choice and random.randint."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        rows = []
+        for i in range(dim):
+            row = {}
+            for j in range(i + 1, dim):
+                value = rng.choice([-3, -2, -1, 1, 2, 3]) if j == i + 1 else rng.randint(-3, 3)
+                if value:
+                    row[j] = value
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+def test_generated_matrices_are_the_choice_and_randint_draws():
+    for dim in range(2, 12):
+        for seed in range(100):
+            drawn = [m._rows for m in gen_nilmatrix(dim, seed, 3)]
+            assert drawn == _reference_draw(dim, seed, 3), (dim, seed)
 
 
 def test_generated_matrices_are_strict_and_class_full():
@@ -404,6 +428,17 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
             _assert_matches(-a, _entrywise(operator.neg, a))
             for scalar in _scalars(rng, weil_k):
                 _assert_matches(a.scale(scalar), _entrywise(lambda x: x * scalar, a))
+                if weil_k is not None:  # the product with the diagonal matrix scalar * 1
+                    diagonal = [[scalar if i == j else 0 for j in range(dim)] for i in range(dim)]
+                    assert a.scale(scalar) == a * NilMatrix(dim, weil_k, diagonal)
+            # one commutator, and one sum of brackets, against the composed products
+            assert bracket_sum([(1, a, b)]) == a * b - b * a
+            coeffs = [0, -2, Fraction(-3, 4), Fraction(5, 6)]
+            triples = [(q, x, y) for q, (x, y) in zip(coeffs, [(a, b), (b, c), (c, a), (a, a)])]
+            separate = [(q, bracket_sum([(1, x, y)])) for q, x, y in triples]
+            _assert_canonical(bracket_sum(triples))
+            assert bracket_sum(triples) == combination(separate)
+            assert not bracket_sum([(0, a, b)])
             one = NilMatrix.identity(dim, weil_k)
             dense_one = [[unit if i == j else unit * 0 for j in range(dim)] for i in range(dim)]
             _assert_matches(one, dense_one)
@@ -473,11 +508,13 @@ def _counted(calls, name, fn):
 
 def _count_kernel_ops(monkeypatch):
     """Count Weil products, sums and inverses by every name the operators
-    have, and polynomial and matrix products by every name that calls reach
-    them through.  The weights are counted from a cold cache, which holds
-    those of the Weil ring and those of Q[t]/(t^(n+1)) alike."""
+    have, and polynomial and matrix products and bracket sums by every name
+    that calls reach them through.  The weights are counted from a cold
+    cache, which holds those of the Weil ring and those of Q[t]/(t^(n+1))
+    alike."""
     weilcheck._weight.cache_clear()
-    calls = {"mul": 0, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 0}
+    calls = {"mul": 0, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 0,
+             "bracket_sum": 0}
 
     def counted(name, fn):
         return _counted(calls, name, fn)
@@ -490,16 +527,22 @@ def _count_kernel_ops(monkeypatch):
     monkeypatch.setattr(WeilElement, "inverse", counted("inverse", WeilElement.inverse))
     monkeypatch.setattr(assoc, "poly_mul", counted("poly_mul", assoc.poly_mul))
     monkeypatch.setattr(NilMatrix, "__mul__", counted("nilmatrix_mul", NilMatrix.__mul__))
+    wrapper = counted("bracket_sum", scalars.bracket_sum)
+    for module in (scalars, weilcheck, freelie, series):
+        monkeypatch.setattr(module, "bracket_sum", wrapper)
     return calls
 
 
-# Weil products, sums and inverses, polynomial products (assoc.poly_mul) and matrix
-# products (NilMatrix.__mul__) of one default-params run_suite per model.  A
+# Weil products, sums and inverses, polynomial products (assoc.poly_mul), matrix
+# products (NilMatrix.__mul__) and bracket sums (scalars.bracket_sum, which
+# builds each commutator) of one default-params run_suite per model.  A
 # change to the kernels moves these pins on purpose and records the old and
 # new numbers in CHANGES.md.
 WEIL_OP_PINS = {
-    "free": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 325, "nilmatrix_mul": 0},
-    "matrix": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 361},
+    "free": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 183, "nilmatrix_mul": 0,
+             "bracket_sum": 84},
+    "matrix": {"mul": 15, "add": 0, "inverse": 0, "poly_mul": 0, "nilmatrix_mul": 223,
+               "bracket_sum": 82},
 }
 
 
@@ -513,10 +556,11 @@ def test_weil_op_counts_of_the_suite_are_pinned(model, monkeypatch):
 
 def _count_oracle_ops(monkeypatch):
     """Count the kernels the classical oracles could reach, by every name in
-    their home module and in ``series``."""
+    their home module, ``freelie`` and ``series``."""
     calls = {}
     for name, home in (
         ("lie_bracket", freelie),
+        ("bracket_sum", scalars),
         ("poly_mul", assoc),
         ("poly_log", assoc),
         ("poly_exp", assoc),
@@ -524,7 +568,7 @@ def _count_oracle_ops(monkeypatch):
     ):
         calls[name] = 0
         wrapper = _counted(calls, name, getattr(home, name))
-        for module in (home, series):
+        for module in (home, freelie, series):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -532,9 +576,12 @@ def _count_oracle_ops(monkeypatch):
 
 # Kernel calls of one oracle-classical benchmark pass: bch_classical(1..6)
 # and zassenhaus_classical(2..6).  Both recursions work among Lie elements,
-# so the associative kernels stay at zero.  Pinned like WEIL_OP_PINS.
+# so the associative kernels stay at zero.  Each lie_bracket is a one-term
+# bracket_sum, and each T sum of bch_classical one more.  Pinned like
+# WEIL_OP_PINS.
 ORACLE_OP_PINS = {
-    "lie_bracket": 80, "poly_mul": 0, "poly_log": 0, "poly_exp": 0, "dynkin_project": 0,
+    "lie_bracket": 62, "bracket_sum": 76, "poly_mul": 0, "poly_log": 0, "poly_exp": 0,
+    "dynkin_project": 0,
 }
 
 
@@ -566,9 +613,9 @@ def _count_sums(monkeypatch):
 # series sums once through scalars.combination, so these count the sums
 # themselves, not the terms; pinned like WEIL_OP_PINS.
 SUM_PINS = {
-    "oracle": {"_with": 181, "__add__": 21, "_scaled": 25},
-    "free": {"_with": 765, "__add__": 210, "_scaled": 37},
-    "matrix": {"_with": 793, "__add__": 208, "_scaled": 31},
+    "oracle": {"_with": 163, "__add__": 21, "_scaled": 25},
+    "free": {"_with": 623, "__add__": 139, "_scaled": 37},
+    "matrix": {"_with": 655, "__add__": 139, "_scaled": 31},
 }
 
 
@@ -640,9 +687,22 @@ def _failing_check_json():
     assert _dispatch_json("check", "--id", "thm-6.3b") == 1
 
 
+def _bracket_sums():
+    """One sum of brackets in each algebra that brackets: matrices over the
+    three rings, polynomials over Q and Lie elements."""
+    x, y = gen_nilmatrix(5, 3)
+    for k in (None, 3, -3):
+        a, b = (x, y) if k is None else (x.lift(k), y.lift(k))
+        bracket_sum([(1, a, b), (Fraction(-1, 2), b, a * b)])
+    a, b = (lie_embed(LieElement.generator(("X", "Y"), i, 4)) for i in (0, 1))
+    bracket_sum([(2, a, b), (Fraction(1, 3), a, a * b)])
+    a, b = (LieElement.generator(("X", "Y"), i, 4) for i in (0, 1))
+    bracket_sum([(1, a, b), (-3, b, lie_bracket(a, b))])
+
+
 @pytest.mark.parametrize("run", [
     _free_suite, _free_suite_at_the_minimum_truncation, _matrix_suite, _classical_oracles,
-    _bch_json, _zassenhaus_json, _failing_check_json,
+    _bch_json, _zassenhaus_json, _failing_check_json, _bracket_sums,
 ])
 def test_runs_leave_no_reference_cycles(run):
     """A run frees its values by reference counting alone.
