@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent, NotUnipotent
-from .rings import decode_row, encode_scalar, key_shift, scalar_numerators
-from .scalars import (Numerators, _LocalScalar, check_ring, exp_series, over_lcm, pair_factors,
-                      power_series, scale_terms, unit_inverse)
+from .rings import decode_row, encode_scalar, ring_scale
+from .scalars import (Numerators, check_ring, exp_series, key_shift, over_lcm, pair_factors,
+                      power_series, unit_inverse)
 
 Word = tuple[int, ...]
 
@@ -36,7 +36,7 @@ class AssocPoly(Numerators):
     Stored like a ``NilMatrix`` (see ``scalars.Numerators``): ``_rows[l]``
     maps ``(code << s) | key`` to the nonzero numerator of the ``key`` term
     of the coefficient of a word of length l, where s is
-    ``rings.key_shift(weil_k)`` (0 for a rational polynomial, whose keys
+    ``scalars.key_shift(weil_k)`` (0 for a rational polynomial, whose keys
     are all 0), ``key`` a Weil mask or a t-exponent, and ``code`` packs the
     word's letters into bit fields of ``_letter_bits`` each, first letter
     highest; ``rings.encode_scalar`` and ``decode_row`` translate
@@ -164,13 +164,7 @@ class AssocPoly(Numerators):
                             else:
                                 del acc[key]
 
-    def scale(self, scalar) -> "AssocPoly":
-        """Multiply every coefficient by a central scalar: a rational scales
-        the numerators, and a Weil or t scalar multiplies them term by term."""
-        if isinstance(scalar, _LocalScalar):
-            nums, den = scalar_numerators(self.weil_k, scalar)
-            return scale_terms(self, nums, den, key_shift(self.weil_k))
-        return self._scaled(scalar)
+    scale = ring_scale  # shared with NilMatrix
 
     def degree_part(self, n: int) -> "AssocPoly":
         return self._with([row if l == n else {} for l, row in enumerate(self._rows)], self._den)

@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
-from .rings import decode_row, encode_scalar, key_shift, scalar_numerators, scalar_type
-from .scalars import (Numerators, _LocalScalar, check_ring, exp_series, geometric_series,
-                      over_lcm, pair_factors, scale_terms)
+from .rings import decode_row, encode_scalar, ring_scale, scalar_type
+from .scalars import (Numerators, check_ring, exp_series, geometric_series, key_shift, over_lcm,
+                      pair_factors)
 
 
 class NilMatrix(Numerators):
@@ -28,7 +28,7 @@ class NilMatrix(Numerators):
     Stored like a ``WeilElement`` (see ``scalars.Numerators``), as integer
     numerators over one common denominator for the whole matrix: ``_rows[i]``
     maps ``(j << s) | key`` to the nonzero numerator of the ``key`` term of
-    entry (i, j), where s is ``rings.key_shift(weil_k)`` (0 for a rational
+    entry (i, j), where s is ``scalars.key_shift(weil_k)`` (0 for a rational
     matrix, whose keys are all 0) and ``key`` a Weil mask or a t-exponent,
     as ``rings.encode_scalar`` and ``decode_row`` translate.  Products
     visit only pairs of nonzero terms, multiply them by the ring's
@@ -120,11 +120,7 @@ class NilMatrix(Numerators):
         self._add_product(out, self._rows, other._rows, 1)
         return self._with(out, self._den * other._den)
 
-    def scale(self, scalar) -> "NilMatrix":
-        if isinstance(scalar, _LocalScalar):
-            nums, den = scalar_numerators(self.weil_k, scalar)
-            return scale_terms(self, nums, den, key_shift(self.weil_k))
-        return self._scaled(scalar)
+    scale = ring_scale  # shared with AssocPoly
 
     def is_strictly_upper(self) -> bool:
         s = key_shift(self.weil_k)

@@ -3,9 +3,10 @@
 ``weil_k`` selects one: Q when it is None, the Weil ring of k generators
 when it is k > 0, and Q[t]/(t^(n+1)) when it is -n.  A row key of either
 algebra holds an index (a word code or a column) above the term's key in
-the ring, a Weil mask or a t-exponent (``key_shift``); ``encode_scalar`` and
-``decode_row`` translate coefficients, and ``scalar_numerators`` checks a
-scalar against the ring.  Every product over a ring reads its one
+the ring, a Weil mask or a t-exponent (``scalars.key_shift``);
+``encode_scalar`` and ``decode_row`` translate coefficients,
+``scalar_numerators`` checks a scalar against the ring, and ``ring_scale``
+scales either algebra.  Every product over a ring reads its one
 multiplication table, ``scalars.pair_factors``.
 
 Q[t]/(t^(n+1)) is ``TElement``.  t -> sd = d1 + ... + dn embeds it in the
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, GeneratorCountMismatch
-from .scalars import WeilElement, _LocalScalar, _subset_masks, rational
+from .scalars import WeilElement, _LocalScalar, _subset_masks, key_shift, rational, scale_terms
 
 
 class TElement(_LocalScalar):
@@ -52,16 +53,6 @@ class TElement(_LocalScalar):
         return "" if not e else "t" if e == 1 else f"t^[{e}]"
 
 
-def key_shift(weil_k: int | None) -> int:
-    """The width of the scalar's field at the low end of an ``AssocPoly`` or
-    ``NilMatrix`` row key: none over Q (weil_k None), a k-bit mask over the
-    Weil ring of k generators, and the bits of an exponent 0..n over
-    Q[t]/(t^(n+1)), which weil_k = -n selects."""
-    if weil_k is None:
-        return 0
-    return weil_k if weil_k > 0 else weil_k.bit_length()
-
-
 def scalar_type(weil_k: int) -> tuple[type, int]:
     """The scalar class and its k of the ring that a weil_k other than None selects."""
     return (WeilElement, weil_k) if weil_k > 0 else (TElement, -weil_k)
@@ -75,6 +66,15 @@ def scalar_numerators(weil_k: int | None, scalar: _LocalScalar) -> tuple[dict[in
             raise AlgebraMismatch(f"scalar {scalar!r} in a rational algebra")
         raise GeneratorCountMismatch(f"scalar {scalar!r} in the ring of weil_k {weil_k}")
     return scalar._rows[0], scalar._den
+
+
+def ring_scale(p, scalar):
+    """p times a central scalar, for an ``AssocPoly`` or ``NilMatrix`` p, the
+    ``scale`` of both: a rational scales the numerators, and a scalar of p's
+    ring multiplies them term by term (``scalars.scale_terms``)."""
+    if isinstance(scalar, _LocalScalar):
+        return scale_terms(p, p.weil_k, *scalar_numerators(p.weil_k, scalar))
+    return p._scaled(scalar)
 
 
 def encode_scalar(weil_k: int | None, index: int, value) -> list[tuple[int, Fraction]]:

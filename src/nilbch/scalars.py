@@ -61,6 +61,16 @@ def pair_factors(weil_k: int | None) -> tuple[tuple[int, ...], ...]:
     ])
 
 
+def key_shift(weil_k: int | None) -> int:
+    """The width of the scalar's field at the low end of an ``AssocPoly`` or
+    ``NilMatrix`` row key: none over Q (weil_k None), a k-bit mask over the
+    Weil ring of k generators, and the bits of an exponent 0..n over
+    Q[t]/(t^(n+1)), which weil_k = -n selects."""
+    if weil_k is None:
+        return 0
+    return weil_k if weil_k > 0 else weil_k.bit_length()
+
+
 def accumulate(out: dict, pairs) -> dict:
     """Add each (key, value) pair into ``out``, dropping a key once its sum is zero.
 
@@ -262,17 +272,18 @@ def bracket_sum(terms):
     return first._with(rows, den)
 
 
-def scale_terms(p, nums: dict[int, int], den: int, s: int):
-    """p times a scalar of its coefficient ring, given as its numerators by
-    key over den, for an ``AssocPoly`` or ``NilMatrix`` p whose row keys hold
-    the ring's key in their low s bits.
+def scale_terms(p, weil_k: int, nums: dict[int, int], den: int):
+    """p times a scalar of the ring weil_k selects, given as its numerators
+    by key over den, for a value p of a ``Numerators`` algebra over that ring
+    whose row keys hold the ring's key in their low ``key_shift(weil_k)``
+    bits: an ``AssocPoly``, a ``NilMatrix`` or a ring scalar itself.
 
     Each row term meets each of the scalar's few terms, and the ring's
     ``pair_factors`` gives the int factor of their product, keyed by the
     sum of the two keys; no scalar, diagonal matrix or one-row operand is
     built.
     """
-    factors, low, terms = pair_factors(p.weil_k), (1 << s) - 1, list(nums.items())
+    factors, low, terms = pair_factors(weil_k), (1 << key_shift(weil_k)) - 1, list(nums.items())
     out = []
     for row in p._rows:
         acc = {}
@@ -449,16 +460,13 @@ class _LocalScalar(Numerators):
 
     def __mul__(self, other):
         """self times other: a rational scales, and two terms of this ring
-        multiply by the ring's ``pair_factors``."""
+        multiply by the ring's ``pair_factors``, in ``scale_terms``."""
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if type(other) is not type(self):
             return NotImplemented
         self._check_operand(other)
-        factors = pair_factors(self._sign * self.k)
-        pairs = [(key1 + key2, n1 * n2 * f) for key1, n1 in self._rows[0].items()
-                 for key2, n2 in other._rows[0].items() if (f := factors[key1][key2])]
-        return self._with([accumulate({}, pairs)], self._den * other._den)
+        return scale_terms(self, self._sign * self.k, other._rows[0], other._den)
 
     __rmul__ = __mul__
 

@@ -208,15 +208,15 @@ D = "d"      # the product of the infinitesimals d_i listed in m
 def evaluate(ctx, expr, memo: dict):
     """Image of an expression in ``ctx``; ``memo`` maps id(node) to its image.
 
-    The context gives the generator images ``gen_img(i)``, ``bracket(a, b)``
-    and the scalar ``weight(coeff, shape, m)``, and for the group nodes
-    ``exp``, ``inv`` and ``one()``.  Keying by identity hashes no
+    The context gives the generator images ``gens``, ``bracket(a, b)`` and
+    the scalar ``weight(coeff, shape, m)``, and for the group nodes ``exp``,
+    ``inv`` and the unit ``one``.  Keying by identity hashes no
     coefficient, and shared subexpressions are shared objects, so a node
     that occurs twice is evaluated once.  The caller keeps every node alive
     while ``memo`` lives.
     """
     if isinstance(expr, int):
-        return ctx.gen_img(expr)
+        return ctx.gens[expr]
     value = memo.get(id(expr))
     if value is not None:
         return value
@@ -229,7 +229,7 @@ def evaluate(ctx, expr, memo: dict):
         elif head == MUL:
             value = reduce(operator.mul, [evaluate(ctx, a, memo) for a in expr[1:]])
         elif head == ONE:
-            value = ctx.one()
+            value = ctx.one
         elif head == AD:
             x, y = evaluate(ctx, expr[2], memo), evaluate(ctx, expr[3], memo)
             coeffs = islice(ad_coeffs(expr[1]), 1, None)  # c_0 = 1: y seeds the sum
@@ -255,10 +255,7 @@ class _TableContext:
     a FAIL witness lists the difference's terms."""
 
     def __init__(self, max_degree: int):
-        self._gens = [LieElement.generator(BCH_ALPHABET, i, max_degree) for i in (0, 1)]
-
-    def gen_img(self, i: int) -> LieElement:
-        return self._gens[i]
+        self.gens = [LieElement.generator(BCH_ALPHABET, i, max_degree) for i in (0, 1)]
 
     @staticmethod
     def bracket(a: LieElement, b: LieElement) -> LieElement:

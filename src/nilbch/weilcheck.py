@@ -8,7 +8,7 @@ image, group inverses are computed by actual inversion rather than by
 negating exponents, and the check subtracts the sides of each pair.  PASS
 means every difference is exactly zero.
 
-Two models are available, each over the coefficient ring ``_ring`` picks
+Two models are available, each over the coefficient ring ``_plan`` picks
 from the statement's weights.  A statement with a generator whose weights
 are all sd^m or em(m), sd = d1 + ... + dn (the 17 built from the tables of
 sections 6-8), is decided over Q[t]/(t^(n+1)): lemma 6.0, sd^m = m! em(m),
@@ -19,7 +19,7 @@ itself among them, is decided over the Weil ring.
 
 The *free* model works in the truncated free associative algebra over the
 ring, and stops at the statement's reach.  Where every generator occurrence
-carries an infinitesimal (``_scope``), each term has at least as many
+carries an infinitesimal (``_plan``), each term has at least as many
 infinitesimals as letters, and in a ring of n infinitesimals a product of
 more than n vanishes, so no word longer than n survives: the model is built
 at truncation min(trunc, n), the truncation cuts nothing, and a PASS holds
@@ -42,7 +42,7 @@ import operator
 import time
 from fnmatch import fnmatchcase
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from math import factorial, inf
 from typing import NamedTuple
 
@@ -96,26 +96,20 @@ def _weight(k: int, num: int, den: int, shape, m) -> WeilElement | TElement:
 
 
 class _Context:
-    """One model: generator images, the unit, exp, inverse and the FAIL witness;
-    the bracket is the commutator ab - ba, built as one ``scalars.bracket_sum``.
-
-    k is the ``weil_k`` of the coefficient ring (see ``_ring``), in which
-    the weights live, whichever model the context is.
+    """One model as plain data: generator images ``gens``, the unit ``one``,
+    ``exp``, ``inv`` and the FAIL ``witness``, which writes each coefficient
+    in the Weil ring (over Q[t]/(t^(n+1)), its image); the bracket is the
+    commutator ab - ba, one ``scalars.bracket_sum``.  k is the ``weil_k`` of
+    the ring (``_plan``), in which the weights live, in either model.
     """
 
     def __init__(self, k: int, gens: list, one, exp, inv, witness):
         self.k = k
-        self._gens = gens
-        self._one = one
+        self.gens = gens
+        self.one = one
         self.exp = exp
         self.inv = inv
-        self._witness = witness
-
-    def gen_img(self, i: int):
-        return self._gens[i]
-
-    def one(self):
-        return self._one
+        self.witness = partial(witness, text=str if k > 0 else _weil_text)
 
     @staticmethod
     def bracket(a, b):
@@ -123,11 +117,6 @@ class _Context:
 
     def weight(self, coeff, shape, m) -> WeilElement | TElement:
         return _weight(self.k, coeff.numerator, coeff.denominator, shape, m)
-
-    def witness(self, diff) -> dict:
-        """The report of a nonzero difference, each coefficient written as
-        an element of the Weil ring: over Q[t]/(t^(n+1)), its image."""
-        return self._witness(diff, str if self.k > 0 else _weil_text)
 
 
 def _weil_text(scalar: TElement) -> str:
@@ -187,9 +176,6 @@ class CheckParams(NamedTuple("_Params", [("trunc", "int | None"), ("dim", int), 
             )
         return super().__new__(cls, trunc, dim, seed)
 
-    def to_json_obj(self) -> dict:
-        return {"trunc": self.trunc, "dim": self.dim, "seed": self.seed}
-
 
 class CheckReport(NamedTuple):
     id: str
@@ -203,7 +189,7 @@ class CheckReport(NamedTuple):
         obj = {
             "id": self.id,
             "model": self.model,
-            "params": self.params.to_json_obj(),
+            "params": self.params._asdict(),
             "verdict": self.verdict,
         }
         if self.witness is not None:
@@ -237,10 +223,11 @@ REPORT_SCHEMA = {
 }
 
 
-def _deficit(expr, shapes: set) -> float:
+def _deficit(expr, found: set) -> float:
     """The largest word length less weight degree over the terms of an
-    expression's image, inf where no bound holds; the shape of each weight
-    node goes into ``shapes``.
+    expression's image, inf where no bound holds.  Each generator index goes
+    into ``found``, and each weight node as its shape and highest
+    infinitesimal index: m for em(m) and sd^m, the largest d_i for a D weight.
 
     A generator counts 1 and the unit 0, a weight node subtracts its degree
     (the infinitesimals in every term of its scalar), products and brackets
@@ -249,57 +236,53 @@ def _deficit(expr, shapes: set) -> float:
     deficit <= 0, so they are bounded only where that argument's is.
     """
     if isinstance(expr, int):
+        found.add(expr)
         return 1
     head = expr[0]
     if head == ONE:
         return 0
     if head == LIN:
-        return max([_deficit(a, shapes) for _, a in expr[1]])
+        return max([_deficit(a, found) for _, a in expr[1]])
     if head == MUL:
-        return sum([_deficit(a, shapes) for a in expr[1:]])
+        return sum([_deficit(a, found) for a in expr[1:]])
     if head in (EXP, INV):
-        return 0 if _deficit(expr[1], shapes) <= 0 else inf
+        return 0 if _deficit(expr[1], found) <= 0 else inf
     if head == AD:
-        b = _deficit(expr[3], shapes)
-        return b if _deficit(expr[2], shapes) <= 0 else inf
+        b = _deficit(expr[3], found)
+        return b if _deficit(expr[2], found) <= 0 else inf
     if len(expr) == 3:  # (coeff, (shape, m), sub)
         shape, m = expr[1]
-        shapes.add(shape)
-        return _deficit(expr[2], shapes) - (len(m) if shape == D else m)
-    return _deficit(expr[0], shapes) + _deficit(expr[1], shapes)
+        found.add((shape, max(m)) if shape == D else expr[1])
+        return _deficit(expr[2], found) - (len(m) if shape == D else m)
+    return _deficit(expr[0], found) + _deficit(expr[1], found)
 
 
 @cache
-def _scope(identity_id: str) -> tuple[frozenset[str], bool]:
-    """The weight shapes of an identity, and whether it is *bounded*: every
-    side has deficit <= 0 (``_deficit``).  A term of a bounded side then
-    carries at least as many infinitesimals as letters, and a product of
-    more than n = |``_ring``| of them vanishes, so every word longer than n
-    is zero: the free model truncated at n decides the identity as at any
-    truncation above, with the same difference.  Cached by id, like
-    ``_ring``."""
-    shapes: set[str] = set()
-    sides = [side for pair in _BY_ID[identity_id].pairs for side in pair]
-    deficits = [_deficit(side, shapes) for side in sides]
-    return frozenset(shapes), max(deficits) <= 0
+def _plan(identity_id: str) -> tuple[int, int | None, int, int]:
+    """(weil_k, reach, n_d, gens) of an identity, from one ``_deficit`` walk,
+    cached by id since the catalog is fixed once imported: n_d is the
+    highest infinitesimal index of any weight (0 without one), gens one more
+    than the largest generator index.
 
-
-@cache
-def _ring(identity_id: str) -> int:
-    """The coefficient ring of an identity, as ``weil_k``: -n_d, for
-    Q[t]/(t^(n_d+1)) with t standing for sd = d1 + ... + d_n_d, when every
-    weight is sd^m or em(m) and a generator occurs; else n_d (at least 1),
-    for the Weil ring, as also for an identity decided among Lie elements.
-    t -> sd is an injective ring map, since sd^m = m! em(m) (lemma 6.0) and
-    em(1..n_d) are linearly independent, so both rings decide such an
-    identity alike.  ``lemma-6.0`` has no generator: it is that lemma, and
-    stays in the Weil ring.  Cached by id, since the catalog is fixed once
-    imported."""
-    entry = _BY_ID[identity_id]
-    shapes = _scope(identity_id)[0]
-    if entry.gens and not entry.lie_degree and shapes and shapes <= {EM, POW}:
-        return -entry.n_d
-    return max(entry.n_d, 1)
+    weil_k is -n_d, for Q[t]/(t^(n_d+1)) with t standing for sd = d1 + ...
+    + d_n_d, when every weight is sd^m or em(m) and a generator occurs; else
+    n_d (at least 1), for the Weil ring, as also among Lie elements.  t -> sd
+    is an injective ring map (sd^m = m! em(m), lemma 6.0, and em(1..n_d) are
+    linearly independent), so both rings decide alike; ``lemma-6.0`` has no
+    generator: it is that lemma, and stays in the Weil ring.  The reach is
+    |weil_k| when every side has deficit <= 0, else None: a term of such a
+    side has at least as many infinitesimals as letters, and a product of
+    more than |weil_k| of them vanishes, so the free model truncated at the
+    reach decides the identity as at any truncation above.
+    """
+    entry, found = _BY_ID[identity_id], set()
+    bounded = max([_deficit(side, found) for pair in entry.pairs for side in pair]) <= 0
+    weights = [w for w in found if type(w) is tuple]
+    n_d = max([top for _, top in weights], default=0)
+    gens = max([i for i in found if type(i) is int], default=-1) + 1
+    sd_only = gens and not entry.lie_degree and weights and all(w[0] in (EM, POW) for w in weights)
+    k = -n_d if sd_only else max(n_d, 1)
+    return k, abs(k) if bounded else None, n_d, gens
 
 
 def _context_for(entry: _Identity, model: str, params: CheckParams):
@@ -313,13 +296,11 @@ def _context_for(entry: _Identity, model: str, params: CheckParams):
         raise InsufficientModel(f"{entry.id} needs {what} >= {need}, got {got}")
     if entry.lie_degree:
         return _TableContext(entry.lie_degree)
-    k = _ring(entry.id)
+    k, reach, _, gens = _plan(entry.id)
     if model == "free":
-        trunc = params.trunc
-        if _scope(entry.id)[1]:  # no word longer than |k| survives
-            trunc = min(trunc, abs(k))
-        return _free_context(default_names(entry.gens), k, trunc)
-    return _matrix_context(k, params.dim, params.seed, entry.gens)
+        trunc = params.trunc if reach is None else min(params.trunc, reach)
+        return _free_context(default_names(gens), k, trunc)
+    return _matrix_context(k, params.dim, params.seed, gens)
 
 
 def check_identity(

@@ -9,7 +9,9 @@ from collections import Counter
 from pathlib import Path
 
 import nilbch
-from nilbch.scalars import Numerators
+from nilbch.assoc import AssocPoly
+from nilbch.matrix import NilMatrix
+from nilbch.scalars import Numerators, WeilElement, _LocalScalar
 
 SRC = Path(nilbch.__file__).parent
 
@@ -161,3 +163,11 @@ def test_numerators_subclasses_keep_one_numerator_half():
     for cls in subclasses:
         own = sorted({"_with", "__neg__", "__bool__", "_scaled", "_check_operand"} & set(vars(cls)))
         assert own == [], f"{cls.__name__} defines {own} itself"
+
+
+def test_polynomials_and_matrices_share_one_ring_scaling():
+    # one scaling by a ring scalar, rings.ring_scale over scalars.scale_terms,
+    # which the local scalar product runs too; WeilElement keeps its own
+    # __mul__ and __rmul__ bindings, which bench/tracer.py wraps by name
+    assert AssocPoly.scale is NilMatrix.scale
+    assert vars(WeilElement)["__mul__"] is vars(WeilElement)["__rmul__"] is _LocalScalar.__mul__

@@ -225,10 +225,7 @@ class _Substitution:
     bracket = staticmethod(lie_bracket)
 
     def __init__(self, x, y):
-        self.images = (x, y)
-
-    def gen_img(self, i):
-        return self.images[i]
+        self.gens = (x, y)
 
 
 def bch_at(z, a, b):

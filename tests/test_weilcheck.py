@@ -8,7 +8,7 @@ import json
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import factorial, gcd
 
 import pytest
@@ -82,23 +82,23 @@ def evaluate(ctx, expr):
 def test_tangent_is_affine():
     ctx = free_ctx()
     d1 = WeilElement.generator(2, 1)
-    x = ctx.gen_img(0)
-    assert evaluate(ctx, tangent(0, 1)) == ctx.one() + x.scale(d1)
+    x = ctx.gens[0]
+    assert evaluate(ctx, tangent(0, 1)) == ctx.one + x.scale(d1)
 
 
 def test_tangent_product_models_sum_of_infinitesimals():
     # X_{d1} . X_{d2} = 1 + (d1+d2) X + d1d2 X^2 = exp((d1+d2) X)
     ctx = free_ctx()
     product = evaluate(ctx, (MUL, tangent(0, 1), tangent(0, 2)))
-    assert product == ctx.exp(ctx.gen_img(0).scale(weil_sum(2)))
+    assert product == ctx.exp(ctx.gens[0].scale(weil_sum(2)))
 
 
 def test_tangent_inverse():
     # (1 + d1 X)^-1 = 1 - d1 X, since d1^2 = 0
     ctx = free_ctx(k=1)
     forward = tangent(0, 1)
-    backward = ctx.one() - ctx.gen_img(0).scale(WeilElement.generator(1, 1))
-    assert evaluate(ctx, forward) * backward == ctx.one()
+    backward = ctx.one - ctx.gens[0].scale(WeilElement.generator(1, 1))
+    assert evaluate(ctx, forward) * backward == ctx.one
     assert evaluate(ctx, (INV, forward)) == backward
 
 
@@ -110,13 +110,13 @@ TAG_ARITY = {EXP: 1, INV: 1, ONE: 0, AD: 2, MUL: None}
 AD_FAMILIES = ("exp", "left", "right")
 
 
-def assert_well_formed(expr, entry):
-    """Each node is a generator below entry.gens, a LIN, a known tag with its
+def assert_well_formed(expr, n_d, gens):
+    """Each node is a generator below gens, a LIN, a known tag with its
     arity (an AD node's family first, one of AD_FAMILIES), a weight of a
-    known shape whose d indices are at most entry.n_d, or a bracket pair.
+    known shape whose d indices are at most n_d, or a bracket pair.
     Returns the generator indices the expression uses."""
     if isinstance(expr, int):
-        assert 0 <= expr < entry.gens, expr
+        assert 0 <= expr < gens, expr
         return {expr}
     assert isinstance(expr, tuple) and expr, expr
     head = expr[0]
@@ -136,27 +136,28 @@ def assert_well_formed(expr, entry):
         coeff, (shape, m), sub = expr
         assert isinstance(coeff, Fraction) and coeff, expr
         if shape == D:
-            assert m and all(1 <= i <= entry.n_d for i in m), expr
+            assert m and all(1 <= i <= n_d for i in m), expr
         else:
-            assert shape in (EM, POW) and 1 <= m <= entry.n_d, expr
+            assert shape in (EM, POW) and 1 <= m <= n_d, expr
         operands = [sub]
     else:
         assert len(expr) == 2, expr
         operands = expr
-    return set().union(*[assert_well_formed(sub, entry) for sub in operands])
+    return set().union(*[assert_well_formed(sub, n_d, gens) for sub in operands])
 
 
 def test_catalog_expressions_are_well_formed():
     for entry in CATALOG:
         assert not any(callable(field) for field in entry), entry.id  # plain data, no code
         assert entry.pairs, entry.id
+        _, _, n_d, gens = weilcheck._plan(entry.id)
         used = set()
         for pair in entry.pairs:
             assert len(pair) == 2, entry.id
             for side in pair:
-                used |= assert_well_formed(side, entry)
+                used |= assert_well_formed(side, n_d, gens)
         # the model builds exactly the generators the entry uses
-        assert entry.gens == max(used, default=-1) + 1, entry.id
+        assert gens == max(used, default=-1) + 1, entry.id
 
 
 _ONE_F = Fraction(1)
@@ -176,9 +177,8 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_well_formedness_check_catches_malformed_data(name):
-    entry = weilcheck._BY_ID["prop-5.4"]  # two generators, two infinitesimals
-    with pytest.raises(AssertionError):
-        assert_well_formed(MALFORMED[name], entry)
+    with pytest.raises(AssertionError):  # as prop-5.4: two infinitesimals, two generators
+        assert_well_formed(MALFORMED[name], 2, 2)
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -787,7 +787,7 @@ def test_perturbed_lemma_6_0_fails_with_witness(model, monkeypatch):
     report = check_identity("lemma-6.0", model)
     assert report.verdict == "FAIL"
     ctx = weilcheck._context_for(entry, model, report.params)
-    assert report.witness == ctx.witness(ctx.one().scale(weil_power_sum(5, 3) * Fraction(-1, 2)))
+    assert report.witness == ctx.witness(ctx.one.scale(weil_power_sum(5, 3) * Fraction(-1, 2)))
 
 
 @pytest.mark.parametrize("model", ["free", "matrix"])
@@ -884,14 +884,15 @@ SD_ONLY_IDS = (
 
 
 def test_ring_choice_selects_exactly_the_sd_only_statements():
-    assert [e.id for e in CATALOG if weilcheck._ring(e.id) < 0] == list(SD_ONLY_IDS)
+    assert [e.id for e in CATALOG if weilcheck._plan(e.id)[0] < 0] == list(SD_ONLY_IDS)
     for entry in CATALOG:
+        k, _, n_d, _ = weilcheck._plan(entry.id)
         if entry.id in SD_ONLY_IDS:
-            assert weilcheck._ring(entry.id) == -entry.n_d
+            assert k == -n_d
             ctx = weilcheck._context_for(entry, "free", CheckParams(trunc=entry.order))
-            assert ctx.gen_img(0).weil_k == -entry.n_d
+            assert ctx.gens[0].weil_k == -n_d
         else:  # lemma-6.0, thm-6.1, cor-7.2.1 and the rest
-            assert weilcheck._ring(entry.id) == max(entry.n_d, 1)
+            assert k == max(n_d, 1)
 
 
 def _sd_only_reports() -> list[dict]:
@@ -910,7 +911,8 @@ def _sd_only_reports() -> list[dict]:
 
 def test_both_rings_give_the_same_verdicts_and_witnesses(monkeypatch):
     small = _sd_only_reports()
-    monkeypatch.setattr(weilcheck, "_ring", lambda ident: weilcheck._BY_ID[ident].n_d)
+    plan = weilcheck._plan  # the Weil ring of n_d generators, at the same reach
+    monkeypatch.setattr(weilcheck, "_plan", lambda ident: (plan(ident)[2], *plan(ident)[1:]))
     weil = _sd_only_reports()
     assert len(small) == 17 * 15
     assert {r["verdict"] for r in small} == {"PASS", "FAIL"}
@@ -921,26 +923,61 @@ def test_both_rings_give_the_same_verdicts_and_witnesses(monkeypatch):
 UNBOUNDED_IDS = ("lemma-2.5", "prop-4.4", "prop-5.3")
 
 
-def test_scope_walk_finds_exactly_the_statements_without_infinitesimals():
-    assert [e.id for e in CATALOG if not weilcheck._scope(e.id)[1]] == list(UNBOUNDED_IDS)
+def test_plan_walk_finds_exactly_the_statements_without_infinitesimals():
+    assert [e.id for e in CATALOG if weilcheck._plan(e.id)[1] is None] == list(UNBOUNDED_IDS)
+
+
+# (weil_k, reach, n_d, gens) of each entry, as the catalog stated n_d and gens
+# by hand before they were derived; a changed gens would change the matrix draws
+PLANS = {
+    "prop-2.1": (2, 2, 2, 1), "prop-2.2": (1, 1, 1, 2), "thm-2.3": (2, 2, 2, 2),
+    "lemma-2.5": (1, None, 0, 2), "prop-4.4": (1, None, 0, 2), "prop-4.5": (1, 1, 1, 1),
+    "prop-5.3": (1, None, 0, 1), "prop-5.4": (2, 2, 2, 2), "lemma-6.0": (5, 5, 5, 0),
+    "thm-6.1": (1, 1, 1, 2), "thm-6.2a": (-2, 2, 2, 2), "thm-6.2b": (-2, 2, 2, 2),
+    "thm-6.3a": (-3, 3, 3, 2), "thm-6.3b": (-3, 3, 3, 2), "thm-6.4a": (-4, 4, 4, 2),
+    "thm-6.4b": (-4, 4, 4, 2), "thm-7.1": (-1, 1, 1, 2), "thm-7.2a": (-2, 2, 2, 2),
+    "thm-7.2b": (-2, 2, 2, 2), "cor-7.2.1": (2, 2, 2, 3), "thm-7.3a": (-3, 3, 3, 2),
+    "thm-7.3b": (-3, 3, 3, 2), "thm-7.4a": (-4, 4, 4, 2), "thm-7.4b": (-4, 4, 4, 2),
+    "thm-8.1": (-1, 1, 1, 2), "thm-8.2": (-2, 2, 2, 2), "thm-8.3": (-3, 3, 3, 2),
+    "thm-8.4": (-4, 4, 4, 2), "consistency-7v8": (4, 4, 4, 2),
+}
+
+
+def test_plan_derives_ring_reach_infinitesimals_and_generators():
+    assert {e.id: weilcheck._plan(e.id) for e in CATALOG} == PLANS
+    assert "n_d" not in weilcheck._Identity._fields and "gens" not in weilcheck._Identity._fields
+
+
+def _planned(monkeypatch, entry):
+    """_plan of an entry put into the catalog for the test."""
+    monkeypatch.setitem(weilcheck._BY_ID, entry.id, entry)
+    monkeypatch.setattr(weilcheck, "_plan", cache(weilcheck._plan.__wrapped__))
+    return weilcheck._plan(entry.id)
+
+
+def test_a_third_infinitesimal_selects_the_three_generator_weil_ring(monkeypatch):
+    # prop-5.4 with d3 in place of d2: still true, now over Q[d1, d2, d3]
+    d3_y, d13_xy = series._entry(1, D, (3,), 1), series._entry(1, D, (1, 3), (0, 1))
+    exp_d1_x = (EXP, series._entry(1, D, (1,), 0))
+    entry = weilcheck._BY_ID["prop-5.4"]._replace(id="prop-5.4-d3", pairs=(
+        ((MUL, exp_d1_x, (EXP, d3_y)), (MUL, (EXP, d3_y), exp_d1_x, (EXP, d13_xy))),
+    ))
+    assert _planned(monkeypatch, entry) == (3, 3, 3, 2)
+    ctx = weilcheck._context_for(entry, "matrix", CheckParams())
+    assert ctx.gens[0].weil_k == 3 and len(ctx.gens) == 2
+    for model in ("free", "matrix"):
+        assert check_identity(entry.id, model).verdict == "PASS"
 
 
 def test_an_unweighted_exponent_keeps_the_full_truncation(monkeypatch):
-    # exp(X) = exp(sd Y): every weight a power of sd, so the ring is Q[t],
+    # exp(X) = exp(sd Y): every weight a power of sd, so the ring is Q[t]/(t^2),
     # but exp(X) has words of every length, so nothing may be cut
     sd_y = series._entry(1, POW, 1, 1)
     entry = weilcheck._BY_ID["thm-6.2a"]._replace(id="unweighted", pairs=(
         ((EXP, 0), (EXP, sd_y)),
     ))
-    monkeypatch.setitem(weilcheck._BY_ID, entry.id, entry)
-    try:
-        assert weilcheck._ring(entry.id) == -2
-        assert weilcheck._scope(entry.id) == (frozenset({POW}), False)
-        ctx = weilcheck._context_for(entry, "free", CheckParams(trunc=5))
-        assert ctx.one().trunc == 5
-    finally:
-        weilcheck._ring.cache_clear()
-        weilcheck._scope.cache_clear()
+    assert _planned(monkeypatch, entry) == (-1, None, 1, 2)
+    assert weilcheck._context_for(entry, "free", CheckParams(trunc=5)).one.trunc == 5
 
 
 def _free_reports(entries) -> list[dict]:
@@ -954,12 +991,12 @@ def _free_reports(entries) -> list[dict]:
 
 def test_a_bounded_statement_is_decided_at_its_reach_as_at_any_truncation(monkeypatch):
     prop_2_2 = weilcheck._BY_ID["prop-2.2"]  # one infinitesimal: no word of two letters
-    assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one().trunc == 1
-    bounded = [entry for entry in CATALOG if weilcheck._scope(entry.id)[1]]
+    assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one.trunc == 1
+    bounded = [entry for entry in CATALOG if weilcheck._plan(entry.id)[1] is not None]
     clamped = _free_reports(bounded)
-    scope = weilcheck._scope
-    monkeypatch.setattr(weilcheck, "_scope", lambda ident: (scope(ident)[0], False))
-    assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one().trunc == 4
+    plan = weilcheck._plan
+    monkeypatch.setattr(weilcheck, "_plan", lambda ident: (plan(ident)[0], None, *plan(ident)[2:]))
+    assert weilcheck._context_for(prop_2_2, "free", CheckParams(trunc=4)).one.trunc == 4
     full = _free_reports(bounded)
     assert len(clamped) == len(full) == 26 * 3
     assert {r["verdict"] for r in clamped} == {"PASS", "FAIL"}
