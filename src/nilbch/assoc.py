@@ -25,9 +25,12 @@ def _letter_bits(alphabet: tuple[str, ...]) -> int:
     return (len(alphabet) - 1).bit_length()
 
 
-def _check_trunc(trunc: int) -> None:
+def _checked_alg(alphabet, trunc: int, weil_k: int | None) -> tuple:
+    """The ``_alg`` tuple of a polynomial algebra, trunc and weil_k checked."""
     if trunc < 1:
         raise ValueError(f"truncation must be positive, got {trunc}")
+    check_ring(weil_k)
+    return tuple(alphabet), trunc, weil_k
 
 
 class AssocPoly(Numerators):
@@ -46,7 +49,7 @@ class AssocPoly(Numerators):
     ``terms`` is the read-only view word -> coefficient, built on each read.
     """
 
-    __slots__ = ("alphabet", "trunc", "weil_k")
+    __slots__ = ()
     _algebra = ("alphabet", "trunc", "weil_k")
 
     def __init__(
@@ -56,9 +59,7 @@ class AssocPoly(Numerators):
         weil_k: int | None = None,
         terms: dict | None = None,
     ):
-        _check_trunc(trunc)
-        check_ring(weil_k)
-        self.alphabet, self.trunc, self.weil_k = tuple(alphabet), trunc, weil_k
+        self._alg = _checked_alg(alphabet, trunc, weil_k)
         letters, bits = len(self.alphabet), _letter_bits(self.alphabet)
         rows = [[] for _ in range(trunc + 1)]
         for word, coeff in (terms or {}).items():
@@ -71,12 +72,6 @@ class AssocPoly(Numerators):
             if len(word) <= trunc:
                 rows[len(word)].extend(coeff_terms)
         self._rows, self._den = over_lcm(rows)
-
-    def _wrap(self, rows: list[dict], den: int) -> "AssocPoly":
-        out = object.__new__(AssocPoly)
-        out.alphabet, out.trunc, out.weil_k = self.alphabet, self.trunc, self.weil_k
-        out._rows, out._den = rows, den
-        return out
 
     @property
     def terms(self) -> dict:
@@ -91,37 +86,24 @@ class AssocPoly(Numerators):
             for code, c in decode_row(self.weil_k, row, self._den).items()
         }
 
-    # -- scalar plumbing ----------------------------------------------------
-
-    def _monomial(self, length: int, key: int) -> "AssocPoly":
-        """The term of numerator 1 at ``key`` in row ``length`` of self's algebra."""
-        return AssocPoly._unit_term(self.alphabet, self.trunc, self.weil_k, length, key)
-
     # -- constructors -------------------------------------------------------
 
-    @staticmethod
-    def _unit_term(alphabet, trunc, weil_k, length, key) -> "AssocPoly":
-        """The term of numerator 1 at ``key`` in row ``length``, over 1, built
-        from rows; trunc and weil_k are checked as the public constructor
-        checks them."""
-        _check_trunc(trunc)
-        check_ring(weil_k)
-        out = object.__new__(AssocPoly)
-        out.alphabet, out.trunc, out.weil_k = tuple(alphabet), trunc, weil_k
-        out._rows = [{} for _ in range(trunc + 1)]
-        out._rows[length] = {key: 1}
-        out._den = 1
-        return out
+    @classmethod
+    def _unit_term(cls, alg: tuple, length: int, key: int) -> "AssocPoly":
+        """The term of numerator 1 at ``key`` in row ``length`` of the algebra alg."""
+        rows = [{} for _ in range(alg[1] + 1)]
+        rows[length] = {key: 1}
+        return cls._make(alg, rows, 1)
 
     @classmethod
     def one(cls, alphabet, trunc, weil_k=None) -> "AssocPoly":
-        return cls._unit_term(alphabet, trunc, weil_k, 0, 0)
+        return cls._unit_term(_checked_alg(alphabet, trunc, weil_k), 0, 0)
 
     @classmethod
     def generator(cls, alphabet, index, trunc, weil_k=None) -> "AssocPoly":
         if not 0 <= index < len(alphabet):
             raise AlgebraMismatch(f"generator index {index} outside alphabet")
-        return cls._unit_term(alphabet, trunc, weil_k, 1, index << key_shift(weil_k))
+        return cls._unit_term(_checked_alg(alphabet, trunc, weil_k), 1, index << key_shift(weil_k))
 
     # -- ring operations ----------------------------------------------------
 
@@ -141,8 +123,8 @@ class AssocPoly(Numerators):
         repeated d_i, or a t-exponent past n) adds nothing; no scalar is
         built per term.
         """
-        bits, trunc = _letter_bits(self.alphabet), self.trunc
-        s, factors = key_shift(self.weil_k), pair_factors(self.weil_k)
+        alphabet, trunc, weil_k = self._alg
+        bits, s, factors = _letter_bits(alphabet), key_shift(weil_k), pair_factors(weil_k)
         low = (1 << s) - 1
         for l1, row1 in enumerate(left):
             if not row1:
@@ -204,14 +186,14 @@ def poly_exp(a: AssocPoly) -> AssocPoly:
     """sum_i a^i / i! for a in the augmentation ideal (no constant term)."""
     if a._rows[0]:
         raise NotNilpotent("exp needs a zero constant term")
-    return exp_series(a, a._monomial(0, 0), a.trunc)
+    return exp_series(a, AssocPoly._unit_term(a._alg, 0, 0), a.trunc)
 
 
 def poly_log(a: AssocPoly) -> AssocPoly:
     """sum_i (-1)^(i+1) (a-1)^i / i for a with constant term 1."""
     if a._rows[0] != {0: a._den}:
         raise NotUnipotent("log needs constant term exactly 1")
-    u = a - a._monomial(0, 0)
+    u = a - AssocPoly._unit_term(a._alg, 0, 0)
     coeffs = (Fraction((-1) ** (i + 1), i) for i in range(1, a.trunc + 1))
     return power_series(a._scaled(0), u, lambda p: poly_mul(p, u), coeffs)
 
@@ -226,4 +208,4 @@ def poly_inv(a: AssocPoly) -> AssocPoly:
     if 0 not in row:
         raise NotInvertible("constant term is not a unit")
     nilpotent = -k if k is not None and k < 0 else len(row) - 1
-    return unit_inverse(a, a._monomial(0, 0), a.trunc + nilpotent)
+    return unit_inverse(a, AssocPoly._unit_term(a._alg, 0, 0), a.trunc + nilpotent)

@@ -168,9 +168,11 @@ def _bracket_basis(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 # Lie elements
 
 
-def _check_max_degree(max_degree: int) -> None:
+def _checked_alg(alphabet, max_degree: int) -> tuple:
+    """The ``_alg`` tuple of a Lie algebra, max_degree checked."""
     if not 1 <= max_degree <= HARD_DEGREE_CAP:
         raise ValueError(f"max_degree {max_degree} outside 1..{HARD_DEGREE_CAP}")
+    return tuple(alphabet), max_degree
 
 
 class LieElement(Numerators):
@@ -182,7 +184,7 @@ class LieElement(Numerators):
     JSON views, ``sorted_terms`` (which ``__str__`` reads) and ``to_json_terms``.
     """
 
-    __slots__ = ("alphabet", "max_degree")
+    __slots__ = ()
     _algebra = ("alphabet", "max_degree")
     _mismatch = AlphabetMismatch
 
@@ -192,8 +194,7 @@ class LieElement(Numerators):
         max_degree: int = DEFAULT_MAX_DEGREE,
         terms: dict[Mono, Fraction] | None = None,
     ):
-        _check_max_degree(max_degree)
-        self.alphabet, self.max_degree = tuple(alphabet), max_degree
+        self._alg = _checked_alg(alphabet, max_degree)
         letters = len(self.alphabet)
         rows = [[] for _ in range(max_degree + 1)]
         for mono, coeff in (terms or {}).items():
@@ -207,20 +208,10 @@ class LieElement(Numerators):
                 rows[len(word)].append((word, coeff))
         self._rows, self._den = over_lcm(rows)
 
-    def _wrap(self, rows: list[dict], den: int) -> "LieElement":
-        out = object.__new__(LieElement)
-        out.alphabet, out.max_degree = self.alphabet, self.max_degree
-        out._rows, out._den = rows, den
-        return out
-
     @classmethod
     def zero(cls, alphabet, max_degree: int = DEFAULT_MAX_DEGREE) -> "LieElement":
-        """Built from rows, max_degree checked as the public constructor checks it."""
-        _check_max_degree(max_degree)
-        out = object.__new__(cls)
-        out.alphabet, out.max_degree = tuple(alphabet), max_degree
-        out._rows, out._den = [{} for _ in range(max_degree + 1)], 1
-        return out
+        alg = _checked_alg(alphabet, max_degree)
+        return cls._make(alg, [{} for _ in range(max_degree + 1)], 1)
 
     @classmethod
     def generator(
@@ -321,13 +312,12 @@ def _embed_mono(word: Word, bits: int) -> tuple[tuple[int, int], ...]:
 
 def lie_embed(a: LieElement) -> "assoc.AssocPoly":
     """Realize brackets as associative commutators; generators become words."""
-    poly, bits = assoc.AssocPoly(a.alphabet, a.max_degree), assoc._letter_bits(a.alphabet)
-    rows = [{} for _ in a._rows]
+    alphabet, max_degree = a._alg
+    bits, rows = assoc._letter_bits(alphabet), [{} for _ in a._rows]
     for d, row in enumerate(a._rows):
         for word, n in row.items():
             accumulate(rows[d], [(code, n * c) for code, c in _embed_mono(word, bits)])
-    # The monomial of a Lyndon word w is w plus greater words: gcd 1 with _den holds.
-    return poly._wrap(rows, a._den)
+    return assoc.AssocPoly._make((alphabet, max_degree, None), rows, a._den)
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +345,7 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
         raise NotAugmentation("projection is defined over rational coefficients")
     if p._rows[0]:
         raise NotAugmentation("polynomial has a nonzero constant term")
-    zero = LieElement(p.alphabet, p.trunc)  # rejects trunc outside 1..HARD_DEGREE_CAP
+    zero = LieElement.zero(p.alphabet, p.trunc)  # rejects trunc outside 1..HARD_DEGREE_CAP
     bits, span = assoc._letter_bits(p.alphabet), lcm(*range(1, p.trunc + 1))
     rows = [{} for _ in p._rows]
     for length, row in enumerate(p._rows[1:], 1):

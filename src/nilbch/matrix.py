@@ -33,10 +33,10 @@ class NilMatrix(Numerators):
     as ``rings.encode_scalar`` and ``decode_row`` translate.  Products
     visit only pairs of nonzero terms, multiply them by the ring's
     ``scalars.pair_factors`` and build no scalar per entry; ``rows`` is a
-    read-only entry view, built on first read.
+    read-only entry view, built on first read and kept in ``_view``.
     """
 
-    __slots__ = ("dim", "weil_k", "_view")
+    __slots__ = ("_view",)
     _algebra = ("dim", "weil_k")
 
     def __init__(self, dim: int, weil_k: int | None, rows):
@@ -46,41 +46,30 @@ class NilMatrix(Numerators):
             raise AlgebraMismatch(
                 f"dim {dim} matrix given rows of widths {[len(r) for r in rows]}"
             )
-        self.dim, self.weil_k, self._view = dim, weil_k, None
+        self._alg = (dim, weil_k)
         self._rows, self._den = over_lcm([
             [term for j, e in enumerate(row) for term in encode_scalar(weil_k, j, e)]
             for row in rows
         ])
 
-    @classmethod
-    def _trusted(cls, dim, weil_k, rows: list[dict], den: int) -> "NilMatrix":
-        """Wrap rows of nonzero int numerators over a positive den that is
-        already reduced; the operations build such rows themselves."""
-        self = object.__new__(cls)
-        self.dim, self.weil_k, self._rows, self._den, self._view = dim, weil_k, rows, den, None
-        return self
-
-    def _wrap(self, rows: list[dict], den: int) -> "NilMatrix":
-        out = object.__new__(NilMatrix)
-        out.dim, out.weil_k, out._view = self.dim, self.weil_k, None
-        out._rows, out._den = rows, den
-        return out
-
     @property
     def rows(self) -> tuple[tuple, ...]:
         """The entries as Fractions or ring scalars, zeros included."""
-        if self._view is None:
-            k, cols = self.weil_k, range(self.dim)
-            zero = Fraction(0) if k is None else scalar_type(k)[0].zero(abs(k))
-            entries = [decode_row(k, row, self._den) for row in self._rows]
-            self._view = tuple([tuple([e.get(j, zero) for j in cols]) for e in entries])
+        try:
+            return self._view
+        except AttributeError:
+            pass
+        dim, k = self._alg
+        zero = Fraction(0) if k is None else scalar_type(k)[0].zero(abs(k))
+        entries = [decode_row(k, row, self._den) for row in self._rows]
+        self._view = tuple([tuple([e.get(j, zero) for j in range(dim)]) for e in entries])
         return self._view
 
     @classmethod
     def identity(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
         check_ring(weil_k)
         s = key_shift(weil_k)
-        return cls._trusted(dim, weil_k, [{i << s: 1} for i in range(dim)], 1)
+        return cls._make((dim, weil_k), [{i << s: 1} for i in range(dim)], 1)
 
     def lift(self, k: int) -> "NilMatrix":
         """Base change of a rational matrix into the ring weil_k = k selects:
@@ -90,13 +79,14 @@ class NilMatrix(Numerators):
         check_ring(k)
         s = key_shift(k)
         rows = [{j << s: n for j, n in row.items()} for row in self._rows]
-        return NilMatrix._trusted(self.dim, k, rows, self._den)
+        return NilMatrix._make((self.dim, k), rows, self._den)
 
     def _add_product(self, out: list[dict], left: list[dict], right: list[dict], factor: int):
         """out[i] += factor * left[i][l] * right[l], two terms multiplied by
         the ring's ``scalars.pair_factors``: a key (l << s) | e1 meets the keys
         (j << s) | e2 of row l, and their product is keyed (j << s) + e1 + e2."""
-        s, factors = key_shift(self.weil_k), pair_factors(self.weil_k)
+        weil_k = self.weil_k
+        s, factors = key_shift(weil_k), pair_factors(weil_k)
         low = (1 << s) - 1
         for row, acc in zip(left, out):
             for key1, n1 in row.items():
@@ -130,15 +120,17 @@ class NilMatrix(Numerators):
         """exp of a strictly upper triangular (hence nilpotent) matrix."""
         if not self.is_strictly_upper():
             raise NotNilpotent("matrix exp needs a strictly upper triangular argument")
-        return exp_series(self, NilMatrix.identity(self.dim, self.weil_k), self.dim - 1)
+        dim, weil_k = self._alg
+        return exp_series(self, NilMatrix.identity(dim, weil_k), dim - 1)
 
     def inv(self) -> "NilMatrix":
         """Inverse of a unitriangular matrix by the finite geometric series."""
-        one = NilMatrix.identity(self.dim, self.weil_k)
+        dim, weil_k = self._alg
+        one = NilMatrix.identity(dim, weil_k)
         nil = one - self
         if not nil.is_strictly_upper():
             raise NotInvertible("matrix inverse needs a unitriangular argument")
-        return geometric_series(nil, one, self.dim - 1)
+        return geometric_series(nil, one, dim - 1)
 
     def __repr__(self) -> str:
         return f"NilMatrix({self.rows})"
@@ -157,7 +149,7 @@ def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:
     """
     if dim < 2:
         raise ValueError(f"matrix dimension must be at least 2, got {dim}")
-    bits = random.Random(seed).getrandbits
+    bits, alg = random.Random(seed).getrandbits, (dim, None)
     out = []
     for _ in range(count):
         rows = []
@@ -174,5 +166,5 @@ def gen_nilmatrix(dim: int, seed: int, count: int = 2) -> tuple[NilMatrix, ...]:
                     row[j] = r - 3
             rows.append(row)
         rows.append({})
-        out.append(NilMatrix._trusted(dim, None, rows, 1))
+        out.append(NilMatrix._make(alg, rows, 1))
     return tuple(out)

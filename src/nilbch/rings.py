@@ -46,7 +46,7 @@ class TElement(_LocalScalar):
         nums = {}
         for e, n in self._rows[0].items():
             nums.update(dict.fromkeys(_subset_masks(self.k, e), n))
-        return WeilElement._trusted(self.k, nums, self._den)
+        return WeilElement._make(self._alg, [nums], self._den)
 
     @staticmethod
     def _monomial(e: int) -> str:
@@ -73,7 +73,8 @@ def ring_scale(p, scalar):
     ``scale`` of both: a rational scales the numerators, and a scalar of p's
     ring multiplies them term by term (``scalars.scale_terms``)."""
     if isinstance(scalar, _LocalScalar):
-        return scale_terms(p, p.weil_k, *scalar_numerators(p.weil_k, scalar))
+        weil_k = p.weil_k
+        return scale_terms(p, weil_k, *scalar_numerators(weil_k, scalar))
     return p._scaled(scalar)
 
 
@@ -100,4 +101,5 @@ def decode_row(weil_k: int | None, row: dict[int, int], den: int) -> dict:
     low, by_index = (1 << s) - 1, {}
     for key in sorted(row):
         by_index.setdefault(key >> s, {})[key & low] = row[key]
-    return {i: kind._trusted(k, nums, den) for i, nums in by_index.items()}
+    alg = (k,)
+    return {i: kind._make(alg, [nums], den) for i, nums in by_index.items()}

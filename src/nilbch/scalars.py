@@ -122,44 +122,60 @@ def over_lcm(rows) -> tuple[list[dict], int]:
 
 class Numerators:
     """The numerator half of ``WeilElement``, ``assoc.AssocPoly``, ``matrix.NilMatrix``
-    and ``freelie.LieElement``: sums, negation, scaling, truth value, equality.
+    and ``freelie.LieElement``: construction from rows, sums, negation,
+    scaling, truth value, equality.
 
     ``_rows`` is a list of maps from keys (ints, or Lyndon words for a Lie
     element) to nonzero int numerators over one positive ``_den``, with
     gcd(_den, every numerator) == 1, so equal values have equal fields and
-    the arithmetic runs on machine ints with one gcd per result.  A subclass
-    lays out its own rows and keys, keeps its own product loop, names the
-    fields that fix its algebra in ``_algebra`` and the error an operand of
-    another algebra raises in ``_mismatch``, and supplies ``_wrap(rows, den)``
-    (a value of its algebra from rows over a reduced den).  An associative
-    one supplies ``_add_product(out, left, right, factor)``, which adds
-    factor * left * right into the rows ``out``, and so gets the bracket
-    ``bracket_sum`` reads; a Lie algebra overrides ``_add_bracket`` itself.
-    No method mutates a row after construction, so values share rows.
+    the arithmetic runs on machine ints with one gcd per result.  ``_alg``
+    is the tuple of the fields that fix a value's algebra, which a subclass
+    names in ``_algebra`` and reads as read-only properties; values of one
+    algebra share the tuple, and the operand check and ``==`` compare it
+    whole.  ``_wrap`` and ``_make`` build every value from rows, so a
+    subclass lays out its own rows and keys, keeps its own product loop and
+    names the error an operand of another algebra raises in ``_mismatch``.
+    An associative one supplies ``_add_product(out, left, right, factor)``,
+    which adds factor * left * right into the rows ``out``, and so gets the
+    bracket ``bracket_sum`` reads; a Lie algebra overrides ``_add_bracket``
+    itself.  No method mutates a row after construction, so values share
+    rows.
     """
 
-    __slots__ = ("_rows", "_den")
+    __slots__ = ("_alg", "_rows", "_den")
     _algebra: tuple[str, ...] = ()
     _mismatch: type = AlgebraMismatch
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # The _algebra fields compared in one compiled function, as namedtuple
-        # compiles its code, for the operand check and ==; on Python 3.11 two
-        # operator.attrgetter calls, which build tuples, took twice as long.
-        same = " and ".join(f"a.{name} == b.{name}" for name in cls._algebra)
-        cls._same = eval(f"lambda a, b: {same}")
+        for i, name in enumerate(vars(cls).get("_algebra", ())):
+            setattr(cls, name, property(lambda self, i=i: self._alg[i]))
 
     def _check_operand(self, other) -> None:
         """Raise ``_mismatch`` unless other agrees on every ``_algebra`` field."""
-        if not self._same(other):
-            mine, theirs = ([getattr(x, name) for name in self._algebra] for x in (self, other))
+        if self._alg != other._alg:
             raise self._mismatch(f"{type(self).__name__} operands differ in "
-                                 f"{self._algebra}: {mine} vs {theirs}")
+                                 f"{self._algebra}: {list(self._alg)} vs {list(other._alg)}")
+
+    @classmethod
+    def _make(cls, alg: tuple, rows: list[dict], den: int):
+        """A value of the algebra ``alg`` from rows of nonzero int numerators
+        over a positive den, reduced by one gcd; outside input goes through
+        the public constructor."""
+        out = object.__new__(cls)
+        out._alg = alg
+        out._rows, out._den = reduced(rows, den)
+        return out
+
+    def _wrap(self, rows: list[dict], den: int):
+        """A value of self's algebra from rows over a den that is already reduced."""
+        out = object.__new__(type(self))
+        out._alg, out._rows, out._den = self._alg, rows, den
+        return out
 
     def _with(self, rows: list[dict], den: int):
-        """Wrap rows an operation built, reducing by one gcd; outside input goes
-        through the public constructor."""
+        """A value of self's algebra from rows an operation built, reduced by one
+        gcd; not through ``_make``, since a classmethod call costs a bound method."""
         if den != 1:  # most results are over 1, which needs no reduction: skip the call
             rows, den = reduced(rows, den)
         return self._wrap(rows, den)
@@ -201,7 +217,7 @@ class Numerators:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._same(other) and (self._den, self._rows) == (other._den, other._rows)
+        return self._alg == other._alg and (self._den, self._rows) == (other._den, other._rows)
 
     def __bool__(self) -> bool:
         return any(self._rows)
@@ -374,16 +390,16 @@ class _LocalScalar(Numerators):
     and ``TElement``.
 
     Stored as one row of integer numerators by monomial key over a common
-    denominator (see ``Numerators``); key 0 holds the scalar part and k
-    names the ring, whose weil_k is ``_sign * k``: a Weil ring of at most
-    ``MAX_GENERATORS`` generators, or Q[t]/(t^(k+1)) with k at most
-    ``MAX_T_DEGREE``.  ``coeffs`` is the read-only view key -> reduced
-    Fraction.  ``__mul__`` reads the ring's ``pair_factors``, so a subclass
-    only checks a key (``_check_key``), sets ``_sign`` and names a key's
-    monomial (``_monomial``, empty for key 0).
+    denominator, built from rows by ``Numerators``; key 0 holds the scalar
+    part and the one ``_algebra`` field k names the ring, whose weil_k is
+    ``_sign * k``: a Weil ring of at most ``MAX_GENERATORS`` generators, or
+    Q[t]/(t^(k+1)) with k at most ``MAX_T_DEGREE``.  ``coeffs`` is the
+    read-only view key -> reduced Fraction.  ``__mul__`` reads the ring's
+    ``pair_factors``, so a subclass only checks a key (``_check_key``), sets
+    ``_sign`` and names a key's monomial (``_monomial``, empty for key 0).
     """
 
-    __slots__ = ("k",)
+    __slots__ = ()
     _algebra = ("k",)
     _mismatch = GeneratorCountMismatch
     _sign: int
@@ -396,22 +412,8 @@ class _LocalScalar(Numerators):
             value = rational(value)
             if value:
                 terms.append((key, value))
-        self.k = k
+        self._alg = (k,)
         self._rows, self._den = over_lcm([terms])
-
-    def _wrap(self, rows: list[dict], den: int):
-        out = object.__new__(type(self))
-        out.k, out._rows, out._den = self.k, rows, den
-        return out
-
-    @classmethod
-    def _trusted(cls, k: int, nums: dict[int, int], den: int):
-        """Wrap nonzero int numerators by key over a positive den, reducing by
-        one gcd; outside input goes through the public constructor."""
-        out = object.__new__(cls)
-        out.k = k
-        out._rows, out._den = reduced([nums], den)
-        return out
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -435,7 +437,7 @@ class _LocalScalar(Numerators):
         _check_count(k, cls._sign)
         value = rational(value)
         nums = {0: value.numerator} if value else {}
-        return cls._trusted(k, nums, value.denominator)
+        return cls._make((k,), [nums], value.denominator)
 
     # -- ring structure ----------------------------------------------------
 
@@ -552,7 +554,7 @@ def weil_sum(n: int) -> WeilElement:
     """d1 + ... + dn in the n-generator Weil algebra, the image of t under
     t -> sd, so n may be any t-degree, as for ``weil_power_sum``."""
     _check_count(n, -1)
-    return WeilElement._trusted(n, {1 << i: 1 for i in range(n)}, 1)
+    return WeilElement._make((n,), [{1 << i: 1 for i in range(n)}], 1)
 
 
 def weil_power_sum(n: int, m: int) -> WeilElement:
@@ -567,4 +569,4 @@ def weil_power_sum(n: int, m: int) -> WeilElement:
     _check_count(n, -1)
     if m < 1:
         raise ValueError(f"exponent must be at least 1, got {m}")
-    return WeilElement._trusted(n, dict.fromkeys(_subset_masks(n, m), 1), 1)
+    return WeilElement._make((n,), [dict.fromkeys(_subset_masks(n, m), 1)], 1)

@@ -235,8 +235,7 @@ def evaluate(ctx, expr, memo: dict):
             coeffs = islice(ad_coeffs(expr[1]), 1, None)  # c_0 = 1: y seeds the sum
             value = ad_series(ctx.bracket, y, x, ctx.bracket(x, y), coeffs)
         elif head == LIN:
-            parts = [(c, evaluate(ctx, a, memo)) for c, a in expr[1]]
-            value = reduce(operator.add, [v if c == 1 else v.scale(c) for c, v in parts])
+            value = combination([(c, evaluate(ctx, a, memo)) for c, a in expr[1]])
         else:
             raise ValueError(f"unknown expression tag {head!r}")
     elif len(expr) == 3:

@@ -83,7 +83,7 @@ def _weight(k: int, num: int, den: int, shape, m) -> WeilElement | TElement:
     coeff = Fraction(num, den)
     if k < 0 and shape in (EM, POW):
         c = coeff if shape == EM else coeff * factorial(m)
-        return TElement._trusted(-k, {m: c.numerator} if c and m <= -k else {}, c.denominator)
+        return TElement._make((-k,), [{m: c.numerator} if c and m <= -k else {}], c.denominator)
     if shape == EM:
         weight = weil_power_sum(k, m)
     elif shape == POW:

@@ -8,8 +8,11 @@ import tokenize
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import nilbch
 from nilbch.assoc import AssocPoly
+from nilbch.freelie import LieElement
 from nilbch.matrix import NilMatrix
 from nilbch.scalars import Numerators, WeilElement, _LocalScalar
 
@@ -160,9 +163,33 @@ def test_numerators_subclasses_keep_one_numerator_half():
     names = sorted(cls.__name__ for cls in subclasses)
     assert names == ["AssocPoly", "LieElement", "NilMatrix", "TElement", "WeilElement",
                      "_LocalScalar"]
+    shared = {"_with", "_wrap", "_make", "__neg__", "__bool__", "_scaled", "_check_operand"}
+    assert shared <= set(vars(Numerators))
     for cls in subclasses:
-        own = sorted({"_with", "__neg__", "__bool__", "_scaled", "_check_operand"} & set(vars(cls)))
+        own = sorted(shared & set(vars(cls)))
         assert own == [], f"{cls.__name__} defines {own} itself"
+        # each _algebra field is a property over the one _alg tuple, never a slot
+        slots = set(vars(cls).get("__slots__", ()))
+        assert not slots & set(cls._algebra), f"{cls.__name__} slots {slots}"
+
+
+def test_algebra_fields_are_read_only_and_no_module_compiles_code():
+    values = {
+        "trunc": AssocPoly.one(("X", "Y"), 3),
+        "weil_k": NilMatrix.identity(3, 2),
+        "max_degree": LieElement.zero(("X", "Y"), 4),
+        "k": WeilElement.one(2),
+    }
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _name(node.func) in ("eval", "exec")
+    ]
+    assert callers == []
 
 
 def test_polynomials_and_matrices_share_one_ring_scaling():

@@ -151,7 +151,7 @@ def _series_values(n: int) -> dict:
         "exp-matrix": m.lift(k).scale(sd).exp(),
         "log": poly_log(poly_mul(poly_exp(x), poly_exp(y))),
         "log-weil": poly_log(poly_mul(poly_exp(wx.scale(sd)), poly_exp(wy.scale(sd)))),
-        "geometric": poly_inv(x.scale(3) - y + x._monomial(0, 0).scale(Fraction(1, 2))),
+        "geometric": poly_inv(x.scale(3) - y + AssocPoly._unit_term(x._alg, 0, 0).scale(Fraction(1, 2))),
         "geometric-matrix": m.exp().inv(),
         "geometric-weil": weil.inverse(),
         "ad-left": series.evaluate(table, (AD, "left", 0, 1), {}),

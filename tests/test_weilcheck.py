@@ -610,12 +610,12 @@ def _count_sums(monkeypatch):
 
 # Numerators._with, __add__ and _scaled calls of one oracle pass (as for
 # ORACLE_OP_PINS) and of one default-params run_suite per model.  Each power
-# series sums once through scalars.combination, so these count the sums
-# themselves, not the terms; pinned like WEIL_OP_PINS.
+# series and each LIN node sums once through scalars.combination, so these
+# count the sums themselves, not the terms; pinned like WEIL_OP_PINS.
 SUM_PINS = {
     "oracle": {"_with": 163, "__add__": 21, "_scaled": 25},
-    "free": {"_with": 623, "__add__": 139, "_scaled": 37},
-    "matrix": {"_with": 655, "__add__": 139, "_scaled": 31},
+    "free": {"_with": 582, "__add__": 70, "_scaled": 12},
+    "matrix": {"_with": 614, "__add__": 70, "_scaled": 6},
 }
 
 
