@@ -1,7 +1,7 @@
 """Degree-truncated free associative algebra over an exact scalar ring.
 
-Words are tuples of generator indices; coefficients are rationals, Weil
-elements or elements of Q[t]/(t^(n+1)) (``weil_k`` records which).
+Words are tuples of generator indices; coefficients are rationals, or
+elements of the Weil algebra that the tuple of orders ``ring`` names.
 Multiplication concatenates words and drops anything longer than the
 truncation bound, which makes every element of the augmentation ideal
 nilpotent and exp/log exact finite sums.  Truncation is
@@ -25,12 +25,12 @@ def _letter_bits(alphabet: tuple[str, ...]) -> int:
     return (len(alphabet) - 1).bit_length()
 
 
-def _checked_alg(alphabet, trunc: int, weil_k: int | None) -> tuple:
-    """The ``_alg`` tuple of a polynomial algebra, trunc and weil_k checked."""
+def _checked_alg(alphabet, trunc: int, ring: tuple | None) -> tuple:
+    """The ``_alg`` tuple of a polynomial algebra, trunc and ring checked."""
     if trunc < 1:
         raise ValueError(f"truncation must be positive, got {trunc}")
-    check_ring(weil_k)
-    return tuple(alphabet), trunc, weil_k
+    check_ring(ring)
+    return tuple(alphabet), trunc, ring
 
 
 class AssocPoly(Numerators):
@@ -39,27 +39,27 @@ class AssocPoly(Numerators):
     Stored like a ``NilMatrix`` (see ``scalars.Numerators``): ``_rows[l]``
     maps ``(code << s) | key`` to the nonzero numerator of the ``key`` term
     of the coefficient of a word of length l, where s is
-    ``scalars.key_shift(weil_k)`` (0 for a rational polynomial, whose keys
-    are all 0), ``key`` a Weil mask or a t-exponent, and ``code`` packs the
-    word's letters into bit fields of ``_letter_bits`` each, first letter
-    highest; ``rings.encode_scalar`` and ``decode_row`` translate
-    coefficients, and ``scalars.check_ring`` bounds weil_k.
+    ``scalars.key_shift(ring)`` (0 for a rational polynomial, whose keys
+    are all 0), ``key`` a key of the ring, and ``code`` packs the word's
+    letters into bit fields of ``_letter_bits`` each, first letter highest;
+    ``rings.encode_scalar`` and ``decode_row`` translate coefficients, and
+    ``scalars.check_ring`` bounds the ring.
     Codes order as their words do, concatenation shifts and ors them, and
     ``freelie.lie_embed`` and ``dynkin_project`` read and write them too.
     ``terms`` is the read-only view word -> coefficient, built on each read.
     """
 
     __slots__ = ()
-    _algebra = ("alphabet", "trunc", "weil_k")
+    _algebra = ("alphabet", "trunc", "ring")
 
     def __init__(
         self,
         alphabet: tuple[str, ...],
         trunc: int,
-        weil_k: int | None = None,
+        ring: tuple | None = None,
         terms: dict | None = None,
     ):
-        self._alg = _checked_alg(alphabet, trunc, weil_k)
+        self._alg = _checked_alg(alphabet, trunc, ring)
         letters, bits = len(self.alphabet), _letter_bits(self.alphabet)
         rows = [[] for _ in range(trunc + 1)]
         for word, coeff in (terms or {}).items():
@@ -68,7 +68,7 @@ class AssocPoly(Numerators):
             code = 0
             for letter in word:
                 code = (code << bits) | letter
-            coeff_terms = encode_scalar(weil_k, code, coeff)  # checks words past trunc too
+            coeff_terms = encode_scalar(ring, code, coeff)  # checks words past trunc too
             if len(word) <= trunc:
                 rows[len(word)].extend(coeff_terms)
         self._rows, self._den = over_lcm(rows)
@@ -76,14 +76,14 @@ class AssocPoly(Numerators):
     @property
     def terms(self) -> dict:
         """A fresh map from each word, shortest first and then in
-        lexicographic order, to its nonzero coefficient: a Fraction, or a
-        scalar of the ring weil_k selects when it is set."""
+        lexicographic order, to its nonzero coefficient: a Fraction over Q,
+        else a ``WeilElement`` of the ring."""
         bits = _letter_bits(self.alphabet)
         letter = (1 << bits) - 1
         return {
             tuple([(code >> (bits * i)) & letter for i in range(length - 1, -1, -1)]): c
             for length, row in enumerate(self._rows)
-            for code, c in decode_row(self.weil_k, row, self._den).items()
+            for code, c in decode_row(self.ring, row, self._den).items()
         }
 
     # -- constructors -------------------------------------------------------
@@ -96,14 +96,14 @@ class AssocPoly(Numerators):
         return cls._make(alg, rows, 1)
 
     @classmethod
-    def one(cls, alphabet, trunc, weil_k=None) -> "AssocPoly":
-        return cls._unit_term(_checked_alg(alphabet, trunc, weil_k), 0, 0)
+    def one(cls, alphabet, trunc, ring=None) -> "AssocPoly":
+        return cls._unit_term(_checked_alg(alphabet, trunc, ring), 0, 0)
 
     @classmethod
-    def generator(cls, alphabet, index, trunc, weil_k=None) -> "AssocPoly":
+    def generator(cls, alphabet, index, trunc, ring=None) -> "AssocPoly":
         if not 0 <= index < len(alphabet):
             raise AlgebraMismatch(f"generator index {index} outside alphabet")
-        return cls._unit_term(_checked_alg(alphabet, trunc, weil_k), 1, index << key_shift(weil_k))
+        return cls._unit_term(_checked_alg(alphabet, trunc, ring), 1, index << key_shift(ring))
 
     # -- ring operations ----------------------------------------------------
 
@@ -119,12 +119,12 @@ class AssocPoly(Numerators):
         as self's rows.
 
         Row l1 meets only the rows l2 <= trunc - l1.  Two terms multiply by
-        the ring's ``scalars.pair_factors``, so a pair whose factor is 0 (a
-        repeated d_i, or a t-exponent past n) adds nothing; no scalar is
+        the ring's ``scalars.pair_factors``, so a pair whose factor is 0 (an
+        exponent of some x_i past its order) adds nothing; no scalar is
         built per term.
         """
-        alphabet, trunc, weil_k = self._alg
-        bits, s, factors = _letter_bits(alphabet), key_shift(weil_k), pair_factors(weil_k)
+        alphabet, trunc, ring = self._alg
+        bits, s, factors = _letter_bits(alphabet), key_shift(ring), pair_factors(ring)
         low = (1 << s) - 1
         for l1, row1 in enumerate(left):
             if not row1:
@@ -162,7 +162,7 @@ class AssocPoly(Numerators):
         parts = []
         for word, coeff in self.terms.items():
             coeff_str = str(coeff)
-            if self.weil_k is not None and len(coeff) > 1:
+            if self.ring is not None and len(coeff) > 1:
                 coeff_str = f"({coeff_str})"
             if word:
                 parts.append(f"{coeff_str}*{self.word_str(word)}")
@@ -201,11 +201,11 @@ def poly_log(a: AssocPoly) -> AssocPoly:
 def poly_inv(a: AssocPoly) -> AssocPoly:
     """Two-sided inverse of an element whose constant term is a unit, that is,
     has a nonzero rational part.  A nonzero power of the nilpotent x of
-    ``unit_inverse`` has at most trunc letters and, over the Weil ring, at
-    most one factor from each nilpotent term of the constant, or over
-    Q[t]/(t^(n+1)) at most n such factors."""
-    row, k = a._rows[0], a.weil_k
+    ``unit_inverse`` has at most trunc letters and, when the constant has a
+    nilpotent part, at most sum(ring) factors from it, since a product of
+    more nilpotents vanishes."""
+    row = a._rows[0]
     if 0 not in row:
         raise NotInvertible("constant term is not a unit")
-    nilpotent = -k if k is not None and k < 0 else len(row) - 1
+    nilpotent = sum(a.ring) if len(row) > 1 else 0
     return unit_inverse(a, AssocPoly._unit_term(a._alg, 0, 0), a.trunc + nilpotent)

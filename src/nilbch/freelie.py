@@ -341,7 +341,7 @@ def dynkin_project(p: "assoc.AssocPoly") -> LieElement:
     homogeneous degree are fixed, so this is a left inverse of lie_embed.
     The sum runs on ints, over p's denominator times lcm(1..trunc).
     """
-    if p.weil_k is not None:
+    if p.ring is not None:
         raise NotAugmentation("projection is defined over rational coefficients")
     if p._rows[0]:
         raise NotAugmentation("polynomial has a nonzero constant term")

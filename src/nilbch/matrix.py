@@ -2,8 +2,8 @@
 
 The matrix model of ``weilcheck`` evaluates each catalog identity in seeded
 strictly upper triangular matrices and the unitriangular group they
-exponentiate to, over the k-generator Weil algebra of ``scalars`` or over
-Q[t]/(t^(n+1)).
+exponentiate to, over a Weil algebra of ``scalars`` named by its tuple of
+orders: the Weil ring (1,)*k or Q[t]/(t^(n+1)), which is (n,).
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ import random
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NotInvertible, NotNilpotent
-from .rings import decode_row, encode_scalar, ring_scale, scalar_type
-from .scalars import (Numerators, check_ring, exp_series, geometric_series, key_shift, over_lcm,
-                      pair_factors)
+from .rings import decode_row, encode_scalar, ring_scale
+from .scalars import (Numerators, WeilElement, check_ring, exp_series, geometric_series, key_shift,
+                      over_lcm, pair_factors)
 
 
 class NilMatrix(Numerators):
-    """Square matrix over exact scalars (rationals, Weil elements or
-    elements of Q[t]/(t^(n+1)), as ``weil_k`` selects).
+    """Square matrix over exact scalars: rationals when ``ring`` is None,
+    else ``WeilElement``s of the ring.
 
     The Lie-algebra side uses strictly upper triangular matrices, the group
     side unitriangular ones; both make exp, log and inversion finite sums.
@@ -28,27 +28,27 @@ class NilMatrix(Numerators):
     Stored like a ``WeilElement`` (see ``scalars.Numerators``), as integer
     numerators over one common denominator for the whole matrix: ``_rows[i]``
     maps ``(j << s) | key`` to the nonzero numerator of the ``key`` term of
-    entry (i, j), where s is ``scalars.key_shift(weil_k)`` (0 for a rational
-    matrix, whose keys are all 0) and ``key`` a Weil mask or a t-exponent,
-    as ``rings.encode_scalar`` and ``decode_row`` translate.  Products
+    entry (i, j), where s is ``scalars.key_shift(ring)`` (0 for a rational
+    matrix, whose keys are all 0) and ``key`` a key of the ring, as
+    ``rings.encode_scalar`` and ``decode_row`` translate.  Products
     visit only pairs of nonzero terms, multiply them by the ring's
     ``scalars.pair_factors`` and build no scalar per entry; ``rows`` is a
     read-only entry view, built on first read and kept in ``_view``.
     """
 
     __slots__ = ("_view",)
-    _algebra = ("dim", "weil_k")
+    _algebra = ("dim", "ring")
 
-    def __init__(self, dim: int, weil_k: int | None, rows):
-        check_ring(weil_k)
+    def __init__(self, dim: int, ring: tuple | None, rows):
+        check_ring(ring)
         rows = [list(row) for row in rows]
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise AlgebraMismatch(
                 f"dim {dim} matrix given rows of widths {[len(r) for r in rows]}"
             )
-        self._alg = (dim, weil_k)
+        self._alg = (dim, ring)
         self._rows, self._den = over_lcm([
-            [term for j, e in enumerate(row) for term in encode_scalar(weil_k, j, e)]
+            [term for j, e in enumerate(row) for term in encode_scalar(ring, j, e)]
             for row in rows
         ])
 
@@ -59,34 +59,33 @@ class NilMatrix(Numerators):
             return self._view
         except AttributeError:
             pass
-        dim, k = self._alg
-        zero = Fraction(0) if k is None else scalar_type(k)[0].zero(abs(k))
-        entries = [decode_row(k, row, self._den) for row in self._rows]
+        dim, ring = self._alg
+        zero = Fraction(0) if ring is None else WeilElement.zero(ring)
+        entries = [decode_row(ring, row, self._den) for row in self._rows]
         self._view = tuple([tuple([e.get(j, zero) for j in range(dim)]) for e in entries])
         return self._view
 
     @classmethod
-    def identity(cls, dim: int, weil_k: int | None = None) -> "NilMatrix":
-        check_ring(weil_k)
-        s = key_shift(weil_k)
-        return cls._make((dim, weil_k), [{i << s: 1} for i in range(dim)], 1)
+    def identity(cls, dim: int, ring: tuple | None = None) -> "NilMatrix":
+        check_ring(ring)
+        s = key_shift(ring)
+        return cls._make((dim, ring), [{i << s: 1} for i in range(dim)], 1)
 
-    def lift(self, k: int) -> "NilMatrix":
-        """Base change of a rational matrix into the ring weil_k = k selects:
-        the k-generator Weil ring, or Q[t]/(t^(1-k)) for k < 0."""
-        if self.weil_k is not None:
+    def lift(self, ring: tuple) -> "NilMatrix":
+        """Base change of a rational matrix into the ring."""
+        if self.ring is not None:
             raise ValueError("matrix already has entries in a ring other than Q")
-        check_ring(k)
-        s = key_shift(k)
+        check_ring(ring)
+        s = key_shift(ring)
         rows = [{j << s: n for j, n in row.items()} for row in self._rows]
-        return NilMatrix._make((self.dim, k), rows, self._den)
+        return NilMatrix._make((self.dim, ring), rows, self._den)
 
     def _add_product(self, out: list[dict], left: list[dict], right: list[dict], factor: int):
         """out[i] += factor * left[i][l] * right[l], two terms multiplied by
         the ring's ``scalars.pair_factors``: a key (l << s) | e1 meets the keys
         (j << s) | e2 of row l, and their product is keyed (j << s) + e1 + e2."""
-        weil_k = self.weil_k
-        s, factors = key_shift(weil_k), pair_factors(weil_k)
+        ring = self.ring
+        s, factors = key_shift(ring), pair_factors(ring)
         low = (1 << s) - 1
         for row, acc in zip(left, out):
             for key1, n1 in row.items():
@@ -113,20 +112,20 @@ class NilMatrix(Numerators):
     scale = ring_scale  # shared with AssocPoly
 
     def is_strictly_upper(self) -> bool:
-        s = key_shift(self.weil_k)
+        s = key_shift(self.ring)
         return all(key >> s > i for i, row in enumerate(self._rows) for key in row)
 
     def exp(self) -> "NilMatrix":
         """exp of a strictly upper triangular (hence nilpotent) matrix."""
         if not self.is_strictly_upper():
             raise NotNilpotent("matrix exp needs a strictly upper triangular argument")
-        dim, weil_k = self._alg
-        return exp_series(self, NilMatrix.identity(dim, weil_k), dim - 1)
+        dim, ring = self._alg
+        return exp_series(self, NilMatrix.identity(dim, ring), dim - 1)
 
     def inv(self) -> "NilMatrix":
         """Inverse of a unitriangular matrix by the finite geometric series."""
-        dim, weil_k = self._alg
-        one = NilMatrix.identity(dim, weil_k)
+        dim, ring = self._alg
+        one = NilMatrix.identity(dim, ring)
         nil = one - self
         if not nil.is_strictly_upper():
             raise NotInvertible("matrix inverse needs a unitriangular argument")

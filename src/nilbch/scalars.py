@@ -1,19 +1,21 @@
 """Exact commutative scalar rings.
 
-Two rings live here: arbitrary-precision rationals (the standard library
-``fractions.Fraction``, which already keeps gcd-reduced canonical form with a
-positive denominator) and the Weil algebra Q[d1..dk]/(d1^2, ..., dk^2) of
-square-zero infinitesimals.  A Weil element is stored sparsely as a map from
-subsets of {1..k} (encoded as bitmasks) to nonzero integer numerators over one
-common denominator; the empty subset holds the scalar part.  Multiplying two
-terms whose subsets overlap yields zero, which is the whole point of the ring.
-``_LocalScalar`` holds what the Weil ring shares with Q[t]/(t^(n+1)), which
-``rings`` adds, and ``pair_factors`` the one multiplication table that every
-product over these rings reads.  ``bracket_sum`` builds every bracket and sum
-of brackets of the algebras over them, and ``scale_terms`` every scaling of a
-polynomial or matrix by a ring scalar.  The module also decides, once, which rings
-(``check_ring``), scalars (``rational``) and operands
-(``Numerators._check_operand``) every algebra accepts.
+Two kinds of ring live here: arbitrary-precision rationals (the standard
+library ``fractions.Fraction``, which already keeps gcd-reduced canonical
+form with a positive denominator) and the Weil algebras
+Q[x1..xk]/(x1^(n1+1), ..., xk^(nk+1)) of nilpotent infinitesimals, each
+named by its tuple of orders (n1, ..., nk): the Weil ring Q[d1..dk]/(di^2)
+of square-zero infinitesimals is (1,)*k, and Q[t]/(t^(n+1)) is (n,).  A
+coefficient ring is None for Q or such a tuple, and ``check_ring`` decides,
+once, which rings every algebra accepts.  A ``WeilElement`` is stored
+sparsely as a map from keys, which pack the exponents of a monomial of
+divided powers (``key_shift``), to nonzero integer numerators over one
+common denominator; key 0 holds the scalar part.  ``pair_factors`` is the
+one multiplication table that every product over these rings reads.
+``bracket_sum`` builds every bracket and sum of brackets of the algebras
+over them, and ``scale_terms`` every scaling of a polynomial or matrix by a
+ring scalar.  The module also decides which scalars (``rational``) and
+operands (``Numerators._check_operand``) every algebra accepts.
 """
 
 from __future__ import annotations
@@ -25,50 +27,62 @@ from math import comb, factorial, gcd, lcm
 
 from .errors import AlgebraMismatch, DivisionByZero, GeneratorCountMismatch
 
-MAX_GENERATORS = 8  # a Weil table has 4^k entries: 0.5 MiB at k = 8, 8 MiB at k = 10
-MAX_T_DEGREE = 16
+MAX_ORDER = 16
+MAX_KEY_BITS = 8  # a table has 4^bits entries: 0.5 MiB at 8 bits, 8 MiB at 10
 
 
-def check_ring(weil_k: int | None) -> None:
-    """Raise ``GeneratorCountMismatch`` unless weil_k names a coefficient ring:
-    None for Q, k in 1..MAX_GENERATORS for the Weil ring of k generators, or
-    -n with n in 1..MAX_T_DEGREE for Q[t]/(t^(n+1))."""
-    if weil_k is not None and not (0 < weil_k <= MAX_GENERATORS or 0 < -weil_k <= MAX_T_DEGREE):
-        raise GeneratorCountMismatch(f"weil_k {weil_k} is neither None, 1..{MAX_GENERATORS} "
-                                     f"(Weil generators) nor -{MAX_T_DEGREE}..-1 (t-degree)")
+@cache  # every constructor checks its ring: once per ring and process
+def check_ring(ring) -> None:
+    """Raise ``GeneratorCountMismatch`` unless ring names a coefficient ring:
+    None for Q, or a tuple of orders (n1, ..., nk), each in 1..MAX_ORDER,
+    whose key (``key_shift``) is at most MAX_KEY_BITS bits wide."""
+    if ring is not None and not (
+        type(ring) is tuple and ring and all([type(n) is int and 0 < n <= MAX_ORDER for n in ring])
+        and key_shift(ring) <= MAX_KEY_BITS
+    ):
+        raise GeneratorCountMismatch(f"ring {ring!r} is neither None nor a tuple of orders in "
+                                     f"1..{MAX_ORDER} with keys of at most {MAX_KEY_BITS} bits")
 
 
 @cache
-def pair_factors(weil_k: int | None) -> tuple[tuple[int, ...], ...]:
-    """The multiplication table of the ring weil_k selects: entry [a][b] is the
-    int f with (term a)(term b) = f * (term a + b), the terms keyed as in
-    ``_LocalScalar``.
+def key_shift(ring) -> int:
+    """The width of a key of the ring: field i, from the low end, holds the
+    exponent of x_i in bit_length(n_i) bits, so a key of the Weil ring
+    (1,)*k is a k-bit mask and one of (n,) an exponent 0..n.  The key sits
+    at the low end of an ``AssocPoly`` or ``NilMatrix`` row key; Q (None)
+    has none."""
+    return sum([n.bit_length() for n in ring]) if ring else 0
 
-    Over Q (None) the one key is 0 and f is 1.  Over the Weil ring f is 1 for
-    disjoint masks, where a | b = a + b, and 0 otherwise (d_i^2 = 0).  Over
-    Q[t]/(t^(n+1)), in the divided-power basis, f is C(a+b, a) when a + b <= n
-    and 0 otherwise.  So at n = 1 both rings have the table ((1, 1), (1, 0)).
+
+def exponents(ring: tuple, key: int) -> list[int]:
+    """The exponent of each x_i in the monomial that key names."""
+    out = []
+    for n in ring:
+        width = n.bit_length()
+        out.append(key & ((1 << width) - 1))
+        key >>= width
+    return out
+
+
+@cache
+def pair_factors(ring) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of the ring: entry [a][b] is the int f with
+    (term a)(term b) = f * (term a + b), the terms keyed as in ``key_shift``
+    and each a product of divided powers x_i^[e] = x_i^e / e!.
+
+    f is the product over the fields of C(a_i + b_i, a_i), and 0 once some
+    a_i + b_i > n_i.  Over Q (None) the one key is 0 and f is 1; over the
+    Weil ring (1,)*k f is 1 for disjoint masks, where a | b = a + b, and 0
+    otherwise.  A field never carries into the next, since a_i + b_i <= n_i
+    fits its bits.
     """
-    check_ring(weil_k)
-    if weil_k is None:
-        return ((1,),)
-    if weil_k > 0:
-        size = 1 << weil_k
-        return tuple([tuple([0 if a & b else 1 for b in range(size)]) for a in range(size)])
-    n = -weil_k
-    return tuple([
-        tuple([comb(a + b, a) if a + b <= n else 0 for b in range(n + 1)]) for a in range(n + 1)
-    ])
-
-
-def key_shift(weil_k: int | None) -> int:
-    """The width of the scalar's field at the low end of an ``AssocPoly`` or
-    ``NilMatrix`` row key: none over Q (weil_k None), a k-bit mask over the
-    Weil ring of k generators, and the bits of an exponent 0..n over
-    Q[t]/(t^(n+1)), which weil_k = -n selects."""
-    if weil_k is None:
-        return 0
-    return weil_k if weil_k > 0 else weil_k.bit_length()
+    check_ring(ring)
+    table = [[1]]
+    for n in ring or ():  # each field sits above the ones before it
+        size = 1 << n.bit_length()
+        field = [[comb(a + b, a) if a + b <= n else 0 for b in range(size)] for a in range(size)]
+        table = [[f * g for f in frow for g in row] for frow in field for row in table]
+    return tuple([tuple(row) for row in table])
 
 
 def accumulate(out: dict, pairs) -> dict:
@@ -245,8 +259,9 @@ def combination(terms):
     rows = None
     for a, d, p_rows in live:
         f = a * (den // d)
-        if rows is None:
-            rows = [{key: n * f for key, n in row.items()} for row in p_rows]
+        if rows is None:  # fresh rows, copied as they are when the factor is 1
+            rows = [dict(row) for row in p_rows] if f == 1 else [
+                {key: n * f for key, n in row.items()} for row in p_rows]
             continue
         for acc, row in zip(rows, p_rows):
             for key, n in row.items():  # inline, as in the product loops: no pair list per row
@@ -288,18 +303,18 @@ def bracket_sum(terms):
     return first._with(rows, den)
 
 
-def scale_terms(p, weil_k: int, nums: dict[int, int], den: int):
-    """p times a scalar of the ring weil_k selects, given as its numerators
-    by key over den, for a value p of a ``Numerators`` algebra over that ring
-    whose row keys hold the ring's key in their low ``key_shift(weil_k)``
-    bits: an ``AssocPoly``, a ``NilMatrix`` or a ring scalar itself.
+def scale_terms(p, ring: tuple, nums: dict[int, int], den: int):
+    """p times a scalar of the ring, given as its numerators by key over
+    den, for a value p of a ``Numerators`` algebra over that ring whose row
+    keys hold the ring's key in their low ``key_shift(ring)`` bits: an
+    ``AssocPoly``, a ``NilMatrix`` or a ring scalar itself.
 
     Each row term meets each of the scalar's few terms, and the ring's
     ``pair_factors`` gives the int factor of their product, keyed by the
     sum of the two keys; no scalar, diagonal matrix or one-row operand is
     built.
     """
-    factors, low, terms = pair_factors(weil_k), (1 << key_shift(weil_k)) - 1, list(nums.items())
+    factors, low, terms = pair_factors(ring), (1 << key_shift(ring)) - 1, list(nums.items())
     out = []
     for row in p._rows:
         acc = {}
@@ -378,41 +393,40 @@ def signed_join(terms) -> str:
     return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
-def _check_count(k: int, sign: int) -> None:
-    """``check_ring`` for the ring of k Weil generators (sign 1) or of t-degree k (sign -1)."""
-    if k < 1:
-        raise GeneratorCountMismatch(f"generator count {k} below 1")
-    check_ring(sign * k)
+def _check_orders(ring) -> None:
+    """``check_ring`` for a scalar's ring, which is never Q."""
+    if ring is None:
+        raise GeneratorCountMismatch("a Weil element's ring is a tuple of orders, not None")
+    check_ring(ring)
 
 
-class _LocalScalar(Numerators):
-    """Element of Q + N with N nilpotent, the shared half of ``WeilElement``
-    and ``TElement``.
+class WeilElement(Numerators):
+    """Element of the Weil algebra Q[x1..xk]/(x1^(n1+1), ..., xk^(nk+1)) that
+    the ring (n1, ..., nk) names: the Weil ring Q[d1..dk]/(di^2) when every
+    order is 1, and Q[t]/(t^(n+1)) when the ring is (n,).
 
-    Stored as one row of integer numerators by monomial key over a common
-    denominator, built from rows by ``Numerators``; key 0 holds the scalar
-    part and the one ``_algebra`` field k names the ring, whose weil_k is
-    ``_sign * k``: a Weil ring of at most ``MAX_GENERATORS`` generators, or
-    Q[t]/(t^(k+1)) with k at most ``MAX_T_DEGREE``.  ``coeffs`` is the
-    read-only view key -> reduced Fraction.  ``__mul__`` reads the ring's
-    ``pair_factors``, so a subclass only checks a key (``_check_key``), sets
-    ``_sign`` and names a key's monomial (``_monomial``, empty for key 0).
+    Stored as one row of integer numerators by key over a common
+    denominator, built from rows by ``Numerators``; a key names a product of
+    divided powers x_i^[e] = x_i^e / e! (``key_shift``), key 0 the scalar
+    part, and ``coeffs`` is the read-only view key -> reduced Fraction.
+    ``__mul__`` reads the ring's ``pair_factors``.
     """
 
     __slots__ = ()
-    _algebra = ("k",)
+    _algebra = ("ring",)
     _mismatch = GeneratorCountMismatch
-    _sign: int
 
-    def __init__(self, k: int, coeffs: dict[int, Fraction] | None = None):
-        _check_count(k, self._sign)
+    def __init__(self, ring: tuple, coeffs: dict[int, Fraction] | None = None):
+        _check_orders(ring)
         terms = []
         for key, value in (coeffs or {}).items():
-            self._check_key(k, key)
+            if not 0 <= key < 1 << key_shift(ring) or any(
+                    [e > n for n, e in zip(ring, exponents(ring, key))]):
+                raise GeneratorCountMismatch(f"key {key} names no monomial of the ring {ring}")
             value = rational(value)
             if value:
                 terms.append((key, value))
-        self._alg = (k,)
+        self._alg = (ring,)
         self._rows, self._den = over_lcm([terms])
 
     @property
@@ -425,28 +439,38 @@ class _LocalScalar(Numerators):
 
     @classmethod
     @cache  # values are immutable, so each ring shares one zero
-    def zero(cls, k: int):
-        return cls(k)
+    def zero(cls, ring: tuple):
+        return cls(ring)
 
     @classmethod
-    def one(cls, k: int):
-        return cls(k, {0: 1})
+    def one(cls, ring: tuple):
+        return cls(ring, {0: 1})
 
     @classmethod
-    def from_rational(cls, k: int, value):
-        _check_count(k, cls._sign)
+    def from_rational(cls, ring: tuple, value):
+        _check_orders(ring)
         value = rational(value)
         nums = {0: value.numerator} if value else {}
-        return cls._make((k,), [nums], value.denominator)
+        return cls._make((ring,), [nums], value.denominator)
+
+    @classmethod
+    def generator(cls, ring: tuple, index: int) -> "WeilElement":
+        """The generator x_index (d_index of the Weil ring), 1-based."""
+        _check_orders(ring)
+        if not 1 <= index <= len(ring):
+            raise GeneratorCountMismatch(f"generator index {index} outside 1..{len(ring)}")
+        return cls(ring, {1 << key_shift(ring[:index - 1]): 1})
 
     # -- ring structure ----------------------------------------------------
 
     def _lift(self, other):
         """A rational as an element of this ring; any other operand as it is."""
         if isinstance(other, (int, Fraction)):
-            return self.from_rational(self.k, other)
+            return self.from_rational(self.ring, other)
         return other
 
+    # bench/tracer.py wraps __mul__, __rmul__, __add__, __radd__ and inverse
+    # by this class's own names
     def __add__(self, other):
         return super().__add__(self._lift(other))
 
@@ -465,23 +489,40 @@ class _LocalScalar(Numerators):
         multiply by the ring's ``pair_factors``, in ``scale_terms``."""
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        if type(other) is not type(self):
+        if type(other) is not WeilElement:
             return NotImplemented
         self._check_operand(other)
-        return scale_terms(self, self._sign * self.k, other._rows[0], other._den)
+        return scale_terms(self, self.ring, other._rows[0], other._den)
 
     __rmul__ = __mul__
+
+    def inverse(self) -> "WeilElement":
+        """Exact inverse via the finite geometric series: a product of more
+        than sum(ring) nilpotent terms vanishes."""
+        if 0 not in self._rows[0]:
+            raise DivisionByZero("Weil element with zero scalar part has no inverse")
+        return unit_inverse(self, WeilElement.one(self.ring), sum(self.ring))
+
+    def weil_image(self) -> "WeilElement":
+        """The image in the Weil ring of sum(ring) generators under the
+        injective ring map that sends each x_i to the sum of n_i generators
+        of its own (``_image_masks``), so every numerator is kept; over the
+        Weil ring the map is the identity."""
+        ring, nums = self.ring, {}
+        for key, n in self._rows[0].items():
+            nums.update(dict.fromkeys(_image_masks(ring, key), n))
+        return WeilElement._make(((1,) * sum(ring),), [nums], self._den)
 
     def _value(self) -> tuple:
         """What equality compares: with no nilpotent term the value is a
         rational, whatever the ring, as for the hash; otherwise the ring
         counts too."""
         nums = self._rows[0]
-        return ((type(self), self.k) if any(nums) else None, self._den, nums)
+        return (self._alg if any(nums) else None, self._den, nums)
 
     def __eq__(self, other):
         other = self._lift(other)
-        if not isinstance(other, _LocalScalar):
+        if not isinstance(other, WeilElement):
             return NotImplemented
         return self._value() == other._value()
 
@@ -493,12 +534,12 @@ class _LocalScalar(Numerators):
         nums = self._rows[0]
         if not any(nums):
             return hash(Fraction(nums.get(0, 0), self._den))
-        return hash((self.k, self._den, frozenset(nums.items())))
+        return hash((self._alg, self._den, frozenset(nums.items())))
 
     # -- text format -------------------------------------------------------
 
     def _term_str(self, key: int, value: Fraction) -> str:
-        monomial = self._monomial(key)
+        monomial = _monomial(self.ring, key)
         if not monomial:
             return str(value)
         return monomial if value == 1 else f"{value}*{monomial}"
@@ -510,51 +551,35 @@ class _LocalScalar(Numerators):
         )
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(k={self.k}, {self})"
-
-
-class WeilElement(_LocalScalar):
-    """Element of Q[d1..dk]/(di^2 = 0), keyed by the mask of its generators."""
-
-    __slots__ = ()
-    _sign = 1
-    # bench/tracer.py wraps these by this class's own names
-    __add__ = _LocalScalar.__add__
-    __mul__ = __rmul__ = _LocalScalar.__mul__
-
-    @staticmethod
-    def _check_key(k: int, mask: int) -> None:
-        if not 0 <= mask < 1 << k:
-            raise GeneratorCountMismatch(f"subset mask {mask} needs more than {k} generators")
-
-    def inverse(self) -> "WeilElement":
-        """Exact inverse via the finite geometric series, which stops at i = k."""
-        if 0 not in self._rows[0]:
-            raise DivisionByZero("Weil element with zero scalar part has no inverse")
-        return unit_inverse(self, WeilElement.one(self.k), self.k)
-
-    @classmethod
-    def generator(cls, k: int, index: int) -> "WeilElement":
-        """The infinitesimal d_index, with 1-based index as in d1..dk."""
-        if not 1 <= index <= k:
-            raise GeneratorCountMismatch(f"generator index {index} outside 1..{k}")
-        return cls(k, {1 << (index - 1): 1})
-
-    def _monomial(self, mask: int) -> str:
-        return "".join(f"d{i + 1}" for i in range(self.k) if mask & (1 << i))
+        return f"WeilElement({self.ring}, {self})"
 
 
 @cache
-def _subset_masks(n: int, m: int) -> tuple[int, ...]:
-    """The masks of the m-element subsets of n generators: the terms of em(m)."""
-    return tuple([sum([1 << i for i in subset]) for subset in combinations(range(n), m)])
+def _monomial(ring: tuple, key: int) -> str:
+    """The text of the monomial that key names, x_i written d_i and a
+    divided power x_i^[e] as d_i^[e]: d1d2 over the Weil ring, d1^[2]d2 over
+    (2, 1); empty for key 0."""
+    return "".join([f"d{i}" if e == 1 else f"d{i}^[{e}]"
+                    for i, e in enumerate(exponents(ring, key), 1) if e])
+
+
+@cache
+def _image_masks(ring: tuple, key: int) -> tuple[int, ...]:
+    """The terms, in the Weil ring of sum(ring) generators, of the image of
+    the monomial that key names: x_i^[e] becomes the e-th elementary
+    symmetric polynomial of n_i generators of its own, as t^[e] becomes
+    em(e) under t -> sd (lemma 6.0)."""
+    masks, start = [0], 0
+    for n, e in zip(ring, exponents(ring, key)):
+        field = [sum([1 << (start + i) for i in subset]) for subset in combinations(range(n), e)]
+        masks = [mask | term for mask in masks for term in field]
+        start += n
+    return tuple(masks)
 
 
 def weil_sum(n: int) -> WeilElement:
-    """d1 + ... + dn in the n-generator Weil algebra, the image of t under
-    t -> sd, so n may be any t-degree, as for ``weil_power_sum``."""
-    _check_count(n, -1)
-    return WeilElement._make((n,), [{1 << i: 1 for i in range(n)}], 1)
+    """d1 + ... + dn in the n-generator Weil algebra, the image of t under t -> sd."""
+    return weil_power_sum(n, 1)
 
 
 def weil_power_sum(n: int, m: int) -> WeilElement:
@@ -562,11 +587,12 @@ def weil_power_sum(n: int, m: int) -> WeilElement:
 
     Built directly as the sum of all products of m distinct generators, which
     equals the divided power by the square-zero relations; zero once m > n.
-    It is the image of t^[m] in Q[t]/(t^(n+1)) under t -> sd, so n may be
-    any t-degree, up to ``MAX_T_DEGREE``; only a product needs n at most
-    ``MAX_GENERATORS``.
+    It is the image of t^[m] of the ring (n,) under t -> sd (``_image_masks``),
+    so n may be any order up to ``MAX_ORDER``; only a product needs n at most
+    ``MAX_KEY_BITS``.
     """
-    _check_count(n, -1)
+    check_ring((n,))
     if m < 1:
         raise ValueError(f"exponent must be at least 1, got {m}")
-    return WeilElement._make((n,), [dict.fromkeys(_subset_masks(n, m), 1)], 1)
+    nums = dict.fromkeys(_image_masks((n,), m), 1) if m <= n else {}
+    return WeilElement._make(((1,) * n,), [nums], 1)

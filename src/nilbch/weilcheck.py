@@ -11,11 +11,12 @@ means every difference is exactly zero.
 Two models are available, each over the coefficient ring ``_plan`` picks
 from the statement's weights.  A statement with a generator whose weights
 are all sd^m or em(m), sd = d1 + ... + dn (the 17 built from the tables of
-sections 6-8), is decided over Q[t]/(t^(n+1)): lemma 6.0, sd^m = m! em(m),
-makes t -> sd an injective ring map into the n-generator Weil ring, so a
-difference vanishes there exactly when its image vanishes in the Weil ring,
-and a FAIL witness writes that image.  Every other statement, ``lemma-6.0``
-itself among them, is decided over the Weil ring.
+sections 6-8), is decided over Q[t]/(t^(n+1)), the ring of orders (n,):
+lemma 6.0, sd^m = m! em(m), makes t -> sd an injective ring map into the
+Weil ring (1,)*n, so a difference vanishes there exactly when its image
+vanishes in the Weil ring, and a FAIL witness writes every coefficient as
+that image.  Every other statement, ``lemma-6.0`` itself among them, is
+decided over the Weil ring (1,)*n.
 
 The *free* model works in the truncated free associative algebra over the
 ring, and stops at the statement's reach.  Where every generator occurrence
@@ -42,7 +43,7 @@ import operator
 import time
 from fnmatch import fnmatchcase
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from math import factorial, inf
 from typing import NamedTuple
 
@@ -56,7 +57,6 @@ from .errors import (
 from .catalog import _BY_ID, CATALOG, _Identity
 from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
-from .rings import TElement
 from .scalars import WeilElement, bracket_sum, weil_power_sum, weil_sum
 from .series import AD, EM, EXP, INV, LIN, MUL, ONE, POW, D, _TableContext, evaluate
 
@@ -70,26 +70,28 @@ DEFAULT_SEED = 42
 
 
 @cache
-def _weight(k: int, num: int, den: int, shape, m) -> WeilElement | TElement:
+def _weight(ring: tuple, num: int, den: int, shape, m) -> WeilElement:
     """coeff = num/den times em(m) (EM), sd^m with sd = d1 + ... + dk (POW),
-    or the product of the d_i listed in m (D), in the k-generator Weil
-    algebra; for k = -n, coeff times the preimage t^[m] of em(m) or m! t^[m]
-    of sd^m = m! em(m) (lemma 6.0) in Q[t]/(t^(n+1)), where t stands for sd.
+    or the product of the d_i listed in m (D), in the Weil ring (1,)*k; over
+    a ring (n,) of one field t, coeff times the preimage t^[m] of em(m) or
+    m! t^[m] of sd^m = m! em(m) (lemma 6.0), where t stands for sd.
 
     Computed once per process: the keys come only from the catalog, and
     the values are immutable.  The coefficient is keyed by its two ints,
     since hashing a Fraction costs a modular inverse on every lookup.
     """
     coeff = Fraction(num, den)
-    if k < 0 and shape in (EM, POW):
+    if len(ring) == 1 and shape in (EM, POW):
         c = coeff if shape == EM else coeff * factorial(m)
-        return TElement._make((-k,), [{m: c.numerator} if c and m <= -k else {}], c.denominator)
+        nums = [{m: c.numerator} if c and m <= ring[0] else {}]
+        return WeilElement._make((ring,), nums, c.denominator)
+    k = len(ring)
     if shape == EM:
         weight = weil_power_sum(k, m)
     elif shape == POW:
         weight = reduce(operator.mul, [weil_sum(k)] * m)
     elif shape == D:
-        weight = reduce(operator.mul, [WeilElement.generator(k, i) for i in m])
+        weight = reduce(operator.mul, [WeilElement.generator(ring, i) for i in m])
     else:
         raise ValueError(f"unknown weight shape {shape!r}")
     return weight if coeff == 1 else weight * coeff
@@ -98,38 +100,38 @@ def _weight(k: int, num: int, den: int, shape, m) -> WeilElement | TElement:
 class _Context:
     """One model as plain data: generator images ``gens``, the unit ``one``,
     ``exp``, ``inv`` and the FAIL ``witness``, which writes each coefficient
-    in the Weil ring (over Q[t]/(t^(n+1)), its image); the bracket is the
-    commutator ab - ba, one ``scalars.bracket_sum``.  k is the ``weil_k`` of
-    the ring (``_plan``), in which the weights live, in either model.
+    in the Weil ring, as its ``WeilElement.weil_image``; the bracket is the
+    commutator ab - ba, one ``scalars.bracket_sum``.  ``ring`` is the
+    coefficient ring (``_plan``), in which the weights live, in either model.
     """
 
-    def __init__(self, k: int, gens: list, one, exp, inv, witness):
-        self.k = k
+    def __init__(self, ring: tuple, gens: list, one, exp, inv, witness):
+        self.ring = ring
         self.gens = gens
         self.one = one
         self.exp = exp
         self.inv = inv
-        self.witness = partial(witness, text=str if k > 0 else _weil_text)
+        self.witness = witness
 
     @staticmethod
     def bracket(a, b):
         return bracket_sum([(1, a, b)])
 
-    def weight(self, coeff, shape, m) -> WeilElement | TElement:
-        return _weight(self.k, coeff.numerator, coeff.denominator, shape, m)
+    def weight(self, coeff, shape, m) -> WeilElement:
+        return _weight(self.ring, coeff.numerator, coeff.denominator, shape, m)
 
 
-def _weil_text(scalar: TElement) -> str:
+def _weil_text(scalar: WeilElement) -> str:
     return str(scalar.weil_image())
 
 
-def _poly_witness(diff: AssocPoly, text) -> dict:
-    terms = [{"word": diff.word_str(w), "coeff": text(c)} for w, c in diff.terms.items()]
+def _poly_witness(diff: AssocPoly) -> dict:
+    terms = [{"word": diff.word_str(w), "coeff": _weil_text(c)} for w, c in diff.terms.items()]
     return {"kind": "polynomial", "lead": terms[0], "terms": terms}
 
 
-def _matrix_witness(diff: NilMatrix, text) -> dict:
-    entries = [[text(e) if e else "0" for e in row] for row in diff.rows]
+def _matrix_witness(diff: NilMatrix) -> dict:
+    entries = [[_weil_text(e) if e else "0" for e in row] for row in diff.rows]
     lead = next(
         {"row": i, "col": j, "coeff": entries[i][j]}
         for i, row in enumerate(diff.rows)
@@ -139,19 +141,18 @@ def _matrix_witness(diff: NilMatrix, text) -> dict:
     return {"kind": "matrix", "lead": lead, "entries": entries}
 
 
-def _free_context(names: tuple[str, ...], k: int, trunc: int) -> _Context:
-    """The free model: the truncated free algebra over the ring k selects,
-    the k-generator Weil ring or, for k = -n, Q[t]/(t^(n+1))."""
-    gens = [AssocPoly.generator(names, i, trunc, k) for i in range(len(names))]
-    return _Context(k, gens, AssocPoly.one(names, trunc, k), poly_exp, poly_inv, _poly_witness)
+def _free_context(names: tuple[str, ...], ring: tuple, trunc: int) -> _Context:
+    """The free model: the truncated free algebra over the ring."""
+    gens = [AssocPoly.generator(names, i, trunc, ring) for i in range(len(names))]
+    one = AssocPoly.one(names, trunc, ring)
+    return _Context(ring, gens, one, poly_exp, poly_inv, _poly_witness)
 
 
-def _matrix_context(k: int, dim: int, seed: int, count: int) -> _Context:
-    """The matrix model: seeded dim x dim nilpotent matrices over the ring k
-    selects, as in ``_free_context``."""
-    gens = [m.lift(k) for m in gen_nilmatrix(dim, seed, count)]
-    one = NilMatrix.identity(dim, k)
-    return _Context(k, gens, one, NilMatrix.exp, NilMatrix.inv, _matrix_witness)
+def _matrix_context(ring: tuple, dim: int, seed: int, count: int) -> _Context:
+    """The matrix model: seeded dim x dim nilpotent matrices over the ring."""
+    gens = [m.lift(ring) for m in gen_nilmatrix(dim, seed, count)]
+    one = NilMatrix.identity(dim, ring)
+    return _Context(ring, gens, one, NilMatrix.exp, NilMatrix.inv, _matrix_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +259,23 @@ def _deficit(expr, found: set) -> float:
 
 
 @cache
-def _plan(identity_id: str) -> tuple[int, int | None, int, int]:
-    """(weil_k, reach, n_d, gens) of an identity, from one ``_deficit`` walk,
+def _plan(identity_id: str) -> tuple[tuple, int | None, int, int]:
+    """(ring, reach, n_d, gens) of an identity, from one ``_deficit`` walk,
     cached by id since the catalog is fixed once imported: n_d is the
     highest infinitesimal index of any weight (0 without one), gens one more
     than the largest generator index.
 
-    weil_k is -n_d, for Q[t]/(t^(n_d+1)) with t standing for sd = d1 + ...
+    The ring is (n_d,), Q[t]/(t^(n_d+1)) with t standing for sd = d1 + ...
     + d_n_d, when every weight is sd^m or em(m) and a generator occurs; else
-    n_d (at least 1), for the Weil ring, as also among Lie elements.  t -> sd
-    is an injective ring map (sd^m = m! em(m), lemma 6.0, and em(1..n_d) are
-    linearly independent), so both rings decide alike; ``lemma-6.0`` has no
-    generator: it is that lemma, and stays in the Weil ring.  The reach is
-    |weil_k| when every side has deficit <= 0, else None: a term of such a
-    side has at least as many infinitesimals as letters, and a product of
-    more than |weil_k| of them vanishes, so the free model truncated at the
-    reach decides the identity as at any truncation above.
+    (1,)*n_d (n_d at least 1), the Weil ring, as also among Lie elements;
+    at n_d = 1 the two are one ring.  t -> sd is an injective ring map
+    (sd^m = m! em(m), lemma 6.0, and em(1..n_d) are linearly independent),
+    so both rings decide alike; ``lemma-6.0`` has no generator: it is that
+    lemma, and stays in the Weil ring.  The reach is sum(ring) when every
+    side has deficit <= 0, else None: a term of such a side has at least as
+    many infinitesimals as letters, and a product of more than sum(ring) of
+    them vanishes, so the free model truncated at the reach decides the
+    identity as at any truncation above.
     """
     entry, found = _BY_ID[identity_id], set()
     bounded = max([_deficit(side, found) for pair in entry.pairs for side in pair]) <= 0
@@ -281,8 +283,8 @@ def _plan(identity_id: str) -> tuple[int, int | None, int, int]:
     n_d = max([top for _, top in weights], default=0)
     gens = max([i for i in found if type(i) is int], default=-1) + 1
     sd_only = gens and not entry.lie_degree and weights and all(w[0] in (EM, POW) for w in weights)
-    k = -n_d if sd_only else max(n_d, 1)
-    return k, abs(k) if bounded else None, n_d, gens
+    ring = (n_d,) if sd_only else (1,) * max(n_d, 1)
+    return ring, sum(ring) if bounded else None, n_d, gens
 
 
 def _context_for(entry: _Identity, model: str, params: CheckParams):
@@ -296,11 +298,11 @@ def _context_for(entry: _Identity, model: str, params: CheckParams):
         raise InsufficientModel(f"{entry.id} needs {what} >= {need}, got {got}")
     if entry.lie_degree:
         return _TableContext(entry.lie_degree)
-    k, reach, _, gens = _plan(entry.id)
+    ring, reach, _, gens = _plan(entry.id)
     if model == "free":
         trunc = params.trunc if reach is None else min(params.trunc, reach)
-        return _free_context(default_names(gens), k, trunc)
-    return _matrix_context(k, params.dim, params.seed, gens)
+        return _free_context(default_names(gens), ring, trunc)
+    return _matrix_context(ring, params.dim, params.seed, gens)
 
 
 def check_identity(

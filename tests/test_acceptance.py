@@ -198,7 +198,7 @@ def test_criterion_8_property_suites():
 
     # divided powers for n <= 6, via repeated multiplication
     for n in range(1, 7):
-        power = WeilElement.one(n)
+        power = WeilElement.one((1,) * n)
         for m in range(1, n + 1):
             power = power * weil_sum(n)
             assert power == weil_power_sum(n, m) * factorial(m)

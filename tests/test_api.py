@@ -14,7 +14,7 @@ import nilbch
 from nilbch.assoc import AssocPoly
 from nilbch.freelie import LieElement
 from nilbch.matrix import NilMatrix
-from nilbch.scalars import Numerators, WeilElement, _LocalScalar
+from nilbch.scalars import Numerators, WeilElement
 
 SRC = Path(nilbch.__file__).parent
 
@@ -154,15 +154,14 @@ def test_importing_the_cli_loads_no_introspection_modules():
 
 def test_numerators_subclasses_keep_one_numerator_half():
     # sums, negation, scaling, truth value and the gcd reduction live once,
-    # in Numerators, for every algebra class stored as numerator rows, the
-    # two local scalar rings through their shared _LocalScalar
+    # in Numerators, for every algebra class stored as numerator rows, one
+    # scalar class serving every Weil algebra
     subclasses, i = Numerators.__subclasses__(), 0
     while i < len(subclasses):
         subclasses += subclasses[i].__subclasses__()
         i += 1
     names = sorted(cls.__name__ for cls in subclasses)
-    assert names == ["AssocPoly", "LieElement", "NilMatrix", "TElement", "WeilElement",
-                     "_LocalScalar"]
+    assert names == ["AssocPoly", "LieElement", "NilMatrix", "WeilElement"]
     shared = {"_with", "_wrap", "_make", "__neg__", "__bool__", "_scaled", "_check_operand"}
     assert shared <= set(vars(Numerators))
     for cls in subclasses:
@@ -174,13 +173,13 @@ def test_numerators_subclasses_keep_one_numerator_half():
 
 
 def test_algebra_fields_are_read_only_and_no_module_compiles_code():
-    values = {
-        "trunc": AssocPoly.one(("X", "Y"), 3),
-        "weil_k": NilMatrix.identity(3, 2),
-        "max_degree": LieElement.zero(("X", "Y"), 4),
-        "k": WeilElement.one(2),
-    }
-    for name, value in values.items():
+    values = [
+        ("trunc", AssocPoly.one(("X", "Y"), 3)),
+        ("ring", NilMatrix.identity(3, (1, 1))),
+        ("max_degree", LieElement.zero(("X", "Y"), 4)),
+        ("ring", WeilElement.one((2,))),
+    ]
+    for name, value in values:
         with pytest.raises(AttributeError):
             setattr(value, name, 1)
     callers = [
@@ -194,7 +193,10 @@ def test_algebra_fields_are_read_only_and_no_module_compiles_code():
 
 def test_polynomials_and_matrices_share_one_ring_scaling():
     # one scaling by a ring scalar, rings.ring_scale over scalars.scale_terms,
-    # which the local scalar product runs too; WeilElement keeps its own
-    # __mul__ and __rmul__ bindings, which bench/tracer.py wraps by name
+    # which the scalar product runs too; WeilElement defines __mul__ and
+    # __rmul__, __add__ and __radd__ and inverse in its own body, where
+    # bench/tracer.py wraps them by name
     assert AssocPoly.scale is NilMatrix.scale
-    assert vars(WeilElement)["__mul__"] is vars(WeilElement)["__rmul__"] is _LocalScalar.__mul__
+    own = vars(WeilElement)
+    assert own["__mul__"] is own["__rmul__"] and own["__add__"] is own["__radd__"]
+    assert "inverse" in own and "coeffs" in own

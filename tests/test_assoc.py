@@ -21,8 +21,8 @@ from nilbch.errors import (
     NotUnipotent,
 )
 from nilbch.freelie import LieElement, dynkin_project, lie_bracket, lie_embed
-from nilbch.rings import TElement, scalar_type
 from nilbch.scalars import WeilElement
+from test_weilcheck import _keys, ring_id
 
 XY = ("X", "Y")
 
@@ -31,17 +31,22 @@ def rational_gen(i, trunc=4):
     return AssocPoly.generator(XY, i, trunc)
 
 
-def weil_gen(i, k=2, trunc=4):
-    return AssocPoly.generator(XY, i, trunc, k)
+def weil(k):
+    """The Weil ring Q[d1..dk]/(di^2), of k orders 1."""
+    return (1,) * k
 
 
-def random_poly(rng, trunc=4, weil_k=None):
-    poly = AssocPoly(XY, trunc, weil_k)
+def weil_gen(i, ring=(1, 1), trunc=4):
+    return AssocPoly.generator(XY, i, trunc, ring)
+
+
+def random_poly(rng, trunc=4, ring=None):
+    poly = AssocPoly(XY, trunc, ring)
     for _ in range(rng.randint(1, 4)):
         length = rng.randint(0, trunc)
         word = tuple(rng.randint(0, 1) for _ in range(length))
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        poly = poly + AssocPoly(XY, trunc, weil_k, {word: coeff})
+        poly = poly + AssocPoly(XY, trunc, ring, {word: coeff})
     return poly
 
 
@@ -51,12 +56,12 @@ def augmentation(rng, trunc=4):
 
 
 def test_infinitesimal_product_expansion():
-    d1 = WeilElement.generator(2, 1)
-    d2 = WeilElement.generator(2, 2)
+    d1 = WeilElement.generator(weil(2), 1)
+    d2 = WeilElement.generator(weil(2), 2)
     x, y = weil_gen(0), weil_gen(1)
-    one = AssocPoly.one(XY, 4, 2)
+    one = AssocPoly.one(XY, 4, (1, 1))
     lhs = poly_mul(one + x.scale(d1), one + y.scale(d2))
-    xy = AssocPoly(XY, 4, 2, {(0, 1): d1 * d2})
+    xy = AssocPoly(XY, 4, (1, 1), {(0, 1): d1 * d2})
     assert lhs == one + x.scale(d1) + y.scale(d2) + xy
 
 
@@ -82,9 +87,9 @@ def test_exp_of_zero():
 
 
 def test_exp_of_single_infinitesimal():
-    d1 = WeilElement.generator(1, 1)
-    x = weil_gen(0, k=1)
-    assert poly_exp(x.scale(d1)) == AssocPoly.one(XY, 4, 1) + x.scale(d1)
+    d1 = WeilElement.generator(weil(1), 1)
+    x = weil_gen(0, ring=(1,))
+    assert poly_exp(x.scale(d1)) == AssocPoly.one(XY, 4, (1,)) + x.scale(d1)
 
 
 def test_exp_truncated_series():
@@ -110,10 +115,10 @@ def test_log_of_one():
 
 def test_log_of_infinitesimal_product():
     # log((1+d1 X)(1+d2 Y)) = d1 X + d2 Y + 1/2 d1 d2 (XY - YX)
-    d1 = WeilElement.generator(2, 1)
-    d2 = WeilElement.generator(2, 2)
+    d1 = WeilElement.generator(weil(2), 1)
+    d2 = WeilElement.generator(weil(2), 2)
     x, y = weil_gen(0), weil_gen(1)
-    one = AssocPoly.one(XY, 4, 2)
+    one = AssocPoly.one(XY, 4, (1, 1))
     product = poly_mul(one + x.scale(d1), one + y.scale(d2))
     expected = (
         x.scale(d1)
@@ -144,9 +149,9 @@ def test_log_rejects_wrong_constant():
 
 
 def test_inv_of_tangent_element():
-    d1 = WeilElement.generator(1, 1)
-    x = weil_gen(0, k=1)
-    one = AssocPoly.one(XY, 4, 1)
+    d1 = WeilElement.generator(weil(1), 1)
+    x = weil_gen(0, ring=(1,))
+    one = AssocPoly.one(XY, 4, (1,))
     assert poly_inv(one + x.scale(d1)) == one - x.scale(d1)
 
 
@@ -172,9 +177,9 @@ def test_inv_of_general_unit():
 def test_inv_rejects_zero_constant():
     with pytest.raises(NotInvertible, match="constant term is not a unit"):
         poly_inv(rational_gen(0))
-    d1 = WeilElement.generator(2, 1)
+    d1 = WeilElement.generator(weil(2), 1)
     with pytest.raises(NotInvertible, match="constant term is not a unit"):
-        poly_inv(AssocPoly.one(XY, 4, 2).scale(d1) + weil_gen(0))
+        poly_inv(AssocPoly.one(XY, 4, (1, 1)).scale(d1) + weil_gen(0))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -182,15 +187,16 @@ def test_inv_of_a_unit_with_an_infinitesimal_constant(k):
     # A constant with nilpotent Weil terms lengthens the series past trunc:
     # (2 + d1 + X)^-1 has a nonzero d1 X^trunc term, which only the
     # (trunc+1)-th power of the series gives.
-    d = [WeilElement.generator(k, i) for i in range(1, k + 1)]
+    ring = weil(k)
+    d = [WeilElement.generator(ring, i) for i in range(1, k + 1)]
     constants = [
         2 + d[0] - d[0] * d[-1] * Fraction(1, 3),
         -3 + sum(d[1:], d[0]),
         d[0] * d[-1] - 2 * d[-1] + Fraction(5, 7),
     ]
     for trunc in range(1, 5):
-        one = AssocPoly.one(XY, trunc, k)
-        x, y = (AssocPoly.generator(XY, i, trunc, k) for i in (0, 1))
+        one = AssocPoly.one(XY, trunc, ring)
+        x, y = (AssocPoly.generator(XY, i, trunc, ring) for i in (0, 1))
         tail = x - poly_mul(y, x).scale(Fraction(1, 2)) + y.scale(d[-1])
         for c in constants:
             a = one.scale(c) + tail
@@ -203,11 +209,11 @@ def random_weil_poly(rng, trunc=4, k=2):
     terms = {}
     for _ in range(rng.randint(1, 4)):
         word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, trunc)))
-        terms[word] = WeilElement(k, {
+        terms[word] = WeilElement(weil(k), {
             rng.randrange(1 << k): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             for _ in range(2)
         })
-    return AssocPoly(XY, trunc, k, terms)
+    return AssocPoly(XY, trunc, weil(k), terms)
 
 
 def test_operation_results_are_clean():
@@ -215,15 +221,15 @@ def test_operation_results_are_clean():
     # their results without revalidation; each must be exactly what the
     # validating constructor makes of it.
     rng = random.Random(1979)
-    d1, d2 = WeilElement.generator(2, 1), WeilElement.generator(2, 2)
+    d1, d2 = WeilElement.generator(weil(2), 1), WeilElement.generator(weil(2), 2)
     # d1 * d1 = 0: the (0,) term must leave, not stay as a zero coefficient
-    killed = AssocPoly(XY, 4, 2, {(0,): d1, (1,): d1 + d2}).scale(d1)
+    killed = AssocPoly(XY, 4, (1, 1), {(0,): d1, (1,): d1 + d2}).scale(d1)
     assert killed.terms == {(1,): d1 * d2}
     for _ in range(150):
         a, b = random_poly(rng), random_poly(rng)
         wa, wb = random_weil_poly(rng), random_weil_poly(rng)
         q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        w = WeilElement(2, {rng.randrange(4): rng.randint(-2, 2) for _ in range(2)})
+        w = WeilElement(weil(2), {rng.randrange(4): rng.randint(-2, 2) for _ in range(2)})
         n = rng.randint(0, 4)
         results = [
             killed, a + b, a - b, a - a, -a, a * rng.randint(-3, 3), 2 * a, a * q,
@@ -233,8 +239,8 @@ def test_operation_results_are_clean():
             wa.degree_part(n),
         ]
         for r in results:
-            assert r == AssocPoly(r.alphabet, r.trunc, r.weil_k, dict(r.terms))
-            ring = Fraction if r.weil_k is None else WeilElement
+            assert r == AssocPoly(r.alphabet, r.trunc, r.ring, dict(r.terms))
+            ring = Fraction if r.ring is None else WeilElement
             assert all(
                 type(c) is ring and c and len(word) <= r.trunc
                 for word, c in r.terms.items()
@@ -245,13 +251,13 @@ def test_public_constructor_rejects_letters_outside_the_alphabet():
     with pytest.raises(AlgebraMismatch):
         AssocPoly(XY, 3, None, {(5,): 1})
     with pytest.raises(AlgebraMismatch):
-        AssocPoly(XY, 3, 2, {(0, -1): 1})
+        AssocPoly(XY, 3, (1, 1), {(0, -1): 1})
 
 
 def test_weil_scalar_acts_on_extended_poly():
-    d1 = WeilElement.generator(2, 1)
+    d1 = WeilElement.generator(weil(2), 1)
     assert weil_gen(0).scale(d1) == AssocPoly(
-        XY, 4, 2, {(0,): d1}
+        XY, 4, (1, 1), {(0,): d1}
     )
 
 
@@ -259,10 +265,10 @@ def test_weil_scalar_acts_on_extended_poly():
 def test_rational_scale_equals_scaling_by_the_lifted_rational(scalar):
     # scale applies a rational to each coefficient directly; lifting it into
     # the coefficient ring first must give the same polynomial
-    d1, d2 = WeilElement.generator(2, 1), WeilElement.generator(2, 2)
+    d1, d2 = WeilElement.generator(weil(2), 1), WeilElement.generator(weil(2), 2)
     x, y = weil_gen(0), weil_gen(1)
-    weil = x.scale(d1 + Fraction(1, 3)) + poly_mul(x, y).scale(d1 * d2) + y.scale(6)
-    assert weil.scale(scalar) == weil.scale(WeilElement.from_rational(2, scalar))
+    p = x.scale(d1 + Fraction(1, 3)) + poly_mul(x, y).scale(d1 * d2) + y.scale(6)
+    assert p.scale(scalar) == p.scale(WeilElement.from_rational(weil(2), scalar))
     rational = rational_gen(0).scale(Fraction(1, 3)) + poly_mul(rational_gen(0), rational_gen(1))
     assert rational.scale(scalar) == rational.scale(Fraction(scalar))
     assert all(type(c) is Fraction for c in rational.scale(scalar).terms.values())
@@ -309,9 +315,9 @@ def test_truncation_mismatch_is_an_error():
 
 def test_scaling_by_a_weil_scalar_of_another_ring_is_an_error():
     with pytest.raises(AlgebraMismatch):
-        rational_gen(0).scale(WeilElement.generator(2, 1))
+        rational_gen(0).scale(WeilElement.generator(weil(2), 1))
     with pytest.raises(GeneratorCountMismatch):
-        weil_gen(0, k=2).scale(WeilElement.generator(3, 1))
+        weil_gen(0, ring=(1, 1)).scale(WeilElement.generator(weil(3), 1))
 
 
 def test_assoc_and_lie_elements_neither_add_nor_subtract():
@@ -362,34 +368,32 @@ def _ref_series(out, first, coeffs, trunc):
     return out
 
 
-def _ref_ring(k):
-    if k is None:
+def _ref_ring(ring):
+    if ring is None:
         return lambda q: Fraction(q)
-    kind, n = scalar_type(k)
-    return lambda q: kind.from_rational(n, q)
+    return lambda q: WeilElement.from_rational(ring, q)
 
 
-def _random_coeff(rng, k):
+def _random_coeff(rng, ring):
     def q():
         return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 8, 12]))
 
-    if k is None:
+    if ring is None:
         return q()
-    kind, n = scalar_type(k)
-    keys = 1 << n if kind is WeilElement else n + 1
-    return kind(n, {rng.randrange(keys): q() for _ in range(rng.randint(1, 3))})
+    keys = _keys(ring)
+    return WeilElement(ring, {rng.choice(keys): q() for _ in range(rng.randint(1, 3))})
 
 
-def _random_word_poly(rng, alphabet, trunc, k, terms=None, constant=None):
+def _random_word_poly(rng, alphabet, trunc, ring, terms=None, constant=None):
     """A polynomial of ``terms`` random terms (1 to 5 if None), with a constant
     term of ``constant`` if given."""
     coeffs = {}
     for _ in range(terms or rng.randint(1, 5)):
         word = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(1, trunc)))
-        coeffs[word] = _random_coeff(rng, k)
+        coeffs[word] = _random_coeff(rng, ring)
     if constant is not None:
         coeffs[()] = constant
-    return AssocPoly(alphabet, trunc, k, coeffs)
+    return AssocPoly(alphabet, trunc, ring, coeffs)
 
 
 def _assert_canonical(p):
@@ -400,21 +404,21 @@ def _assert_canonical(p):
     assert gcd(p._den, *nums) == 1
 
 
-@pytest.mark.parametrize("alphabet, k", [
-    (XY, None), (XY, 2), (("X", "Y", "Z"), None), (("X", "Y", "Z"), 3), (("X",), 2),
-    (XY, -3), (("X",), -1),
-])
-def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, k):
-    rng = random.Random(f"poly-kernel-{len(alphabet)}-{k}")
-    lift = _ref_ring(k)
+@pytest.mark.parametrize("alphabet, ring", [
+    (XY, None), (XY, (1, 1)), (("X", "Y", "Z"), None), (("X", "Y", "Z"), (1, 1, 1)),
+    (("X",), (1, 1)), (XY, (3,)), (("X",), (1,)), (XY, (2, 1)),
+], ids=ring_id)
+def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, ring):
+    rng = random.Random(f"poly-kernel-{len(alphabet)}-{ring_id(ring)}")
+    lift = _ref_ring(ring)
     for _ in range(40):
         trunc = rng.randint(2, 4)
-        a, b = (_random_word_poly(rng, alphabet, trunc, k) for _ in range(2))
+        a, b = (_random_word_poly(rng, alphabet, trunc, ring) for _ in range(2))
         # one term by one term, with unrelated denominators
-        a1, b1 = (_random_word_poly(rng, alphabet, trunc, k, terms=1) for _ in range(2))
+        a1, b1 = (_random_word_poly(rng, alphabet, trunc, ring, terms=1) for _ in range(2))
         c = rng.randint(1, 5)
-        unit = _random_word_poly(rng, alphabet, trunc, k, constant=lift(c))
-        unipotent = _random_word_poly(rng, alphabet, trunc, k, constant=lift(1))
+        unit = _random_word_poly(rng, alphabet, trunc, ring, constant=lift(c))
+        unipotent = _random_word_poly(rng, alphabet, trunc, ring, constant=lift(1))
         ra, rb, one = a.terms, b.terms, {(): lift(1)}
         n, q = rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 7))
         cases = [
@@ -437,21 +441,21 @@ def test_numerator_kernel_matches_the_word_by_word_reference(alphabet, k):
         cases.append(
             (poly_inv(unit), _ref_scale(_ref_series(one, nil, [1] * trunc, trunc), c_inv))
         )
-        if k is not None:
-            w = _random_coeff(rng, k)
-            d1 = WeilElement.generator(k, 1) if k > 0 else TElement(-k, {1: 1})
+        if ring is not None:
+            w = _random_coeff(rng, ring)
+            d1 = WeilElement.generator(ring, 1)
             cases += [(a.scale(w), _ref_scale(ra, w)), (a.scale(d1), _ref_scale(ra, d1))]
         for result, expected in cases:
             assert result.terms == expected
             _assert_canonical(result)
-            assert result == AssocPoly(alphabet, trunc, k, expected)
+            assert result == AssocPoly(alphabet, trunc, ring, expected)
 
 
 def test_equal_values_have_equal_numerators_and_denominator():
     rng = random.Random(1981)
-    for k in (None, 2):
+    for ring in (None, (1, 1)):
         for _ in range(60):
-            a, b, c = (_random_word_poly(rng, XY, 4, k) for _ in range(3))
+            a, b, c = (_random_word_poly(rng, XY, 4, ring) for _ in range(3))
             q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             routes = [
                 (poly_mul(a + b, c), poly_mul(a, c) + poly_mul(b, c)),
@@ -459,7 +463,7 @@ def test_equal_values_have_equal_numerators_and_denominator():
                 ((a - b) + b, a),
                 (a.scale(2), a + a),
                 (poly_mul(a, poly_mul(b, c)), poly_mul(poly_mul(a, b), c)),
-                (AssocPoly(XY, 4, k, a.terms), a),
+                (AssocPoly(XY, 4, ring, a.terms), a),
                 (a.degree_part(2) + (a - a.degree_part(2)), a),
             ]
             for x, y in routes:

@@ -18,11 +18,11 @@ from nilbch.scalars import WeilElement, combination, weil_sum
 from nilbch.series import AD
 
 XY = ("X", "Y")
-K = 2  # generators of the Weil scalars below
+RING = (1, 1)  # the Weil ring of the scalars below
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
-weils = st.dictionaries(st.integers(0, (1 << K) - 1), fractions, max_size=4).map(
-    lambda coeffs: WeilElement(K, coeffs)
+weils = st.dictionaries(st.integers(0, (1 << len(RING)) - 1), fractions, max_size=4).map(
+    lambda coeffs: WeilElement(RING, coeffs)
 )
 words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
 lie_monos = st.sampled_from([0, 1, (0, 1), (0, (0, 1)), ((0, 1), 1)])
@@ -34,13 +34,13 @@ ALGEBRAS = {
         lambda terms: AssocPoly(XY, 2, None, terms)
     ),
     "weil-poly": st.dictionaries(words, weils, max_size=4).map(
-        lambda terms: AssocPoly(XY, 2, K, terms)
+        lambda terms: AssocPoly(XY, 2, RING, terms)
     ),
     "matrix": st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=3, max_size=3).map(
         lambda rows: NilMatrix(3, None, rows)
     ),
     "weil-matrix": st.lists(st.lists(weils, min_size=2, max_size=2), min_size=2, max_size=2).map(
-        lambda rows: NilMatrix(2, K, rows)
+        lambda rows: NilMatrix(2, RING, rows)
     ),
     "lie": st.dictionaries(lie_monos, fractions, max_size=4).map(
         lambda terms: LieElement(XY, 3, terms)
@@ -102,8 +102,8 @@ def test_two_term_combination_is_the_sum(algebra, data):
 MIXED = [
     (AssocPoly.generator(XY, 0, 2), AssocPoly.generator(XY, 0, 3).scale(Fraction(1, 2)),
      AlgebraMismatch),
-    (AssocPoly.generator(XY, 0, 2), AssocPoly.generator(XY, 0, 2, K), AlgebraMismatch),
-    (WeilElement.generator(2, 1), WeilElement.generator(3, 1) * Fraction(3, 2),
+    (AssocPoly.generator(XY, 0, 2), AssocPoly.generator(XY, 0, 2, RING), AlgebraMismatch),
+    (WeilElement.generator((1, 1), 1), WeilElement.generator((1, 1, 1), 1) * Fraction(3, 2),
      GeneratorCountMismatch),
     (NilMatrix.identity(3), NilMatrix.identity(4).scale(Fraction(1, 3)), AlgebraMismatch),
     (LieElement.generator(XY, 0, 3), LieElement.generator(("A", "B"), 0, 3), AlphabetMismatch),
@@ -139,16 +139,16 @@ def _series_values(n: int) -> dict:
     """exp, log, geometric, ad and conjugation series at order n, each
     through power_series."""
     x, y = (AssocPoly.generator(XY, i, n) for i in (0, 1))
-    k = min(n, 3)
-    sd = weil_sum(k)
-    wx, wy = (AssocPoly.generator(XY, i, n, k) for i in (0, 1))
+    ring = (1,) * min(n, 3)
+    sd = weil_sum(len(ring))
+    wx, wy = (AssocPoly.generator(XY, i, n, ring) for i in (0, 1))
     m = gen_nilmatrix(n + 1, 7 + n, 1)[0]
     table = series._TableContext(n)
-    weil = WeilElement(n, {0: 3, 1: Fraction(-1, 2), (1 << n) - 1: Fraction(5, 7)})
+    weil = WeilElement((1,) * n, {0: 3, 1: Fraction(-1, 2), (1 << n) - 1: Fraction(5, 7)})
     return {
         "exp": poly_exp(x + y.scale(Fraction(2, 3))),
         "exp-weil": poly_exp((wx + wy).scale(sd)),
-        "exp-matrix": m.lift(k).scale(sd).exp(),
+        "exp-matrix": m.lift(ring).scale(sd).exp(),
         "log": poly_log(poly_mul(poly_exp(x), poly_exp(y))),
         "log-weil": poly_log(poly_mul(poly_exp(wx.scale(sd)), poly_exp(wy.scale(sd)))),
         "geometric": poly_inv(x.scale(3) - y + AssocPoly._unit_term(x._alg, 0, 0).scale(Fraction(1, 2))),

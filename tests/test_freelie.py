@@ -308,7 +308,7 @@ def test_operation_results_are_clean():
                 for m, c in terms
             )
         for r in (lie_embed(a), lie_embed(lie_bracket(a, b)), lie_embed(projected)):
-            assert r == AssocPoly(r.alphabet, r.trunc, r.weil_k, dict(r.terms))
+            assert r == AssocPoly(r.alphabet, r.trunc, r.ring, dict(r.terms))
             assert all(
                 type(c) is Fraction and c and len(word) <= r.trunc
                 for word, c in r.terms.items()

@@ -1,9 +1,9 @@
-"""Exact scalar rings: rationals and the square-zero Weil algebra."""
+"""Exact scalar rings: rationals and the Weil algebras of tuples of orders."""
 
 import random
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -11,11 +11,12 @@ from nilbch.assoc import AssocPoly, poly_mul
 from nilbch.errors import DivisionByZero, GeneratorCountMismatch
 from nilbch.freelie import LieElement, lie_bracket
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.rings import TElement
 from nilbch.scalars import (
-    MAX_GENERATORS,
-    MAX_T_DEGREE,
+    MAX_KEY_BITS,
+    MAX_ORDER,
     WeilElement,
+    exponents,
+    key_shift,
     pair_factors,
     power_series,
     weil_power_sum,
@@ -23,8 +24,13 @@ from nilbch.scalars import (
 )
 
 
+def weil(k):
+    """The Weil ring Q[d1..dk]/(di^2), of k orders 1."""
+    return (1,) * k
+
+
 def d(k, i):
-    return WeilElement.generator(k, i)
+    return WeilElement.generator(weil(k), i)
 
 
 def random_weil(rng, k, max_terms=4, coeff_range=6):
@@ -34,14 +40,14 @@ def random_weil(rng, k, max_terms=4, coeff_range=6):
         num = rng.randint(-coeff_range, coeff_range)
         den = rng.randint(1, coeff_range)
         coeffs[mask] = Fraction(num, den)
-    return WeilElement(k, coeffs)
+    return WeilElement(weil(k), coeffs)
 
 
 # -- Weil elements -----------------------------------------------------------
 
 
 def test_generator_squares_to_zero():
-    assert d(2, 1) * d(2, 1) == WeilElement.zero(2)
+    assert d(2, 1) * d(2, 1) == WeilElement.zero(weil(2))
 
 
 def test_square_of_sum_of_two():
@@ -51,7 +57,7 @@ def test_square_of_sum_of_two():
 
 
 def test_unit_plus_minus_infinitesimal():
-    one = WeilElement.one(1)
+    one = WeilElement.one(weil(1))
     d1 = d(1, 1)
     assert (one + d1) * (one - d1) == one
 
@@ -63,14 +69,18 @@ def test_mismatched_generator_counts():
 
 def test_generator_count_bounds():
     with pytest.raises(GeneratorCountMismatch):
-        WeilElement.zero(0)
+        WeilElement.zero(weil(0))
     with pytest.raises(GeneratorCountMismatch):
-        WeilElement.zero(9)
+        WeilElement.zero(weil(9))
     with pytest.raises(GeneratorCountMismatch):
-        WeilElement.generator(2, 3)
+        WeilElement.generator(weil(2), 3)
+    with pytest.raises(GeneratorCountMismatch):
+        WeilElement.generator((2, 1), 0)
 
 
-BAD_RINGS = (0, 9, 40, -17, -40)
+# no order, an order outside 1..MAX_ORDER, keys wider than MAX_KEY_BITS (a
+# table of 4^40 or 4^10 entries), or an int in place of the tuple of orders
+BAD_RINGS = ((), weil(9), weil(40), (0,), (17,), (40,), (2, 0), (16, 16), 2, -2)
 
 
 @pytest.mark.parametrize("make", [
@@ -84,54 +94,97 @@ BAD_RINGS = (0, 9, 40, -17, -40)
     lambda w: pair_factors(w),
 ])
 def test_every_constructor_checks_its_ring_before_building_a_table(make):
-    # a weil_k of 40 would ask for a 4^40-entry table: the check comes first
+    # a ring of 40 generators would ask for a 4^40-entry table: the check comes first
     before = pair_factors.cache_info()
-    for weil_k in BAD_RINGS:
+    for ring in BAD_RINGS:
         with pytest.raises(GeneratorCountMismatch):
-            make(weil_k)
+            make(ring)
     assert pair_factors.cache_info().currsize == before.currsize
-    for weil_k in (None, 1, MAX_GENERATORS, -1, -MAX_T_DEGREE):
-        make(weil_k)
+    for ring in (None, (1,), weil(MAX_KEY_BITS), (MAX_ORDER,), (2, 1)):
+        make(ring)
 
 
 def test_weil_and_t_scalars_check_their_ring():
-    for k in BAD_RINGS:
-        for make in (WeilElement, WeilElement.one, WeilElement.zero):
+    for ring in (*BAD_RINGS, None):
+        for make in (WeilElement, WeilElement.one, WeilElement.zero,
+                     lambda ring: WeilElement.generator(ring, 1)):
             with pytest.raises(GeneratorCountMismatch):
-                make(k)
+                make(ring)
         with pytest.raises(GeneratorCountMismatch):
-            WeilElement.from_rational(k, 1)
-    for k in (0, 17, 40, -17, -40):
-        # weil_sum and weil_power_sum build the image of a t-ring under t -> sd
-        for make in (TElement, TElement.one, TElement.zero, weil_sum,
-                     lambda k: weil_power_sum(k, 1)):
+            WeilElement.from_rational(ring, 1)
+    for n in (0, 17, 40, -17, -40):
+        # weil_sum and weil_power_sum build the image of the ring (n,) under t -> sd
+        for make in (weil_sum, lambda n: weil_power_sum(n, 1)):
             with pytest.raises(GeneratorCountMismatch):
-                make(k)
-    t16 = TElement.one(16)  # Q[t]/(t^17) has a 17-entry table
-    assert t16 * TElement(16, {1: 1}) == TElement(16, {1: 1})
-    p = AssocPoly.generator(("X",), 0, 2, -16).scale(TElement(16, {16: 1}))
-    assert poly_mul(p, p) == AssocPoly(("X",), 2, -16)  # t^[16] t^[16] = 0
+                make(n)
+    t16 = WeilElement.one((16,))  # Q[t]/(t^17): a 32-by-32 table, 17 of its keys valid
+    assert t16 * WeilElement((16,), {1: 1}) == WeilElement((16,), {1: 1})
+    p = AssocPoly.generator(("X",), 0, 2, (16,)).scale(WeilElement((16,), {16: 1}))
+    assert poly_mul(p, p) == AssocPoly(("X",), 2, (16,))  # t^[16] t^[16] = 0
+    for ring, key in (((2,), 3), ((1,), 2), ((2, 1), 3), ((2, 1), 8), ((1, 2), 6)):
+        with pytest.raises(GeneratorCountMismatch):  # an exponent past its order
+            WeilElement(ring, {key: 1})
+
+
+def _monomials(ring):
+    """Each monomial of the ring as (key, exponents), the key packed here
+    field by field, x1 lowest, each field bit_length(n_i) bits wide."""
+    out = [(0, ())]
+    shift = 0
+    for n in ring:
+        out = [(key | (e << shift), (*exps, e)) for e in range(n + 1) for key, exps in out]
+        shift += n.bit_length()
+    return out
+
+
+def _ref_divided_mul(ring, a, b):
+    """x^[a] x^[b] in the divided-power basis, by way of the ordinary powers:
+    x^[a] = x^a / a!, x^a x^b = x^(a+b), zero past an order, and
+    x^(a+b) = (a+b)! x^[a+b]; a Fraction-dict from exponents to coefficient."""
+    value = Fraction(1)
+    for n, e1, e2 in zip(ring, a, b):
+        if e1 + e2 > n:
+            return {}
+        value *= Fraction(factorial(e1 + e2), factorial(e1) * factorial(e2))
+    return {tuple([e1 + e2 for e1, e2 in zip(a, b)]): value}
 
 
 def test_pair_factors_agree_with_independent_routes():
     assert pair_factors(None) == ((1,),)
-    assert pair_factors(-1) == pair_factors(1) == ((1, 1), (1, 0))
-    # t^[a] t^[b] = C(a+b, a) t^[a+b], mapped by t -> sd onto em(a+b)
-    for n in range(1, 11):
+    assert pair_factors((1,)) == ((1, 1), (1, 0))
+    # the Weil table: 1 for disjoint masks, else 0, and the Fraction-dict
+    # reference product of masks agrees
+    for k in range(1, MAX_KEY_BITS + 1):
+        table, size = pair_factors(weil(k)), 1 << k
+        assert table == tuple([tuple([0 if m1 & m2 else 1 for m2 in range(size)])
+                               for m1 in range(size)])
+        for m1 in range(size if k <= 5 else 0):
+            for m2 in range(size):
+                ref = _ref_mul({m1: Fraction(1)}, {m2: Fraction(1)})
+                assert ref == ({m1 + m2: table[m1][m2]} if table[m1][m2] else {})
+    # t^[a] t^[b] = C(a+b, a) t^[a+b] over (n,), and t -> sd maps it onto em(a+b)
+    for n in range(1, MAX_ORDER + 1):
+        table = pair_factors((n,))
         for a in range(n + 1):
             for b in range(n + 1):
-                product = TElement(n, {a: 1}) * TElement(n, {b: 1})
+                assert table[a][b] == (comb(a + b, a) if a + b <= n else 0)
+                if n > 10:
+                    continue
+                product = WeilElement((n,), {a: 1}) * WeilElement((n,), {b: 1})
                 if a + b:
                     assert product.weil_image() == weil_power_sum(n, a + b) * comb(a + b, a)
                 else:
                     assert product == 1
-    # the Weil table against the Fraction-dict reference product
-    for k in range(1, 6):
-        table = pair_factors(k)
-        for m1 in range(1 << k):
-            for m2 in range(1 << k):
-                ref = _ref_mul({m1: Fraction(1)}, {m2: Fraction(1)})
-                assert ref == ({m1 + m2: table[m1][m2]} if table[m1][m2] else {})
+    # mixed orders, against divided powers multiplied through ordinary powers;
+    # a product key that is no monomial's (a carry between fields) is a KeyError
+    for ring in ((2, 1), (1, 3)):
+        table, monomials = pair_factors(ring), _monomials(ring)
+        exps_of = dict(monomials)
+        assert len(exps_of) == len(monomials) == prod([n + 1 for n in ring])
+        for key1, a in monomials:
+            for key2, b in monomials:
+                f = table[key1][key2]
+                assert ({exps_of[key1 + key2]: f} if f else {}) == _ref_divided_mul(ring, a, b)
 
 
 def test_power_sum_two_of_two():
@@ -143,7 +196,7 @@ def test_power_sum_three_of_three():
 
 
 def test_power_sum_vanishes_beyond_generator_count():
-    assert weil_power_sum(3, 4) == WeilElement.zero(3)
+    assert weil_power_sum(3, 4) == WeilElement.zero(weil(3))
 
 
 def test_power_sum_rejects_bad_args():
@@ -156,7 +209,7 @@ def test_power_sum_rejects_bad_args():
 def test_divided_power_rule_exact():
     # (d1+...+dn)^m equals m! times the elementary symmetric sum, n <= 6
     for n in range(1, 7):
-        power = WeilElement.one(n)
+        power = WeilElement.one(weil(n))
         sd = weil_sum(n)
         for m in range(1, n + 1):
             power = power * sd
@@ -175,9 +228,9 @@ def test_ring_axioms_seeded():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a + WeilElement.zero(k) == a
-        assert a * WeilElement.one(k) == a
-        assert a - a == WeilElement.zero(k)
+        assert a + WeilElement.zero(weil(k)) == a
+        assert a * WeilElement.one(weil(k)) == a
+        assert a - a == WeilElement.zero(weil(k))
 
 
 def test_unit_inverse_exact():
@@ -185,7 +238,7 @@ def test_unit_inverse_exact():
     for _ in range(100):
         a = random_weil(rng, 4) + Fraction(rng.randint(1, 5))
         assert 0 in a.coeffs
-        assert a * a.inverse() == WeilElement.one(4)
+        assert a * a.inverse() == WeilElement.one(weil(4))
 
 
 def test_nonunit_has_no_inverse():
@@ -194,10 +247,10 @@ def test_nonunit_has_no_inverse():
 
 
 def test_scalar_part_and_coercion():
-    a = WeilElement.from_rational(2, Fraction(3, 4)) + d(2, 1)
+    a = WeilElement.from_rational(weil(2), Fraction(3, 4)) + d(2, 1)
     assert a - Fraction(3, 4) == d(2, 1)
     assert 2 * d(2, 1) == d(2, 1) + d(2, 1)
-    assert 3 - d(2, 1) == WeilElement.from_rational(2, 3) - d(2, 1)
+    assert 3 - d(2, 1) == WeilElement.from_rational(weil(2), 3) - d(2, 1)
     assert Fraction(5, 7) - 2 * d(2, 1) == -2 * d(2, 1) + Fraction(5, 7)
     for other in ("1/3", None):
         with pytest.raises(TypeError):
@@ -214,12 +267,12 @@ def test_only_ints_and_fractions_scale(scalar):
         lambda: AssocPoly.generator(("X",), 0, 2).scale(scalar),
         lambda: LieElement.generator(("X",), 0, 2).scale(scalar),
         lambda: x.scale(scalar),
-        lambda: WeilElement(2, {0: scalar}),
-        lambda: WeilElement.from_rational(2, scalar),
+        lambda: WeilElement(weil(2), {0: scalar}),
+        lambda: WeilElement.from_rational(weil(2), scalar),
         lambda: AssocPoly(("X",), 2, terms={(0,): scalar}),
         lambda: LieElement(("X",), 2, {0: scalar}),
         lambda: NilMatrix(2, None, [[0, scalar], [0, 0]]),
-        lambda: NilMatrix(2, 2, [[0, scalar], [0, 0]]),
+        lambda: NilMatrix(2, (1, 1), [[0, scalar], [0, 0]]),
     ]
     for scale in scalings:
         with pytest.raises(TypeError):
@@ -228,9 +281,9 @@ def test_only_ints_and_fractions_scale(scalar):
 
 def test_text_format():
     d1, d2 = d(2, 1), d(2, 2)
-    assert str(WeilElement.zero(2)) == "0"
+    assert str(WeilElement.zero(weil(2))) == "0"
     assert str(d1) == "d1"
-    assert str(WeilElement.one(2) - d1 * d2 * Fraction(1, 2)) == "1 - 1/2*d1d2"
+    assert str(WeilElement.one(weil(2)) - d1 * d2 * Fraction(1, 2)) == "1 - 1/2*d1d2"
     assert str(d1 * 3 + d2 * Fraction(-2, 5)) == "3*d1 - 2/5*d2"
 
 
@@ -254,7 +307,7 @@ def test_operation_results_are_clean():
             unit.inverse(),
         ]
         for r in results:
-            assert r == WeilElement(r.k, dict(r.coeffs))
+            assert r == WeilElement(r.ring, dict(r.coeffs))
             assert all(
                 type(v) is Fraction and v and 0 <= m < 1 << k for m, v in r.coeffs.items()
             )
@@ -262,8 +315,8 @@ def test_operation_results_are_clean():
 
 def test_public_constructor_validates():
     with pytest.raises(GeneratorCountMismatch):
-        WeilElement(2, {4: Fraction(1)})
-    a = WeilElement(2, {0: 0, 1: Fraction(0), 3: 2})
+        WeilElement(weil(2), {4: Fraction(1)})
+    a = WeilElement(weil(2), {0: 0, 1: Fraction(0), 3: 2})
     assert a.coeffs == {3: Fraction(2)}
     assert type(a.coeffs[3]) is Fraction
 
@@ -316,7 +369,8 @@ def _assert_canonical(x):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_int_numerator_kernel_matches_fraction_reference(k):
     sums = [weil_power_sum(k, m) for m in range(1, k + 2)]
-    for x in (WeilElement.zero(k), WeilElement.one(k), WeilElement.generator(k, k), *sums):
+    ring = weil(k)
+    for x in (WeilElement.zero(ring), WeilElement.one(ring), WeilElement.generator(ring, k), *sums):
         _assert_canonical(x)
     rng = random.Random(f"weil-kernel-{k}")
     for _ in range(200):
@@ -347,8 +401,8 @@ def test_int_numerator_kernel_matches_fraction_reference(k):
             (a * (b + c), a * b + a * c),
             ((a - b) + b, a),
             (a * 2, a + a),
-            (unit * unit.inverse(), WeilElement.one(k)),
-            (a * q, WeilElement(k, _ref_scale(ra, q))),
+            (unit * unit.inverse(), WeilElement.one(weil(k))),
+            (a * q, WeilElement(weil(k), _ref_scale(ra, q))),
         ]
         for x, y in routes:
             assert x == y
@@ -357,53 +411,59 @@ def test_int_numerator_kernel_matches_fraction_reference(k):
 
 def test_rational_weil_elements_hash_as_their_rationals():
     # equal objects must hash equal, across types too
-    for weil, rational in (
-        (WeilElement.one(2), 1),
-        (WeilElement.from_rational(3, Fraction(1, 2)), Fraction(1, 2)),
-        (WeilElement.zero(2), 0),
-        (WeilElement(1, {0: -4}), -4),
+    for value, rational in (
+        (WeilElement.one(weil(2)), 1),
+        (WeilElement.from_rational(weil(3), Fraction(1, 2)), Fraction(1, 2)),
+        (WeilElement.zero(weil(2)), 0),
+        (WeilElement(weil(1), {0: -4}), -4),
     ):
-        assert weil == rational
-        assert hash(weil) == hash(rational)
-    assert {1: "x"}.get(WeilElement.one(2)) == "x"
-    assert {Fraction(1, 2): "half"}[WeilElement.from_rational(3, Fraction(1, 2))] == "half"
+        assert value == rational
+        assert hash(value) == hash(rational)
+    assert {1: "x"}.get(WeilElement.one(weil(2))) == "x"
+    assert {Fraction(1, 2): "half"}[WeilElement.from_rational(weil(3), Fraction(1, 2))] == "half"
 
 
 def test_equality_is_transitive_across_generator_counts():
     # With no infinitesimal term a value is a rational, whatever k; an
     # infinitesimal term ties it to its k.
-    one2, one3 = WeilElement.one(2), WeilElement.one(3)
+    one2, one3 = WeilElement.one(weil(2)), WeilElement.one(weil(3))
     assert one2 == 1 and 1 == one3 and one2 == one3
     assert len({one2, one3}) == 1
     assert len({1, one2, one3}) == 1
-    halves = [WeilElement.from_rational(k, Fraction(1, 2)) for k in (1, 2, 5)]
+    halves = [WeilElement.from_rational(weil(k), Fraction(1, 2)) for k in (1, 2, 5)]
     assert len(set(halves)) == 1 and all(h == Fraction(1, 2) for h in halves)
-    assert WeilElement.zero(1) == WeilElement.zero(4) == 0
-    d1s = [WeilElement.generator(k, 1) for k in (1, 2)]
+    assert WeilElement.zero(weil(1)) == WeilElement.zero(weil(4)) == 0
+    d1s = [WeilElement.generator(weil(k), 1) for k in (1, 2)]
     assert d1s[0] != d1s[1] and len(set(d1s)) == 2
-    assert one2 + d1s[1] != one2 and one2 + d1s[1] != WeilElement.one(1) + d1s[0]
+    assert one2 + d1s[1] != one2 and one2 + d1s[1] != WeilElement.one(weil(1)) + d1s[0]
 
 
 def test_t_elements_multiply_in_the_divided_power_basis():
     # key e holds t^[e] = t^e / e!, the preimage of em(e) under t -> sd
-    t = TElement(3, {1: 1})
-    assert t * t == TElement(3, {2: 2}) and t * t * t == TElement(3, {3: 6})
-    assert t * t * t * t == TElement.zero(3) == 0
-    assert str(1 - t * t * Fraction(1, 4)) == "1 - 1/2*t^[2]"
-    power, sd_power = TElement.one(3), WeilElement.one(3)
+    t = WeilElement.generator((3,), 1)
+    assert t * t == WeilElement((3,), {2: 2}) and t * t * t == WeilElement((3,), {3: 6})
+    assert t * t * t * t == WeilElement.zero((3,)) == 0
+    assert str(1 - t * t * Fraction(1, 4)) == "1 - 1/2*d1^[2]"
+    power, sd_power = WeilElement.one((3,)), WeilElement.one(weil(3))
     for _ in range(4):  # t^m -> sd^m
         assert power.weil_image() == sd_power
         power, sd_power = power * t, sd_power * weil_sum(3)
-    assert TElement(3, {2: 1}).weil_image() == weil_power_sum(3, 2)
-    # rational values equal across rings; t and d1 do not, though keys and k agree
-    assert TElement.one(3) == WeilElement.one(2) == 1
-    assert TElement(1, {1: 1}) != WeilElement.generator(1, 1)
+    assert WeilElement((3,), {2: 1}).weil_image() == weil_power_sum(3, 2)
+    # rational values equal across rings, and Q[t]/(t^2) is the Weil ring (1,)
+    assert WeilElement.one((3,)) == WeilElement.one(weil(2)) == 1
+    assert WeilElement((1,), {1: 1}) == WeilElement.generator(weil(1), 1)
+    # mixed orders: x1 of order 2 beside x2 of order 1, x1 -> d1 + d2 and x2 -> d3
+    x1, x2 = (WeilElement.generator((2, 1), i) for i in (1, 2))
+    d1, d2, d3 = (WeilElement.generator(weil(3), i) for i in (1, 2, 3))
+    assert str(x1 * x1 * x2 * Fraction(1, 4) - x2) == "-d2 + 1/2*d1^[2]d2"
+    assert (x1 * x2).weil_image() == (d1 + d2) * d3
+    assert (x1 * x1 * x2).weil_image() == 2 * d1 * d2 * d3
+    assert not x1 * x1 * x1 and x1 * x1 * x2
     with pytest.raises(GeneratorCountMismatch):
-        TElement(3, {4: 1})
-    with pytest.raises(GeneratorCountMismatch):
-        t * TElement(2, {1: 1})
-    with pytest.raises(TypeError):
-        t * WeilElement.generator(3, 1)
+        WeilElement((3,), {4: 1})
+    for other in (WeilElement.generator((2,), 1), WeilElement.generator(weil(3), 1)):
+        with pytest.raises(GeneratorCountMismatch):
+            t * other
 
 
 # -- power series --------------------------------------------------------------

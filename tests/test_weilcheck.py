@@ -19,9 +19,8 @@ from nilbch.cli import dispatch
 from nilbch.errors import AlgebraMismatch, InsufficientModel, UnknownIdentity
 from nilbch.freelie import LieElement, lie_bracket, lie_embed
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.rings import TElement, scalar_type
-from nilbch.scalars import (MAX_GENERATORS, Numerators, WeilElement, bracket_sum, combination,
-                            weil_power_sum, weil_sum)
+from nilbch.scalars import (MAX_KEY_BITS, Numerators, WeilElement, bracket_sum, combination,
+                            exponents, key_shift, weil_power_sum, weil_sum)
 from nilbch.series import (
     AD,
     EM,
@@ -66,8 +65,8 @@ def test_catalog_complete_and_ordered():
 # -- tangent elements ---------------------------------------------------------
 
 
-def free_ctx(k=2, trunc=4):
-    return _free_context(("X", "Y"), k, trunc)
+def free_ctx(ring=(1, 1), trunc=4):
+    return _free_context(("X", "Y"), ring, trunc)
 
 
 def tangent(index, d_index):
@@ -81,7 +80,7 @@ def evaluate(ctx, expr):
 
 def test_tangent_is_affine():
     ctx = free_ctx()
-    d1 = WeilElement.generator(2, 1)
+    d1 = WeilElement.generator((1, 1), 1)
     x = ctx.gens[0]
     assert evaluate(ctx, tangent(0, 1)) == ctx.one + x.scale(d1)
 
@@ -95,9 +94,9 @@ def test_tangent_product_models_sum_of_infinitesimals():
 
 def test_tangent_inverse():
     # (1 + d1 X)^-1 = 1 - d1 X, since d1^2 = 0
-    ctx = free_ctx(k=1)
+    ctx = free_ctx(ring=(1,))
     forward = tangent(0, 1)
-    backward = ctx.one - ctx.gens[0].scale(WeilElement.generator(1, 1))
+    backward = ctx.one - ctx.gens[0].scale(WeilElement.generator((1,), 1))
     assert evaluate(ctx, forward) * backward == ctx.one
     assert evaluate(ctx, (INV, forward)) == backward
 
@@ -269,15 +268,16 @@ def test_operands_of_different_dims_raise():
 
 def test_operands_over_different_scalar_rings_raise():
     x, y = gen_nilmatrix(4, 1)
-    pairs = ((x, y.lift(2)), (x.lift(2), y), (x.lift(2), y.lift(3)))
+    pairs = ((x, y.lift((1, 1))), (x.lift((1, 1)), y), (x.lift((1, 1)), y.lift((1, 1, 1))),
+             (x.lift((2,)), y.lift((1, 1))), (x.lift((2, 1)), y.lift((1, 2))))
     for a, b in pairs:
         for combine in MATRIX_OPERATORS:
             with pytest.raises(AlgebraMismatch):
                 combine(a, b)
     with pytest.raises(AlgebraMismatch):
-        x.scale(WeilElement.generator(2, 1))
+        x.scale(WeilElement.generator((1, 1), 1))
     with pytest.raises(AlgebraMismatch):
-        x.lift(2).scale(WeilElement.generator(3, 1))
+        x.lift((1, 1)).scale(WeilElement.generator((1, 1, 1), 1))
 
 
 def test_rows_must_match_dim():
@@ -287,20 +287,21 @@ def test_rows_must_match_dim():
 
 
 def test_entries_must_lie_in_the_scalar_ring():
-    d1 = WeilElement.generator(2, 1)
-    for weil_k, entry in ((None, d1), (3, d1)):
+    d1 = WeilElement.generator((1, 1), 1)
+    for ring, entry in ((None, d1), ((1, 1, 1), d1), ((2,), d1)):
         with pytest.raises(AlgebraMismatch):
-            NilMatrix(2, weil_k, [[0, entry], [0, 0]])
+            NilMatrix(2, ring, [[0, entry], [0, 0]])
     # Q lies in every Weil ring, so a Weil matrix takes rational entries
-    zero, half = WeilElement.zero(2), WeilElement.from_rational(2, Fraction(1, 2))
-    expected = NilMatrix(2, 2, [[zero, half], [zero, zero]])
-    assert NilMatrix(2, 2, [[0, Fraction(1, 2)], [0, 0]]) == expected
+    zero, half = WeilElement.zero((1, 1)), WeilElement.from_rational((1, 1), Fraction(1, 2))
+    expected = NilMatrix(2, (1, 1), [[zero, half], [zero, zero]])
+    assert NilMatrix(2, (1, 1), [[0, Fraction(1, 2)], [0, 0]]) == expected
 
 
 def test_equality_compares_scalar_rings():
     x = gen_nilmatrix(3, 1, 1)[0]
-    assert x != x.lift(2)
-    assert x.lift(2) == x.lift(2)
+    assert x != x.lift((1, 1))
+    assert x.lift((1, 1)) == x.lift((1, 1))
+    assert x.lift((1, 1)) != x.lift((2,))
 
 
 # An entry-by-entry reference for the matrix kernels, on Fraction and
@@ -326,29 +327,33 @@ def _dense_series(x, one, coeffs):
     return out
 
 
-def _random_scalar(rng, weil_k):
+def _keys(ring):
+    """The keys of the ring's monomials, in increasing order."""
+    return [key for key in range(1 << key_shift(ring))
+            if all([e <= n for n, e in zip(ring, exponents(ring, key))])]
+
+
+def _random_scalar(rng, ring):
     def value():
         return Fraction(rng.choice([0, rng.randint(-3, 3)]), rng.choice([1, 2, 3, 4, 6]))
 
-    if weil_k is None:
+    if ring is None:
         return value()
-    kind, k = scalar_type(weil_k)
-    keys = 1 << k if kind is WeilElement else k + 1
-    return kind(k, {rng.randrange(keys): value() for _ in range(rng.randint(0, 3))})
+    keys = _keys(ring)
+    return WeilElement(ring, {rng.choice(keys): value() for _ in range(rng.randint(0, 3))})
 
 
-def _random_matrix(rng, dim, weil_k, shape):
-    if weil_k is None:
+def _random_matrix(rng, dim, ring, shape):
+    if ring is None:
         zero, one = Fraction(0), Fraction(1)
     else:
-        kind, k = scalar_type(weil_k)
-        zero, one = kind.zero(k), kind.one(k)
-    rows = [[_random_scalar(rng, weil_k) for _ in range(dim)] for _ in range(dim)]
+        zero, one = WeilElement.zero(ring), WeilElement.one(ring)
+    rows = [[_random_scalar(rng, ring) for _ in range(dim)] for _ in range(dim)]
     if shape != "dense":
         for i in range(dim):
             for j in range(i + 1):
                 rows[i][j] = one if shape == "unitriangular" and i == j else zero
-    return NilMatrix(dim, weil_k, rows)
+    return NilMatrix(dim, ring, rows)
 
 
 def _assert_canonical(m):
@@ -358,79 +363,102 @@ def _assert_canonical(m):
 
 
 def _assert_matches(result, dense):
-    kind = Fraction if result.weil_k is None else scalar_type(result.weil_k)[0]
+    kind = Fraction if result.ring is None else WeilElement
     assert all(type(e) is kind for row in result.rows for e in row)
     assert result.rows == tuple(tuple(row) for row in dense)
     _assert_canonical(result)
-    assert result == NilMatrix(result.dim, result.weil_k, dense)
+    assert result == NilMatrix(result.dim, result.ring, dense)
 
 
-def _scalars(rng, weil_k):
-    """Rational scalars, zero among them, and for a Weil matrix Weil scalars:
-    d1, which kills the terms that already carry d1, the zero d1*d1, 1 + d1
-    and a random one; over Q[t]/(t^(n+1)), t, t*t (zero when n = 1), 1 + t
-    and a random one."""
+def _scalars(rng, ring):
+    """Rational scalars, zero among them, and for a matrix over a ring the
+    ring's scalars: its generator x1 (d1 of the Weil ring, t of (n,)), which
+    kills the terms that already carry x1 to its order, x1*x1 (zero when
+    the order is 1), 1 + x1 and a random one."""
     out = [3, -2, 0, Fraction(2, 3), Fraction(-5, 4), Fraction(0)]
-    if weil_k is not None:
-        kind, k = scalar_type(weil_k)
-        d1 = WeilElement.generator(k, 1) if kind is WeilElement else TElement(k, {1: 1})
-        out += [d1, d1 * d1, d1 + 1, _random_scalar(rng, weil_k)]
+    if ring is not None:
+        d1 = WeilElement.generator(ring, 1)
+        out += [d1, d1 * d1, d1 + 1, _random_scalar(rng, ring)]
     return out
 
 
-def _phi_scalar(c, n):
-    """phi: t^m -> sd^m = m! em(m), by Weil arithmetic on sd = d1 + ... + dn;
-    the coeffs of a TElement are those of t^[e] = t^e / e!.  A rational is
-    its own image."""
-    if not isinstance(c, TElement):
+def _phi_scalar(c):
+    """phi: x_i^e -> sd_i^e, by Weil arithmetic on sd_i, the sum of the n_i
+    generators of x_i in the Weil ring of sum(ring) generators; the coeffs of
+    a ring scalar are those of the divided powers x_i^[e] = x_i^e / e!.  A
+    rational is its own image."""
+    if not isinstance(c, WeilElement):
         return c
-    sd, out = weil_sum(n), WeilElement.zero(n)
-    for e, value in c.coeffs.items():
-        out = out + value / factorial(e) * reduce(operator.mul, [sd] * e, WeilElement.one(n))
+    n, start, sds = sum(c.ring), 0, []
+    for order in c.ring:
+        sds.append(sum([WeilElement.generator((1,) * n, start + i) for i in range(1, order + 1)],
+                       WeilElement.zero((1,) * n)))
+        start += order
+    out = WeilElement.zero((1,) * n)
+    for key, value in c.coeffs.items():
+        term = WeilElement.from_rational((1,) * n, value)
+        for sd, e in zip(sds, exponents(c.ring, key)):
+            term = term * Fraction(1, factorial(e)) * reduce(operator.mul, [sd] * e, 1)
+        out = out + term
     return out
 
 
 def _phi(value, n):
     """phi entry by entry or coefficient by coefficient, into the n-generator Weil ring."""
     if isinstance(value, NilMatrix):
-        return NilMatrix(value.dim, n, [[_phi_scalar(e, n) for e in row] for row in value.rows])
-    terms = {w: _phi_scalar(c, n) for w, c in value.terms.items()}
-    return AssocPoly(value.alphabet, value.trunc, n, terms)
+        return NilMatrix(value.dim, (1,) * n, [[_phi_scalar(e) for e in row] for row in value.rows])
+    terms = {w: _phi_scalar(c) for w, c in value.terms.items()}
+    return AssocPoly(value.alphabet, value.trunc, (1,) * n, terms)
 
 
 def _assert_phi_commutes(a, b, scalars, n):
-    """phi of each result over Q[t]/(t^(n+1)) is the Weil result on the images."""
+    """phi of each result over a ring of sum(ring) = n is the Weil result on
+    the images, and phi is ``WeilElement.weil_image`` on every scalar."""
     pa, pb = _phi(a, n), _phi(b, n)
     assert _phi(a * b, n) == pa * pb
     assert _phi(a + b, n) == pa + pb
     assert _phi(a - b, n) == pa - pb
     for scalar in scalars:
-        assert _phi(a.scale(scalar), n) == pa.scale(_phi_scalar(scalar, n))
-        if isinstance(scalar, TElement):
-            assert scalar.weil_image() == _phi_scalar(scalar, n)
+        assert _phi(a.scale(scalar), n) == pa.scale(_phi_scalar(scalar))
+        if isinstance(scalar, WeilElement):
+            assert scalar.weil_image() == _phi_scalar(scalar)
 
 
-@pytest.mark.parametrize("weil_k", [None, 1, 2, 3, 4, 5, -1, -2, -3, -4, -5, -10])
+def ring_id(ring):
+    """The test id of a ring parameter: k for the Weil ring (1,)*k and -n for
+    (n,) with n > 1, the ids these tests had when one signed int named the
+    ring, and any other ring its tuple; None for a value that is no ring."""
+    if not isinstance(ring, tuple) or not all([type(n) is int for n in ring]):
+        return None
+    if max(ring) == 1:
+        return str(len(ring))
+    return f"-{ring[0]}" if len(ring) == 1 else str(ring)
+
+
+RINGS = [None, (1,), (1, 1), (1, 1, 1), (1,) * 4, (1,) * 5, (2,), (3,), (4,), (5,), (10,), (2, 1)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=ring_id)
 @pytest.mark.parametrize("shape", ["dense", "strictly_upper", "unitriangular"])
-def test_sparse_kernels_match_dense_reference(shape, weil_k):
-    # weil_k = -n is Q[t]/(t^(n+1)); there every result is also mapped by
-    # phi into the n-generator Weil ring and compared with the Weil result,
-    # where that ring has at most MAX_GENERATORS generators
-    rng = random.Random(f"{shape}-{weil_k}")
-    unit = Fraction(1) if weil_k is None else scalar_type(weil_k)[0].one(abs(weil_k))
-    t_ring = weil_k is not None and weil_k < 0
+def test_sparse_kernels_match_dense_reference(shape, ring):
+    # over a ring with orders above 1, every result is also mapped by phi
+    # into the Weil ring of sum(ring) generators and compared with the Weil
+    # result, where that ring has keys of at most MAX_KEY_BITS bits
+    rng = random.Random(f"{shape}-{ring_id(ring) or ring}")
+    weil = ring is None or max(ring) == 1
+    unit = Fraction(1) if ring is None else WeilElement.one(ring)
     for dim in range(2, 7):
-        for rep in range(3 if t_ring else 6):
-            a, b, c = (_random_matrix(rng, dim, weil_k, shape) for _ in range(3))
+        for rep in range(6 if weil else 3):
+            a, b, c = (_random_matrix(rng, dim, ring, shape) for _ in range(3))
             _assert_matches(a * b, _dense_mul(a.rows, b.rows))
             _assert_matches(a + b, _entrywise(operator.add, a, b))
             _assert_matches(a - b, _entrywise(operator.sub, a, b))
             _assert_matches(-a, _entrywise(operator.neg, a))
-            for scalar in _scalars(rng, weil_k):
+            for scalar in _scalars(rng, ring):
                 _assert_matches(a.scale(scalar), _entrywise(lambda x: x * scalar, a))
-                if weil_k is not None:  # the product with the diagonal matrix scalar * 1
+                if ring is not None:  # the product with the diagonal matrix scalar * 1
                     diagonal = [[scalar if i == j else 0 for j in range(dim)] for i in range(dim)]
-                    assert a.scale(scalar) == a * NilMatrix(dim, weil_k, diagonal)
+                    assert a.scale(scalar) == a * NilMatrix(dim, ring, diagonal)
             # one commutator, and one sum of brackets, against the composed products
             assert bracket_sum([(1, a, b)]) == a * b - b * a
             coeffs = [0, -2, Fraction(-3, 4), Fraction(5, 6)]
@@ -439,7 +467,7 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
             _assert_canonical(bracket_sum(triples))
             assert bracket_sum(triples) == combination(separate)
             assert not bracket_sum([(0, a, b)])
-            one = NilMatrix.identity(dim, weil_k)
+            one = NilMatrix.identity(dim, ring)
             dense_one = [[unit if i == j else unit * 0 for j in range(dim)] for i in range(dim)]
             _assert_matches(one, dense_one)
             if shape == "strictly_upper":
@@ -449,14 +477,13 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
                 nil = [[o - e for o, e in zip(r1, r2)] for r1, r2 in zip(dense_one, a.rows)]
                 _assert_matches(a.inv(), _dense_series(nil, dense_one, [1] * (dim - 1)))
                 assert a * a.inv() == one
-            if weil_k is None:
-                for k in (1, 4, -3):
-                    kind, n = scalar_type(k)
-                    _assert_matches(a.lift(k), _entrywise(lambda x: kind.from_rational(n, x), a))
-            if t_ring and rep < 2 and -weil_k <= MAX_GENERATORS:
-                n, t = -weil_k, TElement(-weil_k, {1: 1})
-                assert _phi(one, n) == NilMatrix.identity(dim, n)
-                _assert_phi_commutes(a, b, _scalars(rng, weil_k), n)
+            if ring is None:
+                for r in ((1,), (1,) * 4, (3,), (2, 1)):
+                    _assert_matches(a.lift(r), _entrywise(lambda x: WeilElement.from_rational(r, x), a))
+            if not weil and rep < 2 and sum(ring) <= MAX_KEY_BITS:
+                n, t = sum(ring), WeilElement.generator(ring, 1)
+                assert _phi(one, n) == NilMatrix.identity(dim, (1,) * n)
+                _assert_phi_commutes(a, b, _scalars(rng, ring), n)
                 if shape == "strictly_upper":
                     assert _phi(a.exp(), n) == _phi(a, n).exp()
                     u = one + a.scale(t)  # 1 + t*a
@@ -472,28 +499,27 @@ def test_sparse_kernels_match_dense_reference(shape, weil_k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_t_ring_polynomials_map_onto_the_weil_ring(n):
-    # AssocPoly over Q[t]/(t^(n+1)) (weil_k = -n), against the Weil ring through phi
+    # AssocPoly over Q[t]/(t^(n+1)), the ring (n,), against the Weil ring through phi
     rng = random.Random(f"poly-{n}")
-    names, trunc = ("X", "Y"), 3
+    names, trunc, ring = ("X", "Y"), 3, (n,)
     words = [w for length in range(trunc + 1) for w in itertools.product(range(2), repeat=length)]
-    one, t = AssocPoly.one(names, trunc, -n), TElement(n, {1: 1})
+    one, t = AssocPoly.one(names, trunc, ring), WeilElement.generator(ring, 1)
 
     def poly(constant=True):
         chosen = [w for w in rng.sample(words, 6) if constant or w]
-        return AssocPoly(names, trunc, -n, {w: _random_scalar(rng, -n) for w in chosen})
+        return AssocPoly(names, trunc, ring, {w: _random_scalar(rng, ring) for w in chosen})
 
     for _ in range(6):
         a, b = poly(), poly()
-        _assert_phi_commutes(a, b, _scalars(rng, -n), n)
+        _assert_phi_commutes(a, b, _scalars(rng, ring), n)
         x = poly(constant=False)
         assert _phi(assoc.poly_exp(x), n) == assoc.poly_exp(_phi(x, n))
         u = one + a.scale(t)  # 1 + t*a: its constant 1 + t*c(t) needs up to n factors
         inv = assoc.poly_inv(u)
         assert inv * u == one == u * inv
         assert _phi(inv, n) == assoc.poly_inv(_phi(u, n))
-    # at trunc 1, 1 + t needs n factors: more than the Weil ring's bound,
-    # trunc + (terms of the constant) - 1 = 2, once n > 2
-    one = AssocPoly.one(names, 1, -n)
+    # at trunc 1, 1 + t needs n factors, within poly_inv's bound trunc + sum(ring)
+    one = AssocPoly.one(names, 1, ring)
     u = one + one.scale(t)
     assert assoc.poly_inv(u) * u == one
 
@@ -691,8 +717,8 @@ def _bracket_sums():
     """One sum of brackets in each algebra that brackets: matrices over the
     three rings, polynomials over Q and Lie elements."""
     x, y = gen_nilmatrix(5, 3)
-    for k in (None, 3, -3):
-        a, b = (x, y) if k is None else (x.lift(k), y.lift(k))
+    for ring in (None, (1, 1, 1), (3,)):
+        a, b = (x, y) if ring is None else (x.lift(ring), y.lift(ring))
         bracket_sum([(1, a, b), (Fraction(-1, 2), b, a * b)])
     a, b = (lie_embed(LieElement.generator(("X", "Y"), i, 4)) for i in (0, 1))
     bracket_sum([(2, a, b), (Fraction(1, 3), a, a * b)])
@@ -742,8 +768,8 @@ def test_form_b_third_order_fails_with_exact_witness():
     y = LieElement.generator(names, 1, 3)
     bracket = lie_bracket(x + 2 * y, lie_bracket(x, y))
     rational = lie_embed(Fraction(1, 2) * bracket)
-    expected_poly = AssocPoly(names, 3, 3, rational.terms).scale(weil_power_sum(3, 3))
-    ctx = _free_context(names, 3, 3)
+    expected_poly = AssocPoly(names, 3, (1, 1, 1), rational.terms).scale(weil_power_sum(3, 3))
+    ctx = _free_context(names, (1, 1, 1), 3)
     assert report.witness == ctx.witness(expected_poly)
 
 
@@ -825,7 +851,7 @@ def logderiv_statement(side):
 def test_logarithmic_derivative_of_exp_holds_at_every_truncation(side):
     left, right = logderiv_statement(side)
     for trunc in range(1, freelie.HARD_DEGREE_CAP + 1):
-        ctx = _free_context(("X", "Y"), 1, trunc)
+        ctx = _free_context(("X", "Y"), (1,), trunc)
         assert evaluate(ctx, left) == evaluate(ctx, right), trunc
 
 
@@ -838,7 +864,7 @@ def test_logarithmic_derivative_of_exp_fails_with_a_doubled_coefficient(side, mo
             return (2 * c if i == p else c for i, c in enumerate(ad_coeffs(family)))
 
         monkeypatch.setattr(series, "ad_coeffs", doubled)
-        ctx = _free_context(("X", "Y"), 1, trunc)
+        ctx = _free_context(("X", "Y"), (1,), trunc)
         assert evaluate(ctx, left) != evaluate(ctx, right), trunc
 
 
@@ -884,15 +910,17 @@ SD_ONLY_IDS = (
 
 
 def test_ring_choice_selects_exactly_the_sd_only_statements():
-    assert [e.id for e in CATALOG if weilcheck._plan(e.id)[0] < 0] == list(SD_ONLY_IDS)
+    # at n_d = 1 (thm-7.1 and thm-8.1) Q[t]/(t^2) and the Weil ring are one ring, (1,)
+    not_weil = [e.id for e in CATALOG if max(weilcheck._plan(e.id)[0]) > 1]
+    assert not_weil == [i for i in SD_ONLY_IDS if i not in ("thm-7.1", "thm-8.1")]
     for entry in CATALOG:
-        k, _, n_d, _ = weilcheck._plan(entry.id)
+        ring, _, n_d, _ = weilcheck._plan(entry.id)
         if entry.id in SD_ONLY_IDS:
-            assert k == -n_d
+            assert ring == (n_d,)
             ctx = weilcheck._context_for(entry, "free", CheckParams(trunc=entry.order))
-            assert ctx.gens[0].weil_k == -n_d
+            assert ctx.gens[0].ring == (n_d,)
         else:  # lemma-6.0, thm-6.1, cor-7.2.1 and the rest
-            assert k == max(n_d, 1)
+            assert ring == (1,) * max(n_d, 1)
 
 
 def _sd_only_reports() -> list[dict]:
@@ -912,7 +940,8 @@ def _sd_only_reports() -> list[dict]:
 def test_both_rings_give_the_same_verdicts_and_witnesses(monkeypatch):
     small = _sd_only_reports()
     plan = weilcheck._plan  # the Weil ring of n_d generators, at the same reach
-    monkeypatch.setattr(weilcheck, "_plan", lambda ident: (plan(ident)[2], *plan(ident)[1:]))
+    monkeypatch.setattr(weilcheck, "_plan",
+                        lambda ident: ((1,) * plan(ident)[2], *plan(ident)[1:]))
     weil = _sd_only_reports()
     assert len(small) == 17 * 15
     assert {r["verdict"] for r in small} == {"PASS", "FAIL"}
@@ -927,19 +956,19 @@ def test_plan_walk_finds_exactly_the_statements_without_infinitesimals():
     assert [e.id for e in CATALOG if weilcheck._plan(e.id)[1] is None] == list(UNBOUNDED_IDS)
 
 
-# (weil_k, reach, n_d, gens) of each entry, as the catalog stated n_d and gens
+# (ring, reach, n_d, gens) of each entry, as the catalog stated n_d and gens
 # by hand before they were derived; a changed gens would change the matrix draws
 PLANS = {
-    "prop-2.1": (2, 2, 2, 1), "prop-2.2": (1, 1, 1, 2), "thm-2.3": (2, 2, 2, 2),
-    "lemma-2.5": (1, None, 0, 2), "prop-4.4": (1, None, 0, 2), "prop-4.5": (1, 1, 1, 1),
-    "prop-5.3": (1, None, 0, 1), "prop-5.4": (2, 2, 2, 2), "lemma-6.0": (5, 5, 5, 0),
-    "thm-6.1": (1, 1, 1, 2), "thm-6.2a": (-2, 2, 2, 2), "thm-6.2b": (-2, 2, 2, 2),
-    "thm-6.3a": (-3, 3, 3, 2), "thm-6.3b": (-3, 3, 3, 2), "thm-6.4a": (-4, 4, 4, 2),
-    "thm-6.4b": (-4, 4, 4, 2), "thm-7.1": (-1, 1, 1, 2), "thm-7.2a": (-2, 2, 2, 2),
-    "thm-7.2b": (-2, 2, 2, 2), "cor-7.2.1": (2, 2, 2, 3), "thm-7.3a": (-3, 3, 3, 2),
-    "thm-7.3b": (-3, 3, 3, 2), "thm-7.4a": (-4, 4, 4, 2), "thm-7.4b": (-4, 4, 4, 2),
-    "thm-8.1": (-1, 1, 1, 2), "thm-8.2": (-2, 2, 2, 2), "thm-8.3": (-3, 3, 3, 2),
-    "thm-8.4": (-4, 4, 4, 2), "consistency-7v8": (4, 4, 4, 2),
+    "prop-2.1": ((1, 1), 2, 2, 1), "prop-2.2": ((1,), 1, 1, 2), "thm-2.3": ((1, 1), 2, 2, 2),
+    "lemma-2.5": ((1,), None, 0, 2), "prop-4.4": ((1,), None, 0, 2),
+    "prop-4.5": ((1,), 1, 1, 1), "prop-5.3": ((1,), None, 0, 1), "prop-5.4": ((1, 1), 2, 2, 2),
+    "lemma-6.0": ((1,) * 5, 5, 5, 0), "thm-6.1": ((1,), 1, 1, 2), "thm-6.2a": ((2,), 2, 2, 2),
+    "thm-6.2b": ((2,), 2, 2, 2), "thm-6.3a": ((3,), 3, 3, 2), "thm-6.3b": ((3,), 3, 3, 2),
+    "thm-6.4a": ((4,), 4, 4, 2), "thm-6.4b": ((4,), 4, 4, 2), "thm-7.1": ((1,), 1, 1, 2),
+    "thm-7.2a": ((2,), 2, 2, 2), "thm-7.2b": ((2,), 2, 2, 2), "cor-7.2.1": ((1, 1), 2, 2, 3),
+    "thm-7.3a": ((3,), 3, 3, 2), "thm-7.3b": ((3,), 3, 3, 2), "thm-7.4a": ((4,), 4, 4, 2),
+    "thm-7.4b": ((4,), 4, 4, 2), "thm-8.1": ((1,), 1, 1, 2), "thm-8.2": ((2,), 2, 2, 2),
+    "thm-8.3": ((3,), 3, 3, 2), "thm-8.4": ((4,), 4, 4, 2), "consistency-7v8": ((1,) * 4, 4, 4, 2),
 }
 
 
@@ -962,9 +991,9 @@ def test_a_third_infinitesimal_selects_the_three_generator_weil_ring(monkeypatch
     entry = weilcheck._BY_ID["prop-5.4"]._replace(id="prop-5.4-d3", pairs=(
         ((MUL, exp_d1_x, (EXP, d3_y)), (MUL, (EXP, d3_y), exp_d1_x, (EXP, d13_xy))),
     ))
-    assert _planned(monkeypatch, entry) == (3, 3, 3, 2)
+    assert _planned(monkeypatch, entry) == ((1, 1, 1), 3, 3, 2)
     ctx = weilcheck._context_for(entry, "matrix", CheckParams())
-    assert ctx.gens[0].weil_k == 3 and len(ctx.gens) == 2
+    assert ctx.gens[0].ring == (1, 1, 1) and len(ctx.gens) == 2
     for model in ("free", "matrix"):
         assert check_identity(entry.id, model).verdict == "PASS"
 
@@ -976,7 +1005,7 @@ def test_an_unweighted_exponent_keeps_the_full_truncation(monkeypatch):
     entry = weilcheck._BY_ID["thm-6.2a"]._replace(id="unweighted", pairs=(
         ((EXP, 0), (EXP, sd_y)),
     ))
-    assert _planned(monkeypatch, entry) == (-1, None, 1, 2)
+    assert _planned(monkeypatch, entry) == ((1,), None, 1, 2)
     assert weilcheck._context_for(entry, "free", CheckParams(trunc=5)).one.trunc == 5
 
 
