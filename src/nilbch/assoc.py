@@ -148,9 +148,6 @@ class AssocPoly(Numerators):
 
     scale = ring_scale  # shared with NilMatrix
 
-    def degree_part(self, n: int) -> "AssocPoly":
-        return self._with([row if l == n else {} for l, row in enumerate(self._rows)], self._den)
-
     # -- queries ------------------------------------------------------------
 
     def word_str(self, word: Word) -> str:

@@ -223,9 +223,6 @@ class LieElement(Numerators):
         out._rows[1] = {(index,): 1}
         return out
 
-    def degree_part(self, n: int) -> "LieElement":
-        return self._with([row if d == n else {} for d, row in enumerate(self._rows)], self._den)
-
     def scale(self, scalar) -> "LieElement":
         return self._scaled(scalar)
 

@@ -4,12 +4,12 @@ The *classical* series are computed from first principles among Lie
 elements, with brackets, sums and rational scalings alone.  BCH follows
 Varadarajan's homogeneous recursion, the one Casas and Murua build on
 (J. Math. Phys. 50, 033513, 2009), with Bernoulli numbers computed from
-their own recursion; the Zassenhaus factors follow the logarithmic-derivative
-recursion of Casas, Murua and Nadinic (Comput. Phys. Commun. 183, 2386,
-2012).  No classical coefficient is ever hard-coded.  The tests keep the
-route through the truncated associative algebra as their cross-check: the
-Dynkin projection of log(exp X . exp Y), and a peel of the Zassenhaus
-factors through products of exponentials.
+their own recursion; the Zassenhaus factors follow the graded recursion of
+Casas, Murua and Nadinic (Comput. Phys. Commun. 183, 2386, 2012), one
+homogeneous part at a time.  No classical coefficient is ever hard-coded.
+The tests keep the route through the truncated associative algebra as
+their cross-check: the Dynkin projection of log(exp X . exp Y), and a peel
+of the Zassenhaus factors through products of exponentials.
 
 The *tabulated* series come from formulas stated over sums d1+...+dn of
 square-zero infinitesimals, written in the expression language that the
@@ -157,29 +157,35 @@ def bch_classical(N: int) -> GradedSeries:
 
 
 def zassenhaus_classical(N: int) -> GradedSeries:
-    """Factors C[2..N] from the logarithmic derivatives F_n = f_n' f_n^-1 of
-    f_n(t) = exp(-t^n C[n]) ... exp(-tY) exp(-tX) exp(t(X+Y)), as in Casas,
-    Murua and Nadinic.  The t-degree of each term of F_n is its Lie degree
-    minus one, so F_n is held as one Lie element at t = 1:
+    """Factors C[2..N] by the graded recursion of Casas, Murua and Nadinic,
+    to degree N: the t^k coefficient f[n, k] of F_n, the logarithmic derivative
+    of exp(-t^n C[n]) ... exp(-tY) exp(-tX) exp(t(X+Y)), has degree k + 1, and
 
-        F_1 = e^(-ad Y) e^(-ad X) Y - Y,
-        C[n] = (degree-n part of F_(n-1)) / n,
-        F_n = e^(-ad C[n]) F_(n-1) - n C[n].
+        f[1, k] = sum_(j=1..k) (-1)^k / (j! (k-j)!) (ad Y)^(k-j) (ad X)^j Y,
+        C[n+1] = f[n, n] / (n+1),
+        f[n, k] = sum_(j>=0) (-1)^j / j! (ad C[n])^j f[n-1, k-nj],
 
-    The recursion stops at C[N]: nothing reads F_N.
+    leaving out f[n-1, n-1] = n C[n]: F_n subtracts it, and [C[n], C[n]] = 0.
     """
     if not 2 <= N <= ORACLE_DEGREE_CAP:
-        raise DegreeOutOfRange(
-            f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}"
-        )
+        raise DegreeOutOfRange(f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}")
     x, y = (LieElement.generator(BCH_ALPHABET, i, N) for i in (0, 1))
-    f = ad_series(lie_bracket, LieElement.zero(BCH_ALPHABET, N), -x, y, ad_coeffs("exp"))
-    f = ad_series(lie_bracket, -y, -y, f, ad_coeffs("exp"))
+    # terms[k] lists the summands (c, part) of f[1, k], later of f[n-1, k]
+    terms, ad_x = {k: [] for k in range(1, N)}, y
+    for j in range(1, N):
+        part = ad_x = lie_bracket(x, ad_x)
+        for k in range(j, N):
+            part = part if k == j else lie_bracket(y, part)
+            terms[k].append((Fraction((-1) ** k, factorial(j) * factorial(k - j)), part))
     factors = {}
     for n in range(2, N + 1):
-        factors[n] = c = f.degree_part(n).scale(Fraction(1, n))
-        if n < N:
-            f = ad_series(lie_bracket, c.scale(-n), -c, f, ad_coeffs("exp"))
+        factors[n] = c = combination([(Fraction(q, n), p) for q, p in terms.pop(n - 1)])
+        f = {k: t[0][1] if len(t) == 1 else combination(t) for k, t in terms.items()}
+        terms = {k: [(1, part)] for k, part in f.items()}
+        for m, part in f.items():  # (ad C[n])^j f[n-1, m] lands at k = m + nj
+            for j in range(1, (N - 1 - m) // n + 1):
+                part = lie_bracket(c, part)
+                terms[m + n * j].append((Fraction((-1) ** j, factorial(j)), part))
     return GradedSeries("zassenhaus", N, "classical", factors)
 
 

@@ -27,6 +27,7 @@ from nilbch.series import (
     zassenhaus_classical,
     zassenhaus_paper,
 )
+from graded import degree_part
 
 XY = ("X", "Y")
 
@@ -137,7 +138,7 @@ def bch_by_log(N):
     y = AssocPoly.generator(XY, 1, N)
     z = dynkin_project(poly_log(poly_mul(poly_exp(x), poly_exp(y))))
     return series.GradedSeries(
-        "bch", N, "classical", {n: z.degree_part(n) for n in range(1, N + 1)}
+        "bch", N, "classical", {n: degree_part(z, n) for n in range(1, N + 1)}
     )
 
 
@@ -154,10 +155,10 @@ def zassenhaus_by_peel(N):
     x = AssocPoly.generator(XY, 0, N)
     y = AssocPoly.generator(XY, 1, N)
     remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
-    factors = {2: dynkin_project(remainder.degree_part(2))}
+    factors = {2: dynkin_project(degree_part(remainder, 2))}
     for n in range(3, N + 1):
         remainder = poly_mul(poly_exp(-lie_embed(factors[n - 1])), remainder)
-        factors[n] = dynkin_project(remainder.degree_part(n))
+        factors[n] = dynkin_project(degree_part(remainder, n))
     return series.GradedSeries("zassenhaus", N, "classical", factors)
 
 
@@ -188,7 +189,7 @@ def zassenhaus_by_log(N):
     remainder = poly_mul(poly_mul(poly_exp(-y), poly_exp(-x)), poly_exp(x + y))
     factors = {}
     for n in range(2, N + 1):
-        factors[n] = dynkin_project(poly_log(remainder)).degree_part(n)
+        factors[n] = degree_part(dynkin_project(poly_log(remainder)), n)
         remainder = poly_mul(poly_exp(-lie_embed(factors[n])), remainder)
     return factors
 
@@ -249,7 +250,7 @@ def test_bch_is_antisymmetric_under_swapping_and_negating_through_degree_ten(mon
     swapped = -bch_at(z, -y, -x)
     for n in range(1, N + 1):
         assert z.component(n), f"Z has no degree-{n} part"
-        assert swapped.degree_part(n) == z.component(n), f"degree {n}"
+        assert degree_part(swapped, n) == z.component(n), f"degree {n}"
 
 
 def bernoulli_plus_over_factorial(n):
@@ -262,6 +263,13 @@ def bernoulli_plus_over_factorial(n):
     return b
 
 
+def part_linear_in(element, letter):
+    """The terms of a Lie element in X, Y whose word holds ``letter`` once; the
+    bracket is bigraded, so this is its part of degree one in that letter."""
+    terms = {m: c for m, c in element.sorted_terms() if mono_word(m).count(letter) == 1}
+    return LieElement(XY, element.max_degree, terms)
+
+
 def test_bch_part_linear_in_y_is_the_bernoulli_ad_series_through_degree_ten(monkeypatch):
     # the part of Z(X,Y) linear in Y is sum_k b_k (ad X)^k Y; in degree n it is
     # the Lyndon word X...XY alone, whose monomial is (ad X)^(n-1) Y
@@ -270,8 +278,42 @@ def test_bch_part_linear_in_y_is_the_bernoulli_ad_series_through_degree_ten(monk
     z = bch_classical(N)
     linear = ad_sum(bernoulli_plus_over_factorial(N - 1), gen(0, N), gen(1, N))
     for n in range(1, N + 1):
-        terms = {m: c for m, c in z.component(n).sorted_terms() if mono_word(m).count(1) == 1}
-        assert LieElement(XY, N, terms) == linear.degree_part(n), f"degree {n}"
+        assert part_linear_in(z.component(n), 1) == degree_part(linear, n), f"degree {n}"
+
+
+def test_zassenhaus_parts_linear_in_y_and_in_x_through_degree_ten(monkeypatch):
+    # Modulo Y^2 the factors' parts linear in Y commute, and
+    # exp(X+Y) = exp X exp(sum_k (-1)^k/(k+1)! (ad X)^k Y), so the part of C[n]
+    # linear in Y is (-1)^(n-1)/n! (ad X)^(n-1) Y.  Modulo X^2,
+    # exp X exp Y = exp Y exp(e^(-ad Y) X) and
+    # exp(X+Y) = exp Y exp(sum_k (-1)^k/(k+1)! (ad Y)^k X), so the part linear
+    # in X is ((-1)^(n-1)/n! - (-1)^(n-1)/(n-1)!) (ad Y)^(n-1) X
+    # = (-1)^n (n-1)/n! (ad Y)^(n-1) X.  No copied coefficient is used.
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", HARD_DEGREE_CAP)
+    N = HARD_DEGREE_CAP
+    factors = zassenhaus_classical(N)
+    x, y = gen(0, N), gen(1, N)
+    ad_x_y, ad_y_x = y, x
+    for n in range(2, N + 1):
+        ad_x_y, ad_y_x = lie_bracket(x, ad_x_y), lie_bracket(y, ad_y_x)
+        c = factors.component(n)
+        assert part_linear_in(c, 1) == Fraction((-1) ** (n - 1), factorial(n)) * ad_x_y, n
+        assert part_linear_in(c, 0) == Fraction((-1) ** n * (n - 1), factorial(n)) * ad_y_x, n
+
+
+@pytest.mark.parametrize("oracle, first", [(bch_classical, 1), (zassenhaus_classical, 2)])
+def test_classical_components_are_homogeneous_prefixes_of_order_ten(oracle, first, monkeypatch):
+    # component n of the order-N series has only degree-n terms and writes the
+    # JSON of component n at order 10, so a statement of order N built from
+    # them is the order-10 statement reduced mod t^(N+1)
+    monkeypatch.setattr(series, "ORACLE_DEGREE_CAP", HARD_DEGREE_CAP)
+    top = oracle(HARD_DEGREE_CAP)
+    for N in range(first, HARD_DEGREE_CAP + 1):
+        s = oracle(N)
+        for n in range(first, N + 1):
+            c = s.component(n)
+            assert [d for d, row in enumerate(c._rows) if row] == [n], (N, n)
+            assert c.to_json_terms() == top.component(n).to_json_terms(), (N, n)
 
 
 def test_bch_is_associative_through_the_oracle_cap():
@@ -282,8 +324,8 @@ def test_bch_is_associative_through_the_oracle_cap():
     x, y, w = (LieElement.generator(("X", "Y", "W"), i, N) for i in range(3))
     left, right = bch_at(z, bch_at(z, x, y), w), bch_at(z, x, bch_at(z, y, w))
     for n in range(1, N + 1):
-        assert left.degree_part(n), f"Z(Z(X,Y),W) has no degree-{n} part"
-        assert left.degree_part(n) == right.degree_part(n), f"degree {n}"
+        assert degree_part(left, n), f"Z(Z(X,Y),W) has no degree-{n} part"
+        assert degree_part(left, n) == degree_part(right, n), f"degree {n}"
 
 
 # -- tabulated formulas ----------------------------------------------------------
@@ -324,7 +366,7 @@ def test_table_entries_are_homogeneous_of_their_weight_degree():
         for entry in entries:
             m = entry[1][1]
             value = series.evaluate(ctx, entry, {})
-            assert value and value == value.degree_part(m), entry
+            assert value and value == degree_part(value, m), entry
 
 
 def test_each_form_lists_its_entries_by_degree_from_the_first():

@@ -606,7 +606,7 @@ def _count_oracle_ops(monkeypatch):
 # bracket_sum, and each T sum of bch_classical one more.  Pinned like
 # WEIL_OP_PINS.
 ORACLE_OP_PINS = {
-    "lie_bracket": 62, "bracket_sum": 76, "poly_mul": 0, "poly_log": 0, "poly_exp": 0,
+    "lie_bracket": 53, "bracket_sum": 67, "poly_mul": 0, "poly_log": 0, "poly_exp": 0,
     "dynkin_project": 0,
 }
 
@@ -639,7 +639,7 @@ def _count_sums(monkeypatch):
 # series and each LIN node sums once through scalars.combination, so these
 # count the sums themselves, not the terms; pinned like WEIL_OP_PINS.
 SUM_PINS = {
-    "oracle": {"_with": 163, "__add__": 21, "_scaled": 25},
+    "oracle": {"_with": 122, "__add__": 12, "_scaled": 0},
     "free": {"_with": 582, "__add__": 70, "_scaled": 12},
     "matrix": {"_with": 614, "__add__": 70, "_scaled": 6},
 }
