@@ -168,7 +168,9 @@ def zassenhaus_classical(N: int) -> GradedSeries:
     leaving out f[n-1, n-1] = n C[n]: F_n subtracts it, and [C[n], C[n]] = 0.
     """
     if not 2 <= N <= ORACLE_DEGREE_CAP:
-        raise DegreeOutOfRange(f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}")
+        raise DegreeOutOfRange(
+            f"classical Zassenhaus degree {N} outside 2..{ORACLE_DEGREE_CAP}"
+        )
     x, y = (LieElement.generator(BCH_ALPHABET, i, N) for i in (0, 1))
     # terms[k] lists the summands (c, part) of f[1, k], later of f[n-1, k]
     terms, ad_x = {k: [] for k in range(1, N)}, y
@@ -180,7 +182,8 @@ def zassenhaus_classical(N: int) -> GradedSeries:
     factors = {}
     for n in range(2, N + 1):
         factors[n] = c = combination([(Fraction(q, n), p) for q, p in terms.pop(n - 1)])
-        f = {k: t[0][1] if len(t) == 1 else combination(t) for k, t in terms.items()}
+        # a lone summand of coefficient 1 is f[n-1, k] itself and needs no sum
+        f = {k: t[0][1] if len(t) == 1 == t[0][0] else combination(t) for k, t in terms.items()}
         terms = {k: [(1, part)] for k, part in f.items()}
         for m, part in f.items():  # (ad C[n])^j f[n-1, m] lands at k = m + nj
             for j in range(1, (N - 1 - m) // n + 1):
