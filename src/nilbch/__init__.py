@@ -9,7 +9,7 @@ from .freelie import (
     lie_embed,
 )
 from .matrix import NilMatrix, gen_nilmatrix
-from .scalars import WeilElement, weil_power_sum
+from .scalars import WeilElement
 from .series import (
     GradedSeries,
     bch_classical,
@@ -47,7 +47,6 @@ __all__ = [
     "poly_mul",
     "run_suite",
     "series_compare",
-    "weil_power_sum",
     "zassenhaus_classical",
     "zassenhaus_paper",
 ]

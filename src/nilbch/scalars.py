@@ -10,12 +10,12 @@ coefficient ring is None for Q or such a tuple, and ``check_ring`` decides,
 once, which rings every algebra accepts.  A ``WeilElement`` is stored
 sparsely as a map from keys, which pack the exponents of a monomial of
 divided powers (``key_shift``), to nonzero integer numerators over one
-common denominator; key 0 holds the scalar part.  ``pair_factors`` is the
-one multiplication table that every product over these rings reads.
-``bracket_sum`` builds every bracket and sum of brackets of the algebras
-over them, and ``scale_terms`` every scaling of a polynomial or matrix by a
-ring scalar.  The module also decides which scalars (``rational``) and
-operands (``Numerators._check_operand``) every algebra accepts.
+common denominator; key 0 holds the scalar part.  Every product over these
+rings reads the one table ``pair_factors``, and ``WeilElement.weil_image``
+is the one map t -> sd (lemma 6.0).  ``bracket_sum`` builds every bracket
+and sum of brackets of the algebras over them, ``scale_terms`` every scaling
+by a ring scalar, and ``rational`` and ``Numerators._check_operand`` decide
+which scalars and operands every algebra accepts.
 """
 
 from __future__ import annotations
@@ -576,23 +576,3 @@ def _image_masks(ring: tuple, key: int) -> tuple[int, ...]:
         start += n
     return tuple(masks)
 
-
-def weil_sum(n: int) -> WeilElement:
-    """d1 + ... + dn in the n-generator Weil algebra, the image of t under t -> sd."""
-    return weil_power_sum(n, 1)
-
-
-def weil_power_sum(n: int, m: int) -> WeilElement:
-    """(d1 + ... + dn)^m / m! as the m-th elementary symmetric polynomial.
-
-    Built directly as the sum of all products of m distinct generators, which
-    equals the divided power by the square-zero relations; zero once m > n.
-    It is the image of t^[m] of the ring (n,) under t -> sd (``_image_masks``),
-    so n may be any order up to ``MAX_ORDER``; only a product needs n at most
-    ``MAX_KEY_BITS``.
-    """
-    check_ring((n,))
-    if m < 1:
-        raise ValueError(f"exponent must be at least 1, got {m}")
-    nums = dict.fromkeys(_image_masks((n,), m), 1) if m <= n else {}
-    return WeilElement._make(((1,) * n,), [nums], 1)

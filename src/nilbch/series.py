@@ -13,13 +13,13 @@ of the Zassenhaus factors through products of exponentials.
 
 The *tabulated* series come from formulas stated over sums d1+...+dn of
 square-zero infinitesimals, written in the expression language that the
-identity catalog of ``weilcheck`` shares; ``evaluate`` is its one evaluator.
-Each table entry keeps the displayed scalar prefactor in its raw shape,
-``em(m)`` or a rational multiple of (d1+...+dn)^m, and the two shapes are
-identified through the divided-power rule (d1+...+dn)^m / m! = em(m), applied
-once when a table is converted to a t-graded Lie series.  Where a theorem
-displays two forms whose prefactors disagree under that rule, both forms are
-kept so the discrepancy stays observable.
+identity catalog of ``weilcheck`` shares; ``evaluate`` is its one evaluator
+and sums each ``AD`` node through ``scalars.power_series``.  Each table
+entry keeps the displayed scalar prefactor in its raw shape, ``em(m)`` or a
+rational multiple of (d1+...+dn)^m, identified with each other once, by the
+divided-power rule (d1+...+dn)^m / m! = em(m), when a table becomes a
+t-graded Lie series.  Where a theorem displays two forms whose prefactors
+disagree under that rule, both are kept so the discrepancy stays observable.
 """
 
 from __future__ import annotations
@@ -242,7 +242,8 @@ def evaluate(ctx, expr, memo: dict):
         elif head == AD:
             x, y = evaluate(ctx, expr[2], memo), evaluate(ctx, expr[3], memo)
             coeffs = islice(ad_coeffs(expr[1]), 1, None)  # c_0 = 1: y seeds the sum
-            value = ad_series(ctx.bracket, y, x, ctx.bracket(x, y), coeffs)
+            bracket = ctx.bracket  # read now, so a wrapper installed on it sees every call
+            value = power_series(y, bracket(x, y), lambda p: bracket(x, p), coeffs)
         elif head == LIN:
             value = combination([(c, evaluate(ctx, a, memo)) for c, a in expr[1]])
         else:
@@ -409,12 +410,6 @@ def ad_coeffs(family: str):
     if family == "right":
         return map(inverse_factorial, count(1))
     raise ValueError(f"ad-series family must be 'exp', 'left' or 'right', got {family!r}")
-
-
-def ad_series(bracket, out, a, b, coeffs):
-    """out + sum_p coeffs[p] (ad a)^p b, summed once; pass the caller's bracket
-    binding at call time, so that a wrapper installed on it sees every call."""
-    return power_series(out, b, lambda p: bracket(a, p), coeffs)
 
 
 def series_compare(a: GradedSeries, b: GradedSeries, degree: int) -> LieElement:

@@ -12,11 +12,11 @@ Two models are available, each over the coefficient ring ``_plan`` picks
 from the statement's weights.  A statement with a generator whose weights
 are all sd^m or em(m), sd = d1 + ... + dn (the 17 built from the tables of
 sections 6-8), is decided over Q[t]/(t^(n+1)), the ring of orders (n,):
-lemma 6.0, sd^m = m! em(m), makes t -> sd an injective ring map into the
-Weil ring (1,)*n, so a difference vanishes there exactly when its image
-vanishes in the Weil ring, and a FAIL witness writes every coefficient as
+t -> sd (``WeilElement.weil_image``) is an injective ring map into the Weil
+ring (1,)*n by lemma 6.0, sd^m = m! em(m), so a difference vanishes there
+exactly when its image does, and a FAIL witness writes every coefficient as
 that image.  Every other statement, ``lemma-6.0`` itself among them, is
-decided over the Weil ring (1,)*n.
+decided over the Weil ring, where sd^m is a product of m images of t.
 
 The *free* model works in the truncated free associative algebra over the
 ring, and stops at the statement's reach.  Where every generator occurrence
@@ -57,7 +57,7 @@ from .errors import (
 from .catalog import _BY_ID, CATALOG, _Identity
 from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
-from .scalars import WeilElement, bracket_sum, weil_power_sum, weil_sum
+from .scalars import WeilElement, bracket_sum
 from .series import AD, EM, EXP, INV, LIN, MUL, ONE, POW, D, _TableContext, evaluate
 
 DEFAULT_TRUNC = 6
@@ -72,9 +72,11 @@ DEFAULT_SEED = 42
 @cache
 def _weight(ring: tuple, num: int, den: int, shape, m) -> WeilElement:
     """coeff = num/den times em(m) (EM), sd^m with sd = d1 + ... + dk (POW),
-    or the product of the d_i listed in m (D), in the Weil ring (1,)*k; over
-    a ring (n,) of one field t, coeff times the preimage t^[m] of em(m) or
-    m! t^[m] of sd^m = m! em(m) (lemma 6.0), where t stands for sd.
+    or the product of the d_i listed in m (D), in the Weil ring (1,)*k, where
+    em(m) and sd are the ``weil_image`` of t^[m] and t of the ring (k,) and
+    sd^m is a product of m copies of sd, so ``lemma-6.0`` checks, rather
+    than assumes, sd^m = m! em(m); over a ring (n,) of one field t, coeff
+    times the preimage t^[m] of em(m) or m! t^[m] of sd^m, t standing for sd.
 
     Computed once per process: the keys come only from the catalog, and
     the values are immutable.  The coefficient is keyed by its two ints,
@@ -85,11 +87,10 @@ def _weight(ring: tuple, num: int, den: int, shape, m) -> WeilElement:
         c = coeff if shape == EM else coeff * factorial(m)
         nums = [{m: c.numerator} if c and m <= ring[0] else {}]
         return WeilElement._make((ring,), nums, c.denominator)
-    k = len(ring)
     if shape == EM:
-        weight = weil_power_sum(k, m)
+        weight = WeilElement((len(ring),), {m: 1}).weil_image()
     elif shape == POW:
-        weight = reduce(operator.mul, [weil_sum(k)] * m)
+        weight = reduce(operator.mul, [WeilElement((len(ring),), {1: 1}).weil_image()] * m)
     elif shape == D:
         weight = reduce(operator.mul, [WeilElement.generator(ring, i) for i in m])
     else:

@@ -4,8 +4,6 @@ import ast
 import os
 import subprocess
 import sys
-import tokenize
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +21,10 @@ USED_ONLY_OUTSIDE_SRC = {
     # WeilElement's inverse, which the tests check and the benchmark's tracer
     # times; the package inverts through scalars.unit_inverse directly
     "inverse",
+    # WeilElement's coeffs view, which builds a Fraction per term; the package
+    # reads the numerator rows, and only bench/tracer.py (_weil_term_pairs)
+    # reads the view, until ROADMAP item 20 retires the tracer's rebinding
+    "coeffs",
     # the associative route to the classical series, which the tests keep as
     # the cross-check of the Lie recursions; bench/tracer.py binds all three
     # by name, so deleting them breaks the traced benchmark run
@@ -46,16 +48,6 @@ def _counted_modules():
     return [path for path in _modules() if path.name != "__init__.py"]
 
 
-def _name_counts() -> Counter:
-    counts = Counter()
-    for path in _counted_modules():
-        with path.open("rb") as handle:
-            for token in tokenize.tokenize(handle.readline):
-                if token.type == tokenize.NAME:
-                    counts[token.string] += 1
-    return counts
-
-
 def _assigned_names(node):
     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
     for target in targets:
@@ -64,10 +56,11 @@ def _assigned_names(node):
                 yield name.id
 
 
-def _public_definitions() -> set[str]:
-    """Every function, class, method and module constant of the package whose
-    name has no leading underscore."""
-    names = set()
+def _definitions() -> tuple[set[str], set[str]]:
+    """The public names of the package: those of its module-level functions,
+    classes and constants, and those of its class members, each with no
+    leading underscore."""
+    names, members = set(), set()
     for path in _modules():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -75,30 +68,57 @@ def _public_definitions() -> set[str]:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 names.update(_assigned_names(node))
             if isinstance(node, ast.ClassDef):
-                names.update(
+                members.update(
                     item.name for item in node.body if isinstance(item, ast.FunctionDef)
                 )
-    return {name for name in names if not name.startswith("_")}
+    return ({name for name in names if not name.startswith("_")},
+            {name for name in members if not name.startswith("_")})
 
 
-def _definition_counts() -> Counter:
-    """How often each name is defined by a ``def`` or ``class`` statement, in
-    any module, class or function of the package."""
-    return Counter(
-        node.name
-        for path in _counted_modules()
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    )
+def _public_definitions() -> set[str]:
+    """Every function, class, method and module constant of the package whose
+    name has no leading underscore."""
+    names, members = _definitions()
+    return names | members
+
+
+def _reads() -> tuple[set[str], set[str]]:
+    """The names the counted modules read outside a ``def`` or ``class`` of
+    the same name, as a loaded ``ast.Name``, an ``ast.Attribute`` or an
+    import alias; and, apart, every name an ``ast.Attribute`` reads."""
+    reads, attributes = set(), set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+            attributes.add(name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        if name is not None and name not in inside:
+            reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in _counted_modules():
+        visit(ast.parse(path.read_text()), frozenset())
+    return reads, attributes
 
 
 def _is_unused():
-    """The test of whether a name appears nowhere but in its own definitions:
-    a ``def`` or ``class`` statement, or the one assignment of a module
-    constant.  Two classes defining one method that no module calls leave it
-    unused, and so does a name no counted module mentions at all."""
-    counts, definitions = _name_counts(), _definition_counts()
-    return lambda name: counts[name] <= max(definitions[name], 1)
+    """The test of whether a name is read nowhere but in its own definitions.
+    A class member counts as used only when an ``ast.Attribute`` reads it, so
+    a parameter, local or keyword argument of its spelling does not count.
+    Any other name counts loads, attribute reads and import aliases outside
+    a ``def`` or ``class`` of that name, so a function that only calls itself
+    is unused, and so is a name only ``__init__.py`` defines."""
+    members = _definitions()[1]
+    reads, attributes = _reads()
+    return lambda name: name not in (attributes if name in members else reads)
 
 
 def _unused(names) -> list[str]:
@@ -119,19 +139,6 @@ def test_every_public_definition_is_used_inside_the_package():
 def test_the_allow_list_names_only_unused_definitions():
     assert USED_ONLY_OUTSIDE_SRC <= _public_definitions()
     assert all(map(_is_unused(), USED_ONLY_OUTSIDE_SRC))
-
-
-def test_no_module_reads_the_weil_coeffs_view():
-    # coeffs builds a Fraction per term; the package reads the numerator rows
-    # through scalars, and only bench/tracer.py still reads the view, which
-    # ROADMAP item 6 replaces with _rows
-    readers = [
-        f"{path.name}:{node.lineno}"
-        for path in _modules()
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
-    ]
-    assert readers == []
 
 
 def _name(node) -> str:
@@ -155,10 +162,10 @@ def _ad_series_sites(path) -> list[str]:
 
 
 def test_one_routine_sums_every_ad_series():
-    # sum_p c_p (ad a)^p b is series.ad_series alone; every other module and
-    # function reaches it through that routine or the AD node
+    # sum_p c_p (ad a)^p b is summed at the AD node of series.evaluate alone;
+    # every other module and function reaches it through that node
     sites = [site for path in _modules() for site in _ad_series_sites(path)]
-    assert sites == ["series.ad_series"]
+    assert sites == ["series.evaluate"]
 
 
 def test_importing_the_cli_loads_no_introspection_modules():

@@ -14,7 +14,7 @@ from nilbch.assoc import AssocPoly, poly_exp, poly_inv, poly_log, poly_mul
 from nilbch.errors import AlgebraMismatch, AlphabetMismatch, GeneratorCountMismatch
 from nilbch.freelie import LieElement
 from nilbch.matrix import NilMatrix, gen_nilmatrix
-from nilbch.scalars import WeilElement, combination, weil_sum
+from nilbch.scalars import WeilElement, combination
 from nilbch.series import AD
 
 XY = ("X", "Y")
@@ -140,7 +140,7 @@ def _series_values(n: int) -> dict:
     through power_series."""
     x, y = (AssocPoly.generator(XY, i, n) for i in (0, 1))
     ring = (1,) * min(n, 3)
-    sd = weil_sum(len(ring))
+    sd = WeilElement((len(ring),), {1: 1}).weil_image()  # the image of t, d1 + ... + dk
     wx, wy = (AssocPoly.generator(XY, i, n, ring) for i in (0, 1))
     m = gen_nilmatrix(n + 1, 7 + n, 1)[0]
     table = series._TableContext(n)

@@ -17,9 +17,9 @@ from nilbch.freelie import (
     lie_embed,
     mono_word,
 )
+from nilbch.scalars import power_series
 from nilbch.series import (
     ad_coeffs,
-    ad_series,
     bch_classical,
     bch_paper,
     evaluate,
@@ -51,8 +51,8 @@ def coeffs(family, n):
 
 
 def ad_sum(weights, x, v):
-    """sum_p weights[p] (ad x)^p v through the one ad-series routine."""
-    return ad_series(lie_bracket, LieElement.zero(XY, x.max_degree), x, v, weights)
+    """sum_p weights[p] (ad x)^p v through power_series, as the AD node sums it."""
+    return power_series(LieElement.zero(XY, x.max_degree), v, lambda p: lie_bracket(x, p), weights)
 
 
 # -- classical oracle ----------------------------------------------------------
