@@ -281,7 +281,9 @@ class LieElement(Numerators):
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bilinear bracket, rewritten to the standard basis and truncated: the
-    one-term ``scalars.bracket_sum``."""
+    one-term ``scalars.bracket_sum``.  ``series.evaluate`` brackets the
+    values of every other ``Numerators`` algebra through it too, where it is
+    the commutator ab - ba."""
     return bracket_sum([(1, a, b)])
 
 

@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import count, islice
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
 from .errors import DegreeOutOfRange, KindMismatch, NotTabulated
 from .freelie import LieElement, lie_bracket
@@ -215,14 +216,15 @@ D = "d"      # the product of the infinitesimals d_i listed in m
 
 
 def evaluate(ctx, expr, memo: dict):
-    """Image of an expression in ``ctx``; ``memo`` maps id(node) to its image.
+    """Image of an expression in the model ``ctx``, a ``Context``; ``memo``
+    maps id(node) to its image.
 
-    The context gives the generator images ``gens``, ``bracket(a, b)`` and
-    the scalar ``weight(coeff, shape, m)``, and for the group nodes ``exp``,
-    ``inv`` and the unit ``one``.  Keying by identity hashes no
-    coefficient, and shared subexpressions are shared objects, so a node
-    that occurs twice is evaluated once.  The caller keeps every node alive
-    while ``memo`` lives.
+    Every model brackets through this module's ``lie_bracket``, the
+    one-term ``scalars.bracket_sum``, which serves every ``Numerators``
+    algebra; it is read at each call, so a wrapper installed on it sees
+    every bracket.  Keying by identity hashes no coefficient, and shared
+    subexpressions are shared objects, so a node that occurs twice is
+    evaluated once.  The caller keeps every node alive while ``memo`` lives.
     """
     if isinstance(expr, int):
         return ctx.gens[expr]
@@ -242,8 +244,7 @@ def evaluate(ctx, expr, memo: dict):
         elif head == AD:
             x, y = evaluate(ctx, expr[2], memo), evaluate(ctx, expr[3], memo)
             coeffs = islice(ad_coeffs(expr[1]), 1, None)  # c_0 = 1: y seeds the sum
-            bracket = ctx.bracket  # read now, so a wrapper installed on it sees every call
-            value = power_series(y, bracket(x, y), lambda p: bracket(x, p), coeffs)
+            value = power_series(y, lie_bracket(x, y), lambda p: lie_bracket(x, p), coeffs)
         elif head == LIN:
             value = combination([(c, evaluate(ctx, a, memo)) for c, a in expr[1]])
         else:
@@ -253,30 +254,34 @@ def evaluate(ctx, expr, memo: dict):
         value = evaluate(ctx, sub, memo).scale(ctx.weight(coeff, shape, m))
     else:
         left, right = expr
-        value = ctx.bracket(evaluate(ctx, left, memo), evaluate(ctx, right, memo))
+        value = lie_bracket(evaluate(ctx, left, memo), evaluate(ctx, right, memo))
     memo[id(expr)] = value
     return value
 
 
-class _TableContext:
-    """Table entries as Lie elements of one max_degree: the bracket is the Lie
-    bracket, each weight its lemma-6.0 t-coefficient, em(m) = sd^m / m!, and
-    a FAIL witness lists the difference's terms."""
+class Context(NamedTuple):
+    """One model of the expression language, as ``evaluate`` reads it: the
+    generator images ``gens``, the scalar ``weight(coeff, shape, m)`` of a
+    weight node, the FAIL ``witness`` of a nonzero difference and, for the
+    group nodes, the unit ``one``, ``exp`` and the group inverse ``inv``."""
 
-    def __init__(self, max_degree: int):
-        self.gens = [LieElement.generator(BCH_ALPHABET, i, max_degree) for i in (0, 1)]
+    gens: list
+    weight: Callable
+    witness: Callable
+    one: object = None
+    exp: Callable | None = None
+    inv: Callable | None = None
 
-    @staticmethod
-    def bracket(a: LieElement, b: LieElement) -> LieElement:
-        return lie_bracket(a, b)  # the module binding, so a wrapper installed later sees it
 
-    @staticmethod
-    def weight(coeff, shape, m) -> Fraction:
-        return coeff / factorial(m) if shape == EM else coeff
-
-    @staticmethod
-    def witness(diff: LieElement) -> dict:
-        return {"kind": "lie", "terms": diff.to_json_terms()}
+def _lie_context(max_degree: int) -> Context:
+    """Table entries as Lie elements of one max_degree, with no group nodes:
+    each weight is its lemma-6.0 t-coefficient, em(m) = sd^m / m!, and a
+    FAIL witness lists the difference's terms."""
+    return Context(
+        [LieElement.generator(BCH_ALPHABET, i, max_degree) for i in (0, 1)],
+        lambda coeff, shape, m: coeff / factorial(m) if shape == EM else coeff,
+        lambda diff: {"kind": "lie", "terms": diff.to_json_terms()},
+    )
 
 
 def _lin(*pairs):
@@ -370,7 +375,7 @@ def _table_series(kind: str, order: int, source: str, entries) -> GradedSeries:
     ``order`` and summed into the component of its weight's m.  One context
     and one memo serve the whole table, so a node shared between entries,
     such as [X,Y], is bracketed once."""
-    ctx, memo = _TableContext(order), {}
+    ctx, memo = _lie_context(order), {}
     zero = LieElement.zero(BCH_ALPHABET, order)
     degrees = {n: zero for n in range(_FIRST_DEGREE[kind], order + 1)}
     for entry in entries:

@@ -16,7 +16,8 @@ t -> sd (``WeilElement.weil_image``) is an injective ring map into the Weil
 ring (1,)*n by lemma 6.0, sd^m = m! em(m), so a difference vanishes there
 exactly when its image does, and a FAIL witness writes every coefficient as
 that image.  Every other statement, ``lemma-6.0`` itself among them, is
-decided over the Weil ring, where sd^m is a product of m images of t.
+decided over the Weil ring.  In both rings sd^m is a product of m copies of
+sd (``_weight``), so sd^m = m! em(m) is computed, never assumed.
 
 The *free* model works in the truncated free associative algebra over the
 ring, and stops at the statement's reach.  Where every generator occurrence
@@ -44,7 +45,7 @@ import time
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial, inf
+from math import inf
 from typing import NamedTuple
 
 from .assoc import AssocPoly, poly_exp, poly_inv
@@ -57,8 +58,8 @@ from .errors import (
 from .catalog import _BY_ID, CATALOG, _Identity
 from .freelie import HARD_DEGREE_CAP, default_names
 from .matrix import NilMatrix, gen_nilmatrix
-from .scalars import WeilElement, bracket_sum
-from .series import AD, EM, EXP, INV, LIN, MUL, ONE, POW, D, _TableContext, evaluate
+from .scalars import WeilElement
+from .series import AD, EM, EXP, INV, LIN, MUL, ONE, POW, Context, D, _lie_context, evaluate
 
 DEFAULT_TRUNC = 6
 DEFAULT_DIM = 5
@@ -72,25 +73,24 @@ DEFAULT_SEED = 42
 @cache
 def _weight(ring: tuple, num: int, den: int, shape, m) -> WeilElement:
     """coeff = num/den times em(m) (EM), sd^m with sd = d1 + ... + dk (POW),
-    or the product of the d_i listed in m (D), in the Weil ring (1,)*k, where
-    em(m) and sd are the ``weil_image`` of t^[m] and t of the ring (k,) and
-    sd^m is a product of m copies of sd, so ``lemma-6.0`` checks, rather
-    than assumes, sd^m = m! em(m); over a ring (n,) of one field t, coeff
-    times the preimage t^[m] of em(m) or m! t^[m] of sd^m, t standing for sd.
+    or the product of the d_i listed in m (D).  In every ring em(m) and sd
+    are t^[m] and t of the ring (k,), k = sum(ring), taken into the Weil ring
+    (1,)*k by ``weil_image`` when that is the ring, and sd^m is a product of
+    m copies of sd, so sd^m = m! em(m) comes from ``pair_factors``, and
+    ``lemma-6.0`` checks, rather than assumes, it.
 
     Computed once per process: the keys come only from the catalog, and
     the values are immutable.  The coefficient is keyed by its two ints,
     since hashing a Fraction costs a modular inverse on every lookup.
     """
     coeff = Fraction(num, den)
-    if len(ring) == 1 and shape in (EM, POW):
-        c = coeff if shape == EM else coeff * factorial(m)
-        nums = [{m: c.numerator} if c and m <= ring[0] else {}]
-        return WeilElement._make((ring,), nums, c.denominator)
-    if shape == EM:
-        weight = WeilElement((len(ring),), {m: 1}).weil_image()
-    elif shape == POW:
-        weight = reduce(operator.mul, [WeilElement((len(ring),), {1: 1}).weil_image()] * m)
+    if shape in (EM, POW):
+        t_ring = (sum(ring),)
+        weight = WeilElement(t_ring, {m if shape == EM else 1: 1})
+        if ring != t_ring:
+            weight = weight.weil_image()
+        if shape == POW:
+            weight = reduce(operator.mul, [weight] * m)
     elif shape == D:
         weight = reduce(operator.mul, [WeilElement.generator(ring, i) for i in m])
     else:
@@ -98,28 +98,9 @@ def _weight(ring: tuple, num: int, den: int, shape, m) -> WeilElement:
     return weight if coeff == 1 else weight * coeff
 
 
-class _Context:
-    """One model as plain data: generator images ``gens``, the unit ``one``,
-    ``exp``, ``inv`` and the FAIL ``witness``, which writes each coefficient
-    in the Weil ring, as its ``WeilElement.weil_image``; the bracket is the
-    commutator ab - ba, one ``scalars.bracket_sum``.  ``ring`` is the
-    coefficient ring (``_plan``), in which the weights live, in either model.
-    """
-
-    def __init__(self, ring: tuple, gens: list, one, exp, inv, witness):
-        self.ring = ring
-        self.gens = gens
-        self.one = one
-        self.exp = exp
-        self.inv = inv
-        self.witness = witness
-
-    @staticmethod
-    def bracket(a, b):
-        return bracket_sum([(1, a, b)])
-
-    def weight(self, coeff, shape, m) -> WeilElement:
-        return _weight(self.ring, coeff.numerator, coeff.denominator, shape, m)
+def _weigher(ring: tuple):
+    """The ``weight(coeff, shape, m)`` of a model over the ring (``_plan``)."""
+    return lambda coeff, shape, m: _weight(ring, coeff.numerator, coeff.denominator, shape, m)
 
 
 def _weil_text(scalar: WeilElement) -> str:
@@ -142,18 +123,20 @@ def _matrix_witness(diff: NilMatrix) -> dict:
     return {"kind": "matrix", "lead": lead, "entries": entries}
 
 
-def _free_context(names: tuple[str, ...], ring: tuple, trunc: int) -> _Context:
-    """The free model: the truncated free algebra over the ring."""
+def _free_context(names: tuple[str, ...], ring: tuple, trunc: int) -> Context:
+    """The free model: the truncated free algebra over the ring.  A FAIL
+    witness, here and in the matrix model, writes each coefficient as its
+    ``WeilElement.weil_image``."""
     gens = [AssocPoly.generator(names, i, trunc, ring) for i in range(len(names))]
     one = AssocPoly.one(names, trunc, ring)
-    return _Context(ring, gens, one, poly_exp, poly_inv, _poly_witness)
+    return Context(gens, _weigher(ring), _poly_witness, one, poly_exp, poly_inv)
 
 
-def _matrix_context(ring: tuple, dim: int, seed: int, count: int) -> _Context:
+def _matrix_context(ring: tuple, dim: int, seed: int, count: int) -> Context:
     """The matrix model: seeded dim x dim nilpotent matrices over the ring."""
     gens = [m.lift(ring) for m in gen_nilmatrix(dim, seed, count)]
     one = NilMatrix.identity(dim, ring)
-    return _Context(ring, gens, one, NilMatrix.exp, NilMatrix.inv, _matrix_witness)
+    return Context(gens, _weigher(ring), _matrix_witness, one, NilMatrix.exp, NilMatrix.inv)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ def _context_for(entry: _Identity, model: str, params: CheckParams):
     if got < need:
         raise InsufficientModel(f"{entry.id} needs {what} >= {need}, got {got}")
     if entry.lie_degree:
-        return _TableContext(entry.lie_degree)
+        return _lie_context(entry.lie_degree)
     ring, reach, _, gens = _plan(entry.id)
     if model == "free":
         trunc = params.trunc if reach is None else min(params.trunc, reach)

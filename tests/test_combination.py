@@ -143,7 +143,7 @@ def _series_values(n: int) -> dict:
     sd = WeilElement((len(ring),), {1: 1}).weil_image()  # the image of t, d1 + ... + dk
     wx, wy = (AssocPoly.generator(XY, i, n, ring) for i in (0, 1))
     m = gen_nilmatrix(n + 1, 7 + n, 1)[0]
-    table = series._TableContext(n)
+    table = series._lie_context(n)
     weil = WeilElement((1,) * n, {0: 3, 1: Fraction(-1, 2), (1 << n) - 1: Fraction(5, 7)})
     return {
         "exp": poly_exp(x + y.scale(Fraction(2, 3))),

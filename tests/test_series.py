@@ -361,7 +361,7 @@ def test_paper_order_four_degree_four_component():
 
 def test_table_entries_are_homogeneous_of_their_weight_degree():
     # expanded with room to spare, each entry's bracket degree is its weight's m
-    ctx = series._TableContext(HARD_DEGREE_CAP)
+    ctx = series._lie_context(HARD_DEGREE_CAP)
     for entries in series.PAPER_TABLES.values():
         for entry in entries:
             m = entry[1][1]
