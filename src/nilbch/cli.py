@@ -4,15 +4,21 @@ Subcommands compute and print series, compare sources, run the identity
 suite and emit machine-readable artifacts.  All regular output goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success (all PASS for check),
 1 at least one FAIL verdict, 2 usage or input error.
+
+The command line is one table, ``_COMMANDS``.  A plain argv, exact
+``--flag value`` pairs and ``store_true`` flags of one command, is read
+straight from it; every other argv (help, no command, a usage error) goes to
+the argparse parser built from the same table, so help, usage and error
+output are argparse's, and a plain command never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import DegreeOutOfRange, NilbchError
@@ -144,6 +150,9 @@ def _check_lines(reports):
 
 
 def _cmd_check(args) -> int:
+    if args.all and args.id is not None:
+        sys.stderr.write("check: provide --id PATTERN or --all, not both\n")
+        return 2
     pattern = "*" if args.all else args.id
     if pattern is None:
         sys.stderr.write("check: provide --id PATTERN or --all\n")
@@ -193,105 +202,136 @@ def _cmd_logderiv(args) -> int:
     return 0
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--output", default=None, help="write output to a file")
+_OUTPUT_OPTIONS = {
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--output": {"default": None, "help": "write output to a file"},
+}
 
-
-# The parser of each command, by name; filled by ``build_parser``.
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+# The command line as data: each command's help, handler and options, each
+# option's flag mapped to the keywords ``add_argument`` takes.  ``_plain``
+# reads a plain argv from it and ``build_parser`` builds argparse from it.
+_COMMANDS = {
+    "bch": ("print a BCH exponent, per degree", _cmd_bch, {
+        "--order": {"type": int, "required": True},
+        "--source": {"choices": ("classical", "paper7", "paper8"), "required": True},
+        **_OUTPUT_OPTIONS,
+    }),
+    "zassenhaus": ("print Zassenhaus factor exponents", _cmd_zassenhaus, {
+        "--order": {"type": int, "required": True},
+        "--source": {"choices": ("classical", "paper"), "required": True},
+        "--form": {"choices": ("a", "b"), "default": "a"},
+        **_OUTPUT_OPTIONS,
+    }),
+    "compare": ("difference of two sources at one degree", _cmd_compare, {
+        "--what": {"choices": ("bch", "zassenhaus"), "required": True},
+        "--order": {"type": int, "required": True},
+        "--a": {"required": True, "metavar": "SRC"},
+        "--b": {"required": True, "metavar": "SRC"},
+        **_OUTPUT_OPTIONS,
+    }),
+    "check": ("run identity checks", _cmd_check, {
+        "--id": {"default": None, "help": "identity id or fnmatch pattern"},
+        "--all": {"action": "store_true", "help": "run the whole catalog"},
+        "--model": {"choices": ("free", "matrix"), "default": "free"},
+        "--trunc": {
+            "type": int, "default": None,
+            "help": f"free-model truncation, at most {HARD_DEGREE_CAP}; "
+            "defaults to the minimum each identity needs",
+        },
+        "--dim": {
+            "type": int, "default": CheckParams().dim,
+            "help": f"matrix dimension, at most {HARD_DEGREE_CAP + 1}",
+        },
+        "--seed": {"type": int, "default": CheckParams().seed},
+        "--timings": {"action": "store_true", "help": "include elapsed_ms in JSON reports"},
+        **_OUTPUT_OPTIONS,
+    }),
+    "hall": ("print a Hall (Lyndon) basis layer", _cmd_hall, {
+        "--gens": {"type": int, "required": True},
+        "--degree": {"type": int, "required": True},
+        **_OUTPUT_OPTIONS,
+    }),
+    "logderiv": ("coefficients of the exp logarithmic derivative", _cmd_logderiv, {
+        "--side": {"choices": ("left", "right"), "required": True},
+        "--order": {"type": int, "required": True},
+        **_OUTPUT_OPTIONS,
+    }),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call and then shared.
+def build_parser():
+    """The argparse parser of ``_COMMANDS``, built on the first call and then
+    shared; ``argparse`` is imported here, so a plain command never loads it.
 
     ``parse_args`` returns a fresh namespace each call and every default is
     immutable, so nothing carries over from one ``dispatch`` to the next.
-    The ``_cmd_*`` handlers are bound here; callers must not modify it.
+    Callers must not modify it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nilbch",
         description="Exact BCH and Zassenhaus series, with a mechanical identity checker.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bch = sub.add_parser("bch", help="print a BCH exponent, per degree")
-    p_bch.add_argument("--order", type=int, required=True)
-    p_bch.add_argument(
-        "--source", choices=("classical", "paper7", "paper8"), required=True
-    )
-    _add_output_flags(p_bch)
-    p_bch.set_defaults(func=_cmd_bch)
-
-    p_zass = sub.add_parser("zassenhaus", help="print Zassenhaus factor exponents")
-    p_zass.add_argument("--order", type=int, required=True)
-    p_zass.add_argument("--source", choices=("classical", "paper"), required=True)
-    p_zass.add_argument("--form", choices=("a", "b"), default="a")
-    _add_output_flags(p_zass)
-    p_zass.set_defaults(func=_cmd_zassenhaus)
-
-    p_cmp = sub.add_parser("compare", help="difference of two sources at one degree")
-    p_cmp.add_argument("--what", choices=("bch", "zassenhaus"), required=True)
-    p_cmp.add_argument("--order", type=int, required=True)
-    p_cmp.add_argument("--a", required=True, metavar="SRC")
-    p_cmp.add_argument("--b", required=True, metavar="SRC")
-    _add_output_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_check = sub.add_parser("check", help="run identity checks")
-    p_check.add_argument("--id", default=None, help="identity id or fnmatch pattern")
-    p_check.add_argument("--all", action="store_true", help="run the whole catalog")
-    p_check.add_argument("--model", choices=("free", "matrix"), default="free")
-    p_check.add_argument(
-        "--trunc", type=int, default=None,
-        help=f"free-model truncation, at most {HARD_DEGREE_CAP}; "
-        "defaults to the minimum each identity needs",
-    )
-    p_check.add_argument(
-        "--dim", type=int, default=CheckParams().dim,
-        help=f"matrix dimension, at most {HARD_DEGREE_CAP + 1}",
-    )
-    p_check.add_argument("--seed", type=int, default=CheckParams().seed)
-    p_check.add_argument(
-        "--timings", action="store_true", help="include elapsed_ms in JSON reports"
-    )
-    _add_output_flags(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_hall = sub.add_parser("hall", help="print a Hall (Lyndon) basis layer")
-    p_hall.add_argument("--gens", type=int, required=True)
-    p_hall.add_argument("--degree", type=int, required=True)
-    _add_output_flags(p_hall)
-    p_hall.set_defaults(func=_cmd_hall)
-
-    p_ld = sub.add_parser(
-        "logderiv", help="coefficients of the exp logarithmic derivative"
-    )
-    p_ld.add_argument("--side", choices=("left", "right"), required=True)
-    p_ld.add_argument("--order", type=int, required=True)
-    _add_output_flags(p_ld)
-    p_ld.set_defaults(func=_cmd_logderiv)
-
-    _COMMANDS.update(sub.choices)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with its command's parser, as the top-level one would.
+def _plain(argv: list[str]):
+    """The namespace of a plain ``argv``, read straight from ``_COMMANDS``,
+    or None when ``argv`` is not plain.
 
-    The top-level parser would classify every string and hand the tail to
-    the command's parser to classify again; it parses only an ``argv`` that
-    names no command, so that help and usage errors stay its own.
+    Plain means a command name followed by exact flags of that command, none
+    twice, each ``store_true`` flag alone and each other flag with one value
+    that does not start with ``-`` and passes the flag's type and choices,
+    every required flag among them.  argparse parses such an argv to the same
+    values.
     """
-    parser = build_parser()
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return None
+    _, handler, options = command
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in values:
+            return None
+        if "action" in keywords:  # store_true
+            values[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value falls back as a "-" one does
+        if text[:1] == "-":
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[flag] = value
+    args = SimpleNamespace(func=handler)
+    for flag, keywords in options.items():
+        if flag in values:
+            value = values[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if "action" in keywords else None)
+        setattr(args, flag[2:], value)  # argparse's dest: no flag has an inner "-"
     return args
+
+
+def _parse(argv: list[str]):
+    """The namespace of ``argv``: ``_plain``'s, else argparse's, so that
+    help, usage and error output stay argparse's own."""
+    return _plain(argv) or build_parser().parse_args(argv)
 
 
 def dispatch(argv: list[str]) -> int:

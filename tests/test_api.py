@@ -171,13 +171,21 @@ def test_one_routine_sums_every_ad_series():
 def test_importing_the_cli_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis, tokenize and copy, which cost
     # every process memory and start-up time; the package needs none of them.
+    # A plain command is read from the cli's option table, so argparse and
+    # the gettext it imports load only for help and usage errors.
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, nilbch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import sys, nilbch.cli\n"
+        "nilbch.cli.dispatch(['bch', '--order', '2', '--source', 'classical'])\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))\n"
+        "nilbch.cli.dispatch(['--help'])\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[2] == "[]" and lines[3].startswith("usage: nilbch")
 
 
 def test_numerators_subclasses_keep_one_numerator_half():

@@ -1,10 +1,11 @@
 """Command-line contract: golden outputs, exit codes, determinism."""
 
 import json
+import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilbch import cli, freelie, weilcheck
@@ -265,16 +266,35 @@ def test_compare_zassenhaus_sources(capsys):
     assert out == "-1/12*[X,[X,Y]] + 1/6*[[X,Y],Y]\n"
 
 
-# One parser serves every dispatch of a process; these calls must not leak
-# state from one to the next.
+# A plain command is read from the option table and never builds the argparse
+# parser; the first argv that needs argparse builds it, and every later one
+# shares it.  No call may leak state to the next.
 
 def test_dispatch_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
     run(capsys, "bch", "--order", "1", "--source", "classical")
-    built = cli.build_parser.cache_info().misses
     run(capsys, "logderiv", "--side", "left", "--order", "1")
-    run(capsys, "check", "--id", "thm-7.1")
-    assert cli.build_parser.cache_info().misses == built
-    assert cli.build_parser.cache_info().currsize == 1
+    run(capsys, "check", "--id", "thm-7.1", "--all")
+    assert cli.build_parser.cache_info().misses == 0
+    assert run(capsys, "bch", "--order", "1", "--source", "wrong")[0] == 2
+    assert cli.build_parser.cache_info().misses == 1
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "check", "--i", "thm-7.1")[0] == 0
+    run(capsys, "hall", "--gens", "2", "--degree", "3")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_check_refuses_an_id_beside_all_before_any_identity_runs(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a refused command must not reach any identity")
+
+    monkeypatch.setattr(weilcheck, "check_identity", never)
+    for argv in (("--all", "--id", "thm-7.1", "--model", "free"),
+                 ("--id", "*", "--all"), ("--i", "thm-7.1", "--all")):
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out) == (2, "")
+        assert err == "check: provide --id PATTERN or --all, not both\n"
 
 
 def test_check_all_does_not_carry_over_to_a_bare_check(capsys):
@@ -307,9 +327,9 @@ def test_help_is_the_same_every_time(capsys):
     assert first == second
 
 
-# Each command is parsed by its own parser; the top-level parser sees only an
-# argv that names no command.  The reference is the whole argv through the
-# top-level parser, which then hands the tail to the command's parser.
+# A plain argv is read from the option table and every other one goes to
+# argparse.  The reference is the whole argv through the argparse parser,
+# whose top-level parser hands the tail to the command's parser.
 
 def reference_dispatch(argv):
     try:
@@ -334,6 +354,24 @@ PARITY_ARGVS = [
     ("bch", "--order", "x", "--source", "classical"),
     ("bch", "--order", "2", "--source", "wrong"),
     ("bch", "--order", "2", "--source", "classical", "extra"),
+    ("bch", "--ord", "2", "--source", "classical"),
+    ("bch", "--o", "2", "--source", "classical"),
+    ("bch", "--order=2", "--source=classical"),
+    ("bch", "--order", "2", "--order", "3", "--source", "classical"),
+    ("check", "--id", "thm-7.1", "--timings", "--timings"),
+    ("bch", "--order", "-3", "--source", "classical"),
+    ("bch", "--order", " 2", "--source", "classical"),
+    ("bch", "--order", "2_0", "--source", "classical"),
+    ("bch", "--order", "", "--source", "classical"),
+    ("check", "--id", "-"),
+    ("check", "--id", ""),
+    ("check", "--id"),
+    ("check", "--all", "--model", "matrix", "--dim", "-1"),
+    ("logderiv", "--side", "up", "--order", "1"),
+    ("hall", "--gens", "2", "--degree", "3", "-h"),
+    ("hall", "--gens", "2", "--", "--degree", "3"),
+    ("hall", "--gens", "2"),
+    ("compare", "--what", "bch", "--order", "3", "--a", "paper7", "--b", "x"),
     *((*argv, "--format", "json") for _, argv in GOLDEN.values()),
 ]
 
@@ -342,6 +380,82 @@ PARITY_ARGVS = [
 def test_per_command_parse_matches_the_top_level_parse(capsys, argv):
     expected = reference_dispatch(list(argv)), *capsys.readouterr()
     assert run(capsys, *argv) == expected
+
+
+# Argvs drawn from the option table, mostly exact pairs with valid values,
+# some mutated into every shape that argparse must parse instead: an
+# abbreviated flag, --flag=value, a repeat, a value that argparse or the flag's
+# type or choices refuse, -h, -- and stray tokens.  Each runs through dispatch
+# and through the reference, with every file written (--output) compared too.
+
+_FREE_TEXT = {
+    "--id": ("thm-7.1", "prop-2.*", "no-such-id"),
+    "--a": ("classical", "paper7", "paper-b", "nope"),
+    "--b": ("classical", "paper8", "paper", "nope"),
+    "--output": ("out.json",),
+}
+_JUNK = ("-3", "-x", "-h", "x", "", " 2", "2_0", "wrong")
+_STRAY = ("-h", "--", "extra", "-x")
+_ELAPSED = re.compile(r'"elapsed_ms": [-+.\deE]+')  # --timings output
+
+
+def _pair(draw, flag, keywords):
+    """``flag`` and a valid value drawn for it, if it takes one."""
+    if "action" in keywords:
+        return [flag]
+    if "choices" in keywords:
+        values = keywords["choices"]
+    elif keywords.get("type") is int:
+        values = ("0", "1", "2", "3", "4")
+    else:
+        values = _FREE_TEXT[flag]
+    return [flag, draw(st.sampled_from(values))]
+
+
+@st.composite
+def _drawn_argvs(draw):
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [name]
+    for flag, keywords in draw(st.permutations([*cli._COMMANDS[name][2].items()])):
+        if draw(st.integers(0, 9)) >= (9 if keywords.get("required") else 4):
+            continue
+        pair = _pair(draw, flag, keywords)
+        mutation = draw(st.integers(0, 39))
+        if mutation == 0 and len(flag) > 3:
+            pair[0] = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif mutation == 1 and len(pair) == 2:
+            pair = [f"{flag}={pair[1]}"]
+        elif mutation == 2:
+            pair += _pair(draw, flag, keywords)
+        elif mutation in (3, 5) and len(pair) == 2:
+            pair[1] = draw(st.sampled_from(_JUNK))
+        elif mutation == 4:
+            pair.append(draw(st.sampled_from(_STRAY)))
+        argv += pair
+    return argv
+
+
+def test_table_parse_matches_argparse_on_drawn_argvs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    plain = []
+
+    def outcome(dispatcher, argv):
+        code = dispatcher(list(argv))
+        texts = [*capsys.readouterr()]
+        for path in tmp_path.iterdir():
+            texts.append(f"{path.name}: {path.read_text(encoding='utf-8')}")
+            path.unlink()
+        return code, [_ELAPSED.sub("elapsed", text) for text in texts]
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_drawn_argvs(), min_size=1, max_size=8))
+    def compare(argvs):
+        for argv in argvs:
+            plain.append(cli._plain(argv) is not None)
+            assert outcome(dispatch, argv) == outcome(reference_dispatch, argv), argv
+
+    compare()
+    assert sum(plain) >= 300 and len(plain) - sum(plain) >= 100
 
 
 # The JSON writer against json.dumps(indent=2): strings with quotes,
